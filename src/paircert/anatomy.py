@@ -20,6 +20,7 @@ from .arith import (
     const,
     divisors,
     factorize,
+    fraction_str,
     interval_eval,
     log_of,
     primes_upto,
@@ -216,10 +217,10 @@ class AnatomyReport:
 
     def to_json(self) -> dict:
         return {
-            "exact": str(self.exact_value),
-            "rankin_bound": str(self.rankin_bound),
-            "mertens_bound": str(self.mertens_bound),
-            "gamma": str(self.gamma),
+            "exact": fraction_str(self.exact_value),
+            "rankin_bound": fraction_str(self.rankin_bound),
+            "mertens_bound": fraction_str(self.mertens_bound),
+            "gamma": fraction_str(self.gamma),
             "chain_holds": self.chain_holds,
         }
 

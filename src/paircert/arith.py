@@ -299,10 +299,6 @@ def _dy_sub(a: Dyadic, b: Dyadic, prec: int, rnd: int) -> Dyadic:
     return _dy_add(a, _dy_neg(b), prec, rnd)
 
 
-def _dy_mul(a: Dyadic, b: Dyadic, prec: int, rnd: int) -> Dyadic:
-    return _dy_round(a.man * b.man, a.exp + b.exp, prec, rnd)
-
-
 def _dy_div(a: Dyadic, b: Dyadic, prec: int, rnd: int) -> Dyadic:
     if b.man == 0:
         raise DomainError("division by zero dyadic")
@@ -554,9 +550,6 @@ class Interval:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def sign_window(self) -> tuple[int, int]:
-        return self.lo.sign, self.hi.sign
-
     def contains(self, x: Rational) -> bool:
         return _dy_cmp_fraction(self.lo, x) <= 0 and _dy_cmp_fraction(self.hi, x) >= 0
 
@@ -584,9 +577,6 @@ class Interval:
 
     def width(self) -> Fraction:
         return self.hi.as_fraction() - self.lo.as_fraction()
-
-    def bounds_fractions(self) -> tuple[Fraction, Fraction]:
-        return self.lo.as_fraction(), self.hi.as_fraction()
 
     # -- arithmetic ---------------------------------------------------
 
@@ -746,6 +736,32 @@ def _fraction_decimal(x: Fraction, digits: int) -> str:
     mant = str(scaled)
     mant = mant[0] + "." + mant[1:]
     return f"{sign}{mant}e{e:+d}"
+
+
+# Python refuses str() of ints past sys.get_int_max_str_digits() digits
+# (4300 by default, 640 at the least), so longer ones are split by a power
+# of ten into pieces below that.
+_STR_DIGITS = 600
+_STR_BOUND = 10**_STR_DIGITS
+
+
+def int_str(n: int) -> str:
+    """str(n), exact at any size."""
+    if -_STR_BOUND < n < _STR_BOUND:
+        return str(n)
+    if n < 0:
+        return "-" + int_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the decimal digits
+    hi, lo = divmod(n, 10**k)
+    return int_str(hi) + int_str(lo).zfill(k)
+
+
+def fraction_str(x: Rational) -> str:
+    """str(Fraction(x)), exact at any size."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return int_str(x.numerator)
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
 # ---------------------------------------------------------------------------

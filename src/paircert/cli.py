@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 = no violations, 2 = a violation was found, 3 = an
+Exit codes: 0 = no violations, 2 = a violation was found (for a campaign
+also a slice-identity, peel-contract or resolution failure), 3 = an
 inconclusive verdict remained at the precision cap.
 """
 
@@ -15,15 +16,12 @@ from pathlib import Path
 
 from .anatomy import (
     count_chain_report,
-    count_many_small_primes,
-    divisor_anatomy_bound,
-    divisor_anatomy_sum,
     divisor_chain_report,
     mertens_product,
     rankin_sum,
     ratio_to_log_power,
 )
-from .arith import Interval, dyadic_str
+from .arith import Interval, dyadic_str, fraction_str
 from .compress import slice_system, verify_slice_identities
 from .diagonal import (
     bilinear_check,
@@ -40,11 +38,9 @@ from .harness import (
     generate_instance,
     instance_document,
     load_instance,
-    save_instance,
     write_campaign_csv,
 )
-from .model import mu_pairs
-from .quality import HOLDS, INCONCLUSIVE, VIOLATED, build_edge_set, main_bound_check
+from .quality import INCONCLUSIVE, VIOLATED, build_edge_set, main_bound_check
 from .resolution import resolution_check
 
 
@@ -201,7 +197,7 @@ def _cmd_anatomy(args) -> int:
             "x": str(x),
             "t": str(t),
             "gamma": str(gamma),
-            "rankin_sum": str(rankin_sum(x, t, gamma)),
+            "rankin_sum": fraction_str(rankin_sum(x, t, gamma)),
         }
     elif args.operation == "divisor":
         M = args.M or 12
@@ -212,7 +208,7 @@ def _cmd_anatomy(args) -> int:
         doc = {
             "t": str(t),
             "gamma": str(gamma),
-            "product": str(mertens_product(t, gamma)),
+            "product": fraction_str(mertens_product(t, gamma)),
             "ratio_to_log_power": _interval_json(iv),
         }
     _emit(doc, args.out)
@@ -234,7 +230,12 @@ def _cmd_certify(args) -> int:
     _emit(report.to_json(), args.out)
     if args.csv:
         write_campaign_csv(report, args.csv)
-    if report.violated or report.resolution_failures or report.slice_identity_failures:
+    if (
+        report.violated
+        or report.slice_identity_failures
+        or report.peel_contract_failures
+        or report.resolution_failures
+    ):
         return 2
     if report.inconclusive:
         return 3

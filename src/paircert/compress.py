@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .arith import Rational, is_prime, valuation
 from .errors import InvalidParameter

@@ -8,32 +8,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
-from .arith import (
-    Interval,
-    compare_power,
-    const,
-    exp_of,
-    interval_eval,
-    valuation,
-)
+from .arith import Interval, compare_power, const, exp_of, interval_eval, is_prime
 from .errors import DegenerateMeasure, InvalidParameter
-from .model import PairSystem, mu_pairs, mu_point, mu_set
+from .model import PairSystem, SideMasses, vertex_masses
 from .quality import (
     DEFAULT_PRECISION_CAP,
     HOLDS,
     INCONCLUSIVE,
     VIOLATED,
     Params,
-    neighborhood,
     prime_support,
-    restrict,
-    w_neighborhood,
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -80,59 +70,109 @@ class CenterResult:
     tail_mass: Fraction
 
 
+def _edge_mass(V: SideMasses, W: SideMasses, E: Iterable[tuple[int, int]]) -> int:
+    """mu(E) * V.den * W.den."""
+    return sum(V.num.get(v, 0) * W.num.get(w, 0) for v, w in E)
+
+
+def _edge_cells(V: SideMasses, W: SideMasses, E: frozenset[tuple[int, int]]):
+    """One pass over E: mu(E) and, at each prime p dividing some vw, the
+    mass of every cell (nu_p(v), nu_p(w)) other than (0, 0), all as
+    integers over V.den * W.den.  Zero-mass edges add nothing."""
+    total = 0
+    cells: dict[int, dict[tuple[int, int], int]] = {}
+    for v, w in E:
+        mass = V.num.get(v, 0) * W.num.get(w, 0)
+        if not mass:
+            continue
+        total += mass
+        nv, nw = V.exponents(v), W.exponents(w)
+        for p in nv.keys() | nw.keys():
+            key = (nv.get(p, 0), nw.get(p, 0))
+            at_p = cells.setdefault(p, {})
+            at_p[key] = at_p.get(key, 0) + mass
+    return total, cells
+
+
+def _marginal_cells(side: SideMasses):
+    """mu(side) and, at each prime p, the mass at every valuation i != 0,
+    as integers over side.den."""
+    total = 0
+    cells: dict[int, dict[int, int]] = {}
+    for x, mass in side.num.items():
+        if not mass:
+            continue
+        total += mass
+        for p, i in side.nu[x].items():
+            at_p = cells.setdefault(p, {})
+            at_p[i] = at_p.get(i, 0) + mass
+    return total, cells
+
+
+def _shares(others: dict, total: int, origin) -> dict:
+    """Each mass over total, plus the origin's share total - sum(others),
+    stored only when positive."""
+    out = {key: Fraction(mass, total) for key, mass in others.items()}
+    rest = total - sum(others.values())
+    if rest:
+        out[origin] = Fraction(rest, total)
+    return out
+
+
+class _MassTable:
+    """The cell and marginal masses of E at every prime, from one pass."""
+
+    def __init__(self, system: PairSystem, E: frozenset[tuple[int, int]]):
+        self.V, self.W = vertex_masses(system)
+        self.total, self.cells = _edge_cells(self.V, self.W, E)
+        self.mu_v, self.alpha = _marginal_cells(self.V)
+        self.mu_w, self.beta = _marginal_cells(self.W)
+
+    def measure(self, p: int) -> DiagonalMeasure:
+        return DiagonalMeasure(
+            p,
+            _shares(self.cells.get(p, {}), self.total, (0, 0)),
+            _shares(self.alpha.get(p, {}), self.mu_v, 0),
+            _shares(self.beta.get(p, {}), self.mu_w, 0),
+            Fraction(self.total, self.V.den * self.W.den),
+        )
+
+
 def diagonal_measure(
     system: PairSystem, edges: Iterable[tuple[int, int]], p: int
 ) -> DiagonalMeasure:
-    """Exact partition of the edge mass by the valuation pair at p."""
-    E = frozenset(edges)
-    total = mu_pairs(system, E)
-    if total == 0:
-        raise DegenerateMeasure("mu(E) = 0: m(i,j) is undefined")
-    cells: dict[tuple[int, int], Fraction] = {}
-    for v, w in E:
-        mass = mu_point(system.f, system.psi, v) * mu_point(system.g, system.theta, w)
-        if mass == 0:
-            continue
-        key = (valuation(p, v), valuation(p, w))
-        cells[key] = cells.get(key, _ZERO) + mass
-    cells = {k: v / total for k, v in cells.items()}
+    """Exact partition of the edge mass by the valuation pair at p.
 
-    mu_v = mu_set(system.f, system.psi, system.psi.support())
-    mu_w = mu_set(system.g, system.theta, system.theta.support())
-    alpha: dict[int, Fraction] = {}
-    for v in system.psi.support():
-        mv = mu_point(system.f, system.psi, v)
-        if mv == 0:
-            continue
-        i = valuation(p, v)
-        alpha[i] = alpha.get(i, _ZERO) + mv / mu_v
-    beta: dict[int, Fraction] = {}
-    for w in system.theta.support():
-        mw = mu_point(system.g, system.theta, w)
-        if mw == 0:
-            continue
-        j = valuation(p, w)
-        beta[j] = beta.get(j, _ZERO) + mw / mu_w
-    return DiagonalMeasure(p, cells, alpha, beta, total)
+    One pass over E adds each edge's mass mu(v) mu(w) to mu(E) and to the
+    cell (nu_p(v), nu_p(w)) of every prime p dividing vw; the (0, 0) cell is
+    then mu(E) minus the other cells.  alpha and beta come the same way
+    from the vertex masses.
+    """
+    table = _MassTable(system, frozenset(edges))
+    if table.total == 0:
+        raise DegenerateMeasure("mu(E) = 0: m(i,j) is undefined")
+    if p < 2 or not is_prime(p):
+        raise InvalidParameter(f"valuation base {p} is not prime")
+    return table.measure(p)
 
 
 def find_center(dm: DiagonalMeasure) -> CenterResult:
     """The integer k minimizing the off-center tail, ties to the smallest k.
 
     tail(k) = sum of m(i,j) over |i-k| + |j-k| >= 2, scanned exhaustively
-    over [min support - 1, max support + 1].
+    over [min support - 1, max support + 1] in integers over the cells'
+    common denominator.
     """
     idx = dm.support_indices()
+    den = lcm(*(m.denominator for m in dm.cells.values()))
+    cells = [(i, j, m.numerator * (den // m.denominator)) for (i, j), m in dm.cells.items()]
     best_k = None
     best_tail = None
     for k in range(min(idx) - 1, max(idx) + 2):
-        tail = _ZERO
-        for (i, j), mass in dm.cells.items():
-            if abs(i - k) + abs(j - k) >= 2:
-                tail += mass
+        tail = sum(m for i, j, m in cells if abs(i - k) + abs(j - k) >= 2)
         if best_tail is None or tail < best_tail:
             best_k, best_tail = k, tail
-    return CenterResult(best_k, best_tail)
+    return CenterResult(best_k, Fraction(best_tail, den))
 
 
 @dataclass
@@ -322,33 +362,38 @@ def concentrate(
 ) -> ConcentrateResult:
     """Center N = prod p^{k_p} and the filtered set E*.
 
-    E* keeps the edges with |nu_p(v/N)| + |nu_p(w/N)| <= 1 at every prime.
-    Centers come from the exhaustive tail scan; a tied k = -1 is clamped to 0
-    (same tail, keeps N integral).
+    One pass over E fills the valuation cells of every prime at once (see
+    diagonal_measure: the (0, 0) cell is mu(E) minus the other cells); each
+    prime's validated DiagonalMeasure then gives its center by the
+    exhaustive tail scan, a tied k = -1 clamped to 0 (same tail, keeps N
+    integral).  E* keeps the edges with |nu_p(v/N)| + |nu_p(w/N)| <= 1 at
+    every prime, read off the vertex factorizations, and removed_fraction
+    is (mu(E) - mu(E*)) / mu(E) in exact integers.
     """
     E = frozenset(edges)
-    total = mu_pairs(system, E)
-    if total == 0:
+    table = _MassTable(system, E)
+    if table.total == 0:
         raise DegenerateMeasure("mu(E) = 0: nothing to concentrate")
     centers: dict[int, int] = {}
     N = 1
     for p in prime_support(system.psi, system.theta):
-        dm = diagonal_measure(system, E, p)
-        k = max(0, find_center(dm).k)
+        k = max(0, find_center(table.measure(p)).k)
         centers[p] = k
         N *= p**k
-    star = []
-    for v, w in E:
-        ok = True
-        for p, k in centers.items():
-            if abs(valuation(p, v) - k) + abs(valuation(p, w) - k) > 1:
-                ok = False
-                break
-        if ok:
-            star.append((v, w))
-    star_set = frozenset(star)
-    removed = mu_pairs(system, E - star_set)
-    return ConcentrateResult(N, star_set, removed / total, centers)
+    V, W = table.V, table.W
+
+    def near_center(v: int, w: int) -> bool:
+        # a center prime dividing neither v nor w adds 2 k_p, so it
+        # removes the edge exactly when k_p > 0
+        nv, nw = V.exponents(v), W.exponents(w)
+        return all(
+            abs(nv.get(p, 0) - k) + abs(nw.get(p, 0) - k) <= 1
+            for p, k in centers.items()
+        )
+
+    star = frozenset(e for e in E if near_center(*e))
+    removed = Fraction(table.total - _edge_mass(V, W, star), table.total)
+    return ConcentrateResult(N, star, removed, centers)
 
 
 @dataclass
@@ -392,6 +437,28 @@ class PeelResult:
         return len(self.trace)
 
 
+def _adjacency(E: frozenset[tuple[int, int]]):
+    """The maps v -> Gamma(v) and w -> Gamma(w) of E."""
+    v_adj: dict[int, set[int]] = {}
+    w_adj: dict[int, set[int]] = {}
+    for v, w in E:
+        v_adj.setdefault(v, set()).add(w)
+        w_adj.setdefault(w, set()).add(v)
+    return v_adj, w_adj
+
+
+def _neighborhood_masses(sides: tuple[SideMasses, SideMasses], adj):
+    """Per side s, as integers: gamma[s][x] = mu(Gamma(x)) times the other
+    side's den, and own[s] = mu(side-s vertices with an edge) times side
+    s's den."""
+    gamma = [
+        {x: sum(sides[1 - s].num.get(y, 0) for y in ys) for x, ys in adj[s].items()}
+        for s in (0, 1)
+    ]
+    own = [sum(sides[s].num.get(x, 0) for x in adj[s]) for s in (0, 1)]
+    return gamma, own
+
+
 def property_two_report(
     system: PairSystem, edges: Iterable[tuple[int, int]], params: Params
 ) -> list[tuple[str, int, Fraction, Fraction, bool]]:
@@ -403,19 +470,17 @@ def property_two_report(
     rows = []
     if not E:
         return rows
-    mu_e = mu_pairs(system, E)
-    vs, ws = restrict(E)
-    mu_v = mu_set(system.f, system.psi, vs)
-    mu_w = mu_set(system.g, system.theta, ws)
+    sides = vertex_masses(system)
+    adj = _adjacency(E)
+    gamma, own = _neighborhood_masses(sides, adj)
+    mu_e = Fraction(_edge_mass(*sides, E), sides[0].den * sides[1].den)
     inv_qp = 1 / params.q_prime
-    thr_v = inv_qp * mu_e / mu_v if mu_v > 0 else _ZERO
-    thr_w = inv_qp * mu_e / mu_w if mu_w > 0 else _ZERO
-    for v in sorted(vs):
-        mass = mu_set(system.g, system.theta, neighborhood(E, v))
-        rows.append(("v", v, mass, thr_v, mass >= thr_v))
-    for w in sorted(ws):
-        mass = mu_set(system.f, system.psi, w_neighborhood(E, w))
-        rows.append(("w", w, mass, thr_w, mass >= thr_w))
+    for s in (0, 1):
+        mu_own = Fraction(own[s], sides[s].den)
+        thr = inv_qp * mu_e / mu_own if mu_own > 0 else _ZERO
+        for x in sorted(adj[s]):
+            mass = Fraction(gamma[s][x], sides[1 - s].den)
+            rows.append(("vw"[s], x, mass, thr, mass >= thr))
     return rows
 
 
@@ -441,47 +506,52 @@ def peel(
     drop inequality mu(E_new) > mu(E_old) (mu(side_new)/mu(side_old))^(1/q')
     by interval arithmetic; steps that remove a zero-mass vertex leave the
     measures unchanged and are marked vacuous.
+
+    The masses are kept as integers over the vertex-mass denominators and
+    updated along the adjacency maps as vertices go.
     """
     E = frozenset(edges)
     trace: list[PeelStep] = []
     if not E:
         return PeelResult(E, trace)
     inv_qp = 1 / params.q_prime
-    one_over_qp = inv_qp  # (1/q') as exact rational
+    a, b = inv_qp.numerator, inv_qp.denominator
+    sides = vertex_masses(system)
+    den_e = sides[0].den * sides[1].den
+    adj = _adjacency(E)
+    gamma, own = _neighborhood_masses(sides, adj)
+    mu_e = sum(sides[0].num.get(v, 0) * g for v, g in gamma[0].items())
+    max_steps = len(adj[0]) + len(adj[1])
     step = 0
-    vs0, ws0 = restrict(E)
-    max_steps = len(vs0) + len(ws0)
-    while E:
-        mu_e = mu_pairs(system, E)
+    while adj[0]:
         if mu_e == 0:
             break  # thresholds vanish; property holds vacuously
-        vs, ws = restrict(E)
-        mu_v_side = mu_set(system.f, system.psi, vs)
-        mu_w_side = mu_set(system.g, system.theta, ws)
-        gamma_v = {v: mu_set(system.g, system.theta, neighborhood(E, v)) for v in vs}
-        gamma_w = {w: mu_set(system.f, system.psi, w_neighborhood(E, w)) for w in ws}
-        candidates = []
-        thr_v = one_over_qp * mu_e / mu_v_side
-        for v in sorted(vs):
-            if gamma_v[v] < thr_v:
-                candidates.append((gamma_v[v] * mu_v_side / mu_e, 0, v))
-        thr_w = one_over_qp * mu_e / mu_w_side
-        for w in sorted(ws):
-            if gamma_w[w] < thr_w:
-                candidates.append((gamma_w[w] * mu_w_side / mu_e, 1, w))
+        # x violates iff mu(Gamma(x)) < (1/q') mu(E) / mu(own side); in these
+        # integers both sides read b gamma own < a mu_e, and the ratio to
+        # rank by is gamma own / mu_e
+        candidates = [
+            (g * own[s], s, x)
+            for s in (0, 1)
+            for x, g in gamma[s].items()
+            if b * g * own[s] < a * mu_e
+        ]
         if not candidates:
             break
-        _, side_idx, vertex = min(candidates)
-        if side_idx == 0:
-            new_edges = frozenset(e for e in E if e[0] != vertex)
-            side_before = mu_v_side
-            side_after = mu_v_side - mu_point(system.f, system.psi, vertex)
-        else:
-            new_edges = frozenset(e for e in E if e[1] != vertex)
-            side_before = mu_w_side
-            side_after = mu_w_side - mu_point(system.g, system.theta, vertex)
-        mu_after = mu_pairs(system, new_edges)
-        ratio = side_after / side_before
+        _, s, vertex = min(candidates)
+        mass = sides[s].num.get(vertex, 0)
+        e_after = mu_e - mass * gamma[s].pop(vertex)
+        own_before = own[s]
+        own[s] -= mass
+        for y in adj[s].pop(vertex):
+            nbrs = adj[1 - s][y]
+            nbrs.discard(vertex)
+            gamma[1 - s][y] -= mass
+            if not nbrs:  # y has no edge left and leaves its side
+                del adj[1 - s][y], gamma[1 - s][y]
+                own[1 - s] -= sides[1 - s].num.get(y, 0)
+        mu_before = Fraction(mu_e, den_e)
+        mu_after = Fraction(e_after, den_e)
+        ratio = Fraction(own[s], own_before)
         if ratio == 1:
             verdict, rhs = "vacuous", None
         elif ratio == 0:
@@ -490,7 +560,7 @@ def peel(
         else:
             prec = params.precision_bits
             while True:
-                rhs = interval_eval(mu_e, [(const(ratio), inv_qp)], prec)
+                rhs = interval_eval(mu_before, [(const(ratio), inv_qp)], prec)
                 if rhs.hi_cmp(mu_after) < 0:
                     verdict = HOLDS
                     break
@@ -504,18 +574,18 @@ def peel(
         trace.append(
             PeelStep(
                 step,
-                "v" if side_idx == 0 else "w",
+                "vw"[s],
                 vertex,
-                mu_e,
+                mu_before,
                 mu_after,
-                side_before,
-                side_after,
+                Fraction(own_before, sides[s].den),
+                Fraction(own[s], sides[s].den),
                 verdict,
                 rhs,
             )
         )
-        E = new_edges
+        mu_e = e_after
         step += 1
         if step > max_steps:
             raise RuntimeError("peel exceeded the vertex-count step bound")
-    return PeelResult(E, trace)
+    return PeelResult(frozenset((v, w) for v, ws in adj[0].items() for w in ws), trace)

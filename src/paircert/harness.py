@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -27,7 +27,6 @@ from .model import (
 )
 from .quality import (
     HOLDS,
-    INCONCLUSIVE,
     VIOLATED,
     BoundReport,
     Params,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional
 
 from .arith import Rational, factorize
@@ -218,9 +219,6 @@ class PairSystem:
     def canonical_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def with_edges(self, edges: Iterable[tuple[int, int]]) -> "PairSystem":
-        return PairSystem(self.psi, self.theta, self.f, self.g, frozenset(edges))
-
 
 def mu_point(f: MultiplicativeFunction, psi: WeightFunction, v: int) -> Fraction:
     """mu_psi^f(v) = f(v) psi(v) / v (zero off the support)."""
@@ -253,6 +251,37 @@ def mu_pairs(system: PairSystem, edges: Optional[Iterable[tuple[int, int]]] = No
             inner += mu_point(system.g, system.theta, w)
         total += mv * inner
     return total
+
+
+@dataclass(frozen=True)
+class SideMasses:
+    """The vertex masses of one side over one common denominator.
+
+    mu(x) = num[x] / den for every x in the support, den being the lcm of
+    the masses' denominators, so a sum of masses is an integer sum; nu[x]
+    is the factorization {p: nu_p(x)}.
+    """
+
+    num: dict[int, int]
+    den: int
+    nu: dict[int, dict[int, int]]
+
+    def exponents(self, x: int) -> dict[int, int]:
+        """{p: nu_p(x)}, also off the support."""
+        nu = self.nu.get(x)
+        return dict(factorize(x)) if nu is None else nu
+
+
+def _side_masses(f: MultiplicativeFunction, weight: WeightFunction) -> SideMasses:
+    masses = {x: mu_point(f, weight, x) for x in weight.support()}
+    den = lcm(*(m.denominator for m in masses.values()))
+    num = {x: m.numerator * (den // m.denominator) for x, m in masses.items()}
+    return SideMasses(num, den, {x: dict(factorize(x)) for x in masses})
+
+
+def vertex_masses(system: PairSystem) -> tuple[SideMasses, SideMasses]:
+    """mu_psi^f over supp(psi) and mu_theta^g over supp(theta), computed once."""
+    return _side_masses(system.f, system.psi), _side_masses(system.g, system.theta)
 
 
 TOTIENT = MultiplicativeFunction.totient()

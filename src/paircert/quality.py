@@ -27,14 +27,7 @@ from .arith import (
     valuation,
 )
 from .errors import InvalidParameter
-from .model import (
-    MultiplicativeFunction,
-    PairSystem,
-    WeightFunction,
-    mu_pairs,
-    mu_point,
-    mu_set,
-)
+from .model import PairSystem, WeightFunction, mu_pairs, mu_set
 
 DEFAULT_PRECISION_CAP = 1 << 14
 

@@ -25,7 +25,7 @@ from .arith import (
     primes_upto,
     valuation,
 )
-from .errors import DegenerateMeasure, InvalidParameter, NotStructured
+from .errors import InvalidParameter, NotStructured
 from .model import PairSystem, mu_pairs, mu_set
 from .quality import Params, d_value, omega_t, restrict, w_neighborhood
 from .diagonal import property_two_report

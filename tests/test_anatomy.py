@@ -1,6 +1,7 @@
 """Exact anatomy chains: Rankin step, divisor chains, Mertens products."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -132,6 +133,23 @@ class TestCountChain:
     def test_integer_K_required(self):
         with pytest.raises(InvalidParameter):
             count_chain_report(10, 10, F(1, 2), 2)
+
+    def test_to_json_past_the_int_str_limit(self):
+        rep = count_chain_report(1000, 10**5, 2, 2)
+        doc = rep.to_json()
+        assert doc["chain_holds"] is True
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = {
+                "exact": str(rep.exact_value),
+                "rankin_bound": str(rep.rankin_bound),
+                "mertens_bound": str(rep.mertens_bound),
+            }
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert len(want["mertens_bound"]) > old
+        assert {k: doc[k] for k in want} == want
 
 
 class TestMertens:

@@ -20,6 +20,8 @@ from paircert.arith import (
     divisors,
     exp_of,
     factorize,
+    fraction_str,
+    int_str,
     interval_eval,
     is_prime,
     log_of,
@@ -322,3 +324,30 @@ class TestComparePower:
                     break  # exactly equal: intervals can never separate
                 prec *= 2
                 assert prec <= 8192
+
+
+class TestFractionStr:
+    def test_matches_str_under_the_limit(self, rng):
+        for digits in (1, 5, 599, 600, 601, 1500, 4000):
+            for _ in range(5):
+                n = rng.randrange(10 ** (digits - 1), 10**digits) * rng.choice((1, -1))
+                d = rng.randrange(1, 10**digits)
+                assert int_str(n) == str(n)
+                assert fraction_str(F(n, d)) == str(F(n, d))
+        assert int_str(0) == "0" and fraction_str(F(-3, 6)) == "-1/2"
+        assert int_str(10**600) == str(10**600)
+        assert int_str(10**1200 - 1) == "9" * 1200
+
+    def test_exact_past_the_limit(self):
+        import sys
+
+        n = -(7**20000) * 10**3000 + 12345
+        x = F(n, 3**9000)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str(x)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert len(want) > 2 * old
+        assert fraction_str(x) == want

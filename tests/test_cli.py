@@ -128,6 +128,20 @@ def test_certify_campaign_cli(tmp_path, config_file, capsys):
     assert csv_path.exists()
 
 
+def test_certify_campaign_peel_failure_exits_2(monkeypatch, config_file, capsys):
+    from paircert import cli
+    from paircert.harness import CampaignReport
+
+    def fake_campaign(config, count, out_dir=None):
+        return CampaignReport(count, holds=count, peel_contract_failures=1)
+
+    monkeypatch.setattr(cli, "certify_campaign", fake_campaign)
+    rc = main(["certify", "--campaign", str(config_file), "--count", "3"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["peel_contract_failures"] == 1 and doc["violated"] == 0
+    assert rc == 2
+
+
 def test_certify_requires_target():
     with pytest.raises(SystemExit):
         main(["certify"])

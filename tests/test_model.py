@@ -1,5 +1,6 @@
 """Weight functions, multiplicative functions, and exact measures."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paircert.arith import factorize
 from paircert.errors import IncompleteDefinition, InvalidParameter
 from paircert.model import (
     MultiplicativeFunction,
@@ -17,6 +19,7 @@ from paircert.model import (
     mu_point,
     mu_set,
     validate_multiplicative,
+    vertex_masses,
 )
 
 
@@ -161,6 +164,21 @@ class TestMeasures:
         other = elems[1::2]
         total = mu_set(TOTIENT, psi, elems)
         assert total == mu_set(TOTIENT, psi, half) + mu_set(TOTIENT, psi, other)
+
+    def test_vertex_masses_match_mu_point(self):
+        rng = random.Random(12)
+        f0 = MultiplicativeFunction({(2, 1): 0, (3, 1): F(1), (5, 1): F(3)})
+        for f in (TOTIENT, f0):
+            vs = rng.sample([1, 2, 3, 5, 6, 10, 15, 30], 5)
+            psi = WeightFunction({v: F(rng.randint(1, 9), rng.randint(1, 40)) for v in vs})
+            theta = WeightFunction({9: F(1, 9), 25: F(2, 7)})
+            V, W = vertex_masses(PairSystem(psi, theta, f, TOTIENT, frozenset()))
+            for side, weight, g in ((V, psi, f), (W, theta, TOTIENT)):
+                masses = {x: mu_point(g, weight, x) for x in weight.support()}
+                assert {x: F(n, side.den) for x, n in side.num.items()} == masses
+                assert side.den == math.lcm(*(m.denominator for m in masses.values()))
+                assert side.nu == {x: dict(factorize(x)) for x in weight.support()}
+            assert V.exponents(12) == {2: 2, 3: 1}
 
 
 class TestPairSystem:
