@@ -774,8 +774,26 @@ class BoundExpr:
 
     Supports +, -, *, / against rationals and other expressions; used to
     assemble bound factors such as (e^(40C) - 1)/2 without committing to a
-    precision until evaluation time.
+    precision until evaluation time.  Nodes are immutable values: two
+    expressions built from the same exact rationals compare and hash equal,
+    and integral_consts says whether every const leaf is an integer.
     """
+
+    __slots__ = ("key", "integral_consts", "_hash")
+
+    def __init__(self, key: tuple, integral_consts: bool):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "integral_consts", integral_consts)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __setattr__(self, *args):
+        raise AttributeError("BoundExpr is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, BoundExpr) and self.key == other.key
+
+    def __hash__(self):
+        return self._hash
 
     def enclosure(self, precision_bits: int) -> Interval:
         raise NotImplementedError
@@ -808,9 +826,39 @@ class BoundExpr:
         return _BinExpr("/", _coerce(other), self)
 
 
+class _Memo:
+    """A bounded map from keys to computed values; the oldest entry goes
+    first when it is full (see interval_eval for what may be a key)."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.entries: dict = {}
+
+    def get(self, key, compute, *args):
+        try:
+            return self.entries[key]
+        except KeyError:
+            pass
+        value = compute(*args)
+        if len(self.entries) >= self.size:
+            del self.entries[next(iter(self.entries))]
+        self.entries[key] = value
+        return value
+
+    def clear(self) -> None:
+        self.entries.clear()
+
+
+_MEMO = _Memo(256)
+
+
 class _Const(BoundExpr):
+    __slots__ = ("value",)
+
     def __init__(self, value: Rational):
-        self.value = Fraction(value)
+        value = Fraction(value)
+        object.__setattr__(self, "value", value)
+        super().__init__(("const", value), value.denominator == 1)
 
     def enclosure(self, precision_bits: int) -> Interval:
         return Interval.from_fraction(self.value, precision_bits)
@@ -823,12 +871,19 @@ class _Const(BoundExpr):
 
 
 class _ExpOf(BoundExpr):
+    __slots__ = ("x",)
+
     def __init__(self, x: Rational):
-        self.x = Fraction(x)
+        x = Fraction(x)
+        object.__setattr__(self, "x", x)
+        super().__init__(("exp", x), True)
 
     def enclosure(self, precision_bits: int) -> Interval:
         if self.x == 0:
             return Interval.exact_one(precision_bits)
+        return _MEMO.get((self, precision_bits), self._enclose, precision_bits)
+
+    def _enclose(self, precision_bits: int) -> Interval:
         return Interval.from_fraction(self.x, precision_bits + _GUARD).exp(
             precision_bits
         )
@@ -843,14 +898,21 @@ class _ExpOf(BoundExpr):
 class _LogOf(BoundExpr):
     """Log t := max(1, ln t) for rational t >= 1."""
 
+    __slots__ = ("t",)
+
     def __init__(self, t: Rational):
-        self.t = Fraction(t)
-        if self.t < 1:
+        tf = Fraction(t)
+        if tf < 1:
             raise InvalidParameter(f"Log t requires t >= 1, got {t}")
+        object.__setattr__(self, "t", tf)
+        super().__init__(("log", tf), True)
 
     def _below_e(self) -> bool:
         if self.t <= 2:
             return True
+        return _MEMO.get(("below_e", self.t), self._compare_e)
+
+    def _compare_e(self) -> bool:
         prec = 64
         while True:
             e_iv = _ExpOf(1).enclosure(prec)
@@ -864,6 +926,9 @@ class _LogOf(BoundExpr):
     def enclosure(self, precision_bits: int) -> Interval:
         if self.t == 1 or self._below_e():
             return Interval.exact_one(precision_bits)
+        return _MEMO.get((self, precision_bits), self._enclose, precision_bits)
+
+    def _enclose(self, precision_bits: int) -> Interval:
         iv = Interval.from_fraction(self.t, precision_bits + _GUARD).log(
             precision_bits
         )
@@ -880,10 +945,13 @@ class _LogOf(BoundExpr):
 
 
 class _BinExpr(BoundExpr):
+    __slots__ = ("op", "a", "b")
+
     def __init__(self, op: str, a: BoundExpr, b: BoundExpr):
-        self.op = op
-        self.a = a
-        self.b = b
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        super().__init__((op, a.key, b.key), a.integral_consts and b.integral_consts)
 
     def enclosure(self, precision_bits: int) -> Interval:
         w = precision_bits + 8
@@ -939,6 +1007,59 @@ def _coerce(x) -> BoundExpr:
 ExprLike = Union[Rational, BoundExpr]
 
 
+def _power_enclosure(
+    e_expr: BoundExpr,
+    expr_r: Optional[Fraction],
+    e_expo: BoundExpr,
+    expo_r: Optional[Fraction],
+    w: int,
+) -> Interval:
+    """Enclosure of e_expr ^ e_expo at working precision w, for a positive
+    base; expr_r and expo_r are the exact rational values or None."""
+
+    def base_at(prec: int) -> Interval:
+        if expr_r is not None:
+            return Interval.from_fraction(expr_r, prec)
+        return e_expr.enclosure(prec)
+
+    # a large exponent magnifies the absolute error of y*ln(x), so both
+    # the exponent and the base enclosures get matching extra precision
+    if expo_r is not None:
+        probe: Union[Fraction, Interval] = expo_r
+        mag = max(0, expo_r.numerator.bit_length() - expo_r.denominator.bit_length() + 1)
+    else:
+        probe = e_expo.enclosure(w)
+        mag = max(probe.lo.mag_bits, probe.hi.mag_bits, 0)
+    # exp() refuses arguments of magnitude 2^_MAG_CAP; while |ln base| <
+    # 2^64 that takes |expo| >= 2^(_MAG_CAP - 64), so only such exponents
+    # are checked before the work at precision w + mag
+    if mag > _MAG_CAP - 64:
+        _check_exp_magnitude(base_at(w), probe, w)
+    expo_arg = e_expo.enclosure(w + mag) if expo_r is None and mag > 0 else probe
+    base_iv = base_at(w + mag)
+    if base_iv.lo.sign <= 0:
+        raise DomainError("nonpositive base of a fractional power")
+    return base_iv.pow(expo_arg, w)
+
+
+def _check_exp_magnitude(
+    base_low: Interval, expo_low: Union[Fraction, Interval], w: int
+) -> None:
+    """Raise ResourceLimit when low-precision enclosures already certify
+    |expo * ln base| >= 2^_MAG_CAP, an argument exp() refuses."""
+    if base_low.lo.sign <= 0:
+        return
+    if not isinstance(expo_low, Interval):
+        expo_low = Interval.from_fraction(expo_low, w)
+    arg = base_low.log(w).mul(expo_low, w)
+    if (arg.lo.sign > 0 and arg.lo.mag_bits > _MAG_CAP) or (
+        arg.hi.sign < 0 and arg.hi.mag_bits > _MAG_CAP
+    ):
+        raise ResourceLimit(
+            f"exp argument |expo * ln base| >= 2^{_MAG_CAP} exceeds the magnitude cap"
+        )
+
+
 def interval_eval(
     base: Rational,
     factors: list[tuple[ExprLike, ExprLike]],
@@ -950,6 +1071,17 @@ def interval_eval(
     exponents may be rationals or derived expressions.  Doubling
     precision_bits never widens the result, and the true value is always
     enclosed.  Nonpositive bases of fractional powers raise DomainError.
+
+    The enclosure of a factor whose expr and expo have only integer const
+    leaves is memoized process-wide in one bounded memo, keyed on (expr,
+    expo, working precision), as are the exp_of/log_of leaf enclosures
+    (keyed on the leaf and the precision) and the Log t < e test.  In the
+    package's bound factors such keys carry only the parameter-grid values
+    C, t, K, epsilon, P and small integer constants: a factor carrying a
+    measure, such as const(mu(V) mu(W)), has a non-integer const leaf
+    (unless the measure is an integer) and is computed afresh.  A memoized
+    enclosure is the one the same function computes from the same exact
+    inputs, so results are bit-identical with or without the memo.
     """
     base = Fraction(base)
     if base < 0:
@@ -979,26 +1111,11 @@ def interval_eval(
                 raise DomainError("nonpositive base of a fractional power")
         if acc_exact == 0:
             return Interval.exact_zero(precision_bits)
-        # a large exponent magnifies the absolute error of y*ln(x), so both
-        # the exponent and the base enclosures get matching extra precision
-        expo_arg: Union[Fraction, Interval]
-        if expo_r is not None:
-            expo_arg = expo_r
-            mag = max(
-                0, expo_r.numerator.bit_length() - expo_r.denominator.bit_length() + 1
-            )
+        args = (e_expr, expr_r, e_expo, expo_r, w)
+        if e_expr.integral_consts and e_expo.integral_consts:
+            piece = _MEMO.get((e_expr, e_expo, w), _power_enclosure, *args)
         else:
-            probe = e_expo.enclosure(w)
-            mag = max(probe.lo.mag_bits, probe.hi.mag_bits, 0)
-            expo_arg = e_expo.enclosure(w + mag) if mag > 0 else probe
-        base_iv = (
-            Interval.from_fraction(expr_r, w + mag)
-            if expr_r is not None
-            else e_expr.enclosure(w + mag)
-        )
-        if base_iv.lo.sign <= 0:
-            raise DomainError("nonpositive base of a fractional power")
-        piece = base_iv.pow(expo_arg, w)
+            piece = _power_enclosure(*args)
         acc_iv = piece if acc_iv is None else acc_iv.mul(piece, w)
     if acc_iv is None:
         return Interval.from_fraction(acc_exact, precision_bits)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 = no violations, 2 = a violation was found (for a campaign
 also a slice-identity, peel-contract or resolution failure), 3 = an
-inconclusive verdict remained at the precision cap.
+inconclusive verdict remained at the precision cap, 4 = an input or
+resource error (a malformed instance, a parameter outside its domain, a
+cap exceeded; any PaircertError), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .anatomy import (
     ratio_to_log_power,
 )
 from .arith import Interval, dyadic_str, fraction_str
+from .errors import PaircertError
 from .compress import slice_system, verify_slice_identities
 from .diagonal import (
     bilinear_check,
@@ -335,7 +338,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "certify" and not (args.instance or args.campaign):
         parser.error("certify needs --instance or --campaign")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PaircertError as exc:
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"paircert: {type(exc).__name__}: {message}\n")
+        return 4
 
 
 if __name__ == "__main__":

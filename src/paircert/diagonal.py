@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 from .arith import Interval, compare_power, const, exp_of, interval_eval, is_prime
 from .errors import DegenerateMeasure, InvalidParameter
-from .model import PairSystem, SideMasses, vertex_masses
+from .model import PairSystem, SideMasses, edge_mass, mu_pairs
 from .quality import (
     DEFAULT_PRECISION_CAP,
     HOLDS,
@@ -70,11 +70,6 @@ class CenterResult:
     tail_mass: Fraction
 
 
-def _edge_mass(V: SideMasses, W: SideMasses, E: Iterable[tuple[int, int]]) -> int:
-    """mu(E) * V.den * W.den."""
-    return sum(V.num.get(v, 0) * W.num.get(w, 0) for v, w in E)
-
-
 def _edge_cells(V: SideMasses, W: SideMasses, E: frozenset[tuple[int, int]]):
     """One pass over E: mu(E) and, at each prime p dividing some vw, the
     mass of every cell (nu_p(v), nu_p(w)) other than (0, 0), all as
@@ -123,7 +118,7 @@ class _MassTable:
     """The cell and marginal masses of E at every prime, from one pass."""
 
     def __init__(self, system: PairSystem, E: frozenset[tuple[int, int]]):
-        self.V, self.W = vertex_masses(system)
+        self.V, self.W = system.masses
         self.total, self.cells = _edge_cells(self.V, self.W, E)
         self.mu_v, self.alpha = _marginal_cells(self.V)
         self.mu_w, self.beta = _marginal_cells(self.W)
@@ -392,7 +387,7 @@ def concentrate(
         )
 
     star = frozenset(e for e in E if near_center(*e))
-    removed = Fraction(table.total - _edge_mass(V, W, star), table.total)
+    removed = Fraction(table.total - edge_mass(V, W, star), table.total)
     return ConcentrateResult(N, star, removed, centers)
 
 
@@ -437,7 +432,7 @@ class PeelResult:
         return len(self.trace)
 
 
-def _adjacency(E: frozenset[tuple[int, int]]):
+def adjacency(E: frozenset[tuple[int, int]]):
     """The maps v -> Gamma(v) and w -> Gamma(w) of E."""
     v_adj: dict[int, set[int]] = {}
     w_adj: dict[int, set[int]] = {}
@@ -470,10 +465,10 @@ def property_two_report(
     rows = []
     if not E:
         return rows
-    sides = vertex_masses(system)
-    adj = _adjacency(E)
+    sides = system.masses
+    adj = adjacency(E)
     gamma, own = _neighborhood_masses(sides, adj)
-    mu_e = Fraction(_edge_mass(*sides, E), sides[0].den * sides[1].den)
+    mu_e = mu_pairs(system, E)
     inv_qp = 1 / params.q_prime
     for s in (0, 1):
         mu_own = Fraction(own[s], sides[s].den)
@@ -516,9 +511,9 @@ def peel(
         return PeelResult(E, trace)
     inv_qp = 1 / params.q_prime
     a, b = inv_qp.numerator, inv_qp.denominator
-    sides = vertex_masses(system)
+    sides = system.masses
     den_e = sides[0].den * sides[1].den
-    adj = _adjacency(E)
+    adj = adjacency(E)
     gamma, own = _neighborhood_masses(sides, adj)
     mu_e = sum(sides[0].num.get(v, 0) * g for v, g in gamma[0].items())
     max_steps = len(adj[0]) + len(adj[1])

@@ -18,13 +18,8 @@ from typing import Optional, Union
 from .arith import Rational, primes_upto
 from .compress import slice_system, verify_slice_identities
 from .diagonal import concentrate, peel, property_two_holds
-from .errors import DegenerateMeasure, InvalidParameter
-from .model import (
-    MultiplicativeFunction,
-    PairSystem,
-    WeightFunction,
-    mu_pairs,
-)
+from .errors import DegenerateMeasure, InvalidParameter, PaircertError
+from .model import MultiplicativeFunction, PairSystem, WeightFunction
 from .quality import (
     HOLDS,
     VIOLATED,
@@ -256,16 +251,24 @@ def instance_document(
 
 
 def document_to_instance(doc: dict) -> tuple[PairSystem, Params]:
-    params = Params.from_json(doc["params"])
-    psi = WeightFunction.from_json(doc["psi"])
-    theta = WeightFunction.from_json(doc["theta"])
-    f = MultiplicativeFunction.from_json(doc["f"])
-    g = MultiplicativeFunction.from_json(doc["g"])
-    raw_edges = doc.get("edges", "auto")
-    if raw_edges == "auto":
-        edges = build_edge_set(psi, theta, params.t, params.K)
-    else:
-        edges = frozenset((int(v), int(w)) for v, w in raw_edges)
+    """The instance a document describes; a malformed document (a missing
+    key, a bad number literal, a value of the wrong type) raises
+    InvalidParameter."""
+    try:
+        params = Params.from_json(doc["params"])
+        psi = WeightFunction.from_json(doc["psi"])
+        theta = WeightFunction.from_json(doc["theta"])
+        f = MultiplicativeFunction.from_json(doc["f"])
+        g = MultiplicativeFunction.from_json(doc["g"])
+        raw_edges = doc.get("edges", "auto")
+        if raw_edges == "auto":
+            edges = build_edge_set(psi, theta, params.t, params.K)
+        else:
+            edges = frozenset((int(v), int(w)) for v, w in raw_edges)
+    except PaircertError:
+        raise
+    except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise InvalidParameter(f"malformed instance document: {exc!r}") from exc
     return PairSystem(psi, theta, f, g, edges), params
 
 
@@ -283,7 +286,11 @@ def save_instance(
 
 
 def load_instance(path: Union[str, Path]) -> tuple[PairSystem, Params]:
-    return document_to_instance(json.loads(Path(path).read_text()))
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InvalidParameter(f"{path} is not JSON: {exc}") from exc
+    return document_to_instance(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +348,7 @@ def certify_instance(
             if not rep.all_hold:
                 outcome.slice_failures += 1
 
-    if mu_pairs(system) > 0:
+    if bound.lhs > 0:
         try:
             conc = concentrate(system, system.edges, params)
             peeled = peel(system, conc.edges_star, params)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Optional
 
@@ -201,7 +202,13 @@ def validate_multiplicative(
 
 @dataclass(frozen=True)
 class PairSystem:
-    """(psi, theta, f, g) with an edge set inside supp(psi) x supp(theta)."""
+    """(psi, theta, f, g) with an edge set inside supp(psi) x supp(theta).
+
+    masses is the vertex-mass view vertex_masses(self), built on first use
+    and kept on the instance for its lifetime; the fields are immutable, so
+    it never goes stale, and a new system (dataclasses.replace, a slice)
+    builds its own.
+    """
 
     psi: WeightFunction
     theta: WeightFunction
@@ -218,6 +225,10 @@ class PairSystem:
 
     def canonical_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+    @cached_property
+    def masses(self) -> tuple["SideMasses", "SideMasses"]:
+        return vertex_masses(self)
 
 
 def mu_point(f: MultiplicativeFunction, psi: WeightFunction, v: int) -> Fraction:
@@ -236,21 +247,14 @@ def mu_set(f: MultiplicativeFunction, psi: WeightFunction, S: Iterable[int]) -> 
 
 
 def mu_pairs(system: PairSystem, edges: Optional[Iterable[tuple[int, int]]] = None) -> Fraction:
-    """mu_{psi,theta}^{f,g}(E) = sum over E of mu(v) mu(w), exactly."""
+    """mu_{psi,theta}^{f,g}(E) = sum over E of mu(v) mu(w), exactly, as an
+    integer sum over the system's vertex-mass view (not built for an empty
+    E)."""
     E = system.edges if edges is None else edges
-    by_v: dict[int, list[int]] = {}
-    for v, w in E:
-        by_v.setdefault(v, []).append(w)
-    total = _ZERO
-    for v, ws in by_v.items():
-        mv = mu_point(system.f, system.psi, v)
-        if mv == 0:
-            continue
-        inner = _ZERO
-        for w in ws:
-            inner += mu_point(system.g, system.theta, w)
-        total += mv * inner
-    return total
+    if not E:
+        return _ZERO
+    V, W = system.masses
+    return Fraction(edge_mass(V, W, E), V.den * W.den)
 
 
 @dataclass(frozen=True)
@@ -270,6 +274,16 @@ class SideMasses:
         """{p: nu_p(x)}, also off the support."""
         nu = self.nu.get(x)
         return dict(factorize(x)) if nu is None else nu
+
+    def measure(self, xs: Optional[Iterable[int]] = None) -> Fraction:
+        """mu(xs), zero off the support; the whole support by default."""
+        nums = self.num.values() if xs is None else (self.num.get(x, 0) for x in xs)
+        return Fraction(sum(nums), self.den)
+
+
+def edge_mass(V: SideMasses, W: SideMasses, E: Iterable[tuple[int, int]]) -> int:
+    """mu(E) * V.den * W.den."""
+    return sum(V.num.get(v, 0) * W.num.get(w, 0) for v, w in E)
 
 
 def _side_masses(f: MultiplicativeFunction, weight: WeightFunction) -> SideMasses:

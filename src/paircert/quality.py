@@ -27,7 +27,7 @@ from .arith import (
     valuation,
 )
 from .errors import InvalidParameter
-from .model import PairSystem, WeightFunction, mu_pairs, mu_set
+from .model import PairSystem, WeightFunction, mu_pairs
 
 DEFAULT_PRECISION_CAP = 1 << 14
 
@@ -252,10 +252,9 @@ class BoundReport:
 
 def main_bound_factors(system: PairSystem, params: Params):
     """The three bound factors as (expression, exponent) pairs, plus lhs data."""
-    mu_v = mu_set(system.f, system.psi, system.psi.support())
-    mu_w = mu_set(system.g, system.theta, system.theta.support())
+    V, W = system.masses
     p_exp = p_value(system.psi, system.theta, params.p0)
-    product = mu_v * mu_w
+    product = V.measure() * W.measure()
     factors = [
         (const(100) * exp_of(params.C), Fraction(p_exp)),
         (log_of(params.t), (exp_of(40 * params.C) - 1) / 2),

@@ -26,9 +26,9 @@ from .arith import (
     valuation,
 )
 from .errors import InvalidParameter, NotStructured
-from .model import PairSystem, mu_pairs, mu_set
-from .quality import Params, d_value, omega_t, restrict, w_neighborhood
-from .diagonal import property_two_report
+from .model import PairSystem, mu_pairs
+from .quality import Params, d_value, omega_t, restrict
+from .diagonal import adjacency, property_two_report
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -140,30 +140,26 @@ def s_sums(
         return SSums(_ZERO, _ZERO, _ZERO, _ZERO, None)
     dec = build_decomposition(E, N)
     quarter = Fraction(K) / 4
-    _, ws = restrict(E)
+    w_adj = adjacency(E)[1]
 
     def passes(part: int) -> bool:
         return small_prime_divisor_count(part, t) >= quarter
 
-    w0 = min(
-        (w for w in ws),
-        key=lambda w: (-dec.w_parts[w][1], w),
-    )
+    w0 = min(w_adj, key=lambda w: (-dec.w_parts[w][1], w))
     w0_plus = dec.w_parts[w0][1]
-    v0: dict[int, int] = {}
-    for w in ws:
-        gamma = w_neighborhood(E, w)
-        v0[w] = min(gamma, key=lambda v: (-dec.v_parts[v][1], v))
+    v0 = {
+        w: min(vs, key=lambda v: (-dec.v_parts[v][1], v)) for w, vs in w_adj.items()
+    }
 
     s1 = s2 = s3 = s4 = _ZERO
-    for w in sorted(ws):
+    for w in sorted(w_adj):
         w_minus, w_plus = dec.w_parts[w]
         outer = system.g(w) * Fraction(1, w * w_minus)
         v0_plus = dec.v_parts[v0[w]][1]
         inner_all = _ZERO
         inner_minus = _ZERO
         inner_plus = _ZERO
-        for v in sorted(w_neighborhood(E, w)):
+        for v in sorted(w_adj[w]):
             v_minus, v_plus = dec.v_parts[v]
             term = system.f(v) * Fraction(1, v * v_minus)
             inner_all += term
@@ -359,16 +355,17 @@ def resolution_check(
             witnesses.setdefault("pointwise", (v, w))
 
     sums = s_sums(system, E, N, params.t, params.K)
+    w_adj = adjacency(E)[1]
     # extremal pointwise bounds: psi(v) <= 1/(v- w0+) on Gamma(w0),
     # theta(w) <= 1/(v0+(w) w-) on all of W'
     w0 = sums.w0
     w0_plus = dec.w_parts[w0][1]
-    for v in sorted(w_neighborhood(E, w0)):
+    for v in sorted(w_adj[w0]):
         vm, _ = dec.v_parts[v]
         if system.psi.value(v) * vm * w0_plus > 1:
             pointwise_ok = False
             witnesses.setdefault("pointwise_extremal", ("v", v))
-    for w in sorted(restrict(E)[1]):
+    for w in sorted(w_adj):
         wm = dec.w_parts[w][0]
         v0p = dec.v_parts[sums.v0[w]][1]
         if system.theta.value(w) * v0p * wm > 1:
@@ -377,8 +374,8 @@ def resolution_check(
 
     mu_e = mu_pairs(system, E)
     vs, ws = restrict(E)
-    mu_v = mu_set(system.f, system.psi, vs)
-    mu_w = mu_set(system.g, system.theta, ws)
+    V, W = system.masses
+    mu_v, mu_w = V.measure(vs), W.measure(ws)
     lhs_sq = mu_e * mu_e
     rhs = params.q_prime**2 * sums.total * mu_v * mu_w
 

@@ -145,3 +145,24 @@ def test_certify_campaign_peel_failure_exits_2(monkeypatch, config_file, capsys)
 def test_certify_requires_target():
     with pytest.raises(SystemExit):
         main(["certify"])
+
+
+@pytest.mark.parametrize(
+    "breakage",
+    [
+        lambda doc: doc["psi"].update({"2": "1/x"}),
+        lambda doc: doc.pop("params"),
+    ],
+    ids=["bad-fraction", "missing-params"],
+)
+def test_malformed_instance_exits_4_with_one_line(tmp_path, instance_file, capsys, breakage):
+    doc = json.loads(instance_file.read_text())
+    breakage(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["check", "--instance", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("paircert: InvalidParameter: ")

@@ -1,17 +1,21 @@
-"""Golden digests of the concentration branch over a fixed corpus.
+"""Golden digests of the main bound and the concentration branch over a
+fixed corpus.
 
-The digests pin the canonical JSON of `concentrate`, the `peel` trace (with
-the exact dyadic endpoints of every `cert_rhs`), the `property_two_report`
-rows and `resolution_check` on 32 generated instances per generator mode
-plus a few hand-built edge cases. `diagonal_measure` is compared at every
-prime against `_reference_diagonal_measure`, a direct per-prime transcription
-of the definition kept here as the oracle.
+The digests pin the canonical JSON of `main_bound_check` at 256 and 1024
+bits (with the exact dyadic endpoints of the right side), `concentrate`, the
+`peel` trace (with the exact dyadic endpoints of every `cert_rhs`), the
+`property_two_report` rows and `resolution_check` on 32 generated instances
+per generator mode plus a few hand-built edge cases. `diagonal_measure` is
+compared at every prime against `_reference_diagonal_measure`, a direct
+per-prime transcription of the definition kept here as the oracle, and
+`mu_pairs`/`mu_set` against sums of `_reference_mu_point`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -26,8 +30,16 @@ from paircert.diagonal import (
 )
 from paircert.errors import DegenerateMeasure
 from paircert.harness import GeneratorConfig, generate_instance
-from paircert.model import MultiplicativeFunction, PairSystem, TOTIENT, WeightFunction, mu_point
-from paircert.quality import prime_support
+from paircert.model import (
+    MultiplicativeFunction,
+    PairSystem,
+    TOTIENT,
+    WeightFunction,
+    mu_pairs,
+    mu_point,
+    mu_set,
+)
+from paircert.quality import main_bound_check, prime_support, restrict
 from paircert.resolution import resolution_check
 
 from conftest import small_params
@@ -55,6 +67,18 @@ GOLDEN = {
         "resolution": "5e6f7cee3ff848ac7184501a052d47ac78f4446474495255bd0e7dd74842c622",
     },
 }
+
+MAIN_BOUND_BITS = (256, 1024)
+GOLDEN_MAIN_BOUND = {
+    "totient": "ba7ae179ed2b5472a80b8bfbf543ad922b8edbf3c5d0f8bb44e31483244c55ee",
+    "random": "f18f902a2964df72b91ea3f6a79c15878ee3bb48b931894208e9cbe7e372264e",
+    "hand": "97f698c2fd1bedceabb6be13b70d1bdd588657e52c32d5be9933e3f7b898f175",
+}
+
+
+def _reference_mu_point(f, weight, x):
+    """mu(x) = f(x) weight(x) / x, zero off the support."""
+    return f(x) * weight.value(x) / x
 
 
 def _reference_diagonal_measure(system, edges, p):
@@ -221,3 +245,35 @@ def test_diagonal_measure_matches_reference(mode):
                 assert got.to_json() == want.to_json()
                 compared += 1
     assert compared >= 20
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_main_bound_digests(mode):
+    docs = [
+        [
+            main_bound_check(system, replace(params, precision_bits=bits)).to_json()
+            for bits in MAIN_BOUND_BITS
+        ]
+        for system, params in _corpus(mode)
+    ]
+    assert _digest(docs) == GOLDEN_MAIN_BOUND[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_measures_match_reference(mode):
+    for system, _ in _corpus(mode):
+        def mass_v(v):
+            return _reference_mu_point(system.f, system.psi, v)
+
+        def mass_w(w):
+            return _reference_mu_point(system.g, system.theta, w)
+
+        edges = sorted(system.edges)
+        for E in (edges, edges[::2], []):
+            assert mu_pairs(system, E) == sum((mass_v(v) * mass_w(w) for v, w in E), F(0))
+        assert mu_pairs(system) == mu_pairs(system, edges)
+        vs, ws = restrict(edges)
+        for S in (system.psi.support(), vs):
+            assert mu_set(system.f, system.psi, S) == sum(map(mass_v, S), F(0))
+        for S in (system.theta.support(), ws):
+            assert mu_set(system.g, system.theta, S) == sum(map(mass_w, S), F(0))

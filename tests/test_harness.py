@@ -2,11 +2,13 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import paircert.harness as harness_mod
+from paircert import arith
 from paircert.errors import InvalidParameter
 from paircert.harness import (
     CampaignReport,
@@ -23,7 +25,14 @@ from paircert.harness import (
     save_instance,
 )
 from paircert.model import PairSystem, TOTIENT, WeightFunction, mu_pairs, mu_point
-from paircert.quality import HOLDS, build_edge_set, d_value, omega_t
+from paircert.quality import (
+    HOLDS,
+    build_edge_set,
+    d_value,
+    main_bound_check,
+    main_bound_factors,
+    omega_t,
+)
 from conftest import small_params
 
 
@@ -218,3 +227,60 @@ class TestCampaign:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 6  # header + 5 rows
         assert "verdict" in lines[0]
+
+
+class TestGridMemo:
+    """interval_eval's memo after a campaign: bounded, keyed only on
+    parameter-grid values, and bit-identical to fresh computation."""
+
+    COUNT = 200
+
+    @staticmethod
+    def _const_leaves(key):
+        if key[0] == "const":
+            return [key[1]]
+        if key[0] in "+-*/":
+            return TestGridMemo._const_leaves(key[1]) + TestGridMemo._const_leaves(key[2])
+        return []
+
+    @staticmethod
+    def _recompute(key):
+        if key[0] == "below_e":
+            return arith.log_of(key[1])._compare_e()
+        if len(key) == 2:
+            leaf, prec = key
+            return leaf._enclose(prec)
+        expr, expo, w = key
+        return arith._power_enclosure(expr, expr.exact_rational(), expo, expo.exact_rational(), w)
+
+    @staticmethod
+    def _bits(value):
+        if isinstance(value, arith.Interval):
+            return (value.lo, value.hi, value.precision_bits)
+        return value
+
+    def test_memo_after_campaign(self):
+        arith._MEMO.clear()
+        config = GeneratorConfig(seed=77)
+        report = certify_campaign(config, self.COUNT, keep_rows=False)
+        assert report.holds == self.COUNT
+        instances = [generate_instance(config, i) for i in range(self.COUNT)]
+        for system, params in instances:
+            main_bound_check(system, replace(params, precision_bits=1024))
+        entries = dict(arith._MEMO.entries)
+        assert 0 < len(entries) <= 128
+
+        measures = {main_bound_factors(system, params)[1] for system, params in instances}
+        pieces = [key for key in entries if len(key) == 3]
+        assert {w for *_, w in pieces} == {256 + 32, 1024 + 32}
+        for key in entries:
+            exprs = [part for part in key if isinstance(part, arith.BoundExpr)]
+            assert exprs or key[0] == "below_e"
+            for expr in exprs:
+                leaves = self._const_leaves(expr.key)
+                assert expr.integral_consts
+                assert all(q.denominator == 1 and q not in measures for q in leaves)
+
+        for key, value in entries.items():
+            arith._MEMO.clear()
+            assert self._bits(self._recompute(key)) == self._bits(value), key
