@@ -115,14 +115,20 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=1 << 20)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Canonical factorization of n >= 1 as ((p1,e1),...), primes ascending."""
+    """Canonical factorization of n >= 1 as ((p1,e1),...), primes ascending.
+
+    Trial division by the sieved primes up to isqrt(n), so the sieve cap
+    bounds sqrt(n), not n; ResourceLimit, before any sieving, when
+    isqrt(n) is beyond the cap.
+    """
     if n < 1:
         raise InvalidParameter(f"factorize requires n >= 1, got {n}")
     if n == 1:
         return ()
-    if n > sieve_cap():
-        raise ResourceLimit(f"factorization input {n} exceeds cap {sieve_cap()}")
-    _ensure_sieve(isqrt(n) + 1)
+    root = isqrt(n)
+    if root > sieve_cap():
+        raise ResourceLimit(f"factorizing {n} needs primes up to {root}, beyond cap {sieve_cap()}")
+    _ensure_sieve(root)
     out = []
     m = n
     for p in _primes:

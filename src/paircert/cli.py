@@ -3,8 +3,9 @@
 Exit codes: 0 = no violations, 2 = a violation was found (for a campaign
 also a slice-identity, peel-contract or resolution failure), 3 = an
 inconclusive verdict remained at the precision cap, 4 = an input or
-resource error (a malformed instance, a parameter outside its domain, a
-cap exceeded; any PaircertError), reported as one line on stderr.
+resource error (a malformed instance or generator config, a parameter
+outside its domain, a cap exceeded; any PaircertError), reported as one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .harness import (
     generate_instance,
     instance_document,
     load_instance,
+    read_json,
     write_campaign_csv,
 )
 from .quality import INCONCLUSIVE, VIOLATED, build_edge_set, main_bound_check
@@ -71,7 +73,7 @@ def _interval_json(iv: Interval) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    config = GeneratorConfig.from_json(json.loads(Path(args.config).read_text()))
+    config = GeneratorConfig.from_json(read_json(args.config))
     system, params = generate_instance(config, args.index)
     doc = instance_document(system, params, auto_edges=args.auto_edges)
     Path(args.out).write_text(canonical_json(doc))
@@ -228,7 +230,7 @@ def _cmd_certify(args) -> int:
         if report.verdict == INCONCLUSIVE:
             return 3
         return 0
-    config = GeneratorConfig.from_json(json.loads(Path(args.campaign).read_text()))
+    config = GeneratorConfig.from_json(read_json(args.campaign))
     report = certify_campaign(config, args.count, out_dir=args.out_dir)
     _emit(report.to_json(), args.out)
     if args.csv:

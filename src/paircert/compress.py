@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .arith import Rational, is_prime, valuation
 from .errors import InvalidParameter
-from .model import PairSystem, WeightFunction, mu_pairs, mu_set
-from .quality import d_value, omega_t, prime_support
+from .model import PairSystem, WeightFunction, edge_mass, mu_pairs
+from .quality import d_value, omega_t
 
 HOLDS = "holds"
 FAILED = "failed"
@@ -120,6 +120,12 @@ def verify_slice_identities(
 
     Identities whose scaling factor divides by f(p^i) = 0 or g(p^j) = 0 are
     reported as vacuous rather than failed.
+
+    The measures come from the integer mass views (PairSystem.masses): the
+    left sides of (a), (b) and (c) from the slice's own view, built from its
+    rescaled weights, and the right sides from the source's view summed
+    over V_i, W_j and E cap (V_i x W_j), so each side is still computed
+    independently.  (f) compares the two systems' PairSystem.primes.
     """
     p, i, j = s.p, s.i, s.j
     m = min(i, j)
@@ -128,35 +134,22 @@ def verify_slice_identities(
     gpj = source.g.prime_power(p, j)
     report = SliceIdentityReport(p, i, j)
 
-    # (a) vertex-measure identity on the psi side
-    lhs_a = mu_set(source.f, s.tilde.psi, s.tilde.psi.support())
-    if fpi == 0:
-        report.checks.append(
-            IdentityCheck("a:psi-measure", VACUOUS, lhs_a, None, "zero multiplier f(p^i)")
-        )
-    else:
-        rhs_a = Fraction(p ** (j - m)) * Fraction(pi) / fpi * mu_set(
-            source.f, source.psi, s.v_cell
-        )
-        ok = lhs_a == rhs_a
-        report.checks.append(
-            IdentityCheck("a:psi-measure", HOLDS if ok else FAILED, lhs_a, rhs_a)
-        )
-
-    # (b) vertex-measure identity on the theta side
-    lhs_b = mu_set(source.g, s.tilde.theta, s.tilde.theta.support())
-    if gpj == 0:
-        report.checks.append(
-            IdentityCheck("b:theta-measure", VACUOUS, lhs_b, None, "zero multiplier g(p^j)")
-        )
-    else:
-        rhs_b = Fraction(p ** (i - m)) * Fraction(pj) / gpj * mu_set(
-            source.g, source.theta, s.w_cell
-        )
-        ok = lhs_b == rhs_b
-        report.checks.append(
-            IdentityCheck("b:theta-measure", HOLDS if ok else FAILED, lhs_b, rhs_b)
-        )
+    # (a), (b): the slice's own masses against the source's masses on the
+    # cells V_i and W_j, each read from its system's integer view
+    V_t, W_t = s.tilde.masses
+    V, W = source.masses
+    sides = (
+        ("a:psi-measure", V_t, fpi, p ** (j - m) * pi, V, s.v_cell, "zero multiplier f(p^i)"),
+        ("b:theta-measure", W_t, gpj, p ** (i - m) * pj, W, s.w_cell, "zero multiplier g(p^j)"),
+    )
+    for name, tilde_side, mult, scale, side, cell, why in sides:
+        lhs = tilde_side.measure()
+        if mult == 0:
+            report.checks.append(IdentityCheck(name, VACUOUS, lhs, None, why))
+            continue
+        cell_num = sum(side.num.get(x, 0) for x in cell)
+        rhs = Fraction(scale * mult.denominator * cell_num, mult.numerator * side.den)
+        report.checks.append(IdentityCheck(name, HOLDS if lhs == rhs else FAILED, lhs, rhs))
 
     # (c) pair-measure identity
     lhs_c = mu_pairs(s.tilde)
@@ -165,13 +158,13 @@ def verify_slice_identities(
             IdentityCheck("c:pair-measure", VACUOUS, lhs_c, None, "zero multiplier f(p^i) g(p^j)")
         )
     else:
-        cell_edges = frozenset(
+        cell_edges = (
             (v, w) for v, w in source.edges if v in s.v_cell and w in s.w_cell
         )
-        rhs_c = (
-            Fraction(pi * pj) / (fpi * gpj)
-            * Fraction(p ** abs(i - j))
-            * mu_pairs(source, cell_edges)
+        rhs_c = Fraction(
+            pi * pj * p ** abs(i - j) * fpi.denominator * gpj.denominator
+            * edge_mass(V, W, cell_edges),
+            fpi.numerator * gpj.numerator * V.den * W.den,
         )
         ok = lhs_c == rhs_c
         report.checks.append(
@@ -222,9 +215,8 @@ def verify_slice_identities(
         )
 
     # (f) slice prime support avoids p and stays inside the source support
-    ps_slice = set(prime_support(s.tilde.psi, s.tilde.theta))
-    ps_source = set(prime_support(source.psi, source.theta))
-    allowed = ps_source - {p}
+    ps_slice = set(s.tilde.primes)
+    allowed = set(source.primes) - {p}
     if ps_slice <= allowed:
         report.checks.append(IdentityCheck("f:prime-support", HOLDS))
     else:

@@ -20,7 +20,6 @@ from .quality import (
     INCONCLUSIVE,
     VIOLATED,
     Params,
-    prime_support,
 )
 
 _ZERO = Fraction(0)
@@ -104,18 +103,22 @@ def _marginal_cells(side: SideMasses):
     return total, cells
 
 
-def _shares(others: dict, total: int, origin) -> dict:
-    """Each mass over total, plus the origin's share total - sum(others),
-    stored only when positive."""
-    out = {key: Fraction(mass, total) for key, mass in others.items()}
+def _with_origin(others: dict[object, int], total: int, origin) -> dict[object, int]:
+    """others plus the origin's mass total - sum(others), stored only when
+    positive; InvalidParameter when a mass or that remainder is negative."""
     rest = total - sum(others.values())
-    if rest:
-        out[origin] = Fraction(rest, total)
-    return out
+    if rest < 0 or any(m < 0 for m in others.values()):
+        raise InvalidParameter(f"cell masses {others} do not fit in the total {total}")
+    return {**others, origin: rest} if rest else dict(others)
+
+
+def _shares(masses: dict, total: int) -> dict:
+    return {key: Fraction(mass, total) for key, mass in masses.items()}
 
 
 class _MassTable:
-    """The cell and marginal masses of E at every prime, from one pass."""
+    """The cell and marginal masses of E at every prime, from one pass, as
+    integers: cells over V.den * W.den, alpha over V.den, beta over W.den."""
 
     def __init__(self, system: PairSystem, E: frozenset[tuple[int, int]]):
         self.V, self.W = system.masses
@@ -123,12 +126,22 @@ class _MassTable:
         self.mu_v, self.alpha = _marginal_cells(self.V)
         self.mu_w, self.beta = _marginal_cells(self.W)
 
+    def masses(self, p: int):
+        """The cells, alpha and beta at p with their (0, 0) / 0 entries,
+        checked nonnegative."""
+        return (
+            _with_origin(self.cells.get(p, {}), self.total, (0, 0)),
+            _with_origin(self.alpha.get(p, {}), self.mu_v, 0),
+            _with_origin(self.beta.get(p, {}), self.mu_w, 0),
+        )
+
     def measure(self, p: int) -> DiagonalMeasure:
+        cells, alpha, beta = self.masses(p)
         return DiagonalMeasure(
             p,
-            _shares(self.cells.get(p, {}), self.total, (0, 0)),
-            _shares(self.alpha.get(p, {}), self.mu_v, 0),
-            _shares(self.beta.get(p, {}), self.mu_w, 0),
+            _shares(cells, self.total),
+            _shares(alpha, self.mu_v),
+            _shares(beta, self.mu_w),
             Fraction(self.total, self.V.den * self.W.den),
         )
 
@@ -158,16 +171,24 @@ def find_center(dm: DiagonalMeasure) -> CenterResult:
     over [min support - 1, max support + 1] in integers over the cells'
     common denominator.
     """
-    idx = dm.support_indices()
     den = lcm(*(m.denominator for m in dm.cells.values()))
-    cells = [(i, j, m.numerator * (den // m.denominator)) for (i, j), m in dm.cells.items()]
-    best_k = None
-    best_tail = None
-    for k in range(min(idx) - 1, max(idx) + 2):
-        tail = sum(m for i, j, m in cells if abs(i - k) + abs(j - k) >= 2)
-        if best_tail is None or tail < best_tail:
-            best_k, best_tail = k, tail
-    return CenterResult(best_k, Fraction(best_tail, den))
+    k, tail = _center_scan(
+        {cell: m.numerator * (den // m.denominator) for cell, m in dm.cells.items()}
+    )
+    return CenterResult(k, Fraction(tail, den))
+
+
+def _center_scan(cells: dict[tuple[int, int], int]) -> tuple[int, int]:
+    """(k, tail(k)) for integer cell masses: the exhaustive tail scan of
+    find_center, which any positive common scale of the masses leaves
+    unchanged."""
+    idx = {i for i, _ in cells} | {j for _, j in cells}
+
+    def tail(k: int) -> int:
+        return sum(m for (i, j), m in cells.items() if abs(i - k) + abs(j - k) >= 2)
+
+    k = min(range(min(idx) - 1, max(idx) + 2), key=tail)  # the first minimum
+    return k, tail(k)
 
 
 @dataclass
@@ -358,12 +379,15 @@ def concentrate(
     """Center N = prod p^{k_p} and the filtered set E*.
 
     One pass over E fills the valuation cells of every prime at once (see
-    diagonal_measure: the (0, 0) cell is mu(E) minus the other cells); each
-    prime's validated DiagonalMeasure then gives its center by the
-    exhaustive tail scan, a tied k = -1 clamped to 0 (same tail, keeps N
-    integral).  E* keeps the edges with |nu_p(v/N)| + |nu_p(w/N)| <= 1 at
-    every prime, read off the vertex factorizations, and removed_fraction
-    is (mu(E) - mu(E*)) / mu(E) in exact integers.
+    diagonal_measure: the (0, 0) cell is mu(E) minus the other cells), as
+    integers over the vertex-mass denominators.  At each prime of the
+    support, the cells and marginals are checked nonnegative in those
+    integers, and the center is find_center's exhaustive tail scan run on
+    the integer cells themselves, with no DiagonalMeasure built; a tied
+    k = -1 is clamped to 0 (same tail, keeps N integral).  E* keeps the
+    edges with |nu_p(v/N)| + |nu_p(w/N)| <= 1 at every prime, read off the
+    vertex factorizations, and removed_fraction is (mu(E) - mu(E*)) / mu(E)
+    in exact integers.
     """
     E = frozenset(edges)
     table = _MassTable(system, E)
@@ -371,19 +395,24 @@ def concentrate(
         raise DegenerateMeasure("mu(E) = 0: nothing to concentrate")
     centers: dict[int, int] = {}
     N = 1
-    for p in prime_support(system.psi, system.theta):
-        k = max(0, find_center(table.measure(p)).k)
+    for p in system.primes:
+        cells, _, _ = table.masses(p)
+        k = max(0, _center_scan(cells)[0])
         centers[p] = k
         N *= p**k
     V, W = table.V, table.W
+    positive = {p for p, k in centers.items() if k}
 
     def near_center(v: int, w: int) -> bool:
         # a center prime dividing neither v nor w adds 2 k_p, so it
-        # removes the edge exactly when k_p > 0
+        # removes the edge exactly when k_p > 0; a prime outside the
+        # support (only an off-support vertex has one) is not tested
         nv, nw = V.exponents(v), W.exponents(w)
-        return all(
-            abs(nv.get(p, 0) - k) + abs(nw.get(p, 0) - k) <= 1
-            for p, k in centers.items()
+        divides = nv.keys() | nw.keys()
+        return positive <= divides and all(
+            abs(nv.get(p, 0) - centers[p]) + abs(nw.get(p, 0) - centers[p]) <= 1
+            for p in divides
+            if p in centers
         )
 
     star = frozenset(e for e in E if near_center(*e))

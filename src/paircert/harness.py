@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,6 @@ from .quality import (
     Params,
     build_edge_set,
     main_bound_check,
-    prime_support,
 )
 from .resolution import resolution_check
 
@@ -37,6 +37,26 @@ DEFAULT_EPSILONS = (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5))
 DEFAULT_CS = (Fraction(1, 2), Fraction(1))
 DEFAULT_TS = (Fraction(1), Fraction(10), Fraction(100))
 DEFAULT_KS = (Fraction(0), Fraction(1), Fraction(2), Fraction(4))
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report a malformed document (a missing key, a bad number literal, a
+    value of the wrong type) as InvalidParameter; PaircertErrors pass."""
+    try:
+        yield
+    except PaircertError:
+        raise
+    except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise InvalidParameter(f"malformed {what}: {exc!r}") from exc
+
+
+def read_json(path: Union[str, Path]):
+    """The JSON document in path; InvalidParameter when it is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InvalidParameter(f"{path} is not JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -82,19 +102,23 @@ class GeneratorConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GeneratorConfig":
-        params = Params.from_json(doc["params"]) if "params" in doc else None
-        return cls(
-            seed=int(doc.get("seed", 0)),
-            support_min=int(doc.get("support_min", 3)),
-            support_max=int(doc.get("support_max", 12)),
-            value_numerator_bound=int(doc.get("value_numerator_bound", 8)),
-            prime_pool_bound=int(doc.get("prime_pool_bound", 50)),
-            max_exponent=int(doc.get("max_exponent", 2)),
-            element_bound=int(doc.get("element_bound", 100_000)),
-            density=Fraction(doc.get("density", "1/2")),
-            f_mode=doc.get("f_mode", "totient"),
-            params=params,
-        )
+        """The config a document describes; a malformed document (a bad
+        number literal, a value of the wrong type, params missing a key)
+        raises InvalidParameter."""
+        with _malformed("generator config"):
+            params = Params.from_json(doc["params"]) if "params" in doc else None
+            return cls(
+                seed=int(doc.get("seed", 0)),
+                support_min=int(doc.get("support_min", 3)),
+                support_max=int(doc.get("support_max", 12)),
+                value_numerator_bound=int(doc.get("value_numerator_bound", 8)),
+                prime_pool_bound=int(doc.get("prime_pool_bound", 50)),
+                max_exponent=int(doc.get("max_exponent", 2)),
+                element_bound=int(doc.get("element_bound", 100_000)),
+                density=Fraction(doc.get("density", "1/2")),
+                f_mode=doc.get("f_mode", "totient"),
+                params=params,
+            )
 
 
 def _instance_rng(config: GeneratorConfig, index: int) -> random.Random:
@@ -142,7 +166,7 @@ def _draw_multiplicative(
         for a in range(1, top + 1):
             # any value in (0, p^a - p^(a-1)] keeps (1*f)(p^a) <= p^a
             cap = p**a - p ** (a - 1)
-            table[(p, a)] = Fraction(rng.randint(1, cap))
+            table[(p, a)] = rng.randint(1, cap)
     return MultiplicativeFunction(table)
 
 
@@ -171,28 +195,30 @@ def generate_instance(
         g = _draw_multiplicative(rng, config, pool)
         return PairSystem(psi, theta, f, g, frozenset()), params
     dens = float(config.density)
-    targets: set[tuple[int, int]] = set()
+    full = config.density == 1
+    v_targets: dict[int, list[int]] = {v: [] for v in v_support}
+    w_targets: dict[int, list[int]] = {w: [] for w in w_support}
     for v in v_support:
         for w in w_support:
-            if config.density == 1 or rng.random() < dens:
-                targets.add((v, w))
+            if full or rng.random() < dens:
+                v_targets[v].append(w)
+                w_targets[w].append(v)
     bound = config.value_numerator_bound
 
-    def draw_weight(cap: Fraction) -> Fraction:
-        if config.density == 1:
-            return cap
-        return cap * Fraction(rng.randint(1, bound), bound)
+    def draw_weight(x: int, partners: list[int]) -> Fraction:
+        # the cap min over partners y of gcd(x, y) / y, compared in
+        # integers; every ratio is <= 1, so 1 without partners
+        n, d = 1, 1
+        for y in partners:
+            g = gcd(x, y)
+            if g * d < n * y:
+                n, d = g, y
+        if full:
+            return Fraction(n, d)
+        return Fraction(n * rng.randint(1, bound), d * bound)
 
-    psi_table = {}
-    for v in v_support:
-        ws = [w for (vv, w) in targets if vv == v]
-        cap = min((Fraction(gcd(v, w), w) for w in ws), default=Fraction(1))
-        psi_table[v] = draw_weight(cap)
-    theta_table = {}
-    for w in w_support:
-        vs = [v for (v, ww) in targets if ww == w]
-        cap = min((Fraction(gcd(v, w), v) for v in vs), default=Fraction(1))
-        theta_table[w] = draw_weight(cap)
+    psi_table = {v: draw_weight(v, ws) for v, ws in v_targets.items()}
+    theta_table = {w: draw_weight(w, vs) for w, vs in w_targets.items()}
     psi = WeightFunction(psi_table)
     theta = WeightFunction(theta_table)
     f = _draw_multiplicative(rng, config, pool)
@@ -254,7 +280,7 @@ def document_to_instance(doc: dict) -> tuple[PairSystem, Params]:
     """The instance a document describes; a malformed document (a missing
     key, a bad number literal, a value of the wrong type) raises
     InvalidParameter."""
-    try:
+    with _malformed("instance document"):
         params = Params.from_json(doc["params"])
         psi = WeightFunction.from_json(doc["psi"])
         theta = WeightFunction.from_json(doc["theta"])
@@ -265,10 +291,6 @@ def document_to_instance(doc: dict) -> tuple[PairSystem, Params]:
             edges = build_edge_set(psi, theta, params.t, params.K)
         else:
             edges = frozenset((int(v), int(w)) for v, w in raw_edges)
-    except PaircertError:
-        raise
-    except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
-        raise InvalidParameter(f"malformed instance document: {exc!r}") from exc
     return PairSystem(psi, theta, f, g, edges), params
 
 
@@ -286,11 +308,7 @@ def save_instance(
 
 
 def load_instance(path: Union[str, Path]) -> tuple[PairSystem, Params]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidParameter(f"{path} is not JSON: {exc}") from exc
-    return document_to_instance(doc)
+    return document_to_instance(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +351,7 @@ def certify_instance(
     outcome = InstanceOutcome(index, bound.verdict, bound)
     rng = rng or random.Random(index)
 
-    ps = prime_support(system.psi, system.theta)
+    ps = system.primes
     if ps and slice_spots > 0:
         for _ in range(slice_spots):
             p = rng.choice(ps)

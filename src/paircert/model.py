@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
-from .arith import Rational, factorize
+from .arith import Rational, factorize, prime_divisors
 from .errors import IncompleteDefinition, InvalidParameter
 
 _ZERO = Fraction(0)
@@ -204,10 +204,12 @@ def validate_multiplicative(
 class PairSystem:
     """(psi, theta, f, g) with an edge set inside supp(psi) x supp(theta).
 
-    masses is the vertex-mass view vertex_masses(self), built on first use
-    and kept on the instance for its lifetime; the fields are immutable, so
-    it never goes stale, and a new system (dataclasses.replace, a slice)
-    builds its own.
+    masses is the vertex-mass view vertex_masses(self): every vertex mass
+    as an integer over its side's common denominator, plus every vertex's
+    factorization. primes is prime_support(psi, theta). Both are built on
+    first use and kept on the instance for its lifetime; the fields are
+    immutable, so they never go stale, and a new system
+    (dataclasses.replace, a slice) builds its own.
     """
 
     psi: WeightFunction
@@ -229,6 +231,22 @@ class PairSystem:
     @cached_property
     def masses(self) -> tuple["SideMasses", "SideMasses"]:
         return vertex_masses(self)
+
+    @cached_property
+    def primes(self) -> tuple[int, ...]:
+        return prime_support(self.psi, self.theta)
+
+
+def prime_support(psi: WeightFunction, theta: WeightFunction) -> tuple[int, ...]:
+    """Primes dividing vw for some (v,w) in supp(psi) x supp(theta)."""
+    if not psi.support() or not theta.support():
+        return ()
+    ps: set[int] = set()
+    for v in psi.support():
+        ps.update(prime_divisors(v))
+    for w in theta.support():
+        ps.update(prime_divisors(w))
+    return tuple(sorted(ps))
 
 
 def mu_point(f: MultiplicativeFunction, psi: WeightFunction, v: int) -> Fraction:
@@ -287,10 +305,21 @@ def edge_mass(V: SideMasses, W: SideMasses, E: Iterable[tuple[int, int]]) -> int
 
 
 def _side_masses(f: MultiplicativeFunction, weight: WeightFunction) -> SideMasses:
-    masses = {x: mu_point(f, weight, x) for x in weight.support()}
-    den = lcm(*(m.denominator for m in masses.values()))
-    num = {x: m.numerator * (den // m.denominator) for x, m in masses.items()}
-    return SideMasses(num, den, {x: dict(factorize(x)) for x in masses})
+    """mu(x) = f(x) weight(x) / x in lowest terms from plain integers along
+    factorize(x), one gcd per vertex, then over the lcm of the denominators."""
+    reduced, nu = {}, {}
+    for x, wx in weight.items():
+        fac = factorize(x)
+        n, d = wx.numerator, wx.denominator * x
+        for p, e in fac:
+            val = f.prime_power(p, e)
+            n *= val.numerator
+            d *= val.denominator
+        g = gcd(n, d)
+        reduced[x] = (n // g, d // g)
+        nu[x] = dict(fac)
+    den = lcm(*(d for _, d in reduced.values()))
+    return SideMasses({x: n * (den // d) for x, (n, d) in reduced.items()}, den, nu)
 
 
 def vertex_masses(system: PairSystem) -> tuple[SideMasses, SideMasses]:

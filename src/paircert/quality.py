@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 from typing import Iterable, Optional
 
 from .arith import (
@@ -27,7 +27,7 @@ from .arith import (
     valuation,
 )
 from .errors import InvalidParameter
-from .model import PairSystem, WeightFunction, mu_pairs
+from .model import PairSystem, WeightFunction, mu_pairs, prime_support
 
 DEFAULT_PRECISION_CAP = 1 << 14
 
@@ -109,14 +109,13 @@ def omega_t(v: int, w: int, t: Rational, literal_lcm: bool = False) -> int:
     """
     if t < 1:
         raise InvalidParameter(f"omega_t requires t >= 1, got {t}")
-    tf = Fraction(t)
-    bound = tf.numerator // tf.denominator
+    bound = floor(t)
     if bound < 2:
         return 0
-    g = gcd(v, w)
     if literal_lcm:
         ps = set(prime_divisors(v)) | set(prime_divisors(w))
         return sum(1 for p in ps if p <= bound)
+    g = gcd(v, w)
     a, b = v // g, w // g  # coprime
     count = sum(1 for p in prime_divisors(a) if p <= bound)
     count += sum(1 for p in prime_divisors(b) if p <= bound)
@@ -132,21 +131,24 @@ def build_edge_set(
 ) -> frozenset[tuple[int, int]]:
     """All (v,w) in supp(psi) x supp(theta) with D <= 1 and omega_t >= K.
 
-    Exhaustive over the support product with early D-rejection; omega is
-    only computed for pairs passing the quality filter.
+    Exhaustive over the support product with early D-rejection by integer
+    cross-multiplication (w psi(v) <= gcd(v,w) and v theta(w) <= gcd(v,w));
+    omega is only computed for pairs passing the quality filter, and only
+    when K > 0 (omega >= 0 always, so K <= 0 never filters), with t floored
+    once per call.
     """
     K = Fraction(K)
+    k_min = ceil(K)  # omega is an integer: omega >= K iff omega >= ceil(K)
+    t_floor = floor(t) if t >= 1 else t  # omega_t rejects t < 1
+    thetas = [(w, b.numerator, b.denominator) for w, b in theta.items()]
     out = []
-    for v in psi.support():
-        pv = psi.value(v)
-        for w in theta.support():
+    for v, a in psi.items():
+        an, ad = a.numerator, a.denominator
+        for w, bn, bd in thetas:
             g = gcd(v, w)
-            if w * pv > g:
+            if w * an > g * ad or v * bn > g * bd:
                 continue
-            if v * theta.value(w) > g:
-                continue
-            # omega >= 0 always, so K <= 0 never filters
-            if K > 0 and omega_t(v, w, t, literal_lcm) < K:
+            if k_min > 0 and omega_t(v, w, t_floor, literal_lcm) < k_min:
                 continue
             out.append((v, w))
     return frozenset(out)
@@ -199,24 +201,15 @@ def restrict(edges: Iterable[tuple[int, int]]) -> tuple[frozenset[int], frozense
     return vs, ws
 
 
-def prime_support(psi: WeightFunction, theta: WeightFunction) -> tuple[int, ...]:
-    """Primes dividing vw for some (v,w) in supp(psi) x supp(theta)."""
-    if not psi.support() or not theta.support():
-        return ()
-    ps: set[int] = set()
-    for v in psi.support():
-        ps.update(prime_divisors(v))
-    for w in theta.support():
-        ps.update(prime_divisors(w))
-    return tuple(sorted(ps))
-
-
 def p_value(psi: WeightFunction, theta: WeightFunction, p0: int) -> int:
     """P = p0 + #(prime support inside [1, p0])."""
     if p0 < 1:
         raise InvalidParameter(f"p0 must be >= 1, got {p0}")
-    ps = prime_support(psi, theta)
-    return p0 + sum(1 for p in ps if p <= p0)
+    return _p_exponent(prime_support(psi, theta), p0)
+
+
+def _p_exponent(primes: Iterable[int], p0: int) -> int:
+    return p0 + sum(1 for p in primes if p <= p0)
 
 
 @dataclass
@@ -253,7 +246,7 @@ class BoundReport:
 def main_bound_factors(system: PairSystem, params: Params):
     """The three bound factors as (expression, exponent) pairs, plus lhs data."""
     V, W = system.masses
-    p_exp = p_value(system.psi, system.theta, params.p0)
+    p_exp = _p_exponent(system.primes, params.p0)
     product = V.measure() * W.measure()
     factors = [
         (const(100) * exp_of(params.C), Fraction(p_exp)),

@@ -100,6 +100,23 @@ class TestFactorize:
         with pytest.raises(InvalidParameter):
             factorize(0)
 
+    def test_cap_bounds_sqrt_not_n(self):
+        assert factorize(2 * 10**7) == ((2, 8), (5, 7))
+        assert factorize(10000019) == ((10000019, 1),)
+
+    def test_cap_under_small_sieve_cap(self, monkeypatch):
+        from paircert import arith
+
+        monkeypatch.setenv("PAIRCERT_SIEVE_CAP", "100")
+        factorize.cache_clear()
+        assert factorize(101**2 - 1) == ((2, 3), (3, 1), (5, 2), (17, 1))
+        sieved = []
+        monkeypatch.setattr(arith, "_ensure_sieve", sieved.append)
+        for n in (101**2, 101 * 103, 10**9 + 7):
+            with pytest.raises(ResourceLimit):
+                factorize(n)
+        assert sieved == []
+
     def test_reconstruction_to_1e5(self):
         for n in range(1, 100_001):
             prod = 1

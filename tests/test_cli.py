@@ -166,3 +166,26 @@ def test_malformed_instance_exits_4_with_one_line(tmp_path, instance_file, capsy
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("paircert: InvalidParameter: ")
+
+
+@pytest.mark.parametrize(
+    "config_doc",
+    [{"density": "1/x"}, {"seed": "s"}, {"params": {"epsilon": "1/4"}}, [1, 2], "not json"],
+    ids=["bad-fraction", "bad-int", "params-missing-key", "not-an-object", "not-json"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--config", "{path}", "--out", "{out}"], ["certify", "--campaign", "{path}"]],
+    ids=["gen", "certify-campaign"],
+)
+def test_malformed_config_exits_4_with_one_line(tmp_path, capsys, config_doc, argv):
+    path = tmp_path / "config.json"
+    out = tmp_path / "inst.json"
+    text = config_doc if isinstance(config_doc, str) else json.dumps(config_doc)
+    path.write_text(text)
+    rc = main([a.format(path=path, out=out) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("paircert: InvalidParameter: ")

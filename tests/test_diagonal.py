@@ -203,6 +203,15 @@ class TestConcentrate:
         assert (4, 1) not in res.edges_star
         assert (1, 1) in res.edges_star
 
+    def test_off_support_edge_is_tested_at_the_center_primes_only(self):
+        # 15 lies outside supp(theta), so 3 and 5 are not center primes
+        psi = WeightFunction({2: F(1, 2)})
+        sys_ = PairSystem(psi, psi, TOTIENT, TOTIENT, {(2, 2)})
+        res = concentrate(sys_, {(2, 2), (2, 15)}, small_params())
+        assert res.centers == {2: 1} and res.N == 2
+        assert res.edges_star == {(2, 2), (2, 15)}
+        assert res.removed_fraction == 0
+
     def test_mass_conservation(self):
         for system, params in make_corpus(79, 15):
             total = mu_pairs(system)

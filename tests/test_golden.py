@@ -8,7 +8,11 @@ bits (with the exact dyadic endpoints of the right side), `concentrate`, the
 per generator mode plus a few hand-built edge cases. `diagonal_measure` is
 compared at every prime against `_reference_diagonal_measure`, a direct
 per-prime transcription of the definition kept here as the oracle, and
-`mu_pairs`/`mu_set` against sums of `_reference_mu_point`.
+`mu_pairs`/`mu_set` against sums of `_reference_mu_point`, and the integer
+center scan of `concentrate` against `find_center`. The corpus itself is
+pinned by its canonical instance documents, and the prime-slice identity
+reports by `SliceIdentityReport.to_json()` at every prime of the support
+and every cell (i, j) in 0..2 x 0..2.
 """
 
 from __future__ import annotations
@@ -21,15 +25,19 @@ from fractions import Fraction as F
 import pytest
 
 from paircert.arith import Interval, valuation
+from paircert.compress import VACUOUS, slice_system, verify_slice_identities
 from paircert.diagonal import (
     DiagonalMeasure,
+    _center_scan,
+    _MassTable,
     concentrate,
     diagonal_measure,
+    find_center,
     peel,
     property_two_report,
 )
-from paircert.errors import DegenerateMeasure
-from paircert.harness import GeneratorConfig, generate_instance
+from paircert.errors import DegenerateMeasure, PaircertError
+from paircert.harness import GeneratorConfig, generate_instance, instance_document
 from paircert.model import (
     MultiplicativeFunction,
     PairSystem,
@@ -73,6 +81,19 @@ GOLDEN_MAIN_BOUND = {
     "totient": "ba7ae179ed2b5472a80b8bfbf543ad922b8edbf3c5d0f8bb44e31483244c55ee",
     "random": "f18f902a2964df72b91ea3f6a79c15878ee3bb48b931894208e9cbe7e372264e",
     "hand": "97f698c2fd1bedceabb6be13b70d1bdd588657e52c32d5be9933e3f7b898f175",
+}
+
+GOLDEN_INSTANCES = {
+    "totient": "aef59a00c49fd65b5bd95a0250e1dded3540edaaf3fc058ead2e6833cc9d420d",
+    "random": "599807e12a7b858f0ff5f5653b56afeddb78f9b84ca3358766bf075ca7e5e339",
+    "hand": "d30fea1eda4dd64af322c5401f299f1ee5c91209832b5c82e55da55eb4c2dd4e",
+}
+
+SLICE_EXPONENTS = range(3)
+GOLDEN_SLICE_REPORTS = {
+    "totient": "d3c0f2f1f5ee56ce9b6c29ebabeff41097ce3a732c1408f916943d9b513893d7",
+    "random": "d33fb70f52fb30ec18c9dd1cd95f4d7f20a085a33f104613d89ab6b112cf9d0b",
+    "hand": "adca7e51fe33189294abb61264e8d2726d75751df66e55fb319d6f18a35df3d0",
 }
 
 
@@ -277,3 +298,68 @@ def test_measures_match_reference(mode):
             assert mu_set(system.f, system.psi, S) == sum(map(mass_v, S), F(0))
         for S in (system.theta.support(), ws):
             assert mu_set(system.g, system.theta, S) == sum(map(mass_w, S), F(0))
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_instance_digests(mode):
+    docs = [instance_document(system, params) for system, params in _corpus(mode)]
+    assert _digest(docs) == GOLDEN_INSTANCES[mode]
+
+
+def _slice_reports(system, params):
+    """The identity report of every (p, i, j) slice, or the error's type."""
+    out = []
+    for p in prime_support(system.psi, system.theta):
+        for i in SLICE_EXPONENTS:
+            for j in SLICE_EXPONENTS:
+                try:
+                    s = slice_system(system, p, i, j)
+                except PaircertError as exc:
+                    out.append(type(exc).__name__)
+                    continue
+                out.append(verify_slice_identities(system, s, params.t).to_json())
+    return out
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_slice_report_digests(mode):
+    docs = [_slice_reports(system, params) for system, params in _corpus(mode)]
+    assert _digest(docs) == GOLDEN_SLICE_REPORTS[mode]
+    if mode == "hand":
+        # the zero f(2) of the first hand case makes (a) and (c) vacuous
+        statuses = {c["status"] for rep in docs[0] if isinstance(rep, dict) for c in rep["checks"]}
+        assert VACUOUS in statuses
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_center_scans_agree(mode):
+    """concentrate's integer center at every prime, on E and on E*, is
+    find_center's on the validated DiagonalMeasure, tail included."""
+    compared = 0
+    for system, params in _corpus(mode):
+        try:
+            conc = concentrate(system, system.edges, params)
+        except DegenerateMeasure:
+            continue
+        for edges in (system.edges, conc.edges_star):
+            table = _MassTable(system, frozenset(edges))
+            if table.total == 0:
+                continue
+            for p in system.primes:
+                k, tail = _center_scan(table.masses(p)[0])
+                want = find_center(diagonal_measure(system, edges, p))
+                assert (k, F(tail, table.total)) == (want.k, want.tail_mass)
+                if edges is system.edges:
+                    assert conc.centers[p] == max(0, k)
+                compared += 1
+    assert compared >= 20
+
+
+def test_primes_with_an_empty_side():
+    psi = WeightFunction({6: F(1, 6), 35: F(1, 35)})
+    empty = WeightFunction({})
+    for a, b in ((psi, empty), (empty, psi), (empty, empty)):
+        system = PairSystem(a, b, TOTIENT, TOTIENT)
+        assert system.primes == ()
+    system = PairSystem(psi, WeightFunction({11: F(1, 11)}), TOTIENT, TOTIENT)
+    assert system.primes == (2, 3, 5, 7, 11)
