@@ -9,6 +9,8 @@ e^C itself happens only in interval arithmetic.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,6 +20,7 @@ from .arith import (
     Interval,
     Rational,
     const,
+    coprime_fraction,
     divisors,
     factorize,
     fraction_str,
@@ -47,16 +50,33 @@ def small_prime_divisor_count(n: int, t: Rational) -> int:
     return sum(1 for p, _ in factorize(n) if p <= bound)
 
 
+_INC = bytes(range(1, 256)) + b"\x00"  # byte n -> n + 1
+
+
 @lru_cache(maxsize=8)
 def _omega_counts(x: int, t: int) -> bytes:
-    """counts[n] = #{p <= t : p | n} for 0 <= n <= x, by a sieve pass."""
+    """counts[n] = #{p <= t : p | n} for 0 <= n <= x, by a sieve pass.
+
+    A byte cannot overflow: omega_t(n) <= 7 for n <= ENUMERATION_CAP.
+    """
     counts = bytearray(x + 1)
-    for p in primes_upto(max(t, 1)):
-        if p > x:
-            break
-        for m in range(p, x + 1, p):
-            counts[m] += 1
+    for p in primes_upto(max(1, min(t, x))):
+        counts[p::p] = counts[p::p].translate(_INC)
     return bytes(counts)
+
+
+def _omega_histogram(x: int, t: Rational) -> list[int]:
+    """hist[c] = #{1 <= n <= x : omega_t(n) = c}, up to the largest c taken.
+
+    The c taken are 0, 1, ..., max: c of the small primes of n multiply to
+    at most n. So the counts stop at the first empty bucket.
+    """
+    counts = _omega_counts(x, _floor(Fraction(t)))
+    hist = [0]
+    while reps := counts.count(len(hist)):
+        hist.append(reps)
+    hist[0] = x - sum(hist)
+    return hist
 
 
 def count_many_small_primes(x: Rational, t: Rational, K: Rational) -> int:
@@ -71,8 +91,7 @@ def count_many_small_primes(x: Rational, t: Rational, K: Rational) -> int:
     K = Fraction(K)
     if K <= 0:
         return xi
-    counts = _omega_counts(xi, _floor(Fraction(t)))
-    return sum(1 for n in range(1, xi + 1) if counts[n] >= K)
+    return sum(_omega_histogram(xi, t)[math.ceil(K) :])
 
 
 def rankin_sum(x: Rational, t: Rational, gamma: Rational) -> Fraction:
@@ -87,13 +106,8 @@ def rankin_sum(x: Rational, t: Rational, gamma: Rational) -> Fraction:
     xi = _floor(x)
     if xi > ENUMERATION_CAP:
         raise ResourceLimit(f"enumeration bound {xi} exceeds cap {ENUMERATION_CAP}")
-    counts = _omega_counts(xi, _floor(Fraction(t)))
-    hist: dict[int, int] = {}
-    for n in range(1, xi + 1):
-        c = counts[n]
-        hist[c] = hist.get(c, 0) + 1
     total = _ZERO
-    for c, reps in hist.items():
+    for c, reps in enumerate(_omega_histogram(xi, t)):
         total += reps * gamma**c
     return total
 
@@ -179,7 +193,18 @@ def _tree_prod(values: list[int]) -> int:
 
 
 def mertens_product(t: Rational, gamma: Rational) -> Fraction:
-    """prod_{p <= t} (1 + (gamma - 1)/p), exactly (balanced product tree)."""
+    """prod_{p <= t} (1 + (gamma - 1)/p), exactly, reduced by construction.
+
+    With gamma = a/b in lowest terms and c = a - b, each factor is
+    (p b + c)/(p b), and the denominator is b^pi(t) prod p. A prime q | b
+    divides no p b + c, since p b + c = a (mod q), so it never cancels. A
+    prime q <= t with q not dividing b divides the denominator exactly once
+    (from p = q), so it cancels if and only if it divides some p b + c, that
+    is if some prime p <= t has p = -c/b (mod q): then one such factor is
+    divided by q, and otherwise q is kept in the denominator. The reduced
+    numerator and b^pi(t) prod(kept q) are coprime; both are balanced
+    product trees, and the Fraction is built without a gcd.
+    """
     if t < 1:
         raise InvalidParameter(f"mertens_product requires t >= 1, got {t}")
     gamma = Fraction(gamma)
@@ -187,10 +212,21 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
         raise InvalidParameter(f"gamma must be >= 1, got {gamma}")
     ps = primes_upto(t)
     a, b = gamma.numerator, gamma.denominator
-    # 1 + (gamma-1)/p = (p b + a - b) / (p b)
-    num = _tree_prod([p * b + a - b for p in ps])
-    den = _tree_prod([p * b for p in ps])
-    return Fraction(num, den)
+    c = a - b
+    nums = [p * b + c for p in ps]  # indexed like ps
+    is_p = bytearray(ps[-1] + 1 if ps else 0)
+    for p in ps:
+        is_p[p] = 1
+    kept = []
+    for q in ps:
+        if b % q:
+            r = -c * pow(b, -1, q) % q
+            k = is_p[r::q].find(1)
+            if k >= 0:
+                nums[bisect_left(ps, r + k * q)] //= q
+                continue
+        kept.append(q)
+    return coprime_fraction(_tree_prod(nums), b ** len(ps) * _tree_prod(kept))
 
 
 def ratio_to_log_power(

@@ -176,6 +176,14 @@ def _int_valuation(p: int, n: int) -> int:
     return v
 
 
+def coprime_fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for coprime n and d > 0, without the normalizing gcd
+    (quadratic in the size of megabit operands)."""
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12
+        return Fraction._from_coprime_ints(n, d)
+    return Fraction(n, d, _normalize=False)
+
+
 # ---------------------------------------------------------------------------
 # Dyadic endpoints
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import Rational, is_prime, valuation
+from .arith import Rational, _int_valuation, is_prime
 from .errors import InvalidParameter
 from .model import PairSystem, WeightFunction, edge_mass, mu_pairs
 from .quality import d_value, omega_t
@@ -91,8 +91,9 @@ def slice_system(system: PairSystem, p: int, i: int, j: int) -> Slice:
     pi, pj = p**i, p**j
     scale_psi = Fraction(p ** (j - m))
     scale_theta = Fraction(p ** (i - m))
-    v_cell = frozenset(v for v in system.psi.support() if valuation(p, v) == i)
-    w_cell = frozenset(w for w in system.theta.support() if valuation(p, w) == j)
+    # p was checked above; supports hold positive integers
+    v_cell = frozenset(v for v in system.psi.support() if _int_valuation(p, v) == i)
+    w_cell = frozenset(w for w in system.theta.support() if _int_valuation(p, w) == j)
     psi_t = WeightFunction({v // pi: scale_psi * system.psi.value(v) for v in v_cell})
     theta_t = WeightFunction(
         {w // pj: scale_theta * system.theta.value(w) for w in w_cell}

@@ -52,11 +52,12 @@ def _malformed(what: str):
 
 
 def read_json(path: Union[str, Path]):
-    """The JSON document in path; InvalidParameter when it is not JSON."""
+    """The JSON document in path; InvalidParameter when the file cannot be
+    read (missing, a directory, no permission, not UTF-8) or is not JSON."""
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidParameter(f"{path} is not JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise InvalidParameter(f"cannot read JSON from {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

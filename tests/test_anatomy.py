@@ -1,5 +1,6 @@
 """Exact anatomy chains: Rankin step, divisor chains, Mertens products."""
 
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -9,6 +10,7 @@ import pytest
 
 from paircert.anatomy import (
     AnatomyReport,
+    _omega_counts,
     count_chain_report,
     count_many_small_primes,
     divisor_anatomy_bound,
@@ -21,7 +23,7 @@ from paircert.anatomy import (
     ratio_to_log_power,
     small_prime_divisor_count,
 )
-from paircert.arith import Interval, divisors, primes_upto
+from paircert.arith import Interval, coprime_fraction, divisors, primes_upto
 from paircert.errors import InvalidParameter, ResourceLimit
 from paircert.model import MultiplicativeFunction, TOTIENT
 
@@ -54,6 +56,24 @@ class TestCount:
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             count_many_small_primes(10**9, 10, 1)
+
+    @pytest.mark.parametrize("t", [1, 2, F(7, 2), 30, 2000, 10**4])
+    def test_against_per_n_loops(self, t):
+        x = F(4001, 2)
+        omegas = [small_prime_divisor_count(n, t) for n in range(1, 2001)]
+        for K in (-1, 0, F(3, 2), 2, F(5, 2)):
+            assert count_many_small_primes(x, t, K) == sum(1 for c in omegas if c >= K)
+        for gamma in (F(1, 3), 1, F(3, 2), 2, F(5, 2)):
+            assert rankin_sum(x, t, gamma) == sum((F(gamma) ** c for c in omegas), F(0))
+
+    @pytest.mark.parametrize("x, t", [(1, 1), (2, 2), (30, 5), (510510, 17), (3000, 10**4)])
+    def test_omega_counts_sieve(self, x, t):
+        counts = _omega_counts(x, t)
+        assert len(counts) == x + 1 and counts[0] == 0
+        for n in sorted({1, x, *range(1, x + 1, max(1, x // 997))}):
+            assert counts[n] == small_prime_divisor_count(n, t), n
+        if x == 510510:
+            assert counts[x] == 7  # 2*3*5*7*11*13*17
 
 
 class TestRankinSum:
@@ -169,6 +189,19 @@ class TestMertens:
             want *= 1 + F(3, 2) / p
         assert got == want
 
+    @pytest.mark.parametrize("t", [1, 2, 3, 300, 10**4])
+    @pytest.mark.parametrize("gamma", [1, F(3, 2), 2, F(5, 2), F(7, 3), 4])
+    def test_reduced_by_construction(self, t, gamma):
+        gamma = F(gamma)
+        a, b = gamma.numerator, gamma.denominator
+        num = den = 1
+        for p in primes_upto(t):
+            num *= p * b + a - b
+            den *= p * b
+        got = mertens_product(t, gamma)
+        assert got == F(num, den)
+        assert math.gcd(got.numerator, got.denominator) == 1
+
     def test_ratio_interval_against_oracle(self):
         iv = ratio_to_log_power(100, 2, 192)
         prod = mertens_product(100, 2)
@@ -178,3 +211,12 @@ class TestMertens:
     def test_ratio_at_t_one_is_exact(self):
         iv = ratio_to_log_power(1, 2, 64)
         assert iv.is_point() and iv.contains(1)
+
+
+def test_coprime_fraction():
+    for n, d in ((0, 1), (1, 1), (-3, 4), (7, 2), (2**521 - 1, 3**300), (-(5**200), 2**700)):
+        got = coprime_fraction(n, d)
+        want = F(n, d)
+        assert got == want and hash(got) == hash(want)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert str(got) == str(want)

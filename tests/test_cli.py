@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +190,41 @@ def test_malformed_config_exits_4_with_one_line(tmp_path, capsys, config_doc, ar
     assert captured.out == "" and not out.exists()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("paircert: InvalidParameter: ")
+
+
+UNREADABLE_ARGV = {
+    "certify-instance-missing": ["certify", "--instance", "{missing}"],
+    "check-instance-directory": ["check", "--instance", "{directory}"],
+    "gen-config-directory": ["gen", "--config", "{directory}", "--out", "{out}"],
+    "certify-campaign-missing": ["certify", "--campaign", "{missing}"],
+    "certify-campaign-not-utf8": ["certify", "--campaign", "{latin1}"],
+    "certify-instance-no-permission": ["certify", "--instance", "{locked}"],
+}
+
+
+@pytest.mark.parametrize("argv", list(UNREADABLE_ARGV.values()), ids=list(UNREADABLE_ARGV))
+def test_unreadable_path_exits_4_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    paths = {
+        "missing": tmp_path / "missing.json",
+        "directory": tmp_path,
+        "out": tmp_path / "inst.json",
+        "latin1": tmp_path / "latin1.json",
+        "locked": tmp_path / "locked.json",
+    }
+    paths["latin1"].write_bytes(b'{"seed": "\xff"}')
+    paths["locked"].write_text("{}")
+    read_text = Path.read_text
+
+    def guarded(self, *args, **kwargs):
+        # chmod cannot deny a superuser, so the denial is simulated
+        if self == paths["locked"]:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", guarded)
+    rc = main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == "" and not paths["out"].exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("paircert: InvalidParameter: cannot read")

@@ -12,7 +12,10 @@ per-prime transcription of the definition kept here as the oracle, and
 center scan of `concentrate` against `find_center`. The corpus itself is
 pinned by its canonical instance documents, and the prime-slice identity
 reports by `SliceIdentityReport.to_json()` at every prime of the support
-and every cell (i, j) in 0..2 x 0..2.
+and every cell (i, j) in 0..2 x 0..2. The anatomy chains are pinned on the
+(t, gamma) grid for t <= 10^5: `mertens_product`, the dyadic enclosure of
+`ratio_to_log_power` and the count and divisor chain reports, with every
+rational in hex (str() refuses integers past 4300 digits).
 """
 
 from __future__ import annotations
@@ -24,6 +27,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from paircert.anatomy import (
+    count_chain_report,
+    divisor_chain_report,
+    mertens_product,
+    ratio_to_log_power,
+)
 from paircert.arith import Interval, valuation
 from paircert.compress import VACUOUS, slice_system, verify_slice_identities
 from paircert.diagonal import (
@@ -94,6 +103,24 @@ GOLDEN_SLICE_REPORTS = {
     "totient": "d3c0f2f1f5ee56ce9b6c29ebabeff41097ce3a732c1408f916943d9b513893d7",
     "random": "d33fb70f52fb30ec18c9dd1cd95f4d7f20a085a33f104613d89ab6b112cf9d0b",
     "hand": "adca7e51fe33189294abb61264e8d2726d75751df66e55fb319d6f18a35df3d0",
+}
+
+# The anatomy grid: t, then per gamma the count chain's x and the divisor
+# chain's M (highly composite, under the 10^7 factorization cap).
+ANATOMY_TS = (300, 10**3, 3 * 10**3, 10**4, 3 * 10**4, 10**5)
+ANATOMY_GAMMAS = (
+    (F(3, 2), 150_000, 720720),
+    (F(2), 200_000, 8648640),
+    (F(5, 2), 250_000, 9699690),
+)
+ANATOMY_COUNT_K = 3
+ANATOMY_DIVISOR_K = 2
+GOLDEN_ANATOMY = {
+    "mertens_product": "c044191599ebc5e729db7c94a2952589708bdcf2ebf3bfb6026ab5649da2f64b",
+    "ratio_to_log_power": "70f804f67155c85c68864121e4b27c491c09139060bf791f79cd81d799c9f81f",
+    "count_chain": "c67330eb9294e74b636e91d638b4aaf04432d3eddb06afeeb2648fcc41f482ed",
+    "divisor_chain": "53ba28642cbccc6069d2d3bb3e2b051a65907759c1dc435110e2972d54c5b077",
+    "mertens_product_3e5": "677ce7c92aa3c20fdc7271f4fb328ca84b6f0a0a601c1c22534ac0bbec61c245",
 }
 
 
@@ -363,3 +390,34 @@ def test_primes_with_an_empty_side():
         assert system.primes == ()
     system = PairSystem(psi, WeightFunction({11: F(1, 11)}), TOTIENT, TOTIENT)
     assert system.primes == (2, 3, 5, 7, 11)
+
+
+def _frac_hex(x):
+    return f"{x.numerator:x}/{x.denominator:x}"
+
+
+def _anatomy_doc(rep):
+    mert = rep.mertens_bound
+    return [
+        _frac_hex(rep.exact_value),
+        _frac_hex(rep.rankin_bound),
+        _frac_hex(mert) if isinstance(mert, F) else _exact_interval(mert),
+        _frac_hex(rep.gamma),
+        rep.chain_holds,
+    ]
+
+
+def test_anatomy_digests():
+    docs = {stage: [] for stage in GOLDEN_ANATOMY if stage != "mertens_product_3e5"}
+    for t in ANATOMY_TS:
+        for gamma, x, M in ANATOMY_GAMMAS:
+            docs["mertens_product"].append(_frac_hex(mertens_product(t, gamma)))
+            docs["ratio_to_log_power"].append(_exact_interval(ratio_to_log_power(t, gamma)))
+            count = count_chain_report(x, t, ANATOMY_COUNT_K, gamma)
+            divisor = divisor_chain_report(M, t, ANATOMY_DIVISOR_K, gamma, TOTIENT)
+            assert count.chain_holds and divisor.chain_holds, (t, gamma)
+            docs["count_chain"].append(_anatomy_doc(count))
+            docs["divisor_chain"].append(_anatomy_doc(divisor))
+    got = {stage: _digest(doc) for stage, doc in docs.items()}
+    got["mertens_product_3e5"] = _digest(_frac_hex(mertens_product(3 * 10**5, F(3, 2))))
+    assert got == GOLDEN_ANATOMY
