@@ -19,6 +19,8 @@ from typing import Union
 from .arith import (
     Interval,
     Rational,
+    _bracket_point,
+    _interval_eval,
     const,
     coprime_fraction,
     divisors,
@@ -115,15 +117,42 @@ def rankin_sum(x: Rational, t: Rational, gamma: Rational) -> Fraction:
 def divisor_anatomy_sum(
     M: int, t: Rational, K: Rational, f: MultiplicativeFunction
 ) -> Fraction:
-    """sum over mn = M with omega_t(m) >= K of f(n), exactly."""
+    """sum over mn = M with omega_t(m) >= K of f(n), exactly.
+
+    The divisors m are built from factorize(M) with their exponents, so
+    omega_t(m) is an integer count against floor(t), and f(n) is a product
+    of values f(p^j), each asked of f once, in the order that the divisors,
+    taken ascending, need them. The sum runs over integer numerators, one
+    running sum per denominator.
+    """
     if M < 1:
         raise InvalidParameter(f"M must be >= 1, got {M}")
-    K = Fraction(K)
-    total = _ZERO
-    for m in divisors(M):
-        if small_prime_divisor_count(m, t) >= K:
-            total += f(M // m)
-    return total
+    need = math.ceil(Fraction(K))  # an integer count is >= K iff >= ceil(K)
+    bound = _floor(Fraction(t))
+    fac = factorize(M)
+    divs = [(1, 0, ())]  # (m, omega_t(m), exponents of m along fac)
+    for p, e in fac:
+        small = p <= bound
+        divs = [
+            (m * p**k, c + (small and k > 0), ks + (k,))
+            for m, c, ks in divs
+            for k in range(e + 1)
+        ]
+    values: dict[tuple[int, int], Fraction] = {}
+    sums: dict[int, int] = {}  # denominator -> sum of the numerators over it
+    for _, c, ks in sorted(divs):
+        if c < need:
+            continue
+        num = den = 1
+        for (p, e), k in zip(fac, ks):
+            if k < e:
+                v = values.get((p, e - k))
+                if v is None:
+                    v = values[p, e - k] = f.prime_power(p, e - k)
+                num *= v.numerator
+                den *= v.denominator
+        sums[den] = sums.get(den, 0) + num
+    return sum((Fraction(n, d) for d, n in sums.items()), _ZERO)
 
 
 def rankin_divisor_sum(
@@ -172,13 +201,18 @@ def divisor_anatomy_bound(
         raise InvalidParameter(f"gamma must exceed 1, got {gamma}")
     K = Fraction(K)
     bound = _floor(Fraction(t))
-    prod = Fraction(M)
+    a, b = gamma.numerator, gamma.denominator
+    num, den = M, 1  # 1 + (gamma - 1)/p = (p b + a - b)/(p b)
     for p, _ in factorize(M):
         if p <= bound:
-            prod *= 1 + (gamma - 1) / p
+            num *= p * b + a - b
+            den *= p * b
     if K.denominator == 1:
-        return prod * gamma ** (-K.numerator)
-    return interval_eval(prod, [(const(gamma), -K)], precision_bits)
+        k = K.numerator
+        if k >= 0:
+            return Fraction(num * b**k, den * a**k)
+        return Fraction(num * a**-k, den * b**-k)
+    return interval_eval(Fraction(num, den), [(const(gamma), -K)], precision_bits)
 
 
 def _tree_prod(values: list[int]) -> int:
@@ -190,6 +224,16 @@ def _tree_prod(values: list[int]) -> int:
             for i in range(0, len(values), 2)
         ]
     return values[0]
+
+
+def _mertens_gamma(t: Rational, gamma: Rational) -> Fraction:
+    """Check the arguments of a Mertens product; gamma as a Fraction."""
+    if t < 1:
+        raise InvalidParameter(f"mertens_product requires t >= 1, got {t}")
+    gamma = Fraction(gamma)
+    if gamma < 1:
+        raise InvalidParameter(f"gamma must be >= 1, got {gamma}")
+    return gamma
 
 
 def mertens_product(t: Rational, gamma: Rational) -> Fraction:
@@ -205,11 +249,7 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     numerator and b^pi(t) prod(kept q) are coprime; both are balanced
     product trees, and the Fraction is built without a gcd.
     """
-    if t < 1:
-        raise InvalidParameter(f"mertens_product requires t >= 1, got {t}")
-    gamma = Fraction(gamma)
-    if gamma < 1:
-        raise InvalidParameter(f"gamma must be >= 1, got {gamma}")
+    gamma = _mertens_gamma(t, gamma)
     ps = primes_upto(t)
     a, b = gamma.numerator, gamma.denominator
     c = a - b
@@ -229,13 +269,65 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     return coprime_fraction(_tree_prod(nums), b ** len(ps) * _tree_prod(kept))
 
 
+_BRACKET_MARGIN = 64  # bits of the Mertens bracket beyond the precision asked
+_BRACKET_CHUNK = 12  # factors multiplied exactly per step of the bracket
+
+
+def _mertens_point(t: Rational, gamma: Fraction, bits: int) -> Interval:
+    """Interval.from_fraction(mertens_product(t, gamma), bits), bit for bit.
+
+    With gamma = a/b and c = a - b, a fixed-point bracket
+    lo 2^e <= prod (p b + c)/(p b) <= hi 2^e of W = bits + _BRACKET_MARGIN
+    bits takes the factors in exact chunks of _BRACKET_CHUNK, flooring lo
+    and ceiling hi after each chunk and shifting both back to W + 1 bits.
+    Each step costs at most 2^-W relative, so the
+    bracket decides the rounding at bits unless the product lies within
+    about pi(t) 2^-W of a rounding boundary; then the exact product does.
+    """
+    ps = primes_upto(t)
+    a, b = gamma.numerator, gamma.denominator
+    w = bits + _BRACKET_MARGIN
+    lo = hi = 1 << w
+    exp = -w
+    for i in range(0, len(ps), _BRACKET_CHUNK):
+        chunk = ps[i : i + _BRACKET_CHUNK]
+        num = math.prod([p * b + a - b for p in chunk])
+        den = math.prod(chunk) * b ** len(chunk)
+        lo = lo * num // den
+        hi = -(-hi * num // den)
+        extra = lo.bit_length() - w - 1  # every factor is >= 1: lo only grows
+        if extra > 0:
+            lo >>= extra
+            hi = -(-hi >> extra)
+            exp += extra
+    point = _bracket_point(lo, hi, exp, bits)
+    if point is None:
+        return Interval.from_fraction(mertens_product(t, gamma), bits)
+    return point
+
+
 def ratio_to_log_power(
     t: Rational, gamma: Rational, precision_bits: int = 256
 ) -> Interval:
-    """Diagnostic ratio prod_{p<=t}(1 + (gamma-1)/p) / (Log t)^(gamma-1)."""
-    exact = mertens_product(t, gamma)
-    gamma = Fraction(gamma)
-    return interval_eval(exact, [(log_of(t), 1 - gamma)], precision_bits)
+    """Diagnostic ratio prod_{p<=t}(1 + (gamma-1)/p) / (Log t)^(gamma-1).
+
+    Bit for bit interval_eval(mertens_product(t, gamma), [(log_of(t),
+    1 - gamma)], precision_bits), whose exact base reaches the result only
+    through its point rounding at the working precision. That rounding comes
+    from a two-sided fixed-point bracket of the product (_mertens_point):
+    rounding down and up are monotone, so when both ends of the bracket
+    round alike, the product rounds as they do. When they do not, the exact
+    product is built and rounded instead.
+    """
+    gamma = _mertens_gamma(t, gamma)
+    # Log t is the only factor, and one equal to 1 is skipped, so the scale
+    # that point is asked at stays 1
+    return _interval_eval(
+        _ONE,
+        [(log_of(t), 1 - gamma)],
+        precision_bits,
+        lambda _, bits: _mertens_point(t, gamma, bits),
+    )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import (
     DomainError,
@@ -697,6 +697,22 @@ class Interval:
         return f"Interval[{dyadic_str(self.lo)}, {dyadic_str(self.hi)}]@{self.precision_bits}b"
 
 
+def _bracket_point(lo: int, hi: int, exp: int, bits: int) -> Optional[Interval]:
+    """Interval.from_fraction(x, bits) for a positive x known only to lie in
+    [lo 2^exp, hi 2^exp], or None when the bracket cannot decide it.
+
+    The two ends of from_fraction are x rounded down and up to bits
+    significant bits. Both roundings are monotone, so when the ends of the
+    bracket round alike in each direction, x rounds the same way too (Ziv's
+    rounding test).
+    """
+    down = _dy_round(lo, exp, bits, _FLOOR)
+    up = _dy_round(hi, exp, bits, _CEIL)
+    if down != _dy_round(hi, exp, bits, _FLOOR) or up != _dy_round(lo, exp, bits, _CEIL):
+        return None
+    return Interval(down, up, bits)
+
+
 def _me_cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
     """Exact comparison of unnormalized man*2**exp pairs.
 
@@ -1096,12 +1112,31 @@ def interval_eval(
     (unless the measure is an integer) and is computed afresh.  A memoized
     enclosure is the one the same function computes from the same exact
     inputs, so results are bit-identical with or without the memo.
+
+    The exact part (base times the rational integer powers) reaches the
+    result through one step only: its point rounding Interval.from_fraction
+    at the working precision.  So a caller that gets that rounding another
+    way gets the same bits through the private core _interval_eval;
+    ratio_to_log_power decides it from a two-sided bracket of its base by a
+    rounding test, and falls back to the exact base when the bracket cannot.
     """
     base = Fraction(base)
     if base < 0:
         raise InvalidParameter("interval_eval base must be nonnegative")
+    return _interval_eval(base, factors, precision_bits, Interval.from_fraction)
+
+
+def _interval_eval(
+    scale: Fraction,
+    factors: list[tuple[ExprLike, ExprLike]],
+    precision_bits: int,
+    point: Callable[[Fraction, int], Interval],
+) -> Interval:
+    """interval_eval of X * scale, for an X > 0 known only through
+    point(x, bits): the point rounding of X * x at bits (X = 1 and
+    point = Interval.from_fraction for interval_eval itself)."""
     w = precision_bits + _GUARD
-    acc_exact = base
+    acc_exact = scale
     acc_iv: Optional[Interval] = None
     for expr, expo in factors:
         e_expr = _coerce(expr)
@@ -1132,9 +1167,10 @@ def interval_eval(
             piece = _power_enclosure(*args)
         acc_iv = piece if acc_iv is None else acc_iv.mul(piece, w)
     if acc_iv is None:
-        return Interval.from_fraction(acc_exact, precision_bits)
-    if acc_exact != 1:
-        acc_iv = acc_iv.mul(Interval.from_fraction(acc_exact, w), w)
+        return point(acc_exact, precision_bits)
+    rounded = point(acc_exact, w)
+    if not (rounded.is_point() and rounded.lo == _DY_ONE):
+        acc_iv = acc_iv.mul(rounded, w)
     return acc_iv.round(precision_bits)
 
 

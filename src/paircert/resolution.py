@@ -19,11 +19,10 @@ from .arith import (
     Rational,
     const,
     exp_of,
+    factorize,
     interval_eval,
     log_of,
-    prime_divisors,
     primes_upto,
-    valuation,
 )
 from .errors import InvalidParameter, NotStructured
 from .model import PairSystem, mu_pairs
@@ -43,8 +42,9 @@ def decompose(v: int, N: int) -> tuple[int, int]:
     if v < 1 or N < 1:
         raise InvalidParameter("decompose needs positive integers")
     minus = plus = 1
-    for p in sorted(set(prime_divisors(v)) | set(prime_divisors(N))):
-        d = valuation(p, v) - valuation(p, N)
+    nu_v, nu_n = dict(factorize(v)), dict(factorize(N))
+    for p in sorted(nu_v.keys() | nu_n.keys()):
+        d = nu_v.get(p, 0) - nu_n.get(p, 0)
         if d == 0:
             continue
         if d == 1:
@@ -59,9 +59,9 @@ def decompose(v: int, N: int) -> tuple[int, int]:
 def coprime_part(N: int, x: int) -> int:
     """N_x = prod over p | N with p coprime to x of p^(nu_p(N))."""
     out = 1
-    for p in prime_divisors(N):
+    for p, e in factorize(N):
         if x % p != 0:
-            out *= p ** valuation(p, N)
+            out *= p**e
     return out
 
 
@@ -72,11 +72,12 @@ def check_structured(
 
     Returns (ok, witness) with witness = (v, w, p) on the first failure.
     """
+    nu_n = dict(factorize(N))
     for v, w in sorted(edges):
-        ps = set(prime_divisors(v)) | set(prime_divisors(w)) | set(prime_divisors(N))
-        for p in sorted(ps):
-            nv = valuation(p, v) - valuation(p, N)
-            nw = valuation(p, w) - valuation(p, N)
+        nu_v, nu_w = dict(factorize(v)), dict(factorize(w))
+        for p in sorted(nu_v.keys() | nu_w.keys() | nu_n.keys()):
+            nv = nu_v.get(p, 0) - nu_n.get(p, 0)
+            nw = nu_w.get(p, 0) - nu_n.get(p, 0)
             if abs(nv) + abs(nw) > 1:
                 return False, (v, w, p)
     return True, None

@@ -304,25 +304,14 @@ def test_criterion_8_diagonal_optimality():
 
 def test_criterion_9_mertens_regression():
     """The deterministic ratio prod/(Log t)^(gamma-1) at gamma = 2 matches
-    the stored band bit-for-bit (recorded at first run)."""
+    the committed band bit-for-bit."""
     band_file = DATA_DIR / "mertens_band.json"
-    results = {}
+    assert band_file.exists(), f"missing committed band {band_file}"
+    stored = json.loads(band_file.read_text())
     for t in (100, 10_000, 1_000_000):
         iv = ratio_to_log_power(t, 2, 256)
-        results[str(t)] = {
-            "lo_man": str(iv.lo.man),
-            "lo_exp": iv.lo.exp,
-            "hi_man": str(iv.hi.man),
-            "hi_exp": iv.hi.exp,
-        }
-    if not band_file.exists():
-        DATA_DIR.mkdir(exist_ok=True)
-        band_file.write_text(json.dumps(results, indent=2))
-        _passline(9, "mertens band recorded (first run)")
-        return
-    stored = json.loads(band_file.read_text())
-    for t, got in results.items():
-        ref = stored[t]
+        got = {"lo_man": iv.lo.man, "lo_exp": iv.lo.exp, "hi_man": iv.hi.man, "hi_exp": iv.hi.exp}
+        ref = stored[str(t)]
         for key in ("lo_man", "lo_exp", "hi_man", "hi_exp"):
             assert str(got[key]) == str(ref[key]), (t, key)
     _passline(9, "mertens diagnostic matches the stored band exactly")

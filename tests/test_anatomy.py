@@ -8,8 +8,10 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from paircert import anatomy
 from paircert.anatomy import (
     AnatomyReport,
+    _mertens_point,
     _omega_counts,
     count_chain_report,
     count_many_small_primes,
@@ -23,8 +25,16 @@ from paircert.anatomy import (
     ratio_to_log_power,
     small_prime_divisor_count,
 )
-from paircert.arith import Interval, coprime_fraction, divisors, primes_upto
-from paircert.errors import InvalidParameter, ResourceLimit
+from paircert.arith import (
+    Interval,
+    coprime_fraction,
+    divisors,
+    factorize,
+    interval_eval,
+    log_of,
+    primes_upto,
+)
+from paircert.errors import IncompleteDefinition, InvalidParameter, ResourceLimit
 from paircert.model import MultiplicativeFunction, TOTIENT
 
 mpmath.mp.dps = 150
@@ -111,6 +121,50 @@ class TestDivisorSums:
                 lhs = rankin_divisor_sum(M, t, gamma, TOTIENT)
                 rhs = rankin_divisor_product(M, t, gamma, TOTIENT)
                 assert lhs == rhs, (M, t, gamma)
+
+    def test_sum_against_per_divisor_loop(self):
+        """The sum built from M's factorization equals the per-divisor
+        definition, for fractional t, K and f values."""
+        rng = random.Random(12)
+        table = {
+            (p, a): F(rng.randint(0, 9), rng.randint(1, 6))
+            for p in (2, 3, 5, 7)
+            for a in range(1, 8)
+        }
+        Ms = [1, 2, 12, 360, 420, 2**7, 3**4 * 5 * 7] + [rng.randint(1, 5000) for _ in range(40)]
+        for f in (TOTIENT, MultiplicativeFunction(table)):
+            for M in Ms:
+                if f is not TOTIENT and max((p for p, _ in factorize(M)), default=2) > 7:
+                    continue
+                for t in (1, F(5, 2), 3, 10, 100):
+                    for K in (-1, 0, F(1, 2), 1, 2, F(5, 2), 3):
+                        ms = [m for m in divisors(M) if small_prime_divisor_count(m, t) >= K]
+                        want = sum((f(M // m) for m in ms), F(0))
+                        assert divisor_anatomy_sum(M, t, K, f) == want, (M, t, K)
+
+    def test_sum_asks_f_only_where_needed(self):
+        # f is undefined at 3; only m = 2, with omega_t(m) = 1, needs f(3)
+        f = MultiplicativeFunction({(2, 1): F(1, 2)})
+        assert divisor_anatomy_sum(6, 10, 2, f) == 1
+        with pytest.raises(IncompleteDefinition):
+            divisor_anatomy_sum(6, 10, 1, f)
+        # the first value missing is the one the ascending per-divisor loop
+        # meets first: m = 2 needs f(15) = f(3) f(5)
+        with pytest.raises(IncompleteDefinition, match=r"undefined at 3\^1"):
+            divisor_anatomy_sum(30, 10, 1, MultiplicativeFunction({}))
+
+    def test_bound_against_fraction_formula(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            M = rng.randint(1, 5000)
+            t = rng.choice([1, F(5, 2), 10, 100])
+            K = rng.randint(-3, 4)
+            gamma = rng.choice([F(3, 2), F(2), F(7, 3), F(4)])
+            want = F(M) * gamma ** (-K)
+            for p, _ in factorize(M):
+                if p <= t:
+                    want *= 1 + (gamma - 1) / p
+            assert divisor_anatomy_bound(M, t, K, gamma) == want, (M, t, K, gamma)
 
     def test_bound_hand_example(self):
         assert divisor_anatomy_bound(12, 10, 1, 2) == 12
@@ -212,6 +266,106 @@ class TestMertens:
         iv = ratio_to_log_power(1, 2, 64)
         assert iv.is_point() and iv.contains(1)
 
+
+
+_BRACKET_TS = sorted(
+    {1, 2, F(5, 2), 3, F(7, 2), 4, 5, 10, F(100, 3), 97, 100, F(1001, 3), 1000, F(9999, 4)}
+    | {2999, 3000}
+    | {random.Random(11).randint(1, 3000) for _ in range(10)}
+)
+_BRACKET_GAMMAS = [1, F(3, 2), 2, F(5, 2), F(7, 3), 4]
+
+
+def _same(a: Interval, b: Interval) -> bool:
+    return (a.lo, a.hi, a.precision_bits) == (b.lo, b.hi, b.precision_bits)
+
+
+class TestMertensBracket:
+    """ratio_to_log_power rounds the Mertens product from a fixed-point
+    bracket; every result must be the one the exact product gives."""
+
+    @pytest.mark.parametrize("gamma", _BRACKET_GAMMAS)
+    def test_point_rounding_is_exact(self, gamma):
+        gamma = F(gamma)
+        for t in _BRACKET_TS:
+            exact = mertens_product(t, gamma)
+            for bits in (16, 64, 256, 1024, 4096):
+                got = _mertens_point(t, gamma, bits)
+                assert _same(got, Interval.from_fraction(exact, bits)), (t, gamma, bits)
+
+    @pytest.mark.parametrize("margin", [-4, 0, 1, 2, 4])
+    def test_point_rounding_is_exact_at_any_margin(self, monkeypatch, margin):
+        """A narrow bracket falls back more often and decides closer to a
+        rounding boundary; a bracket that failed to hold the product would
+        show up here as a wrong rounding."""
+        monkeypatch.setattr(anatomy, "_BRACKET_MARGIN", margin)
+        for gamma in map(F, _BRACKET_GAMMAS):
+            for t in _BRACKET_TS:
+                exact = mertens_product(t, gamma)
+                for bits in (16, 64):
+                    got = _mertens_point(t, gamma, bits)
+                    assert _same(got, Interval.from_fraction(exact, bits)), (t, gamma, bits)
+
+    @pytest.mark.parametrize("gamma", _BRACKET_GAMMAS)
+    def test_ratio_matches_exact_interval_eval(self, gamma):
+        gamma = F(gamma)
+        for t in _BRACKET_TS:
+            for bits in (16, 64, 256) + ((1024,) if t in (3, 1000, 3000) else ()):
+                want = interval_eval(mertens_product(t, gamma), [(log_of(t), 1 - gamma)], bits)
+                assert _same(ratio_to_log_power(t, gamma, bits), want), (t, gamma, bits)
+
+    @staticmethod
+    def _count_products(monkeypatch) -> list:
+        calls = []
+        exact = anatomy.mertens_product
+
+        def counted(t, gamma):
+            calls.append((t, gamma))
+            return exact(t, gamma)
+
+        monkeypatch.setattr(anatomy, "mertens_product", counted)
+        return calls
+
+    @pytest.mark.parametrize("bits", [16, 64, 256])
+    def test_fallback_when_bracket_cannot_decide(self, monkeypatch, bits):
+        keys = [(t, g) for t in (5, 1000, 3000) for g in (F(3, 2), F(7, 3))] + [(5, 4)]
+        want = {key: ratio_to_log_power(*key, bits) for key in keys}
+        calls = self._count_products(monkeypatch)
+        # a bracket narrower than the precision asked rounds to itself, so it
+        # decides only a product it holds exactly
+        monkeypatch.setattr(anatomy, "_BRACKET_MARGIN", -8)
+        for (t, g), iv in want.items():
+            del calls[:]
+            assert _same(ratio_to_log_power(t, g, bits), iv), (t, g)
+            exact = (t, g) == (5, 4)  # the product is (5/2)(6/3)(8/5) = 8
+            assert calls == ([] if exact else [(t, g)]), (t, g)
+
+    def test_bracket_path_builds_no_exact_product(self, monkeypatch):
+        calls = self._count_products(monkeypatch)
+        for t in (3, 1000, 10**4):
+            for g in (F(3, 2), 2, F(5, 2)):
+                ratio_to_log_power(t, g)
+        for t, g in ((1, 2), (2, F(3, 2)), (F(5, 2), 4), (1000, 1)):
+            want = interval_eval(mertens_product(t, g), [(log_of(t), 1 - g)], 256)
+            assert _same(ratio_to_log_power(t, g), want), (t, g)
+        assert calls == []
+
+    def test_exact_products_per_anatomy_point(self, monkeypatch):
+        """One point of the anatomy grid (product, ratio, count chain and
+        divisor chain) builds the exact product twice."""
+        calls = self._count_products(monkeypatch)
+        t, gamma = 10**4, F(3, 2)
+        anatomy.mertens_product(t, gamma)
+        ratio_to_log_power(t, gamma)
+        count_chain_report(2 * 10**4, t, 3, gamma)
+        divisor_chain_report(720720, t, 2, gamma, TOTIENT)
+        assert len(calls) == 2
+
+    def test_invalid_arguments(self):
+        with pytest.raises(InvalidParameter, match="t >= 1"):
+            ratio_to_log_power(F(1, 2), 2)
+        with pytest.raises(InvalidParameter, match="gamma must be >= 1"):
+            ratio_to_log_power(100, F(1, 2))
 
 def test_coprime_fraction():
     for n, d in ((0, 1), (1, 1), (-3, 4), (7, 2), (2**521 - 1, 3**300), (-(5**200), 2**700)):

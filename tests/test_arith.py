@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from paircert.arith import (
     Interval,
+    _bracket_point,
     compare_power,
     const,
     divisors,
@@ -283,6 +284,27 @@ class TestIntervalEval:
         with pytest.raises(ResourceLimit):
             interval_eval(F(1), [(log_of(10), exp_of(12000))], 64)
 
+
+
+class TestBracketPoint:
+    @pytest.mark.parametrize("bits", [1, 2, 8, 64])
+    def test_decides_exactly_when_the_ends_round_alike(self, bits):
+        """_bracket_point gives from_fraction of every point of the bracket
+        when both ends round alike in each direction, and None otherwise
+        (rounding is monotone, so the ends decide every point between)."""
+        rng = random.Random(bits)
+        for _ in range(400):
+            exp = rng.randint(-80, 10)
+            grid = rng.randint(1, 1 << bits) << rng.randint(0, 12)  # near a grid point
+            lo = max(1, grid + rng.randint(-3, 3))
+            hi = lo + rng.choice([0, 0, 1, 2, 5])
+            ends = [Interval.from_fraction(F(n) * F(2) ** exp, bits) for n in (lo, hi)]
+            got = _bracket_point(lo, hi, exp, bits)
+            if (ends[0].lo, ends[0].hi) != (ends[1].lo, ends[1].hi):
+                assert got is None, (lo, hi, exp)
+            else:
+                assert got is not None, (lo, hi, exp)
+                assert (got.lo, got.hi, got.precision_bits) == (ends[0].lo, ends[0].hi, bits)
 
 class TestIntervalOps:
     def test_from_fraction_exactness(self):
