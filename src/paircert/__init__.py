@@ -21,6 +21,7 @@ from .quality import (
     Params,
     build_edge_set,
     build_edge_set_bruteforce,
+    certify_le,
     d_value,
     main_bound_check,
     neighborhood,

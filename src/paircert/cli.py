@@ -2,10 +2,11 @@
 
 Exit codes: 0 = no violations, 2 = a violation was found (for a campaign
 also a slice-identity, peel-contract or resolution failure), 3 = an
-inconclusive verdict remained at the precision cap, 4 = an input or
-resource error (a malformed instance or generator config, a parameter
-outside its domain, a cap exceeded; any PaircertError), reported as one
-line on stderr.
+inconclusive verdict remained at the precision cap
+(quality.DEFAULT_PRECISION_CAP, 2^14 bits), 4 = an input or resource error
+(a malformed instance or generator config, a parameter outside its domain
+such as --precision below 16, a cap exceeded; any PaircertError), reported
+as one line on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .anatomy import (
     ratio_to_log_power,
 )
 from .arith import Interval, dyadic_str, fraction_str
-from .errors import PaircertError
+from .errors import InvalidParameter, PaircertError
 from .compress import slice_system, verify_slice_identities
 from .diagonal import (
     bilinear_check,
@@ -45,8 +46,21 @@ from .harness import (
     read_json,
     write_campaign_csv,
 )
-from .quality import INCONCLUSIVE, VIOLATED, build_edge_set, main_bound_check
+from .quality import (
+    DEGENERATE_EMPTY,
+    HOLDS,
+    INCONCLUSIVE,
+    PRECONDITION_FAILED,
+    VIOLATED,
+    build_edge_set,
+    main_bound_check,
+)
 from .resolution import resolution_check
+
+# the exit code of one verdict: check, certify --instance and resolve
+_EXIT_CODES = {
+    HOLDS: 0, DEGENERATE_EMPTY: 0, VIOLATED: 2, PRECONDITION_FAILED: 2, INCONCLUSIVE: 3
+}
 
 
 def _emit(doc, out: str | None) -> None:
@@ -59,7 +73,7 @@ def _emit(doc, out: str | None) -> None:
 
 def _load(args):
     system, params = load_instance(args.instance)
-    if getattr(args, "precision", None):
+    if args.precision is not None:
         params = replace(params, precision_bits=args.precision)
     return system, params
 
@@ -92,13 +106,8 @@ def _cmd_edges(args) -> int:
 def _cmd_check(args) -> int:
     system, params = _load(args)
     report = main_bound_check(system, params, verify_preconditions=args.verify)
-    doc = report.to_json()
-    _emit(doc, args.out)
-    if report.verdict == VIOLATED:
-        return 2
-    if report.verdict == INCONCLUSIVE:
-        return 3
-    return 0
+    _emit(report.to_json(), args.out)
+    return _EXIT_CODES[report.verdict]
 
 
 def _cmd_compress(args) -> int:
@@ -182,7 +191,7 @@ def _cmd_resolve(args) -> int:
         compute_ratio=args.ratio,
     )
     _emit(report.to_json(), args.out)
-    return 0 if report.verdict in ("holds", "degenerate-empty") else 2
+    return _EXIT_CODES[report.verdict]
 
 
 def _cmd_anatomy(args) -> int:
@@ -209,7 +218,8 @@ def _cmd_anatomy(args) -> int:
         doc = divisor_chain_report(M, t, K, gamma, f).to_json()
         doc.update({"M": M, "t": str(t), "K": str(K)})
     else:  # mertens
-        iv = ratio_to_log_power(t, gamma, args.precision or 256)
+        bits = 256 if args.precision is None else args.precision
+        iv = ratio_to_log_power(t, gamma, bits)
         doc = {
             "t": str(t),
             "gamma": str(gamma),
@@ -225,11 +235,7 @@ def _cmd_certify(args) -> int:
         system, params = _load(args)
         report = main_bound_check(system, params)
         _emit(report.to_json(), args.out)
-        if report.verdict == VIOLATED:
-            return 2
-        if report.verdict == INCONCLUSIVE:
-            return 3
-        return 0
+        return _EXIT_CODES[report.verdict]
     config = GeneratorConfig.from_json(read_json(args.campaign))
     report = certify_campaign(config, args.count, out_dir=args.out_dir)
     _emit(report.to_json(), args.out)
@@ -341,6 +347,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "certify" and not (args.instance or args.campaign):
         parser.error("certify needs --instance or --campaign")
     try:
+        if args.precision is not None and args.precision < 16:
+            raise InvalidParameter(f"--precision must be >= 16, got {args.precision}")
         return args.func(args)
     except PaircertError as exc:
         message = " ".join(str(exc).split())

@@ -17,11 +17,7 @@ from fractions import Fraction
 from .arith import Rational, _int_valuation, is_prime
 from .errors import InvalidParameter
 from .model import PairSystem, WeightFunction, edge_mass, mu_pairs
-from .quality import d_value, omega_t
-
-HOLDS = "holds"
-FAILED = "failed"
-VACUOUS = "vacuous"
+from .quality import FAILED, HOLDS, VACUOUS, d_value, omega_t
 
 
 @dataclass(frozen=True)
@@ -39,7 +35,7 @@ class Slice:
 @dataclass
 class IdentityCheck:
     name: str
-    status: str  # holds | failed | vacuous
+    status: str  # quality.HOLDS, FAILED or VACUOUS
     lhs: object = None
     rhs: object = None
     detail: str = ""

@@ -16,10 +16,13 @@ from .errors import DegenerateMeasure, InvalidParameter
 from .model import PairSystem, SideMasses, edge_mass, mu_pairs
 from .quality import (
     DEFAULT_PRECISION_CAP,
+    FAILED,
     HOLDS,
     INCONCLUSIVE,
+    VACUOUS,
     VIOLATED,
     Params,
+    certify_le,
 )
 
 _ZERO = Fraction(0)
@@ -200,49 +203,42 @@ class CellCheck:
     verdict: str
 
 
-def bilinear_check(
-    dm: DiagonalMeasure,
-    params: Params,
-    *,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
-) -> list[CellCheck]:
+def _cell_checks(dm: DiagonalMeasure, bits: int, bound_factors) -> list[CellCheck]:
+    """certify_le of every cell m(i,j) against the bound whose factors are
+    bound_factors(i, j, alpha_i, beta_j), from bits of precision; a cell
+    with alpha_i beta_j = 0 is held against the exact bound 0."""
+    out = []
+    for (i, j), mass in sorted(dm.cells.items()):
+        a, b = dm.alpha.get(i, _ZERO), dm.beta.get(j, _ZERO)
+        if a * b == 0:
+            out.append(CellCheck(i, j, mass, _ZERO, HOLDS if mass <= 0 else VIOLATED))
+            continue
+        verdict, bound, _ = certify_le(mass, 1, bound_factors(i, j, a, b), bits)
+        out.append(CellCheck(i, j, mass, bound, verdict))
+    return out
+
+
+def bilinear_check(dm: DiagonalMeasure, params: Params) -> list[CellCheck]:
     """Certified per-cell comparison against the bilinear bound
 
         m(i,j) <= (100 e^C)^(-[p <= p0]) p^(-|i-j|/q) (a_i b_j e^([i!=j] C))^(1/q')
 
     Diagnostic only: the bound is a statement about minimal counterexamples.
     """
-    out = []
     p = dm.p
     below_p0 = p <= params.p0
-    for (i, j), mass in sorted(dm.cells.items()):
-        ab = dm.alpha.get(i, _ZERO) * dm.beta.get(j, _ZERO)
-        if ab == 0:
-            verdict = HOLDS if mass <= 0 else VIOLATED
-            out.append(CellCheck(i, j, mass, Fraction(0), verdict))
-            continue
-        factors = [
+
+    def factors(i, j, a, b):
+        return [
             (const(100) * exp_of(params.C), Fraction(-1 if below_p0 else 0)),
             (const(p), Fraction(-abs(i - j)) / params.q),
             (
-                const(ab) * exp_of(params.C if i != j else 0),
+                const(a * b) * exp_of(params.C if i != j else 0),
                 1 / params.q_prime,
             ),
         ]
-        prec = params.precision_bits
-        while True:
-            bound = interval_eval(Fraction(1), factors, prec)
-            if bound.lo_cmp(mass) >= 0:
-                out.append(CellCheck(i, j, mass, bound, HOLDS))
-                break
-            if bound.hi_cmp(mass) < 0:
-                out.append(CellCheck(i, j, mass, bound, VIOLATED))
-                break
-            if prec * 2 > precision_cap:
-                out.append(CellCheck(i, j, mass, bound, INCONCLUSIVE))
-                break
-            prec *= 2
-    return out
+
+    return _cell_checks(dm, params.precision_bits, factors)
 
 
 @dataclass
@@ -263,12 +259,7 @@ class DecayReport:
         return all(c.verdict == HOLDS for c in self.cell_checks)
 
 
-def decay_hypothesis_report(
-    dm: DiagonalMeasure,
-    params: Params,
-    *,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
-) -> DecayReport:
+def decay_hypothesis_report(dm: DiagonalMeasure, params: Params) -> DecayReport:
     p = dm.p
     eps = params.epsilon
     below_p0 = p <= params.p0
@@ -278,7 +269,8 @@ def decay_hypothesis_report(
     lam_ok = compare_power(Fraction(p), 5 - 10 * eps, Fraction(2)) >= 0
     lambda_in_range = HOLDS if lam_ok else VIOLATED
 
-    # first conclusion: c1 >= c2 / (1 + (2 C3 - 1) lambda)
+    # first conclusion: c1 >= c2 / (1 + (2 C3 - 1) lambda), an interval
+    # against an interval at 16 guard bits, so not a certify_le comparison
     prec = params.precision_bits
     c1_verdict = INCONCLUSIVE
     while True:
@@ -304,40 +296,21 @@ def decay_hypothesis_report(
         if c1.certified_lt(rhs):
             c1_verdict = VIOLATED
             break
-        if prec * 2 > precision_cap:
+        if prec * 2 > DEFAULT_PRECISION_CAP:
             break
         prec *= 2
 
     # cell hypothesis m(i,j) <= c1 [C3 lambda^|i-j|] x_i y_j
-    cell_checks = []
-    for (i, j), mass in sorted(dm.cells.items()):
-        a = dm.alpha.get(i, _ZERO)
-        b = dm.beta.get(j, _ZERO)
-        if a * b == 0:
-            cell_checks.append(
-                CellCheck(i, j, mass, Fraction(0), HOLDS if mass <= 0 else VIOLATED)
-            )
-            continue
-        factors = [
+    def factors(i, j, a, b):
+        return [
             (const(100) * exp_of(params.C), Fraction(-1 if below_p0 else 0)),
             (exp_of(params.C), Fraction(1 if i != j else 0)),
             (const(p), (eps - Fraction(1, 2)) * abs(i - j)),
             (const(a), Fraction(1, 2) + eps),
             (const(b), Fraction(1, 2) + eps),
         ]
-        prec = params.precision_bits
-        while True:
-            bound = interval_eval(Fraction(1), factors, prec)
-            if bound.lo_cmp(mass) >= 0:
-                cell_checks.append(CellCheck(i, j, mass, bound, HOLDS))
-                break
-            if bound.hi_cmp(mass) < 0:
-                cell_checks.append(CellCheck(i, j, mass, bound, VIOLATED))
-                break
-            if prec * 2 > precision_cap:
-                cell_checks.append(CellCheck(i, j, mass, bound, INCONCLUSIVE))
-                break
-            prec *= 2
+
+    cell_checks = _cell_checks(dm, params.precision_bits, factors)
 
     # empirical tail ratio against p^(-1-2eps) + p^(-(3-2eps)/2)
     if center.tail_mass == 0:
@@ -429,7 +402,7 @@ class PeelStep:
     mu_edges_after: Fraction
     mu_side_before: Fraction
     mu_side_after: Fraction
-    cert_verdict: str  # holds | failed | vacuous | inconclusive
+    cert_verdict: str  # quality.HOLDS, FAILED, VACUOUS or INCONCLUSIVE
     cert_rhs: object = None  # Interval (or None when vacuous)
 
     def to_json(self) -> dict:
@@ -514,12 +487,12 @@ def property_two_holds(
     return all(ok for *_, ok in property_two_report(system, edges, params))
 
 
+# peel certifies mu_after > rhs, the negation of certify_le(mu_after, rhs)
+_DROP_VERDICTS = {VIOLATED: HOLDS, HOLDS: FAILED, INCONCLUSIVE: INCONCLUSIVE}
+
+
 def peel(
-    system: PairSystem,
-    edges: Iterable[tuple[int, int]],
-    params: Params,
-    *,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
+    system: PairSystem, edges: Iterable[tuple[int, int]], params: Params
 ) -> PeelResult:
     """Remove vertices violating the proportional-neighborhood property
     until none remains.
@@ -577,24 +550,15 @@ def peel(
         mu_after = Fraction(e_after, den_e)
         ratio = Fraction(own[s], own_before)
         if ratio == 1:
-            verdict, rhs = "vacuous", None
+            verdict, rhs = VACUOUS, None
         elif ratio == 0:
-            verdict = HOLDS if mu_after > 0 else "failed"
+            verdict = HOLDS if mu_after > 0 else FAILED
             rhs = Interval.exact_zero(params.precision_bits)
         else:
-            prec = params.precision_bits
-            while True:
-                rhs = interval_eval(mu_before, [(const(ratio), inv_qp)], prec)
-                if rhs.hi_cmp(mu_after) < 0:
-                    verdict = HOLDS
-                    break
-                if rhs.lo_cmp(mu_after) >= 0:
-                    verdict = "failed"
-                    break
-                if prec * 2 > precision_cap:
-                    verdict = INCONCLUSIVE
-                    break
-                prec *= 2
+            drop, rhs, _ = certify_le(
+                mu_after, mu_before, [(const(ratio), inv_qp)], params.precision_bits
+            )
+            verdict = _DROP_VERDICTS[drop]
         trace.append(
             PeelStep(
                 step,

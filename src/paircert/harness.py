@@ -23,6 +23,8 @@ from .errors import DegenerateMeasure, InvalidParameter, PaircertError
 from .model import MultiplicativeFunction, PairSystem, WeightFunction
 from .quality import (
     HOLDS,
+    INCONCLUSIVE,
+    VACUOUS,
     VIOLATED,
     BoundReport,
     Params,
@@ -320,7 +322,7 @@ def load_instance(path: Union[str, Path]) -> tuple[PairSystem, Params]:
 @dataclass
 class InstanceOutcome:
     index: int
-    verdict: str  # holds | violated | inconclusive
+    verdict: str  # quality.HOLDS, VIOLATED or INCONCLUSIVE
     bound: BoundReport
     slice_failures: int = 0
     peel_ok: bool = True
@@ -378,11 +380,11 @@ def certify_instance(
             if not property_two_holds(system, peeled.edges, params):
                 outcome.peel_ok = False
             for st in peeled.trace:
-                if st.cert_verdict not in (HOLDS, "vacuous"):
+                if st.cert_verdict not in (HOLDS, VACUOUS):
                     outcome.peel_ok = False
             if peeled.edges:
                 rep = resolution_check(system, peeled.edges, conc.N, params)
-                if rep.verdict != "holds":
+                if rep.verdict != HOLDS:
                     outcome.resolution_ok = False
                     outcome.note = f"resolution: {rep.verdict}"
         except DegenerateMeasure:
@@ -420,9 +422,9 @@ class CampaignReport:
     def to_json(self) -> dict:
         return {
             "count": self.count,
-            "holds": self.holds,
-            "violated": self.violated,
-            "inconclusive": self.inconclusive,
+            HOLDS: self.holds,
+            VIOLATED: self.violated,
+            INCONCLUSIVE: self.inconclusive,
             "slice_identity_failures": self.slice_identity_failures,
             "peel_contract_failures": self.peel_contract_failures,
             "resolution_failures": self.resolution_failures,

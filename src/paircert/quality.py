@@ -3,8 +3,10 @@ construction, neighborhoods, and certified evaluation of the main bound
 
     mu(E) <= (100 e^C)^P (Log t)^{(e^{40C}-1)/2} (mu(V) mu(W) e^{-CK})^{1/2+eps}.
 
-The left side is an exact rational; the right side is a certified interval,
-and the verdict escalates precision until conclusive or a cap is reached.
+The left side is an exact rational; the right side is a certified interval.
+certify_le decides every such comparison in the package, doubling the
+precision until conclusive or DEFAULT_PRECISION_CAP = 2^14 bits is reached.
+Every verdict string of the package is defined here.
 """
 
 from __future__ import annotations
@@ -34,6 +36,32 @@ DEFAULT_PRECISION_CAP = 1 << 14
 HOLDS = "holds"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
+FAILED = "failed"
+VACUOUS = "vacuous"
+DEGENERATE_EMPTY = "degenerate-empty"
+PRECONDITION_FAILED = "precondition-failed"
+
+
+def certify_le(
+    lhs: Rational, base: Rational, factors, precision_bits: int
+) -> tuple[str, Interval, int]:
+    """Certified comparison lhs <= base * prod(expr^exponent) of factors.
+
+    Returns (verdict, enclosure, bits): HOLDS iff lhs <= enclosure.lo,
+    VIOLATED iff lhs > enclosure.hi, both at `bits`; otherwise the precision
+    doubles while it stays within DEFAULT_PRECISION_CAP, and the verdict is
+    INCONCLUSIVE at the last precision tried.
+    """
+    prec = precision_bits
+    while True:
+        enclosure = interval_eval(base, factors, prec)
+        if enclosure.lo_cmp(lhs) >= 0:
+            return HOLDS, enclosure, prec
+        if enclosure.hi_cmp(lhs) < 0:
+            return VIOLATED, enclosure, prec
+        if 2 * prec > DEFAULT_PRECISION_CAP:
+            return INCONCLUSIVE, enclosure, prec
+        prec *= 2
 
 
 @dataclass(frozen=True)
@@ -214,11 +242,12 @@ def _p_exponent(primes: Iterable[int], p0: int) -> int:
 
 @dataclass
 class BoundReport:
-    """Certified comparison lhs <= rhs of the main inequality.
+    """Certified comparison lhs <= rhs of the main inequality (certify_le).
 
-    verdict == holds    iff lhs <= rhs.lo   (certified true)
-    verdict == violated iff lhs >  rhs.hi   (certified false)
-    otherwise inconclusive at the precision cap.
+    verdict == HOLDS    iff lhs <= rhs.lo   (certified true)
+    verdict == VIOLATED iff lhs >  rhs.hi   (certified false)
+    otherwise INCONCLUSIVE at the last precision within DEFAULT_PRECISION_CAP
+    (2^14 bits).  precision_bits is the precision at which the verdict settled.
     """
 
     lhs: Fraction
@@ -264,7 +293,6 @@ def main_bound_check(
     params: Params,
     edges: Optional[frozenset] = None,
     *,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
     verify_preconditions: bool = False,
     witness: Optional[dict] = None,
 ) -> BoundReport:
@@ -297,13 +325,5 @@ def main_bound_check(
         rhs = Interval.exact_zero(params.precision_bits)
         verdict = HOLDS if lhs <= 0 else VIOLATED
         return BoundReport(lhs, rhs, verdict, params.precision_bits, p_exp, witness)
-    prec = params.precision_bits
-    while True:
-        rhs = interval_eval(Fraction(1), factors, prec)
-        if rhs.lo_cmp(lhs) >= 0:
-            return BoundReport(lhs, rhs, HOLDS, prec, p_exp, witness)
-        if rhs.hi_cmp(lhs) < 0:
-            return BoundReport(lhs, rhs, VIOLATED, prec, p_exp, witness)
-        if prec * 2 > precision_cap:
-            return BoundReport(lhs, rhs, INCONCLUSIVE, prec, p_exp, witness)
-        prec *= 2
+    verdict, rhs, bits = certify_le(lhs, 1, factors, params.precision_bits)
+    return BoundReport(lhs, rhs, verdict, bits, p_exp, witness)

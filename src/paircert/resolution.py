@@ -26,7 +26,16 @@ from .arith import (
 )
 from .errors import InvalidParameter, NotStructured
 from .model import PairSystem, mu_pairs
-from .quality import Params, d_value, omega_t, restrict
+from .quality import (
+    DEGENERATE_EMPTY,
+    HOLDS,
+    PRECONDITION_FAILED,
+    VIOLATED,
+    Params,
+    d_value,
+    omega_t,
+    restrict,
+)
 from .diagonal import adjacency, property_two_report
 
 _ZERO = Fraction(0)
@@ -211,7 +220,7 @@ def s_majorant_bridged(
 class ResolutionReport:
     """Outcome of the structured-set resolution checks.
 
-    verdict: holds | violated | precondition-failed | degenerate-empty.
+    verdict: quality.HOLDS, VIOLATED, PRECONDITION_FAILED or DEGENERATE_EMPTY.
     The squared inequality is a pure rational comparison; the majorant and
     the headline ratio are diagnostics.
     """
@@ -292,7 +301,7 @@ def resolution_check(
     witnesses: dict[str, object] = {}
     if not E:
         return ResolutionReport(
-            "degenerate-empty", {}, SSums(_ZERO, _ZERO, _ZERO, _ZERO, None),
+            DEGENERATE_EMPTY, {}, SSums(_ZERO, _ZERO, _ZERO, _ZERO, None),
             _ZERO, _ZERO, True, True, True, True,
         )
 
@@ -321,7 +330,7 @@ def resolution_check(
 
     if not all(pre.values()):
         return ResolutionReport(
-            "precondition-failed", pre, None, _ZERO, _ZERO,
+            PRECONDITION_FAILED, pre, None, _ZERO, _ZERO,
             False, False, False, False, witnesses,
         )
 
@@ -406,13 +415,8 @@ def resolution_check(
             Interval.from_fraction(mu_e, w).div(denom, w).round(params.precision_bits)
         )
 
-    structural_ok = (
-        reconstruction_ok and coprime_ok and four_factor_ok and pointwise_ok
-    )
-    if not structural_ok:
-        verdict = "violated"
-    else:
-        verdict = "holds" if lhs_sq <= rhs else "violated"
+    structural_ok = reconstruction_ok and coprime_ok and four_factor_ok and pointwise_ok
+    verdict = HOLDS if structural_ok and lhs_sq <= rhs else VIOLATED
     return ResolutionReport(
         verdict, pre, sums, lhs_sq, rhs,
         four_factor_ok, coprime_ok, reconstruction_ok, pointwise_ok,

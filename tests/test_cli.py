@@ -1,6 +1,7 @@
 """End-to-end CLI exercises over temp files."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from paircert.cli import main
 from paircert.harness import GeneratorConfig, canonical_json, load_instance, save_instance
 from paircert.model import PairSystem, TOTIENT, WeightFunction
-from paircert.quality import Params
+from paircert.quality import HOLDS, INCONCLUSIVE, VIOLATED, Params
 
 
 @pytest.fixture
@@ -55,6 +56,44 @@ def test_precision_override(instance_file, capsys):
     rc = main(["--precision", "64", "check", "--instance", str(instance_file)])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0 and doc["precision_bits"] >= 64
+
+
+@pytest.mark.parametrize("verdict, code", [(HOLDS, 0), (VIOLATED, 2), (INCONCLUSIVE, 3)])
+@pytest.mark.parametrize("command", ["check", "certify"], ids=["check", "certify-instance"])
+def test_single_verdict_exit_codes(monkeypatch, instance_file, capsys, command, verdict, code):
+    from paircert import cli
+
+    real = cli.main_bound_check
+    monkeypatch.setattr(
+        cli,
+        "main_bound_check",
+        lambda *args, **kwargs: replace(real(*args, **kwargs), verdict=verdict),
+    )
+    rc = main([command, "--instance", str(instance_file)])
+    assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+    assert rc == code
+
+
+@pytest.mark.parametrize("bits", ["0", "-5", "8", "15"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--instance", "{instance}"], ["anatomy", "mertens", "--t", "30"]],
+    ids=["check", "anatomy-mertens"],
+)
+def test_precision_below_16_exits_4_with_one_line(instance_file, capsys, bits, argv):
+    rc = main(["--precision", bits, *(a.format(instance=instance_file) for a in argv)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("paircert: InvalidParameter: ")
+
+
+def test_anatomy_mertens_precision(capsys):
+    for argv, bits in ((["--precision", "16"], 16), ([], 256)):
+        assert main([*argv, "anatomy", "mertens", "--t", "30"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ratio_to_log_power"]["precision_bits"] == bits
 
 
 def test_compress_verify(instance_file, capsys):

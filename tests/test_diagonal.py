@@ -19,7 +19,7 @@ from paircert.diagonal import (
 )
 from paircert.errors import DegenerateMeasure, InvalidParameter
 from paircert.model import MultiplicativeFunction, PairSystem, TOTIENT, WeightFunction, mu_pairs, mu_set
-from paircert.quality import HOLDS, VIOLATED, build_edge_set
+from paircert.quality import FAILED, HOLDS, INCONCLUSIVE, VIOLATED, build_edge_set
 from conftest import make_corpus, small_params
 
 
@@ -298,6 +298,24 @@ class TestPeel:
                 assert lhs > rhs
             checked += 1
         assert checked >= 20
+
+    @pytest.mark.parametrize(
+        "comparison, verdict",
+        [(VIOLATED, HOLDS), (HOLDS, FAILED), (INCONCLUSIVE, INCONCLUSIVE)],
+    )
+    def test_drop_verdict_negates_the_comparison(self, monkeypatch, comparison, verdict):
+        """A step certifies mu_after > rhs, so certify_le(mu_after, ...)
+        answering VIOLATED means the drop holds, and HOLDS means it failed."""
+        import paircert.diagonal as diagonal
+
+        real = diagonal.certify_le
+        monkeypatch.setattr(
+            diagonal, "certify_le", lambda *args: (comparison, *real(*args)[1:])
+        )
+        system, params = make_corpus(89, 2)[1]
+        trace = peel(system, system.edges, params).trace
+        assert trace and all(0 < st.mu_side_after < st.mu_side_before for st in trace)
+        assert {st.cert_verdict for st in trace} == {verdict}
 
     def test_zero_mass_vertex_steps_are_vacuous(self):
         f = MultiplicativeFunction(

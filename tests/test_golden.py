@@ -15,7 +15,11 @@ reports by `SliceIdentityReport.to_json()` at every prime of the support
 and every cell (i, j) in 0..2 x 0..2. The anatomy chains are pinned on the
 (t, gamma) grid for t <= 10^5: `mertens_product`, the dyadic enclosure of
 `ratio_to_log_power` and the count and divisor chain reports, with every
-rational in hex (str() refuses integers past 4300 digits).
+rational in hex (str() refuses integers past 4300 digits). The cell checks
+of `bilinear_check` and `decay_hypothesis_report` (with their exact dyadic
+bounds) and the decay report's lambda, c1 and tail-ratio verdicts are
+pinned at every prime of the support of the hand cases and of the first
+`CELL_CHECK_INSTANCES` instances of each generated mode.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ from paircert.diagonal import (
     DiagonalMeasure,
     _center_scan,
     _MassTable,
+    bilinear_check,
     concentrate,
+    decay_hypothesis_report,
     diagonal_measure,
     find_center,
     peel,
@@ -103,6 +109,13 @@ GOLDEN_SLICE_REPORTS = {
     "totient": "d3c0f2f1f5ee56ce9b6c29ebabeff41097ce3a732c1408f916943d9b513893d7",
     "random": "d33fb70f52fb30ec18c9dd1cd95f4d7f20a085a33f104613d89ab6b112cf9d0b",
     "hand": "adca7e51fe33189294abb61264e8d2726d75751df66e55fb319d6f18a35df3d0",
+}
+
+CELL_CHECK_INSTANCES = 8
+GOLDEN_CELL_CHECKS = {
+    "totient": "80a8a9dacf9fe9ff62d2455f27d9f285c60adeabb24d52c568629cd61da2ca82",
+    "random": "85f2f6c679feddc5a339c4508bf187fd26146167ecf6d1a6f16fb22ae8d2ece3",
+    "hand": "58f64ff08972bca1721cbe419740c9ab29d979e72493f2bf6d5df7ae8d5a6088",
 }
 
 # The anatomy grid: t, then per gamma the count chain's x and the divisor
@@ -189,11 +202,11 @@ def _hand_cases():
     return [(system, params) for system in cases]
 
 
-def _corpus(mode):
+def _corpus(mode, size=CORPUS_SIZE):
     if mode == "hand":
         return _hand_cases()
     cfg = GeneratorConfig(seed=SEEDS[mode], f_mode=mode)
-    return [generate_instance(cfg, i) for i in range(CORPUS_SIZE)]
+    return [generate_instance(cfg, i) for i in range(size)]
 
 
 def _exact_interval(iv):
@@ -305,6 +318,45 @@ def test_main_bound_digests(mode):
         for system, params in _corpus(mode)
     ]
     assert _digest(docs) == GOLDEN_MAIN_BOUND[mode]
+
+
+def _cells_doc(checks):
+    return [
+        [c.i, c.j, str(c.mass), c.verdict, _exact_interval(c.bound) or str(c.bound)]
+        for c in checks
+    ]
+
+
+def _cell_check_documents(system, params):
+    """Per prime of the support, the bilinear and decay cell checks and the
+    decay report's verdicts, or "degenerate" when mu(E) = 0."""
+    out = []
+    for p in system.primes:
+        try:
+            dm = diagonal_measure(system, system.edges, p)
+        except DegenerateMeasure:
+            out.append("degenerate")
+            continue
+        decay = decay_hypothesis_report(dm, params)
+        out.append(
+            {
+                "bilinear": _cells_doc(bilinear_check(dm, params)),
+                "decay": _cells_doc(decay.cell_checks),
+                "lambda_in_range": decay.lambda_in_range,
+                "c1_lower_ok": decay.c1_lower_ok,
+                "tail_ratio": _exact_interval(decay.tail_ratio),
+            }
+        )
+    return out
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_cell_check_digests(mode):
+    docs = [
+        _cell_check_documents(system, params)
+        for system, params in _corpus(mode, CELL_CHECK_INSTANCES)
+    ]
+    assert _digest(docs) == GOLDEN_CELL_CHECKS[mode]
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN))

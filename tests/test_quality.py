@@ -6,14 +6,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from paircert.arith import const
 from paircert.errors import InvalidParameter
 from paircert.model import PairSystem, TOTIENT, WeightFunction, mu_pairs
 from paircert.quality import (
     BoundReport,
+    DEFAULT_PRECISION_CAP,
     HOLDS,
+    INCONCLUSIVE,
+    VIOLATED,
     Params,
     build_edge_set,
     build_edge_set_bruteforce,
+    certify_le,
     d_value,
     main_bound_check,
     neighborhood,
@@ -236,6 +241,39 @@ class TestMainBound:
                 assert rep.rhs.lo_cmp(rep.lhs) >= 0
             elif rep.verdict == "violated":
                 assert rep.rhs.hi_cmp(rep.lhs) < 0
+
+
+class TestCertifyLe:
+    """lhs against sqrt(4): its enclosure never collapses to the point 2, so
+    a left side near 2 settles only once the enclosure is narrow enough."""
+
+    SQRT_FOUR = [(const(4), F(1, 2))]
+
+    @pytest.mark.parametrize(
+        "lhs, verdict, bits",
+        [
+            (F(1), HOLDS, 256),
+            (2 - F(1, 2**400), HOLDS, 512),
+            (2 + F(1, 2**3000), VIOLATED, 4096),
+        ],
+        ids=["far-below", "just-below", "just-above"],
+    )
+    def test_escalates_until_conclusive(self, lhs, verdict, bits):
+        got, enclosure, got_bits = certify_le(lhs, 1, self.SQRT_FOUR, 256)
+        assert (got, got_bits) == (verdict, bits)
+        if verdict == HOLDS:
+            assert enclosure.lo_cmp(lhs) >= 0
+        else:
+            assert enclosure.hi_cmp(lhs) < 0
+
+    def test_inconclusive_at_the_cap(self):
+        got, enclosure, bits = certify_le(F(2), 1, self.SQRT_FOUR, 256)
+        assert (got, bits) == (INCONCLUSIVE, DEFAULT_PRECISION_CAP)
+        assert enclosure.lo_cmp(2) < 0 < enclosure.hi_cmp(2)
+
+    def test_base_scales_the_product(self):
+        assert certify_le(F(3), 2, self.SQRT_FOUR, 256)[0] == HOLDS
+        assert certify_le(F(5), 2, self.SQRT_FOUR, 256)[0] == VIOLATED
 
 
 class TestScalingCovariance:
