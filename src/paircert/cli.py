@@ -5,8 +5,11 @@ also a slice-identity, peel-contract or resolution failure), 3 = an
 inconclusive verdict remained at the precision cap
 (quality.DEFAULT_PRECISION_CAP, 2^14 bits), 4 = an input or resource error
 (a malformed instance or generator config, a parameter outside its domain
-such as --precision below 16, a cap exceeded; any PaircertError), reported
-as one line on stderr.
+such as --precision below 16, --precision given to certify --campaign, a
+cap exceeded; any PaircertError), reported as one line on stderr.
+--precision overrides precision_bits in the params of every instance a
+command loads or gen writes; a campaign's instances take theirs from the
+generator.
 """
 
 from __future__ import annotations
@@ -71,11 +74,15 @@ def _emit(doc, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(args):
-    system, params = load_instance(args.instance)
+def _override(args, params):
     if args.precision is not None:
         params = replace(params, precision_bits=args.precision)
-    return system, params
+    return params
+
+
+def _load(args):
+    system, params = load_instance(args.instance)
+    return system, _override(args, params)
 
 
 def _interval_json(iv: Interval) -> dict:
@@ -89,7 +96,7 @@ def _interval_json(iv: Interval) -> dict:
 def _cmd_gen(args) -> int:
     config = GeneratorConfig.from_json(read_json(args.config))
     system, params = generate_instance(config, args.index)
-    doc = instance_document(system, params, auto_edges=args.auto_edges)
+    doc = instance_document(system, _override(args, params), auto_edges=args.auto_edges)
     Path(args.out).write_text(canonical_json(doc))
     return 0
 
@@ -232,10 +239,12 @@ def _cmd_anatomy(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.instance:
-        system, params = _load(args)
-        report = main_bound_check(system, params)
-        _emit(report.to_json(), args.out)
-        return _EXIT_CODES[report.verdict]
+        return _cmd_check(args)
+    if args.precision is not None:
+        raise InvalidParameter(
+            "certify --campaign takes precision_bits from the generator "
+            "config's params, not from --precision"
+        )
     config = GeneratorConfig.from_json(read_json(args.campaign))
     report = certify_campaign(config, args.count, out_dir=args.out_dir)
     _emit(report.to_json(), args.out)
@@ -337,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None, help="witness directory")
     p.add_argument("--csv", default=None, help="per-instance CSV rows")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_certify)
+    p.set_defaults(func=_cmd_certify, verify=False)
     return parser
 
 

@@ -103,6 +103,16 @@ def slice_system(system: PairSystem, p: int, i: int, j: int) -> Slice:
     return Slice(p, i, j, tilde, v_cell, w_cell)
 
 
+def _edgewise(name, edges, left, right) -> IdentityCheck:
+    """HOLDS iff left(v, w) == right(v, w) on every edge, else FAILED with
+    both sides at the first mismatching edge in sorted order."""
+    for v, w in sorted(edges):
+        lhs, rhs = left(v, w), right(v, w)
+        if lhs != rhs:
+            return IdentityCheck(name, FAILED, lhs, rhs, f"at slice edge ({v},{w})")
+    return IdentityCheck(name, HOLDS)
+
+
 def verify_slice_identities(
     source: PairSystem, s: Slice, t: Rational
 ) -> SliceIdentityReport:
@@ -169,47 +179,25 @@ def verify_slice_identities(
         )
 
     # (d) quality preserved edgewise
-    bad_d = None
-    for v, w in sorted(s.tilde.edges):
-        left = d_value(v, w, s.tilde.psi, s.tilde.theta)
-        right = d_value(pi * v, pj * w, source.psi, source.theta)
-        if left != right:
-            bad_d = (v, w, left, right)
-            break
-    if bad_d is None:
-        report.checks.append(IdentityCheck("d:quality", HOLDS))
-    else:
-        report.checks.append(
-            IdentityCheck(
-                "d:quality",
-                FAILED,
-                bad_d[2],
-                bad_d[3],
-                f"at slice edge ({bad_d[0]},{bad_d[1]})",
-            )
+    report.checks.append(
+        _edgewise(
+            "d:quality",
+            s.tilde.edges,
+            lambda v, w: d_value(v, w, s.tilde.psi, s.tilde.theta),
+            lambda v, w: d_value(pi * v, pj * w, source.psi, source.theta),
         )
+    )
 
     # (e) omega bookkeeping: drop of exactly [i != j and p <= t]
-    drop = 1 if (i != j and p <= t) else 0
-    bad_e = None
-    for v, w in sorted(s.tilde.edges):
-        left = omega_t(v, w, t)
-        right = omega_t(pi * v, pj * w, t) - drop
-        if left != right:
-            bad_e = (v, w, left, right)
-            break
-    if bad_e is None:
-        report.checks.append(IdentityCheck("e:omega-shift", HOLDS))
-    else:
-        report.checks.append(
-            IdentityCheck(
-                "e:omega-shift",
-                FAILED,
-                bad_e[2],
-                bad_e[3],
-                f"at slice edge ({bad_e[0]},{bad_e[1]})",
-            )
+    drop = slice_k_shift(s, t)
+    report.checks.append(
+        _edgewise(
+            "e:omega-shift",
+            s.tilde.edges,
+            lambda v, w: omega_t(v, w, t),
+            lambda v, w: omega_t(pi * v, pj * w, t) - drop,
         )
+    )
 
     # (f) slice prime support avoids p and stays inside the source support
     ps_slice = set(s.tilde.primes)

@@ -32,14 +32,12 @@ from .quality import (
     PRECONDITION_FAILED,
     VIOLATED,
     Params,
-    d_value,
-    omega_t,
+    build_edge_set,
     restrict,
 )
 from .diagonal import adjacency, property_two_report
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def decompose(v: int, N: int) -> tuple[int, int]:
@@ -97,17 +95,13 @@ class Decomposition:
     N: int
     v_parts: dict[int, tuple[int, int]]  # v -> (v_minus, v_plus)
     w_parts: dict[int, tuple[int, int]]
-    n_coprime_v: dict[int, int]  # v -> N_{v+}
-    n_coprime_w: dict[int, int]
 
 
 def build_decomposition(edges: Iterable[tuple[int, int]], N: int) -> Decomposition:
     vs, ws = restrict(edges)
-    v_parts = {v: decompose(v, N) for v in vs}
-    w_parts = {w: decompose(w, N) for w in ws}
-    n_co_v = {v: coprime_part(N, plus) for v, (_, plus) in v_parts.items()}
-    n_co_w = {w: coprime_part(N, plus) for w, (_, plus) in w_parts.items()}
-    return Decomposition(N, v_parts, w_parts, n_co_v, n_co_w)
+    return Decomposition(
+        N, {v: decompose(v, N) for v in vs}, {w: decompose(w, N) for w in ws}
+    )
 
 
 @dataclass
@@ -148,9 +142,14 @@ def s_sums(
     E = frozenset(edges)
     if not E:
         return SSums(_ZERO, _ZERO, _ZERO, _ZERO, None)
-    dec = build_decomposition(E, N)
+    return _s_sums(system, build_decomposition(E, N), adjacency(E)[1], t, K)
+
+
+def _s_sums(
+    system: PairSystem, dec: Decomposition, w_adj: dict, t: Rational, K: Rational
+) -> SSums:
+    """s_sums from a nonempty edge set's decomposition and w -> Gamma(w) map."""
     quarter = Fraction(K) / 4
-    w_adj = adjacency(E)[1]
 
     def passes(part: int) -> bool:
         return small_prime_divisor_count(part, t) >= quarter
@@ -292,7 +291,9 @@ def resolution_check(
 
     Preconditions (each reported with a witness on failure): the shape
     condition at every prime, the proportional-neighborhood property at
-    every vertex, and containment in the (t, K) edge set.  With these in
+    every vertex, and containment in build_edge_set's (t, K) edge set (the
+    test of main_bound_check(verify_preconditions=True); the witness is the
+    least stray edge).  With these in
     place the squared inequality is a theorem; a violation would be a
     reportable mathematical event, not a tolerance issue.
     """
@@ -317,16 +318,10 @@ def resolution_check(
     if bad_p2:
         witnesses["combinatorial"] = bad_p2[0]
 
-    containment_wit = None
-    for v, w in sorted(E):
-        if d_value(v, w, system.psi, system.theta) > 1 or omega_t(
-            v, w, params.t
-        ) < params.K:
-            containment_wit = (v, w)
-            break
-    pre["containment"] = containment_wit is None
-    if containment_wit:
-        witnesses["containment"] = containment_wit
+    stray = E - build_edge_set(system.psi, system.theta, params.t, params.K)
+    pre["containment"] = not stray
+    if stray:
+        witnesses["containment"] = min(stray)
 
     if not all(pre.values()):
         return ResolutionReport(
@@ -335,6 +330,7 @@ def resolution_check(
         )
 
     dec = build_decomposition(E, N)
+    w_adj = adjacency(E)[1]
 
     reconstruction_ok = True
     for parts, side in ((dec.v_parts, "v"), (dec.w_parts, "w")):
@@ -364,8 +360,7 @@ def resolution_check(
             pointwise_ok = False
             witnesses.setdefault("pointwise", (v, w))
 
-    sums = s_sums(system, E, N, params.t, params.K)
-    w_adj = adjacency(E)[1]
+    sums = _s_sums(system, dec, w_adj, params.t, params.K)
     # extremal pointwise bounds: psi(v) <= 1/(v- w0+) on Gamma(w0),
     # theta(w) <= 1/(v0+(w) w-) on all of W'
     w0 = sums.w0

@@ -44,6 +44,23 @@ def test_gen_then_edges(tmp_path, config_file, capsys):
     assert doc["edges"] == [list(e) for e in system.canonical_edges()]
 
 
+def test_gen_writes_the_precision_override(tmp_path, config_file):
+    out = tmp_path / "inst.json"
+    for argv, bits in ((["--precision", "512"], 512), ([], 256)):
+        assert main([*argv, "gen", "--config", str(config_file), "--out", str(out)]) == 0
+        assert load_instance(out)[1].precision_bits == bits
+
+
+def test_certify_campaign_rejects_precision(tmp_path, config_file, capsys):
+    argv = ["certify", "--campaign", str(config_file), "--count", "1"]
+    assert main(["--precision", "512", *argv, "--out-dir", str(tmp_path / "wit")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "wit").exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("paircert: InvalidParameter: ")
+    assert "--precision" in lines[0]
+
+
 def test_check_exit_code_and_document(instance_file, capsys):
     rc = main(["check", "--instance", str(instance_file), "--verify"])
     doc = json.loads(capsys.readouterr().out)

@@ -177,3 +177,16 @@ class TestContainmentAndCommutation:
             assert dict(a.tilde.theta.items()) == dict(b.tilde.theta.items())
             done += 1
         assert done >= 10
+
+
+def test_edgewise_checks_report_the_mismatching_edge():
+    """A slice that is not the source's: (d) and (e) fail at its edge."""
+    half = WeightFunction({2: F(1, 2)})
+    source = PairSystem(half, half, TOTIENT, TOTIENT, {(2, 2)})
+    tilde = PairSystem(half, WeightFunction({1: F(1)}), TOTIENT, TOTIENT, {(2, 1)})
+    rep = verify_slice_identities(source, Slice(2, 0, 1, tilde, frozenset(), frozenset()), 10)
+    checks = {c.name: c for c in rep.failures()}
+    assert (checks["d:quality"].lhs, checks["d:quality"].rhs) == (2, F(1, 2))
+    # omega_10(2, 1) = 1, omega_10(2, 2) - 1 = -1
+    assert (checks["e:omega-shift"].lhs, checks["e:omega-shift"].rhs) == (1, -1)
+    assert checks["d:quality"].detail == checks["e:omega-shift"].detail == "at slice edge (2,1)"

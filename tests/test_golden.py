@@ -19,7 +19,10 @@ rational in hex (str() refuses integers past 4300 digits). The cell checks
 of `bilinear_check` and `decay_hypothesis_report` (with their exact dyadic
 bounds) and the decay report's lambda, c1 and tail-ratio verdicts are
 pinned at every prime of the support of the hand cases and of the first
-`CELL_CHECK_INSTANCES` instances of each generated mode.
+`CELL_CHECK_INSTANCES` instances of each generated mode. `resolution_check`
+is also pinned on each instance's full edge set and on its concentrated E*,
+where it mostly stops at a failed precondition: those digests cover the
+structured, combinatorial and containment witnesses.
 """
 
 from __future__ import annotations
@@ -116,6 +119,12 @@ GOLDEN_CELL_CHECKS = {
     "totient": "80a8a9dacf9fe9ff62d2455f27d9f285c60adeabb24d52c568629cd61da2ca82",
     "random": "85f2f6c679feddc5a339c4508bf187fd26146167ecf6d1a6f16fb22ae8d2ece3",
     "hand": "58f64ff08972bca1721cbe419740c9ab29d979e72493f2bf6d5df7ae8d5a6088",
+}
+
+GOLDEN_RESOLUTION_PRECONDITIONS = {
+    "totient": "005b5157d8f85bd65835ea4fad7d1975ab84c10cc7e48c9e06de2fde297ec301",
+    "random": "3bb8fd8047470aab02913190b6747088edbe6a0503f0ce72a418b5fb3e299bd9",
+    "hand": "73f107b6669c70663067571a993a27f97c09f871b90974cee3d78708f0b40c8f",
 }
 
 # The anatomy grid: t, then per gamma the count chain's x and the divisor
@@ -278,6 +287,30 @@ def _digest(doc) -> str:
 def test_golden_digests(mode):
     docs = _stage_documents(mode)
     assert {stage: _digest(doc) for stage, doc in docs.items()} == GOLDEN[mode]
+
+
+def _precondition_documents(mode):
+    """resolution_check on E and on E*, or "degenerate" when mu(E) = 0."""
+    docs = []
+    for system, params in _corpus(mode):
+        try:
+            conc = concentrate(system, system.edges, params)
+        except DegenerateMeasure:
+            docs.append("degenerate")
+            continue
+        docs.append(
+            [
+                resolution_check(system, edges, conc.N, params).to_json()
+                for edges in (system.edges, conc.edges_star)
+            ]
+        )
+    return docs
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_resolution_precondition_digests(mode):
+    docs = _precondition_documents(mode)
+    assert _digest(docs) == GOLDEN_RESOLUTION_PRECONDITIONS[mode]
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN))

@@ -10,9 +10,9 @@ import pytest
 from paircert.anatomy import small_prime_divisor_count
 from paircert.arith import Interval
 from paircert.diagonal import concentrate, peel
-from paircert.errors import NotStructured
+from paircert.errors import InvalidParameter, NotStructured
 from paircert.model import PairSystem, TOTIENT, WeightFunction, mu_pairs
-from paircert.quality import build_edge_set, omega_t, restrict
+from paircert.quality import build_edge_set, main_bound_check, omega_t, restrict
 from paircert.resolution import (
     SSums,
     build_decomposition,
@@ -184,6 +184,47 @@ class TestResolutionCheck:
         rep = resolution_check(sys_, E, 1, small_params())
         assert rep.verdict == "precondition-failed"
         assert rep.preconditions["combinatorial"] is False
+
+    def test_off_support_edge_fails_containment(self):
+        # 4 is outside supp psi, so build_edge_set never returns (4, 2)
+        psi = WeightFunction({2: F(1, 2)})
+        sys_ = PairSystem(psi, psi, TOTIENT, TOTIENT)
+        params = small_params(t=F(1), K=F(0))
+        E = frozenset({(4, 2)})
+        assert build_edge_set(psi, psi, params.t, params.K) == {(2, 2)}
+        rep = resolution_check(sys_, E, 2, params)
+        assert rep.verdict == "precondition-failed"
+        assert rep.preconditions["containment"] is False
+        assert rep.witnesses["containment"] == (4, 2)
+        with pytest.raises(InvalidParameter, match=r"e\.g\. \(4, 2\)"):
+            main_bound_check(sys_, params, E, verify_preconditions=True)
+
+    def test_containment_agrees_with_main_bound(self):
+        """containment fails exactly when main_bound_check's verified
+        preconditions reject the edge set, on corpus subsets mixed with
+        pairs off the supports and pairs failing the quality filter."""
+        rng = random.Random(20251018)
+        outcomes = set()
+        for system, params in make_corpus(231, 12) + make_corpus(233, 6, f_mode="random"):
+            vs, ws = sorted(system.psi.support()), sorted(system.theta.support())
+            edges = sorted(system.edges)
+            for _ in range(6):
+                E = set(rng.sample(edges, rng.randint(0, len(edges))))
+                for _ in range(rng.randint(0, 2)):
+                    v, w = rng.choice(vs), rng.choice(ws)
+                    E.add(rng.choice([(v, w), (2 * v, w), (v, 3 * w)]))
+                if not E:
+                    continue
+                rep = resolution_check(system, E, 1, params)
+                try:
+                    main_bound_check(system, params, E, verify_preconditions=True)
+                    rejected = False
+                except InvalidParameter as exc:
+                    assert "outside the (t, K) edge set" in str(exc)
+                    rejected = True
+                assert rep.preconditions["containment"] is not rejected, sorted(E)
+                outcomes.add(rejected)
+        assert outcomes == {True, False}
 
     def test_corpus_holds(self):
         checked = 0
