@@ -39,14 +39,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _floor(x: Rational) -> int:
-    x = Fraction(x)
-    return x.numerator // x.denominator
-
-
 def small_prime_divisor_count(n: int, t: Rational) -> int:
     """omega_t(n) = #{p <= t : p | n} (the single-integer anatomy count)."""
-    bound = _floor(Fraction(t))
+    bound = math.floor(t)
     if bound < 2:
         return 0
     return sum(1 for p, _ in factorize(n) if p <= bound)
@@ -73,7 +68,7 @@ def _omega_histogram(x: int, t: Rational) -> list[int]:
     The c taken are 0, 1, ..., max: c of the small primes of n multiply to
     at most n. So the counts stop at the first empty bucket.
     """
-    counts = _omega_counts(x, _floor(Fraction(t)))
+    counts = _omega_counts(x, math.floor(t))
     hist = [0]
     while reps := counts.count(len(hist)):
         hist.append(reps)
@@ -87,7 +82,7 @@ def count_many_small_primes(x: Rational, t: Rational, K: Rational) -> int:
         raise InvalidParameter(f"count requires x >= 1, got {x}")
     if t < 1:
         raise InvalidParameter(f"count requires t >= 1, got {t}")
-    xi = _floor(x)
+    xi = math.floor(x)
     if xi > ENUMERATION_CAP:
         raise ResourceLimit(f"enumeration bound {xi} exceeds cap {ENUMERATION_CAP}")
     K = Fraction(K)
@@ -105,7 +100,7 @@ def rankin_sum(x: Rational, t: Rational, gamma: Rational) -> Fraction:
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise InvalidParameter(f"gamma must be positive, got {gamma}")
-    xi = _floor(x)
+    xi = math.floor(x)
     if xi > ENUMERATION_CAP:
         raise ResourceLimit(f"enumeration bound {xi} exceeds cap {ENUMERATION_CAP}")
     total = _ZERO
@@ -128,7 +123,7 @@ def divisor_anatomy_sum(
     if M < 1:
         raise InvalidParameter(f"M must be >= 1, got {M}")
     need = math.ceil(Fraction(K))  # an integer count is >= K iff >= ceil(K)
-    bound = _floor(Fraction(t))
+    bound = math.floor(t)
     fac = factorize(M)
     divs = [(1, 0, ())]  # (m, omega_t(m), exponents of m along fac)
     for p, e in fac:
@@ -175,7 +170,7 @@ def rankin_divisor_product(
         p >  t:  (1*f)(p^v)
     """
     gamma = Fraction(gamma)
-    bound = _floor(Fraction(t))
+    bound = math.floor(t)
     out = _ONE
     for p, e in factorize(M):
         full = f.one_star_prime_power(p, e)
@@ -200,7 +195,7 @@ def divisor_anatomy_bound(
     if gamma <= 1:
         raise InvalidParameter(f"gamma must exceed 1, got {gamma}")
     K = Fraction(K)
-    bound = _floor(Fraction(t))
+    bound = math.floor(t)
     a, b = gamma.numerator, gamma.denominator
     num, den = M, 1  # 1 + (gamma - 1)/p = (p b + a - b)/(p b)
     for p, _ in factorize(M):
@@ -366,7 +361,7 @@ def count_chain_report(
     exact = Fraction(count_many_small_primes(x, t, K))
     scale = gamma ** (-K.numerator)
     rank = scale * rankin_sum(x, t, gamma)
-    mert = scale * _floor(Fraction(x)) * mertens_product(t, gamma)
+    mert = scale * math.floor(x) * mertens_product(t, gamma)
     return AnatomyReport(exact, rank, mert, gamma)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import floor, isqrt
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -76,17 +76,11 @@ def _ensure_sieve(limit: int) -> None:
     _primes = [i for i, flag in enumerate(sieve) if flag]
 
 
-def _floor_rational(x: Rational) -> int:
-    if isinstance(x, int):
-        return x
-    return x.numerator // x.denominator
-
-
 def primes_upto(t: Rational) -> list[int]:
     """Ascending list of primes p <= t.  Requires t >= 1."""
     if t < 1:
         raise InvalidParameter(f"primes_upto requires t >= 1, got {t}")
-    bound = _floor_rational(Fraction(t))
+    bound = floor(t)
     if bound < 2:
         return []
     _ensure_sieve(bound)
@@ -330,21 +324,7 @@ def _dy_div(a: Dyadic, b: Dyadic, prec: int, rnd: int) -> Dyadic:
 
 
 def _dy_cmp(a: Dyadic, b: Dyadic) -> int:
-    sa, sb = a.sign, b.sign
-    if sa != sb:
-        return -1 if sa < sb else 1
-    if sa == 0:
-        return 0
-    pa, pb = a.mag_bits, b.mag_bits
-    if pa != pb:
-        bigger_abs = 1 if pa > pb else -1
-        return bigger_abs * sa
-    shift = a.exp - b.exp  # |shift| <= max mantissa bits here
-    if shift >= 0:
-        x, y = a.man << shift, b.man
-    else:
-        x, y = a.man, b.man << -shift
-    return (x > y) - (x < y)
+    return _me_cmp((a.man, a.exp), (b.man, b.exp))
 
 
 def _dy_cmp_fraction(a: Dyadic, x: Rational) -> int:

@@ -11,9 +11,17 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional
 
-from .arith import Interval, compare_power, const, exp_of, interval_eval, is_prime
+from .arith import (
+    Interval,
+    compare_power,
+    const,
+    dyadic_str,
+    exp_of,
+    interval_eval,
+    is_prime,
+)
 from .errors import DegenerateMeasure, InvalidParameter
-from .model import PairSystem, SideMasses, edge_mass, mu_pairs
+from .model import PairSystem, SideMasses, edge_mass
 from .quality import (
     DEFAULT_PRECISION_CAP,
     FAILED,
@@ -23,6 +31,7 @@ from .quality import (
     VIOLATED,
     Params,
     certify_le,
+    restrict,
 )
 
 _ZERO = Fraction(0)
@@ -358,9 +367,9 @@ def concentrate(
     integers, and the center is find_center's exhaustive tail scan run on
     the integer cells themselves, with no DiagonalMeasure built; a tied
     k = -1 is clamped to 0 (same tail, keeps N integral).  E* keeps the
-    edges with |nu_p(v/N)| + |nu_p(w/N)| <= 1 at every prime, read off the
-    vertex factorizations, and removed_fraction is (mu(E) - mu(E*)) / mu(E)
-    in exact integers.
+    edges with |nu_p(v/N)| + |nu_p(w/N)| <= 1 at every prime, off the
+    support too, read off the vertex factorizations (_shape_violation),
+    and removed_fraction is (mu(E) - mu(E*)) / mu(E) in exact integers.
     """
     E = frozenset(edges)
     table = _MassTable(system, E)
@@ -374,23 +383,35 @@ def concentrate(
         centers[p] = k
         N *= p**k
     V, W = table.V, table.W
-    positive = {p for p, k in centers.items() if k}
-
-    def near_center(v: int, w: int) -> bool:
-        # a center prime dividing neither v nor w adds 2 k_p, so it
-        # removes the edge exactly when k_p > 0; a prime outside the
-        # support (only an off-support vertex has one) is not tested
-        nv, nw = V.exponents(v), W.exponents(w)
-        divides = nv.keys() | nw.keys()
-        return positive <= divides and all(
-            abs(nv.get(p, 0) - centers[p]) + abs(nw.get(p, 0) - centers[p]) <= 1
-            for p in divides
-            if p in centers
-        )
-
-    star = frozenset(e for e in E if near_center(*e))
+    nu_n = {p: k for p, k in centers.items() if k}
+    vs, ws = restrict(E)
+    off_v = {v: _offsets(V.exponents(v), nu_n) for v in vs}
+    off_w = {w: _offsets(W.exponents(w), nu_n) for w in ws}
+    star = frozenset(
+        (v, w) for v, w in E if _shape_violation(off_v[v], off_w[w]) is None
+    )
     removed = Fraction(table.total - edge_mass(V, W, star), table.total)
     return ConcentrateResult(N, star, removed, centers)
+
+
+def _offsets(nu: dict[int, int], nu_n: dict[int, int]) -> dict[int, int]:
+    """{p: nu_p(x/N)} at the primes where it is nonzero, from the
+    factorizations nu of x and nu_n of N."""
+    out = {p: e - nu_n.get(p, 0) for p, e in nu.items()}
+    out.update((p, -k) for p, k in nu_n.items() if p not in nu)
+    return {p: d for p, d in out.items() if d}
+
+
+def _shape_violation(off_v: dict[int, int], off_w: dict[int, int]) -> Optional[int]:
+    """The least prime p with |nu_p(v/N)| + |nu_p(w/N)| > 1, from the
+    offsets of v and w, or None when the pair has the shape at every
+    prime.  With an empty off_w it tests |nu_p(v/N)| <= 1 alone."""
+    bad = (
+        p
+        for p in off_v.keys() | off_w.keys()
+        if abs(off_v.get(p, 0)) + abs(off_w.get(p, 0)) > 1
+    )
+    return min(bad, default=None)
 
 
 @dataclass
@@ -406,8 +427,6 @@ class PeelStep:
     cert_rhs: object = None  # Interval (or None when vacuous)
 
     def to_json(self) -> dict:
-        from .arith import dyadic_str
-
         rhs = None
         if isinstance(self.cert_rhs, Interval):
             rhs = [dyadic_str(self.cert_rhs.lo, 20), dyadic_str(self.cert_rhs.hi, 20)]
@@ -444,16 +463,26 @@ def adjacency(E: frozenset[tuple[int, int]]):
     return v_adj, w_adj
 
 
-def _neighborhood_masses(sides: tuple[SideMasses, SideMasses], adj):
-    """Per side s, as integers: gamma[s][x] = mu(Gamma(x)) times the other
-    side's den, and own[s] = mu(side-s vertices with an edge) times side
-    s's den."""
+def _neighborhood_masses(sides: tuple[SideMasses, SideMasses], E):
+    """The adjacency maps of E and, as integers, per side s: gamma[s][x] =
+    mu(Gamma(x)) times the other side's den and own[s] = mu(side-s
+    vertices with an edge) times side s's den; then mu(E) times both
+    dens."""
+    adj = adjacency(E)
     gamma = [
         {x: sum(sides[1 - s].num.get(y, 0) for y in ys) for x, ys in adj[s].items()}
         for s in (0, 1)
     ]
     own = [sum(sides[s].num.get(x, 0) for x in adj[s]) for s in (0, 1)]
-    return gamma, own
+    mu_e = sum(sides[0].num.get(v, 0) * g for v, g in gamma[0].items())
+    return adj, gamma, own, mu_e
+
+
+def _below_share(gamma: int, own: int, mu_e: int, inv_qp: Fraction) -> bool:
+    """Whether x violates property two, mu(Gamma(x)) < (1/q') mu(E) /
+    mu(own side), on the integers of _neighborhood_masses: b gamma own <
+    a mu_e with 1/q' = a/b (never when mu(E) = 0)."""
+    return inv_qp.denominator * gamma * own < inv_qp.numerator * mu_e
 
 
 def property_two_report(
@@ -461,23 +490,24 @@ def property_two_report(
 ) -> list[tuple[str, int, Fraction, Fraction, bool]]:
     """Exact (side, vertex, neighborhood mass, threshold, ok) rows.
 
-    ok means mu(Gamma(x)) >= (1/q') mu(E) / mu(own side).
+    ok means mu(Gamma(x)) >= (1/q') mu(E) / mu(own side), decided by
+    _below_share, the test peel removes vertices by.
     """
     E = frozenset(edges)
     rows = []
     if not E:
         return rows
     sides = system.masses
-    adj = adjacency(E)
-    gamma, own = _neighborhood_masses(sides, adj)
-    mu_e = mu_pairs(system, E)
+    adj, gamma, own, mu_e = _neighborhood_masses(sides, E)
     inv_qp = 1 / params.q_prime
+    thr_e = inv_qp * Fraction(mu_e, sides[0].den * sides[1].den)
     for s in (0, 1):
         mu_own = Fraction(own[s], sides[s].den)
-        thr = inv_qp * mu_e / mu_own if mu_own > 0 else _ZERO
+        thr = thr_e / mu_own if mu_own > 0 else _ZERO
         for x in sorted(adj[s]):
-            mass = Fraction(gamma[s][x], sides[1 - s].den)
-            rows.append(("vw"[s], x, mass, thr, mass >= thr))
+            g = gamma[s][x]
+            ok = not _below_share(g, own[s], mu_e, inv_qp)
+            rows.append(("vw"[s], x, Fraction(g, sides[1 - s].den), thr, ok))
     return rows
 
 
@@ -512,25 +542,18 @@ def peel(
     if not E:
         return PeelResult(E, trace)
     inv_qp = 1 / params.q_prime
-    a, b = inv_qp.numerator, inv_qp.denominator
     sides = system.masses
     den_e = sides[0].den * sides[1].den
-    adj = adjacency(E)
-    gamma, own = _neighborhood_masses(sides, adj)
-    mu_e = sum(sides[0].num.get(v, 0) * g for v, g in gamma[0].items())
+    adj, gamma, own, mu_e = _neighborhood_masses(sides, E)
     max_steps = len(adj[0]) + len(adj[1])
     step = 0
     while adj[0]:
-        if mu_e == 0:
-            break  # thresholds vanish; property holds vacuously
-        # x violates iff mu(Gamma(x)) < (1/q') mu(E) / mu(own side); in these
-        # integers both sides read b gamma own < a mu_e, and the ratio to
-        # rank by is gamma own / mu_e
+        # the ratio to rank by is gamma own / mu_e; mu(E) = 0 leaves none
         candidates = [
             (g * own[s], s, x)
             for s in (0, 1)
             for x, g in gamma[s].items()
-            if b * g * own[s] < a * mu_e
+            if _below_share(g, own[s], mu_e, inv_qp)
         ]
         if not candidates:
             break

@@ -438,7 +438,6 @@ def certify_campaign(
     count: int,
     out_dir: Optional[Union[str, Path]] = None,
     *,
-    slice_spots: int = 3,
     keep_rows: bool = True,
 ) -> CampaignReport:
     """Generate `count` instances and certify each; any non-clean outcome
@@ -453,9 +452,7 @@ def certify_campaign(
     for index in range(count):
         system, params = generate_instance(config, index)
         rng = random.Random((config.seed << 32) + (index << 8) + 1)
-        outcome = certify_instance(
-            system, params, rng=rng, slice_spots=slice_spots, index=index
-        )
+        outcome = certify_instance(system, params, rng=rng, index=index)
         if outcome.verdict == HOLDS:
             report.holds += 1
         elif outcome.verdict == VIOLATED:

@@ -16,16 +16,17 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Iterable, Optional
 
+from .anatomy import small_prime_divisor_count
 from .arith import (
     Interval,
     Rational,
     const,
+    dyadic_str,
     exp_of,
     factorize,
     interval_eval,
     log_of,
     primes_upto,
-    prime_divisors,
     valuation,
 )
 from .errors import InvalidParameter
@@ -137,17 +138,13 @@ def omega_t(v: int, w: int, t: Rational, literal_lcm: bool = False) -> int:
     """
     if t < 1:
         raise InvalidParameter(f"omega_t requires t >= 1, got {t}")
-    bound = floor(t)
-    if bound < 2:
-        return 0
-    if literal_lcm:
-        ps = set(prime_divisors(v)) | set(prime_divisors(w))
-        return sum(1 for p in ps if p <= bound)
     g = gcd(v, w)
-    a, b = v // g, w // g  # coprime
-    count = sum(1 for p in prime_divisors(a) if p <= bound)
-    count += sum(1 for p in prime_divisors(b) if p <= bound)
-    return count
+    count = small_prime_divisor_count
+    if literal_lcm:
+        # the primes of lcm(v, w) are those of v or of w, and those of both
+        # divide g; lcm itself can be past what factorize accepts
+        return count(v, t) + count(w, t) - count(g, t)
+    return count(v // g, t) + count(w // g, t)
 
 
 def build_edge_set(
@@ -255,11 +252,8 @@ class BoundReport:
     verdict: str
     precision_bits: int
     p_exponent: int
-    witness: Optional[dict] = None
 
     def to_json(self) -> dict:
-        from .arith import dyadic_str
-
         return {
             "lhs": str(self.lhs),
             "rhs_lo": dyadic_str(self.rhs.lo, 20),
@@ -294,7 +288,6 @@ def main_bound_check(
     edges: Optional[frozenset] = None,
     *,
     verify_preconditions: bool = False,
-    witness: Optional[dict] = None,
 ) -> BoundReport:
     """Certified check of the main inequality for E inside the edge set."""
     E = system.edges if edges is None else frozenset(edges)
@@ -324,6 +317,6 @@ def main_bound_check(
         # mu(V) mu(W) = 0 forces lhs = 0; the bound degenerates to 0 <= 0
         rhs = Interval.exact_zero(params.precision_bits)
         verdict = HOLDS if lhs <= 0 else VIOLATED
-        return BoundReport(lhs, rhs, verdict, params.precision_bits, p_exp, witness)
+        return BoundReport(lhs, rhs, verdict, params.precision_bits, p_exp)
     verdict, rhs, bits = certify_le(lhs, 1, factors, params.precision_bits)
-    return BoundReport(lhs, rhs, verdict, bits, p_exp, witness)
+    return BoundReport(lhs, rhs, verdict, bits, p_exp)

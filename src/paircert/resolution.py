@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Optional, Union
 
 from .anatomy import mertens_product, small_prime_divisor_count
@@ -18,6 +18,7 @@ from .arith import (
     Interval,
     Rational,
     const,
+    dyadic_str,
     exp_of,
     factorize,
     interval_eval,
@@ -35,7 +36,7 @@ from .quality import (
     build_edge_set,
     restrict,
 )
-from .diagonal import adjacency, property_two_report
+from .diagonal import _offsets, _shape_violation, adjacency, property_two_report
 
 _ZERO = Fraction(0)
 
@@ -48,19 +49,22 @@ def decompose(v: int, N: int) -> tuple[int, int]:
     """
     if v < 1 or N < 1:
         raise InvalidParameter("decompose needs positive integers")
-    minus = plus = 1
-    nu_v, nu_n = dict(factorize(v)), dict(factorize(N))
-    for p in sorted(nu_v.keys() | nu_n.keys()):
-        d = nu_v.get(p, 0) - nu_n.get(p, 0)
-        if d == 0:
-            continue
-        if d == 1:
-            plus *= p
-        elif d == -1:
-            minus *= p
-        else:
-            raise NotStructured(f"|nu_{p}({v}/{N})| = {abs(d)} > 1")
-    return minus, plus
+    return _parts(v, N, _offset_map([v], N)[v])
+
+
+def _offset_map(xs: Iterable[int], N: int) -> dict[int, dict[int, int]]:
+    """x -> {p: nu_p(x/N)} at the primes where it is nonzero."""
+    nu_n = dict(factorize(N))
+    return {x: _offsets(dict(factorize(x)), nu_n) for x in xs}
+
+
+def _parts(x: int, N: int, off: dict[int, int]) -> tuple[int, int]:
+    """decompose(x, N) read off the offsets of x."""
+    p = _shape_violation(off, {})
+    if p is not None:
+        raise NotStructured(f"|nu_{p}({x}/{N})| = {abs(off[p])} > 1")
+    minus = prod(p for p, d in off.items() if d < 0)
+    return minus, prod(p for p, d in off.items() if d > 0)
 
 
 def coprime_part(N: int, x: int) -> int:
@@ -79,14 +83,12 @@ def check_structured(
 
     Returns (ok, witness) with witness = (v, w, p) on the first failure.
     """
-    nu_n = dict(factorize(N))
-    for v, w in sorted(edges):
-        nu_v, nu_w = dict(factorize(v)), dict(factorize(w))
-        for p in sorted(nu_v.keys() | nu_w.keys() | nu_n.keys()):
-            nv = nu_v.get(p, 0) - nu_n.get(p, 0)
-            nw = nu_w.get(p, 0) - nu_n.get(p, 0)
-            if abs(nv) + abs(nw) > 1:
-                return False, (v, w, p)
+    E = sorted(edges)
+    off = _offset_map({x for e in E for x in e}, N)
+    for v, w in E:
+        p = _shape_violation(off[v], off[w])
+        if p is not None:
+            return False, (v, w, p)
     return True, None
 
 
@@ -99,8 +101,11 @@ class Decomposition:
 
 def build_decomposition(edges: Iterable[tuple[int, int]], N: int) -> Decomposition:
     vs, ws = restrict(edges)
+    off = _offset_map(vs | ws, N)
     return Decomposition(
-        N, {v: decompose(v, N) for v in vs}, {w: decompose(w, N) for w in ws}
+        N,
+        {v: _parts(v, N, off[v]) for v in vs},
+        {w: _parts(w, N, off[w]) for w in ws},
     )
 
 
@@ -242,8 +247,6 @@ class ResolutionReport:
         return self.lhs_squared <= self.rhs_exact
 
     def to_json(self) -> dict:
-        from .arith import dyadic_str
-
         def enc(x):
             if isinstance(x, Interval):
                 return [dyadic_str(x.lo, 20), dyadic_str(x.hi, 20)]

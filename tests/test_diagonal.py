@@ -212,6 +212,18 @@ class TestConcentrate:
         assert res.edges_star == {(2, 2), (2, 15)}
         assert res.removed_fraction == 0
 
+    def test_off_support_edge_keeps_the_shape_at_every_prime(self):
+        # 45 = 3^2 5 lies outside supp(theta), and nu_3(45/N) = 2
+        from paircert.resolution import check_structured
+
+        psi = WeightFunction({2: F(1, 2)})
+        sys_ = PairSystem(psi, psi, TOTIENT, TOTIENT, {(2, 2)})
+        E = {(2, 2), (2, 45)}
+        res = concentrate(sys_, E, small_params())
+        assert res.N == 2 and (2, 45) not in res.edges_star
+        for e in E:
+            assert (e in res.edges_star) == check_structured({e}, res.N)[0]
+
     def test_mass_conservation(self):
         for system, params in make_corpus(79, 15):
             total = mu_pairs(system)

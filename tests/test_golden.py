@@ -52,6 +52,7 @@ from paircert.diagonal import (
     diagonal_measure,
     find_center,
     peel,
+    property_two_holds,
     property_two_report,
 )
 from paircert.errors import DegenerateMeasure, PaircertError
@@ -311,6 +312,20 @@ def _precondition_documents(mode):
 def test_resolution_precondition_digests(mode):
     docs = _precondition_documents(mode)
     assert _digest(docs) == GOLDEN_RESOLUTION_PRECONDITIONS[mode]
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_property_two_holds_iff_peel_takes_no_step(mode):
+    """property_two_report and peel decide property two by one inequality,
+    so E and E* pass it exactly when peel removes nothing."""
+    for system, params in _corpus(mode):
+        try:
+            star = concentrate(system, system.edges, params).edges_star
+        except DegenerateMeasure:
+            star = frozenset()
+        for edges in (system.edges, star):
+            holds = property_two_holds(system, edges, params)
+            assert holds == (peel(system, edges, params).steps == 0)
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN))
