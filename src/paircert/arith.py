@@ -380,21 +380,22 @@ def _dy_from_fraction(x: Rational, prec: int, rnd: int) -> Dyadic:
 # ---------------------------------------------------------------------------
 
 
-def _exp_series_scaled(c: int, d: int, w: int) -> tuple[int, int]:
-    """Bounds (lo, hi) with lo/2^w <= e^(c/d) <= hi/2^w, for 0 <= c/d <= 1."""
+def _exp_series_scaled(c: int, k: int, w: int) -> tuple[int, int]:
+    """Bounds (lo, hi) with lo/2^w <= e^(c/2^k) <= hi/2^w, for 0 <= c/2^k <= 1;
+    a term shifts, then divides: floor(floor(tc/2^k)/n) = floor(tc/(2^k n))."""
     scale = 1 << w
     if c == 0:
         return scale, scale
     lo = t = scale
     n = 1
     while t:
-        t = (t * c) // (d * n)
+        t = ((t * c) >> k) // n
         lo += t
         n += 1
     hi = u = scale
     n = 1
     while u > 2:
-        u = -((-u * c) // (d * n))
+        u = -(((-u * c) >> k) // n)
         hi += u
         n += 1
     return lo, hi + 2 * u + 8
@@ -432,11 +433,6 @@ def _ln2_scaled(w: int) -> tuple[int, int]:
     return 2 * lo, 2 * hi
 
 
-def _frac_round(x: Fraction, bits: int, rnd: int) -> Fraction:
-    """Directed rounding of a rational onto a ~bits-bit dyadic grid."""
-    return _dy_from_fraction(x, bits, rnd).as_fraction()
-
-
 def _exp_dy(a: Dyadic, prec: int, rnd: int) -> Dyadic:
     """Certified one-sided bound of e^(value of a)."""
     w = prec + _GUARD
@@ -454,26 +450,22 @@ def _exp_dy(a: Dyadic, prec: int, rnd: int) -> Dyadic:
         # e^a = 1 / e^|a|; flip the rounding direction through the division
         inner = _exp_dy(_dy_neg(a), prec + 4, _CEIL if rnd == _FLOOR else _FLOOR)
         return _dy_div(_DY_ONE, inner, prec, rnd)
-    big = a.as_fraction()
     wk = w + max(pos, 0) + 8
     l2lo, l2hi = _ln2_scaled(wk)
-    ln2_hi = Fraction(l2hi, 1 << wk)
-    ln2_lo = Fraction(l2lo, 1 << wk)
-    k = int(big / ln2_hi)  # floor for positive values
-    if rnd == _FLOOR:
-        r = _frac_round(big - k * ln2_hi, w + 8, _FLOOR)
-        if r < 0:
-            r = Fraction(0)
-        s, _ = _exp_series_scaled(r.numerator, r.denominator, w)
-    else:
-        r = _frac_round(big - k * ln2_lo, w + 8, _CEIL)
-        if r > 1:
-            # only possible through rounding fuzz; fall back to split step
-            s1hi = _exp_series_scaled(r.numerator, 2 * r.denominator, w)[1]
-            s = -((-s1hi * s1hi) >> w)
-            return _dy_round(s, k - w, prec, rnd)
-        _, s = _exp_series_scaled(r.numerator, r.denominator, w)
-    return _dy_round(s, k - w, prec, rnd)
+    # a = x / 2^s and ln 2 within [l2lo, l2hi] / 2^wk, on the common scale 2^-s
+    s = max(wk, -a.exp)
+    x = a.man << (s + a.exp)
+    k = x // (l2hi << (s - wk))
+    # r = a - k ln 2 >= 0 on w + 8 bits, with the ln 2 bound and the
+    # rounding that move e^r toward rnd
+    l2 = l2hi if rnd == _FLOOR else l2lo
+    r = _dy_round(x - ((k * l2) << (s - wk)), -s, w + 8, rnd)
+    if _dy_cmp(r, _DY_ONE) > 0:
+        # only possible through rounding fuzz; fall back to split step
+        s1hi = _exp_series_scaled(r.man, 1 - r.exp, w)[1]
+        return _dy_round(-((-s1hi * s1hi) >> w), k - w, prec, rnd)
+    lo, hi = _exp_series_scaled(r.man, -r.exp, w)
+    return _dy_round(lo if rnd == _FLOOR else hi, k - w, prec, rnd)
 
 
 def _ln_dy(a: Dyadic, prec: int, rnd: int) -> Dyadic:

@@ -139,13 +139,15 @@ def _cmd_diagonal(args) -> int:
     dm = diagonal_measure(system, system.edges, args.p)
     center = find_center(dm)
     doc = dm.to_json()
-    doc["center"] = {"k": center.k, "tail_mass": str(center.tail_mass)}
+    doc["center"] = {"k": center.k, "tail_mass": fraction_str(center.tail_mass)}
     doc["bilinear"] = [
         {
             "i": c.i,
             "j": c.j,
-            "m": str(c.mass),
-            "bound": _interval_json(c.bound) if isinstance(c.bound, Interval) else str(c.bound),
+            "m": fraction_str(c.mass),
+            "bound": (
+                _interval_json(c.bound) if isinstance(c.bound, Interval) else fraction_str(c.bound)
+            ),
             "verdict": c.verdict,
         }
         for c in bilinear_check(dm, params)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import Rational, _int_valuation, is_prime
+from .arith import Rational, _int_valuation, fraction_str, is_prime
 from .errors import InvalidParameter
 from .model import PairSystem, WeightFunction, edge_mass, mu_pairs
 from .quality import FAILED, HOLDS, VACUOUS, d_value, omega_t
@@ -65,13 +65,20 @@ class SliceIdentityReport:
                 {
                     "name": c.name,
                     "status": c.status,
-                    "lhs": str(c.lhs) if c.lhs is not None else None,
-                    "rhs": str(c.rhs) if c.rhs is not None else None,
+                    "lhs": _side_str(c.lhs),
+                    "rhs": _side_str(c.rhs),
                     "detail": c.detail,
                 }
                 for c in self.checks
             ],
         }
+
+
+def _side_str(x) -> str | None:
+    """A check side in JSON: exact for numbers, str for witness lists."""
+    if x is None:
+        return None
+    return fraction_str(x) if isinstance(x, (int, Fraction)) else str(x)
 
 
 def slice_system(system: PairSystem, p: int, i: int, j: int) -> Slice:

@@ -17,6 +17,7 @@ from .arith import (
     const,
     dyadic_str,
     exp_of,
+    fraction_str,
     interval_eval,
     is_prime,
 )
@@ -68,10 +69,10 @@ class DiagonalMeasure:
     def to_json(self) -> dict:
         return {
             "p": self.p,
-            "total": str(self.total),
-            "cells": {f"{i},{j}": str(v) for (i, j), v in sorted(self.cells.items())},
-            "alpha": {str(i): str(v) for i, v in sorted(self.alpha.items())},
-            "beta": {str(j): str(v) for j, v in sorted(self.beta.items())},
+            "total": fraction_str(self.total),
+            "cells": {f"{i},{j}": fraction_str(v) for (i, j), v in sorted(self.cells.items())},
+            "alpha": {str(i): fraction_str(v) for i, v in sorted(self.alpha.items())},
+            "beta": {str(j): fraction_str(v) for j, v in sorted(self.beta.items())},
         }
 
 
@@ -350,7 +351,7 @@ class ConcentrateResult:
         return {
             "N": self.N,
             "centers": {str(p): k for p, k in sorted(self.centers.items())},
-            "removed_fraction": str(self.removed_fraction),
+            "removed_fraction": fraction_str(self.removed_fraction),
             "edges_star": sorted(self.edges_star),
         }
 
@@ -434,10 +435,10 @@ class PeelStep:
             "step": self.step,
             "side": self.side,
             "vertex": self.vertex,
-            "mu_edges_before": str(self.mu_edges_before),
-            "mu_edges_after": str(self.mu_edges_after),
-            "mu_side_before": str(self.mu_side_before),
-            "mu_side_after": str(self.mu_side_after),
+            "mu_edges_before": fraction_str(self.mu_edges_before),
+            "mu_edges_after": fraction_str(self.mu_edges_after),
+            "mu_side_before": fraction_str(self.mu_side_before),
+            "mu_side_after": fraction_str(self.mu_side_after),
             "cert_verdict": self.cert_verdict,
             "cert_rhs": rhs,
         }

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .arith import Rational, primes_upto
+from .arith import Rational, fraction_str, primes_upto
 from .compress import slice_system, verify_slice_identities
 from .diagonal import concentrate, peel, property_two_holds
 from .errors import DegenerateMeasure, InvalidParameter, PaircertError
@@ -373,10 +373,6 @@ def certify_instance(
         try:
             conc = concentrate(system, system.edges, params)
             peeled = peel(system, conc.edges_star, params)
-            vs = {v for v, _ in conc.edges_star}
-            ws = {w for _, w in conc.edges_star}
-            if peeled.steps > len(vs) + len(ws):
-                outcome.peel_ok = False
             if not property_two_holds(system, peeled.edges, params):
                 outcome.peel_ok = False
             for st in peeled.trace:
@@ -437,8 +433,6 @@ def certify_campaign(
     config: GeneratorConfig,
     count: int,
     out_dir: Optional[Union[str, Path]] = None,
-    *,
-    keep_rows: bool = True,
 ) -> CampaignReport:
     """Generate `count` instances and certify each; any non-clean outcome
     dumps a replayable witness instance file into out_dir."""
@@ -464,22 +458,21 @@ def certify_campaign(
             report.peel_contract_failures += 1
         if not outcome.resolution_ok:
             report.resolution_failures += 1
-        if keep_rows:
-            report.rows.append(
-                {
-                    "index": index,
-                    "epsilon": str(params.epsilon),
-                    "C": str(params.C),
-                    "t": str(params.t),
-                    "K": str(params.K),
-                    "edges": len(system.edges),
-                    "lhs": str(outcome.bound.lhs),
-                    "verdict": outcome.verdict,
-                    "slice_failures": outcome.slice_failures,
-                    "peel_ok": outcome.peel_ok,
-                    "resolution_ok": outcome.resolution_ok,
-                }
-            )
+        report.rows.append(
+            {
+                "index": index,
+                "epsilon": fraction_str(params.epsilon),
+                "C": fraction_str(params.C),
+                "t": fraction_str(params.t),
+                "K": fraction_str(params.K),
+                "edges": len(system.edges),
+                "lhs": fraction_str(outcome.bound.lhs),
+                "verdict": outcome.verdict,
+                "slice_failures": outcome.slice_failures,
+                "peel_ok": outcome.peel_ok,
+                "resolution_ok": outcome.resolution_ok,
+            }
+        )
         if not outcome.clean and out_path is not None:
             witness_file = out_path / f"witness_{index:06d}.json"
             save_instance(witness_file, system, params)
@@ -491,8 +484,6 @@ def certify_campaign(
 def write_campaign_csv(report: CampaignReport, path: Union[str, Path]) -> None:
     import csv
 
-    if not report.rows:
-        raise InvalidParameter("campaign was run without keep_rows")
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(report.rows[0].keys()))
         writer.writeheader()

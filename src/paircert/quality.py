@@ -24,6 +24,8 @@ from .arith import (
     dyadic_str,
     exp_of,
     factorize,
+    fraction_str,
+    int_str,
     interval_eval,
     log_of,
     primes_upto,
@@ -221,9 +223,11 @@ def w_neighborhood(edges: Iterable[tuple[int, int]], w: int) -> frozenset[int]:
 
 def restrict(edges: Iterable[tuple[int, int]]) -> tuple[frozenset[int], frozenset[int]]:
     """Projections (E|_V, E|_W): vertices with nonempty neighborhoods."""
-    vs = frozenset(v for v, _ in edges)
-    ws = frozenset(w for _, w in edges)
-    return vs, ws
+    vs, ws = set(), set()
+    for v, w in edges:
+        vs.add(v)
+        ws.add(w)
+    return frozenset(vs), frozenset(ws)
 
 
 def p_value(psi: WeightFunction, theta: WeightFunction, p0: int) -> int:
@@ -255,11 +259,11 @@ class BoundReport:
 
     def to_json(self) -> dict:
         return {
-            "lhs": str(self.lhs),
+            "lhs": fraction_str(self.lhs),
             "rhs_lo": dyadic_str(self.rhs.lo, 20),
             "rhs_hi": dyadic_str(self.rhs.hi, 20),
-            "rhs_lo_dyadic": {"man": str(self.rhs.lo.man), "exp": self.rhs.lo.exp},
-            "rhs_hi_dyadic": {"man": str(self.rhs.hi.man), "exp": self.rhs.hi.exp},
+            "rhs_lo_dyadic": {"man": int_str(self.rhs.lo.man), "exp": self.rhs.lo.exp},
+            "rhs_hi_dyadic": {"man": int_str(self.rhs.hi.man), "exp": self.rhs.hi.exp},
             "verdict": self.verdict,
             "precision_bits": self.precision_bits,
             "p_exponent": self.p_exponent,

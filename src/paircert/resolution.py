@@ -21,6 +21,7 @@ from .arith import (
     dyadic_str,
     exp_of,
     factorize,
+    fraction_str,
     interval_eval,
     log_of,
     primes_upto,
@@ -252,13 +253,13 @@ class ResolutionReport:
                 return [dyadic_str(x.lo, 20), dyadic_str(x.hi, 20)]
             if x is None:
                 return None
-            return str(x)
+            return fraction_str(x)
 
         doc = {
             "verdict": self.verdict,
             "preconditions": {k: str(v) for k, v in self.preconditions.items()},
-            "lhs_squared": str(self.lhs_squared),
-            "rhs_exact": str(self.rhs_exact),
+            "lhs_squared": fraction_str(self.lhs_squared),
+            "rhs_exact": fraction_str(self.rhs_exact),
             "four_factor_ok": self.four_factor_ok,
             "coprime_ok": self.coprime_ok,
             "reconstruction_ok": self.reconstruction_ok,
@@ -270,10 +271,10 @@ class ResolutionReport:
         if self.ssums is not None and not self.ssums.degenerate:
             doc.update(
                 {
-                    "S1": str(self.ssums.s1),
-                    "S2": str(self.ssums.s2),
-                    "S3": str(self.ssums.s3),
-                    "S4": str(self.ssums.s4),
+                    "S1": fraction_str(self.ssums.s1),
+                    "S2": fraction_str(self.ssums.s2),
+                    "S3": fraction_str(self.ssums.s3),
+                    "S4": fraction_str(self.ssums.s4),
                     "w0": self.ssums.w0,
                 }
             )

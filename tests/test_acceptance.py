@@ -236,14 +236,9 @@ def test_criterion_7_certification_campaign(tmp_path):
     """10^4 generated instances at default parameters (p0 = 100, 256-bit):
     zero violated, zero residual inconclusive; <= 30 min."""
     t0 = time.monotonic()
-    rep_tot = certify_campaign(
-        GeneratorConfig(seed=20250809), 7000, out_dir=tmp_path, keep_rows=False
-    )
+    rep_tot = certify_campaign(GeneratorConfig(seed=20250809), 7000, out_dir=tmp_path)
     rep_rand = certify_campaign(
-        GeneratorConfig(seed=20250810, f_mode="random"),
-        3000,
-        out_dir=tmp_path,
-        keep_rows=False,
+        GeneratorConfig(seed=20250810, f_mode="random"), 3000, out_dir=tmp_path
     )
     elapsed = time.monotonic() - t0
     total = rep_tot.count + rep_rand.count

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paircert import arith
 from paircert.arith import (
     Interval,
     _bracket_point,
@@ -390,3 +391,129 @@ class TestFractionStr:
             sys.set_int_max_str_digits(old)
         assert len(want) > 2 * old
         assert fraction_str(x) == want
+
+
+# The exp kernel as it stood on Fractions: the argument reduced by Fraction
+# bounds of ln 2 and rounded through a Fraction grid, the series dividing by
+# a general denominator d*n.  Kept verbatim as the reference that the
+# scaled-integer kernel must match bit for bit.
+
+
+def _ref_exp_series_scaled(c, d, w):
+    scale = 1 << w
+    if c == 0:
+        return scale, scale
+    lo = t = scale
+    n = 1
+    while t:
+        t = (t * c) // (d * n)
+        lo += t
+        n += 1
+    hi = u = scale
+    n = 1
+    while u > 2:
+        u = -((-u * c) // (d * n))
+        hi += u
+        n += 1
+    return lo, hi + 2 * u + 8
+
+
+def _ref_frac_round(x, bits, rnd):
+    return arith._dy_from_fraction(x, bits, rnd).as_fraction()
+
+
+def _ref_exp_dy(a, prec, rnd):
+    Dyadic, FLOOR, CEIL = arith.Dyadic, arith._FLOOR, arith._CEIL
+    w = prec + arith._GUARD
+    if a.man == 0:
+        return arith._DY_ONE
+    pos = a.mag_bits
+    if pos <= -w:
+        if rnd == FLOOR:
+            return Dyadic((1 << w) - 2, -w) if a.man < 0 else arith._DY_ONE
+        return Dyadic((1 << w) + 2, -w) if a.man > 0 else arith._DY_ONE
+    if pos > arith._MAG_CAP:
+        raise ResourceLimit(f"exp argument magnitude 2^{pos} exceeds cap")
+    if a.man < 0:
+        inner = _ref_exp_dy(arith._dy_neg(a), prec + 4, CEIL if rnd == FLOOR else FLOOR)
+        return arith._dy_div(arith._DY_ONE, inner, prec, rnd)
+    big = a.as_fraction()
+    wk = w + max(pos, 0) + 8
+    l2lo, l2hi = arith._ln2_scaled(wk)
+    ln2_hi = F(l2hi, 1 << wk)
+    ln2_lo = F(l2lo, 1 << wk)
+    k = int(big / ln2_hi)
+    if rnd == FLOOR:
+        r = _ref_frac_round(big - k * ln2_hi, w + 8, FLOOR)
+        if r < 0:
+            r = F(0)
+        s, _ = _ref_exp_series_scaled(r.numerator, r.denominator, w)
+    else:
+        r = _ref_frac_round(big - k * ln2_lo, w + 8, CEIL)
+        if r > 1:
+            s1hi = _ref_exp_series_scaled(r.numerator, 2 * r.denominator, w)[1]
+            s = -((-s1hi * s1hi) >> w)
+            return arith._dy_round(s, k - w, prec, rnd)
+        _, s = _ref_exp_series_scaled(r.numerator, r.denominator, w)
+    return arith._dy_round(s, k - w, prec, rnd)
+
+
+def _outcome(fn, a, prec, rnd):
+    try:
+        d = fn(a, prec, rnd)
+    except ResourceLimit:
+        return "ResourceLimit"
+    return d.man, d.exp
+
+
+class TestExpKernelReference:
+    """arith._exp_dy against the Fraction-based reference, bit for bit."""
+
+    @staticmethod
+    def _arguments(rng, prec):
+        w = prec + arith._GUARD
+        cap = arith._MAG_CAP
+        # (mantissa bits, magnitude): tiny, at and just above 2^-w, ordinary,
+        # mantissas wider than the precision, and at and past the cap
+        shapes = [(rng.randint(1, prec), -w - rng.randint(0, 9)) for _ in range(2)]
+        shapes += [(1, -w), (prec, -w), (prec, -w + 1), (1, -w + 1)]
+        shapes += [(rng.randint(1, prec), rng.randint(-w // 2, 12)) for _ in range(6)]
+        shapes += [(rng.randint(prec, 2 * prec), rng.randint(-8, 40)) for _ in range(2)]
+        shapes += [(prec, cap), (1, cap), (prec, cap + 1), (1, cap + 1)]
+        out = []
+        for bits, mag in shapes:
+            man = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+            out.append(arith.Dyadic(man, mag - man.bit_length()))
+        # multiples of ln 2 on the kernel's own grid, where r is 0 or tiny
+        for j in (1, 3, 1000):
+            pos = (j * 7 // 10).bit_length() or 1
+            wk = w + pos + 8
+            l2lo, l2hi = arith._ln2_scaled(wk)
+            out += [arith.Dyadic(j * l2hi, -wk), arith.Dyadic(j * l2lo, -wk)]
+        out += [arith.Dyadic(1, 0), arith.Dyadic(1, -1), arith.Dyadic(3, 1)]
+        return out
+
+    def test_bit_identical_to_fraction_reference(self):
+        rng = random.Random(20250809)
+        compared = limits = 0
+        for prec in (16, 17, 53, 64, 200, 256, 512, 1024, 4096):
+            args = self._arguments(rng, prec)
+            if prec > 1024:
+                args = rng.sample(args, 8) + args[-10:-7]
+            for a in args:
+                for sign in (1, -1):
+                    x = arith.Dyadic(sign * a.man, a.exp)
+                    for rnd in (arith._FLOOR, arith._CEIL):
+                        got = _outcome(arith._exp_dy, x, prec, rnd)
+                        want = _outcome(_ref_exp_dy, x, prec, rnd)
+                        assert got == want, (x, prec, rnd)
+                        compared += 1
+                        limits += got == "ResourceLimit"
+        assert compared > 800 and limits > 0
+
+    def test_series_shift_equals_division(self, rng):
+        for _ in range(200):
+            w = rng.randint(8, 600)
+            k = rng.randint(0, 700)
+            c = rng.randint(0, 1 << k)
+            assert arith._exp_series_scaled(c, k, w) == _ref_exp_series_scaled(c, 1 << k, w)

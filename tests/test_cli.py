@@ -284,3 +284,21 @@ def test_unreadable_path_exits_4_with_one_line(tmp_path, capsys, monkeypatch, ar
     assert captured.out == "" and not paths["out"].exists()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("paircert: InvalidParameter: cannot read")
+
+
+def test_check_writes_exact_json_past_the_int_str_limit(tmp_path, capsys):
+    """mu(E) over the 300 largest primes below 20000 has a denominator of
+    about 5,100 digits, past Python's default int -> str limit."""
+    from paircert.arith import fraction_str, primes_upto
+    from paircert.model import mu_pairs
+
+    qs = primes_upto(20000)[-300:]
+    psi = WeightFunction({q: F(1, q) for q in qs})
+    system = PairSystem(psi, psi, TOTIENT, TOTIENT, frozenset((q, q) for q in qs))
+    params = Params(epsilon=F(1, 4), C=F(1, 2), t=F(1), K=F(0))
+    path = tmp_path / "big.json"
+    save_instance(path, system, params)
+    assert main(["check", "--instance", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["lhs"]) > 5000
+    assert doc["lhs"] == fraction_str(mu_pairs(system))

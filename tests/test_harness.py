@@ -262,7 +262,7 @@ class TestGridMemo:
     def test_memo_after_campaign(self):
         arith._MEMO.clear()
         config = GeneratorConfig(seed=77)
-        report = certify_campaign(config, self.COUNT, keep_rows=False)
+        report = certify_campaign(config, self.COUNT)
         assert report.holds == self.COUNT
         instances = [generate_instance(config, i) for i in range(self.COUNT)]
         for system, params in instances:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from paircert.arith import const
+from paircert.arith import Dyadic, Interval, const
 from paircert.errors import InvalidParameter
 from paircert.model import PairSystem, TOTIENT, WeightFunction, mu_pairs
 from paircert.quality import (
@@ -163,6 +163,9 @@ class TestNeighborhoods:
         assert w_neighborhood(E, 9) == {3}
         assert restrict(E) == ({2, 3}, {2, 9})
 
+    def test_projection_reads_a_one_shot_iterator_once(self):
+        assert restrict(iter([(2, 3), (4, 9)])) == ({2, 4}, {3, 9})
+
     def test_projection_consistency(self):
         for system, _ in make_corpus(55, 10):
             vs, ws = restrict(system.edges)
@@ -241,6 +244,29 @@ class TestMainBound:
                 assert rep.rhs.lo_cmp(rep.lhs) >= 0
             elif rep.verdict == "violated":
                 assert rep.rhs.hi_cmp(rep.lhs) < 0
+
+    def test_json_exact_at_the_precision_cap(self):
+        """A verdict that settles at the cap carries 2^14-bit mantissas
+        (about 4,930 digits), past Python's default int -> str limit.  The
+        report is built directly: a real bound at the cap takes seconds."""
+        import sys
+
+        rng = random.Random(14)
+        man = rng.getrandbits(DEFAULT_PRECISION_CAP) | (1 << (DEFAULT_PRECISION_CAP - 1)) | 1
+        exp = 100 - DEFAULT_PRECISION_CAP
+        rhs = Interval(Dyadic(man, exp), Dyadic(man + 2, exp), DEFAULT_PRECISION_CAP)
+        lhs = F(man + 1, 1 << -exp)
+        rep = BoundReport(lhs, rhs, INCONCLUSIVE, DEFAULT_PRECISION_CAP, 100)
+        doc = json.loads(json.dumps(rep.to_json()))
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = (str(lhs), str(man), str(man + 2))
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert len(want[1]) > old
+        assert (doc["lhs"], doc["rhs_lo_dyadic"]["man"], doc["rhs_hi_dyadic"]["man"]) == want
+        assert doc["rhs_lo_dyadic"]["exp"] == exp and doc["verdict"] == INCONCLUSIVE
 
 
 class TestCertifyLe:

@@ -151,6 +151,11 @@ class TestCaseSplitSoundness:
                 g = gcd(v, w)
                 assert vm * vp * wm * wp == (v * w) // (g * g)
 
+    def test_decomposition_of_a_one_shot_iterator(self):
+        dec = build_decomposition(iter([(2, 3)]), 6)
+        assert dec == build_decomposition(frozenset({(2, 3)}), 6)
+        assert set(dec.v_parts) == {2} and set(dec.w_parts) == {3}
+
 
 class TestResolutionCheck:
     def test_singleton_holds(self):
