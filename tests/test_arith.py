@@ -517,3 +517,107 @@ class TestExpKernelReference:
             k = rng.randint(0, 700)
             c = rng.randint(0, 1 << k)
             assert arith._exp_series_scaled(c, k, w) == _ref_exp_series_scaled(c, 1 << k, w)
+
+
+# The ln kernel as it stood with two-sided series: atanh summed a lower and
+# an upper series on every call and _ln_dy kept the end it rounds toward.
+# Kept verbatim as the reference that the kernel must match bit for bit.
+
+
+def _ref_atanh_series_scaled(c, d, w):
+    scale = 1 << w
+    if c == 0:
+        return 0, 0
+    c2, d2 = c * c, d * d
+    v = (scale * c) // d
+    lo = v
+    k = 1
+    while v:
+        v = (v * c2) // d2
+        lo += v // (2 * k + 1)
+        k += 1
+    v = -((-scale * c) // d)
+    hi = v
+    k = 1
+    term = v
+    while term > 2:
+        v = -((-v * c2) // d2)
+        term = -((-v) // (2 * k + 1))
+        hi += term
+        k += 1
+    return lo, hi + 2 * term + 8
+
+
+def _ref_ln2_scaled(w):
+    lo, hi = _ref_atanh_series_scaled(1, 3, w)
+    return 2 * lo, 2 * hi
+
+
+def _ref_ln_dy(a, prec, rnd):
+    FLOOR = arith._FLOOR
+    if a.sign <= 0:
+        raise DomainError("log of a nonpositive value")
+    if a == arith._DY_ONE:
+        return arith._DY_ZERO
+    w = prec + arith._GUARD
+    bl = a.man.bit_length()
+    s = a.exp + bl - 1
+    half = 1 << (bl - 1)
+    znum, zden = a.man - half, a.man + half
+    atl, ath = _ref_atanh_series_scaled(znum, zden, w)
+    if s == 0:
+        return arith._dy_round(2 * (atl if rnd == FLOOR else ath), -w, prec, rnd)
+    wk = w + abs(s).bit_length() + 8
+    l2lo, l2hi = _ref_ln2_scaled(wk)
+    if (s > 0) == (rnd == FLOOR):
+        sl2 = s * l2lo
+    else:
+        sl2 = s * l2hi
+    at = 2 * (atl if rnd == FLOOR else ath)
+    total = sl2 + (at << (wk - w))
+    return arith._dy_round(total, -wk, prec, rnd)
+
+
+class TestLnKernelReference:
+    """arith._ln_dy and arith._ln2_scaled against the two-sided reference,
+    bit for bit."""
+
+    @staticmethod
+    def _arguments(rng, prec):
+        # mantissa widths: one bit, short, the precision, wider than it
+        widths = [1, 2, rng.randint(3, 12), prec, rng.randint(prec + 1, 2 * prec)]
+        mantissas = {1}
+        for b in widths[1:]:
+            top = 1 << b
+            mantissas.add((top >> 1) + 1)  # m just above 1
+            mantissas.add((top >> 1) + rng.randint(1, 1 << max(1, b // 4)))
+            mantissas.add(top - 1)  # m just below 2
+            mantissas.add(top - rng.randint(1, 1 << max(1, b // 4)))
+            mantissas.add(rng.randrange(top >> 1, top))
+        # m = man / 2^(bl-1) in [1, 2) and the binary exponent s of a
+        exps = [0, 1, -1, rng.randint(2, 40), -rng.randint(2, 40)]
+        exps += [rng.randint(1 << 20, 1 << 40), -rng.randint(1 << 20, 1 << 40)]
+        out = []
+        for man in sorted(mantissas):
+            for s in exps:
+                out.append(arith.Dyadic(man, s - man.bit_length() + 1))
+        return out
+
+    def test_bit_identical_to_two_sided_reference(self):
+        rng = random.Random(20251018)
+        compared = 0
+        for prec in (16, 17, 53, 256, 1024, 4096):
+            args = self._arguments(rng, prec)
+            if prec > 1024:
+                args = rng.sample(args, 12)
+            for a in args:
+                for rnd in (arith._FLOOR, arith._CEIL):
+                    got = arith._ln_dy(a, prec, rnd)
+                    want = _ref_ln_dy(a, prec, rnd)
+                    assert (got.man, got.exp) == (want.man, want.exp), (a, prec, rnd)
+                    compared += 1
+        assert compared > 1000
+
+    def test_ln2_scaled(self):
+        for w in (1, 8, 48, 49, 100, 288, 1064, 4136, 4200, 16434):
+            assert arith._ln2_scaled(w) == _ref_ln2_scaled(w)
