@@ -9,9 +9,10 @@ factors (e^x, Log t, fractional powers).
 The interval engine represents endpoints as dyadic numbers man * 2**exp
 with directed (outward) rounding, so an :class:`Interval` is a guaranteed
 enclosure of the real number it describes.  Transcendental kernels are
-two-pass fixed-point series: one pass rounds every term down, one pass
-rounds every term up and pads the tail, which yields certified one-sided
-bounds without trusting any floating-point hardware.
+fixed-point series, and each evaluation runs the one pass of its rounding
+direction: toward -infinity every term rounds down, toward +infinity every
+term rounds up and the tail is padded.  That yields a certified one-sided
+bound without trusting any floating-point hardware.
 """
 
 from __future__ import annotations
@@ -380,57 +381,58 @@ def _dy_from_fraction(x: Rational, prec: int, rnd: int) -> Dyadic:
 # ---------------------------------------------------------------------------
 
 
-def _exp_series_scaled(c: int, k: int, w: int) -> tuple[int, int]:
-    """Bounds (lo, hi) with lo/2^w <= e^(c/2^k) <= hi/2^w, for 0 <= c/2^k <= 1;
-    a term shifts, then divides: floor(floor(tc/2^k)/n) = floor(tc/(2^k n))."""
+def _exp_series_scaled(c: int, k: int, w: int, rnd: int) -> int:
+    """A bound of e^(c/2^k) scaled by 2^w, for 0 <= c/2^k <= 1: below it for
+    _FLOOR (every term rounded down), above it for _CEIL (every term rounded
+    up, the tail padded).  A term shifts, then divides:
+    floor(floor(tc/2^k)/n) = floor(tc/(2^k n))."""
     scale = 1 << w
     if c == 0:
-        return scale, scale
-    lo = t = scale
+        return scale
     n = 1
-    while t:
-        t = ((t * c) >> k) // n
-        lo += t
-        n += 1
+    if rnd == _FLOOR:
+        lo = t = scale
+        while t:
+            t = ((t * c) >> k) // n
+            lo += t
+            n += 1
+        return lo
     hi = u = scale
-    n = 1
     while u > 2:
         u = -(((-u * c) >> k) // n)
         hi += u
         n += 1
-    return lo, hi + 2 * u + 8
+    return hi + 2 * u + 8
 
 
-def _atanh_series_scaled(c: int, d: int, w: int) -> tuple[int, int]:
-    """Bounds for atanh(c/d) scaled by 2^w, for 0 <= c/d <= 1/2."""
-    scale = 1 << w
+def _atanh_series_scaled(c: int, d: int, w: int, rnd: int) -> int:
+    """A bound of atanh(c/d) scaled by 2^w, for 0 <= c/d <= 1/2: below it
+    for _FLOOR, above it for _CEIL (terms rounded up, the tail padded)."""
     if c == 0:
-        return 0, 0
+        return 0
+    scale = 1 << w
     c2, d2 = c * c, d * d
-    v = (scale * c) // d
-    lo = v
     k = 1
-    while v:
-        v = (v * c2) // d2
-        lo += v // (2 * k + 1)
-        k += 1
-    v = -((-scale * c) // d)
-    hi = v
-    k = 1
-    term = v
+    if rnd == _FLOOR:
+        lo = v = (scale * c) // d
+        while v:
+            v = (v * c2) // d2
+            lo += v // (2 * k + 1)
+            k += 1
+        return lo
+    hi = v = term = -((-scale * c) // d)
     while term > 2:
         v = -((-v * c2) // d2)
         term = -((-v) // (2 * k + 1))
         hi += term
         k += 1
-    return lo, hi + 2 * term + 8
+    return hi + 2 * term + 8
 
 
 @lru_cache(maxsize=64)
 def _ln2_scaled(w: int) -> tuple[int, int]:
     """(lo, hi) ints with lo/2^w <= ln 2 <= hi/2^w."""
-    lo, hi = _atanh_series_scaled(1, 3, w)
-    return 2 * lo, 2 * hi
+    return 2 * _atanh_series_scaled(1, 3, w, _FLOOR), 2 * _atanh_series_scaled(1, 3, w, _CEIL)
 
 
 def _exp_dy(a: Dyadic, prec: int, rnd: int) -> Dyadic:
@@ -457,15 +459,13 @@ def _exp_dy(a: Dyadic, prec: int, rnd: int) -> Dyadic:
     x = a.man << (s + a.exp)
     k = x // (l2hi << (s - wk))
     # r = a - k ln 2 >= 0 on w + 8 bits, with the ln 2 bound and the
-    # rounding that move e^r toward rnd
+    # rounding that move e^r toward rnd.  r < 0.7, inside the series' range:
+    # x < (k + 1) l2hi 2^(s-wk) by the choice of k, so before its rounding
+    # r < (l2hi + k (l2hi - l2lo)) / 2^wk, where l2hi - l2lo < wk and
+    # k < 2^(pos+1) = 2^(wk-w-7); the rounding adds less than r 2^-(w+7).
     l2 = l2hi if rnd == _FLOOR else l2lo
     r = _dy_round(x - ((k * l2) << (s - wk)), -s, w + 8, rnd)
-    if _dy_cmp(r, _DY_ONE) > 0:
-        # only possible through rounding fuzz; fall back to split step
-        s1hi = _exp_series_scaled(r.man, 1 - r.exp, w)[1]
-        return _dy_round(-((-s1hi * s1hi) >> w), k - w, prec, rnd)
-    lo, hi = _exp_series_scaled(r.man, -r.exp, w)
-    return _dy_round(lo if rnd == _FLOOR else hi, k - w, prec, rnd)
+    return _dy_round(_exp_series_scaled(r.man, -r.exp, w, rnd), k - w, prec, rnd)
 
 
 def _ln_dy(a: Dyadic, prec: int, rnd: int) -> Dyadic:
@@ -479,20 +479,14 @@ def _ln_dy(a: Dyadic, prec: int, rnd: int) -> Dyadic:
     s = a.exp + bl - 1  # a = m * 2^s with m in [1, 2)
     half = 1 << (bl - 1)
     # atanh argument z = (m-1)/(m+1) in [0, 1/3)
-    znum, zden = a.man - half, a.man + half
-    atl, ath = _atanh_series_scaled(znum, zden, w)
+    at = 2 * _atanh_series_scaled(a.man - half, a.man + half, w, rnd)
     if s == 0:
-        return _dy_round(2 * (atl if rnd == _FLOOR else ath), -w, prec, rnd)
+        return _dy_round(at, -w, prec, rnd)
     wk = w + abs(s).bit_length() + 8
     l2lo, l2hi = _ln2_scaled(wk)
-    if (s > 0) == (rnd == _FLOOR):
-        sl2 = s * l2lo
-    else:
-        sl2 = s * l2hi
-    at = 2 * (atl if rnd == _FLOOR else ath)
+    sl2 = s * (l2lo if (s > 0) == (rnd == _FLOOR) else l2hi)
     # align scale 2^-wk with 2^-w (wk > w)
-    total = sl2 + (at << (wk - w))
-    return _dy_round(total, -wk, prec, rnd)
+    return _dy_round(sl2 + (at << (wk - w)), -wk, prec, rnd)
 
 
 # ---------------------------------------------------------------------------

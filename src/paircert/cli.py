@@ -5,8 +5,9 @@ also a slice-identity, peel-contract or resolution failure), 3 = an
 inconclusive verdict remained at the precision cap
 (quality.DEFAULT_PRECISION_CAP, 2^14 bits), 4 = an input or resource error
 (a malformed instance or generator config, a parameter outside its domain
-such as --precision below 16, --precision given to certify --campaign, a
-cap exceeded; any PaircertError), reported as one line on stderr.
+such as --precision outside [16, 2^14], --precision given to certify
+--campaign, a cap exceeded, any PaircertError; an unwritable output path,
+any OSError), reported as one line on stderr.
 --precision overrides precision_bits in the params of every instance a
 command loads or gen writes; a campaign's instances take theirs from the
 generator.
@@ -50,6 +51,7 @@ from .harness import (
     write_campaign_csv,
 )
 from .quality import (
+    DEFAULT_PRECISION_CAP,
     DEGENERATE_EMPTY,
     HOLDS,
     INCONCLUSIVE,
@@ -358,10 +360,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "certify" and not (args.instance or args.campaign):
         parser.error("certify needs --instance or --campaign")
     try:
-        if args.precision is not None and args.precision < 16:
-            raise InvalidParameter(f"--precision must be >= 16, got {args.precision}")
+        if args.precision is not None and not 16 <= args.precision <= DEFAULT_PRECISION_CAP:
+            raise InvalidParameter(f"--precision outside [16, 2^14]: {args.precision}")
         return args.func(args)
-    except PaircertError as exc:
+    except (PaircertError, OSError) as exc:
         message = " ".join(str(exc).split())
         sys.stderr.write(f"paircert: {type(exc).__name__}: {message}\n")
         return 4

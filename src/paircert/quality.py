@@ -69,7 +69,8 @@ def certify_le(
 
 @dataclass(frozen=True)
 class Params:
-    """epsilon in (0, 2/5], C > 0, t >= 1, rational K, prime floor p0."""
+    """epsilon in (0, 2/5], C > 0, t >= 1, rational K, prime floor p0,
+    precision_bits in [16, DEFAULT_PRECISION_CAP]."""
 
     epsilon: Fraction
     C: Fraction
@@ -91,8 +92,8 @@ class Params:
             raise InvalidParameter(f"t must be >= 1, got {self.t}")
         if self.p0 < 1:
             raise InvalidParameter(f"p0 must be >= 1, got {self.p0}")
-        if self.precision_bits < 16:
-            raise InvalidParameter("precision_bits must be >= 16")
+        if not 16 <= self.precision_bits <= DEFAULT_PRECISION_CAP:
+            raise InvalidParameter(f"precision_bits outside [16, 2^14]: {self.precision_bits}")
 
     @property
     def q(self) -> Fraction:

@@ -516,7 +516,10 @@ class TestExpKernelReference:
             w = rng.randint(8, 600)
             k = rng.randint(0, 700)
             c = rng.randint(0, 1 << k)
-            assert arith._exp_series_scaled(c, k, w) == _ref_exp_series_scaled(c, 1 << k, w)
+            ends = tuple(
+                arith._exp_series_scaled(c, k, w, rnd) for rnd in (arith._FLOOR, arith._CEIL)
+            )
+            assert ends == _ref_exp_series_scaled(c, 1 << k, w)
 
 
 # The ln kernel as it stood with two-sided series: atanh summed a lower and
@@ -621,3 +624,14 @@ class TestLnKernelReference:
     def test_ln2_scaled(self):
         for w in (1, 8, 48, 49, 100, 288, 1064, 4136, 4200, 16434):
             assert arith._ln2_scaled(w) == _ref_ln2_scaled(w)
+
+
+def test_atanh_series_ends_equal_reference(rng):
+    for _ in range(200):
+        w = rng.randint(8, 600)
+        d = rng.randint(1, 1 << rng.randint(1, 300))
+        c = rng.randint(0, d // 2)
+        ends = tuple(
+            arith._atanh_series_scaled(c, d, w, rnd) for rnd in (arith._FLOOR, arith._CEIL)
+        )
+        assert ends == _ref_atanh_series_scaled(c, d, w)

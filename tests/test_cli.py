@@ -91,13 +91,14 @@ def test_single_verdict_exit_codes(monkeypatch, instance_file, capsys, command, 
     assert rc == code
 
 
-@pytest.mark.parametrize("bits", ["0", "-5", "8", "15"])
+@pytest.mark.parametrize("bits", ["0", "-5", "8", "15", "16385", "65536"])
 @pytest.mark.parametrize(
     "argv",
     [["check", "--instance", "{instance}"], ["anatomy", "mertens", "--t", "30"]],
     ids=["check", "anatomy-mertens"],
 )
 def test_precision_below_16_exits_4_with_one_line(instance_file, capsys, bits, argv):
+    """--precision outside [16, 2^14] exits 4 before any work, also above the cap."""
     rc = main(["--precision", bits, *(a.format(instance=instance_file) for a in argv)])
     captured = capsys.readouterr()
     assert rc == 4
@@ -284,6 +285,28 @@ def test_unreadable_path_exits_4_with_one_line(tmp_path, capsys, monkeypatch, ar
     assert captured.out == "" and not paths["out"].exists()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("paircert: InvalidParameter: cannot read")
+
+
+UNWRITABLE_ARGV = {
+    "check-out": ["check", "--instance", "{instance}", "--out", "{missing}/x.json"],
+    "gen-out": ["gen", "--config", "{config}", "--out", "{missing}/x.json"],
+    "peel-trace": ["peel", "--instance", "{instance}", "--trace", "{missing}/t.json"],
+    "certify-campaign-out-dir": ["certify", "--campaign", "{config}", "--out-dir", "{config}"],
+}
+
+
+@pytest.mark.parametrize("argv", list(UNWRITABLE_ARGV.values()), ids=list(UNWRITABLE_ARGV))
+def test_unwritable_output_exits_4_with_one_line(
+    tmp_path, instance_file, config_file, capsys, argv
+):
+    paths = {"instance": instance_file, "config": config_file, "missing": tmp_path / "missing"}
+    rc = main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == "" and not paths["missing"].exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(("paircert: FileNotFoundError: ", "paircert: FileExistsError: "))
 
 
 def test_check_writes_exact_json_past_the_int_str_limit(tmp_path, capsys):

@@ -50,6 +50,13 @@ class TestParams:
         with pytest.raises(InvalidParameter):
             small_params(t=F(1, 2))
 
+    def test_precision_range(self):
+        for bits in (15, DEFAULT_PRECISION_CAP + 1):
+            with pytest.raises(InvalidParameter):
+                small_params(precision_bits=bits)
+        for bits in (16, DEFAULT_PRECISION_CAP):
+            assert small_params(precision_bits=bits).precision_bits == bits
+
     def test_json_round_trip(self):
         p = small_params(K=F(7, 2))
         assert Params.from_json(p.to_json()) == p
