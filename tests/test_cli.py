@@ -98,7 +98,7 @@ def test_single_verdict_exit_codes(monkeypatch, instance_file, capsys, command, 
     ids=["check", "anatomy-mertens"],
 )
 def test_precision_below_16_exits_4_with_one_line(instance_file, capsys, bits, argv):
-    """--precision outside [16, 2^14] exits 4 before any work, also above the cap."""
+    """--precision outside [16, 2^14], below or above, exits 4 before any work."""
     rc = main(["--precision", bits, *(a.format(instance=instance_file) for a in argv)])
     captured = capsys.readouterr()
     assert rc == 4
