@@ -48,32 +48,47 @@ def small_prime_divisor_count(n: int, t: Rational) -> int:
 
 
 _INC = bytes(range(1, 256)) + b"\x00"  # byte n -> n + 1
+_WHEEL = (2, 3, 5, 7, 11, 13)  # period 30030
 
 
-@lru_cache(maxsize=8)
 def _omega_counts(x: int, t: int) -> bytes:
     """counts[n] = #{p <= t : p | n} for 0 <= n <= x, by a sieve pass.
 
-    A byte cannot overflow: omega_t(n) <= 7 for n <= ENUMERATION_CAP.
+    The counts of the wheel primes 2..13 that are <= min(t, x) repeat with
+    their product as period (at most 30030 bytes). So one period is sieved
+    and repeated to length x + 1, counts[0] is reset to 0, and only the
+    primes above 13 are sieved over the whole range. A byte cannot
+    overflow: omega_t(n) <= 7 for n <= ENUMERATION_CAP.
     """
-    counts = bytearray(x + 1)
-    for p in primes_upto(max(1, min(t, x))):
+    bound = min(t, x)
+    wheel = [p for p in _WHEEL if p <= bound]
+    period = bytearray(math.prod(wheel))
+    for p in wheel:
+        period[::p] = period[::p].translate(_INC)
+    counts = period * (x // len(period) + 1)
+    del counts[x + 1 :]
+    counts[0] = 0
+    for p in primes_upto(max(1, bound))[len(wheel) :]:
         counts[p::p] = counts[p::p].translate(_INC)
     return bytes(counts)
 
 
-def _omega_histogram(x: int, t: Rational) -> list[int]:
+@lru_cache(maxsize=8)
+def _omega_histogram(x: int, t: int) -> tuple[int, ...]:
     """hist[c] = #{1 <= n <= x : omega_t(n) = c}, up to the largest c taken.
 
     The c taken are 0, 1, ..., max: c of the small primes of n multiply to
-    at most n. So the counts stop at the first empty bucket.
+    at most n. So the counts stop at the first empty bucket. The histogram
+    is cached on (x, t) rather than the x + 1 byte sieve behind it, so the
+    count and the Rankin sum of one chain share a single sieve and a single
+    set of counting passes, and the cache holds a few ints per entry.
     """
-    counts = _omega_counts(x, math.floor(t))
+    counts = _omega_counts(x, t)
     hist = [0]
     while reps := counts.count(len(hist)):
         hist.append(reps)
     hist[0] = x - sum(hist)
-    return hist
+    return tuple(hist)
 
 
 def count_many_small_primes(x: Rational, t: Rational, K: Rational) -> int:
@@ -88,7 +103,7 @@ def count_many_small_primes(x: Rational, t: Rational, K: Rational) -> int:
     K = Fraction(K)
     if K <= 0:
         return xi
-    return sum(_omega_histogram(xi, t)[math.ceil(K) :])
+    return sum(_omega_histogram(xi, math.floor(t))[math.ceil(K) :])
 
 
 def rankin_sum(x: Rational, t: Rational, gamma: Rational) -> Fraction:
@@ -104,7 +119,7 @@ def rankin_sum(x: Rational, t: Rational, gamma: Rational) -> Fraction:
     if xi > ENUMERATION_CAP:
         raise ResourceLimit(f"enumeration bound {xi} exceeds cap {ENUMERATION_CAP}")
     total = _ZERO
-    for c, reps in enumerate(_omega_histogram(xi, t)):
+    for c, reps in enumerate(_omega_histogram(xi, math.floor(t))):
         total += reps * gamma**c
     return total
 

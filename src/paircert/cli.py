@@ -7,7 +7,9 @@ inconclusive verdict remained at the precision cap
 (a malformed instance or generator config, a parameter outside its domain
 such as --precision outside [16, 2^14], --precision given to certify
 --campaign, a cap exceeded, any PaircertError; an unwritable output path,
-any OSError), reported as one line on stderr.
+any OSError), reported as one line on stderr. A rational option (--t,
+--K, --x, --gamma) that does not parse as a fraction with a nonzero
+denominator, an empty one included, is such an input error.
 --precision overrides precision_bits in the params of every instance a
 command loads or gen writes; a campaign's instances take theirs from the
 generator.
@@ -16,6 +18,7 @@ generator.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from dataclasses import replace
@@ -82,6 +85,16 @@ def _override(args, params):
     return params
 
 
+def _rational(text: str | None, option: str, default=None):
+    """The rational an option spells, or default when it is absent."""
+    if text is None:
+        return default
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParameter(f"{option} is not a rational number: {text!r}") from None
+
+
 def _load(args):
     system, params = load_instance(args.instance)
     return system, _override(args, params)
@@ -105,8 +118,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_edges(args) -> int:
     system, params = _load(args)
-    t = Fraction(args.t) if args.t else params.t
-    K = Fraction(args.K) if args.K is not None else params.K
+    t = _rational(args.t, "--t", params.t)
+    K = _rational(args.K, "--K", params.K)
     edges = build_edge_set(system.psi, system.theta, t, K, literal_lcm=args.literal_lcm)
     _emit({"t": str(t), "K": str(K), "edges": sorted(list(e) for e in edges)}, args.out)
     return 0
@@ -191,7 +204,7 @@ def _cmd_peel(args) -> int:
 
 def _cmd_resolve(args) -> int:
     system, params = _load(args)
-    gamma = Fraction(args.gamma) if args.gamma else None
+    gamma = _rational(args.gamma, "--gamma")
     report = resolution_check(
         system,
         system.edges,
@@ -209,15 +222,14 @@ def _cmd_anatomy(args) -> int:
     from .model import MultiplicativeFunction
 
     f = MultiplicativeFunction.totient()
-    gamma = Fraction(args.gamma) if args.gamma else Fraction(2)
-    t = Fraction(args.t) if args.t else Fraction(10)
-    K = Fraction(args.K) if args.K is not None else Fraction(1)
+    gamma = _rational(args.gamma, "--gamma", Fraction(2))
+    t = _rational(args.t, "--t", Fraction(10))
+    K = _rational(args.K, "--K", Fraction(1))
+    x = _rational(args.x, "--x", Fraction(100))
     if args.operation == "count":
-        x = Fraction(args.x) if args.x else Fraction(100)
         doc = count_chain_report(x, t, K, gamma).to_json()
         doc.update({"x": str(x), "t": str(t), "K": str(K)})
     elif args.operation == "rankin":
-        x = Fraction(args.x) if args.x else Fraction(100)
         doc = {
             "x": str(x),
             "t": str(t),
@@ -225,7 +237,7 @@ def _cmd_anatomy(args) -> int:
             "rankin_sum": fraction_str(rankin_sum(x, t, gamma)),
         }
     elif args.operation == "divisor":
-        M = args.M or 12
+        M = 12 if args.M is None else args.M
         doc = divisor_chain_report(M, t, K, gamma, f).to_json()
         doc.update({"M": M, "t": str(t), "K": str(K)})
     else:  # mertens
@@ -249,6 +261,9 @@ def _cmd_certify(args) -> int:
             "certify --campaign takes precision_bits from the generator "
             "config's params, not from --precision"
         )
+    for path in (args.out, args.csv):  # fail before the campaign, not after it
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "no such directory", str(Path(path).parent))
     config = GeneratorConfig.from_json(read_json(args.campaign))
     report = certify_campaign(config, args.count, out_dir=args.out_dir)
     _emit(report.to_json(), args.out)

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import mpmath
@@ -13,6 +14,7 @@ from paircert.anatomy import (
     AnatomyReport,
     _mertens_point,
     _omega_counts,
+    _omega_histogram,
     count_chain_report,
     count_many_small_primes,
     divisor_anatomy_bound,
@@ -84,6 +86,39 @@ class TestCount:
             assert counts[n] == small_prime_divisor_count(n, t), n
         if x == 510510:
             assert counts[x] == 7  # 2*3*5*7*11*13*17
+
+    @pytest.mark.parametrize(
+        "x, t",
+        [(30029, 10**4), (30030, 10**4), (30031, 10**4), (70001, 10**4)]
+        + [(30031, t) for t in (1, 2, 3, 12, 13, 14)],
+    )
+    def test_wheel_sieve_matches_every_n(self, x, t):
+        """x below, at and above the 30030 wheel period; t giving an empty,
+        a partial and a full wheel of the primes 2..13."""
+        counts = _omega_counts(x, t)
+        assert counts[0] == 0
+        assert list(counts[1:]) == [small_prime_divisor_count(n, t) for n in range(1, x + 1)]
+
+    @pytest.mark.parametrize("x, t", [(1, 1), (2000, 7), (4001, 30), (3000, 10**4)])
+    def test_omega_histogram_matches_per_n_loop(self, x, t):
+        hist = _omega_histogram(x, t)
+        tally = Counter(small_prime_divisor_count(n, t) for n in range(1, x + 1))
+        assert isinstance(hist, tuple)  # the cached value is shared by every caller
+        assert hist == tuple(tally[c] for c in range(max(tally) + 1))
+
+    def test_one_sieve_per_count_chain(self, monkeypatch):
+        calls = []
+        sieve = anatomy._omega_counts
+
+        def counted(x, t):
+            calls.append((x, t))
+            return sieve(x, t)
+
+        monkeypatch.setattr(anatomy, "_omega_counts", counted)
+        _omega_histogram.cache_clear()
+        report = count_chain_report(F(25001, 2), 1000, 3, F(5, 2))
+        assert report.chain_holds
+        assert calls == [(12500, 1000)]
 
 
 class TestRankinSum:

@@ -325,3 +325,50 @@ def test_check_writes_exact_json_past_the_int_str_limit(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["lhs"]) > 5000
     assert doc["lhs"] == fraction_str(mu_pairs(system))
+
+
+MALFORMED_OPTION_ARGV = {
+    "divisor-M-zero": ["anatomy", "divisor", "--M", "0"],
+    "count-empty-t": ["anatomy", "count", "--t="],
+    "count-empty-x": ["anatomy", "count", "--x="],
+    "count-empty-gamma": ["anatomy", "count", "--gamma="],
+    "count-x-word": ["anatomy", "count", "--x", "abc"],
+    "count-gamma-zero-denominator": ["anatomy", "count", "--gamma", "1/0"],
+    "edges-t-word": ["edges", "--instance", "{instance}", "--t", "abc"],
+    "edges-K-zero-denominator": ["edges", "--instance", "{instance}", "--K", "1/0"],
+    "resolve-gamma-word": ["resolve", "--instance", "{instance}", "--N", "1", "--gamma", "x/y"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(MALFORMED_OPTION_ARGV.values()), ids=list(MALFORMED_OPTION_ARGV)
+)
+def test_malformed_option_exits_4_with_one_line(instance_file, capsys, argv):
+    """A malformed or empty rational option, or M = 0, is an input error,
+    never a traceback or a silent fall-back to the default."""
+    rc = main([a.format(instance=instance_file) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("paircert: InvalidParameter: ")
+
+
+@pytest.mark.parametrize("option", ["--csv", "--out"])
+def test_certify_campaign_checks_output_dirs_first(
+    monkeypatch, tmp_path, config_file, capsys, option
+):
+    from paircert import cli
+
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("the campaign ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "certify_campaign", no_campaign)
+    missing = tmp_path / "missing"
+    argv = ["certify", "--campaign", str(config_file), "--count", "300"]
+    rc = main([*argv, option, str(missing / "x")])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == "" and not missing.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("paircert: FileNotFoundError: ")
