@@ -9,7 +9,10 @@ such as --precision outside [16, 2^14], --precision given to certify
 --campaign, a cap exceeded, any PaircertError; an unwritable output path,
 any OSError), reported as one line on stderr. A rational option (--t,
 --K, --x, --gamma) that does not parse as a fraction with a nonzero
-denominator, an empty one included, is such an input error.
+denominator, an empty one included, is such an input error. A usage error
+(an unknown option, an integer option that is not an integer, a missing
+required option, certify without --instance or --campaign) also exits 4,
+after argparse's usage text and one error line; --help exits 0.
 --precision overrides precision_bits in the params of every instance a
 command loads or gen writes; a campaign's instances take theirs from the
 generator.
@@ -281,8 +284,17 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 4, the input-error code;
+    its subparsers are made from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paircert",
         description="Exact-arithmetic certifier for weighted integer-pair systems.",
     )

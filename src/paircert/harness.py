@@ -20,7 +20,7 @@ from .arith import Rational, fraction_str, primes_upto
 from .compress import slice_system, verify_slice_identities
 from .diagonal import concentrate, peel, property_two_holds
 from .errors import DegenerateMeasure, InvalidParameter, PaircertError
-from .model import MultiplicativeFunction, PairSystem, WeightFunction
+from .model import MultiplicativeFunction, PairSystem, WeightFunction, check_fields, fields_to_json
 from .quality import (
     HOLDS,
     INCONCLUSIVE,
@@ -79,7 +79,7 @@ class GeneratorConfig:
     params: Optional[Params] = None  # None: draw from the default grid
 
     def __post_init__(self):
-        object.__setattr__(self, "density", Fraction(self.density))
+        check_fields(self)
         if not 0 <= self.density <= 1:
             raise InvalidParameter(f"density {self.density} outside [0, 1]")
         if self.f_mode not in ("totient", "random"):
@@ -88,40 +88,18 @@ class GeneratorConfig:
             raise InvalidParameter("bad support size bounds")
 
     def to_json(self) -> dict:
-        doc = {
-            "seed": self.seed,
-            "support_min": self.support_min,
-            "support_max": self.support_max,
-            "value_numerator_bound": self.value_numerator_bound,
-            "prime_pool_bound": self.prime_pool_bound,
-            "max_exponent": self.max_exponent,
-            "element_bound": self.element_bound,
-            "density": str(self.density),
-            "f_mode": self.f_mode,
-        }
-        if self.params is not None:
-            doc["params"] = self.params.to_json()
-        return doc
+        return fields_to_json(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "GeneratorConfig":
-        """The config a document describes; a malformed document (a bad
-        number literal, a value of the wrong type, params missing a key)
-        raises InvalidParameter."""
+        """The config a document describes, an absent key taking its default.
+        InvalidParameter for a malformed one: not an object, a key that is no
+        field name, a bad rational, an int field holding a non-int (a bool,
+        a float, a numeral string), a bad f_mode, or a malformed params."""
         with _malformed("generator config"):
-            params = Params.from_json(doc["params"]) if "params" in doc else None
-            return cls(
-                seed=int(doc.get("seed", 0)),
-                support_min=int(doc.get("support_min", 3)),
-                support_max=int(doc.get("support_max", 12)),
-                value_numerator_bound=int(doc.get("value_numerator_bound", 8)),
-                prime_pool_bound=int(doc.get("prime_pool_bound", 50)),
-                max_exponent=int(doc.get("max_exponent", 2)),
-                element_bound=int(doc.get("element_bound", 100_000)),
-                density=Fraction(doc.get("density", "1/2")),
-                f_mode=doc.get("f_mode", "totient"),
-                params=params,
-            )
+            if "params" in doc:
+                doc = {**doc, "params": Params.from_json(doc["params"])}
+            return cls(**doc)
 
 
 def _instance_rng(config: GeneratorConfig, index: int) -> random.Random:
@@ -134,8 +112,6 @@ def _draw_params(rng: random.Random) -> Params:
         C=rng.choice(DEFAULT_CS),
         t=rng.choice(DEFAULT_TS),
         K=rng.choice(DEFAULT_KS),
-        p0=100,
-        precision_bits=256,
     )
 
 
@@ -280,21 +256,23 @@ def instance_document(
 
 
 def document_to_instance(doc: dict) -> tuple[PairSystem, Params]:
-    """The instance a document describes; a malformed document (a missing
-    key, a bad number literal, a value of the wrong type) raises
-    InvalidParameter."""
+    """The instance a document describes; a malformed document (not an
+    object, a missing key or one outside psi, theta, f, g, edges and
+    params, a bad number literal, a value of the wrong type, an edge
+    vertex that is not an integer) raises InvalidParameter."""
     with _malformed("instance document"):
+        unknown = doc.keys() - {"psi", "theta", "f", "g", "edges", "params"}
+        if unknown:
+            raise InvalidParameter(f"unknown keys in instance document: {sorted(unknown)}")
         params = Params.from_json(doc["params"])
         psi = WeightFunction.from_json(doc["psi"])
         theta = WeightFunction.from_json(doc["theta"])
         f = MultiplicativeFunction.from_json(doc["f"])
         g = MultiplicativeFunction.from_json(doc["g"])
-        raw_edges = doc.get("edges", "auto")
-        if raw_edges == "auto":
+        edges = doc.get("edges", "auto")
+        if edges == "auto":
             edges = build_edge_set(psi, theta, params.t, params.K)
-        else:
-            edges = frozenset((int(v), int(w)) for v, w in raw_edges)
-    return PairSystem(psi, theta, f, g, edges), params
+        return PairSystem(psi, theta, f, g, edges), params
 
 
 def canonical_json(doc: dict) -> str:

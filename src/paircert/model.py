@@ -7,13 +7,13 @@ All values are exact rationals; a weight's support is exactly its key set
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
-from .arith import Rational, factorize, prime_divisors
+from .arith import Rational, factorize, fraction_str, prime_divisors
 from .errors import IncompleteDefinition, InvalidParameter
 
 _ZERO = Fraction(0)
@@ -178,6 +178,34 @@ class MultiplicativeFunction:
         return cls(table)
 
 
+def check_fields(config) -> None:
+    """Validate a frozen config dataclass in place by its (string) field
+    annotations: a Fraction field goes through Fraction(); an int field
+    holding a non-int (a bool, a float, a numeral string) raises
+    InvalidParameter."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "Fraction":
+            object.__setattr__(config, f.name, Fraction(value))
+        elif f.type == "int" and type(value) is not int:
+            raise InvalidParameter(f"{f.name} must be an integer, got {value!r}")
+
+
+def fields_to_json(config) -> dict:
+    """A config dataclass as a JSON object in field order: a Fraction as
+    "p/q", a nested config through its own to_json, a None field left out."""
+    doc = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, Fraction):
+            value = fraction_str(value)
+        elif hasattr(value, "to_json"):
+            value = value.to_json()
+        if value is not None:
+            doc[f.name] = value
+    return doc
+
+
 @dataclass(frozen=True)
 class MultiplicativeValidation:
     accepted: bool
@@ -219,9 +247,11 @@ class PairSystem:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        norm = frozenset((int(v), int(w)) for v, w in self.edges)
+        norm = frozenset((v, w) for v, w in self.edges)
         object.__setattr__(self, "edges", norm)
         for v, w in norm:
+            if type(v) is not int or type(w) is not int:
+                raise InvalidParameter(f"edge ({v!r}, {w!r}) has a non-integer vertex")
             if v not in self.psi or w not in self.theta:
                 raise InvalidParameter(f"edge ({v},{w}) leaves the supports")
 

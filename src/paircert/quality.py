@@ -32,7 +32,7 @@ from .arith import (
     valuation,
 )
 from .errors import InvalidParameter
-from .model import PairSystem, WeightFunction, mu_pairs, prime_support
+from .model import PairSystem, WeightFunction, check_fields, fields_to_json, mu_pairs, prime_support
 
 DEFAULT_PRECISION_CAP = 1 << 14
 
@@ -80,10 +80,7 @@ class Params:
     precision_bits: int = 256
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        object.__setattr__(self, "C", Fraction(self.C))
-        object.__setattr__(self, "t", Fraction(self.t))
-        object.__setattr__(self, "K", Fraction(self.K))
+        check_fields(self)
         if not 0 < self.epsilon <= Fraction(2, 5):
             raise InvalidParameter(f"epsilon {self.epsilon} outside (0, 2/5]")
         if self.C <= 0:
@@ -104,25 +101,15 @@ class Params:
         return 2 / (1 + 2 * self.epsilon)
 
     def to_json(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "C": str(self.C),
-            "t": str(self.t),
-            "K": str(self.K),
-            "p0": self.p0,
-            "precision_bits": self.precision_bits,
-        }
+        return fields_to_json(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "Params":
-        return cls(
-            epsilon=Fraction(doc["epsilon"]),
-            C=Fraction(doc["C"]),
-            t=Fraction(doc["t"]),
-            K=Fraction(doc["K"]),
-            p0=int(doc.get("p0", 100)),
-            precision_bits=int(doc.get("precision_bits", 256)),
-        )
+        """The params a document describes. TypeError for one that is not an
+        object, lacks epsilon, C, t or K, or has another key; ValueError for a
+        bad rational; InvalidParameter for a non-int p0 or precision_bits, or
+        a value outside its domain."""
+        return cls(**doc)
 
 
 def d_value(v: int, w: int, psi: WeightFunction, theta: WeightFunction) -> Fraction:
@@ -163,11 +150,14 @@ def build_edge_set(
     cross-multiplication (w psi(v) <= gcd(v,w) and v theta(w) <= gcd(v,w));
     omega is only computed for pairs passing the quality filter, and only
     when K > 0 (omega >= 0 always, so K <= 0 never filters), with t floored
-    once per call.
+    once per call. t < 1 raises InvalidParameter for every K, as omega_t
+    does.
     """
+    if t < 1:
+        raise InvalidParameter(f"t must be >= 1, got {t}")
     K = Fraction(K)
     k_min = ceil(K)  # omega is an integer: omega >= K iff omega >= ceil(K)
-    t_floor = floor(t) if t >= 1 else t  # omega_t rejects t < 1
+    t_floor = floor(t)
     thetas = [(w, b.numerator, b.denominator) for w, b in theta.items()]
     out = []
     for v, a in psi.items():

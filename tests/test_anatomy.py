@@ -2,9 +2,12 @@
 
 import math
 import random
+import shutil
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -32,6 +35,7 @@ from paircert.arith import (
     coprime_fraction,
     divisors,
     factorize,
+    int_str,
     interval_eval,
     log_of,
     primes_upto,
@@ -409,3 +413,50 @@ def test_coprime_fraction():
         assert got == want and hash(got) == hash(want)
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
         assert str(got) == str(want)
+
+
+# Run under a newer interpreter than the suite's: 3.12 removed the
+# _normalize keyword that coprime_fraction uses before 3.12.
+_NEWER_PYTHON_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction
+from paircert.anatomy import mertens_product
+from paircert.arith import int_str
+assert hasattr(Fraction, "_from_coprime_ints")
+x = mertens_product(10**4, Fraction(5, 2))
+print(f"{x.numerator:x}/{x.denominator:x}", hash(x), int_str(x.numerator * x.denominator))
+"""
+
+
+def _newer_python():
+    """The path of a python3.12 or python3.13 on PATH that starts, or None."""
+    for name in ("python3.12", "python3.13"):
+        exe = shutil.which(name)
+        if exe is None:
+            continue
+        probe = [exe, "-I", "-c", "import sys; sys.exit(sys.version_info < (3, 12))"]
+        if subprocess.run(probe, capture_output=True, timeout=60).returncode == 0:
+            return exe
+    return None
+
+
+def test_coprime_fraction_on_python_3_12_or_later():
+    """The Fraction._from_coprime_ints branch gives the same Mertens product
+    (hex digits and hash) and the same int_str past the 4300-digit limit."""
+    exe = _newer_python()
+    if exe is None:
+        pytest.skip("no python3.12 or python3.13 on PATH")
+    src = Path(anatomy.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [exe, "-I", "-B", "-c", _NEWER_PYTHON_SCRIPT, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    x = mertens_product(10**4, F(5, 2))
+    big = x.numerator * x.denominator
+    assert len(int_str(big)) > 4300
+    want = [f"{x.numerator:x}/{x.denominator:x}", str(hash(x)), int_str(big)]
+    assert run.stdout.split() == want

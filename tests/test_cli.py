@@ -205,13 +205,36 @@ def test_certify_requires_target():
         main(["certify"])
 
 
+USAGE_ERROR_ARGV = {
+    "compress-p-word": [
+        "compress", "--instance", "{instance}", "--p", "abc", "--i", "0", "--j", "0"
+    ],
+    "precision-word": ["--precision", "x", "check", "--instance", "{instance}"],
+    "certify-without-target": ["certify"],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERROR_ARGV.values()), ids=list(USAGE_ERROR_ARGV))
+def test_usage_error_exits_4(instance_file, capsys, argv):
+    """A usage error is an input error (4), not a found violation (2)."""
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(instance=instance_file) for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("usage: paircert")
+    assert ": error: " in captured.err.splitlines()[-1]
+
+
 @pytest.mark.parametrize(
     "breakage",
     [
         lambda doc: doc["psi"].update({"2": "1/x"}),
         lambda doc: doc.pop("params"),
+        lambda doc: doc.update(edges=[[2.9, 3]], theta={"3": "1/3"}),
+        lambda doc: doc.update(edge=doc.pop("edges")),
     ],
-    ids=["bad-fraction", "missing-params"],
+    ids=["bad-fraction", "missing-params", "float-edge-vertex", "edges-key-typo"],
 )
 def test_malformed_instance_exits_4_with_one_line(tmp_path, instance_file, capsys, breakage):
     doc = json.loads(instance_file.read_text())
@@ -226,10 +249,37 @@ def test_malformed_instance_exits_4_with_one_line(tmp_path, instance_file, capsy
     assert len(lines) == 1 and lines[0].startswith("paircert: InvalidParameter: ")
 
 
+PARAMS_DOC = {"epsilon": "1/4", "C": "1", "t": "10", "K": "0"}
+
+
 @pytest.mark.parametrize(
     "config_doc",
-    [{"density": "1/x"}, {"seed": "s"}, {"params": {"epsilon": "1/4"}}, [1, 2], "not json"],
-    ids=["bad-fraction", "bad-int", "params-missing-key", "not-an-object", "not-json"],
+    [
+        {"density": "1/x"},
+        {"seed": "s"},
+        {"params": {"epsilon": "1/4"}},
+        [1, 2],
+        "not json",
+        {"params": {**PARAMS_DOC, "precison_bits": 512}},
+        {"f-mode": "random"},
+        {"seed": 1.9},
+        {"params": {**PARAMS_DOC, "precision_bits": 300.5}},
+        {"max_exponent": True},
+        {"seed": "5"},
+    ],
+    ids=[
+        "bad-fraction",
+        "bad-int",
+        "params-missing-key",
+        "not-an-object",
+        "not-json",
+        "params-key-typo",
+        "key-typo",
+        "float-seed",
+        "float-precision-bits",
+        "bool-max-exponent",
+        "numeral-string-seed",
+    ],
 )
 @pytest.mark.parametrize(
     "argv",

@@ -81,6 +81,10 @@ class TestGenerator:
         with pytest.raises(InvalidParameter):
             GeneratorConfig(density=F(3, 2))
 
+    def test_int_field_validation(self):
+        with pytest.raises(InvalidParameter, match="seed must be an integer"):
+            GeneratorConfig(seed=1.5)
+
 
 class TestRescale:
     def test_identity(self):

@@ -49,6 +49,8 @@ class TestParams:
             small_params(C=F(0))
         with pytest.raises(InvalidParameter):
             small_params(t=F(1, 2))
+        with pytest.raises(InvalidParameter):
+            small_params(p0=100.5)
 
     def test_precision_range(self):
         for bits in (15, DEFAULT_PRECISION_CAP + 1):
@@ -132,6 +134,14 @@ class TestEdgeSets:
         psi = WeightFunction({2: F(3), 3: F(2)})
         theta = WeightFunction({5: F(4)})
         assert build_edge_set(psi, theta, 10, -1) == frozenset()
+
+    @pytest.mark.parametrize("K", [0, 1])
+    def test_t_below_one_rejected(self, K):
+        """Rejected for every K, also when no pair reaches the omega test."""
+        psi = WeightFunction({2: F(3), 3: F(2)})
+        theta = WeightFunction({5: F(4)})
+        with pytest.raises(InvalidParameter, match="t must be >= 1"):
+            build_edge_set(psi, theta, F(1, 2), K)
 
     def test_monotone_in_k_and_t(self):
         for system, params in make_corpus(101, 12):
