@@ -635,3 +635,170 @@ def test_atanh_series_ends_equal_reference(rng):
             arith._atanh_series_scaled(c, d, w, rnd) for rnd in (arith._FLOOR, arith._CEIL)
         )
         assert ends == _ref_atanh_series_scaled(c, d, w)
+
+
+# The dyadic primitives as they stood with a hand-written quotient in each of
+# _dy_div and _dy_from_fraction and a magnitude window in _dy_cmp_fraction.
+# Kept verbatim as the reference that the shared quotient and the one exact
+# comparison must match bit for bit.
+
+
+def _ref_dy_div(a, b, prec, rnd):
+    if b.man == 0:
+        raise DomainError("division by zero dyadic")
+    if a.man == 0:
+        return arith._DY_ZERO
+    neg = (a.man < 0) != (b.man < 0)
+    am, bm = abs(a.man), abs(b.man)
+    k = prec + 4 + max(0, bm.bit_length() - am.bit_length())
+    q, r = divmod(am << k, bm)
+    if neg:
+        man = -(q + 1) if (r and rnd == arith._FLOOR) else -q
+    else:
+        man = q + 1 if (r and rnd == arith._CEIL) else q
+    return arith._dy_round(man, a.exp - b.exp - k, prec, rnd)
+
+
+def _ref_dy_cmp_fraction(a, x):
+    x = F(x)
+    sa = a.sign
+    sx = (x > 0) - (x < 0)
+    if sa != sx:
+        return -1 if sa < sx else 1
+    if sa == 0:
+        return 0
+    p, q = abs(x.numerator), x.denominator
+    # crude magnitude window: 2**(px-1) <= |x| < 2**(px+1)
+    px = p.bit_length() - q.bit_length()
+    pa = a.mag_bits
+    if pa - 1 > px + 1:
+        return sa
+    if pa <= px - 2:  # |a| < 2**pa <= 2**(px-1) <= |x|
+        return -sa
+    # close call: compare man * q * 2**exp against p exactly
+    m = abs(a.man) * q
+    e = a.exp
+    if e >= 0:
+        lhs, rhs = m << e, p
+    else:
+        lhs, rhs = m, p << -e
+    return ((lhs > rhs) - (lhs < rhs)) * sa
+
+
+def _ref_dy_from_fraction(x, prec, rnd):
+    x = F(x)
+    p, q = x.numerator, x.denominator
+    if p == 0:
+        return arith._DY_ZERO
+    if q == 1 and abs(p).bit_length() <= prec:
+        return arith.Dyadic(p, 0)
+    neg = p < 0
+    p = abs(p)
+    e = p.bit_length() - q.bit_length() - prec - 2
+    if e >= 0:
+        num, den = p, q << e
+    else:
+        num, den = p << -e, q
+    m, r = divmod(num, den)
+    if neg:
+        man = -(m + 1) if (r and rnd == arith._FLOOR) else -m
+    else:
+        man = m + 1 if (r and rnd == arith._CEIL) else m
+    return arith._dy_round(man, e, prec, rnd)
+
+
+class TestDyadicPrimitiveReference:
+    """arith._dy_from_fraction, _dy_div and _dy_cmp_fraction against the
+    hand-written reference, bit for bit."""
+
+    PRECS = (16, 17, 53, 256, 1024, 4096)
+    RNDS = (arith._FLOOR, arith._CEIL)
+
+    @staticmethod
+    def _int(rng, bits):
+        """A random integer of exactly `bits` bits, either sign."""
+        n = rng.getrandbits(bits) | (1 << (bits - 1))
+        return n if rng.getrandbits(1) else -n
+
+    @staticmethod
+    def _odd(rng, bits):
+        return rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+
+    def _fractions(self, rng, prec):
+        out = [F(0), F(1), F(-1), F(1 << prec), F((1 << prec) - 1), F((1 << prec) + 1)]
+        # integers that fit prec bits and integers that do not
+        for bits in (1, 2, prec - 1, prec, prec + 1, prec + 2, 2 * prec + 7):
+            out.append(F(self._int(rng, bits)))
+        # numerators far longer and far shorter than denominators, and alike
+        shapes = [(3 * prec, 5), (5, 3 * prec), (prec, prec), (5000, 40), (40, 5000)]
+        shapes += [(rng.randint(1, 2 * prec), rng.randint(1, 2 * prec)) for _ in range(8)]
+        for pb, qb in shapes:
+            out.append(F(self._int(rng, pb), self._odd(rng, qb)))
+        # one unit away from a dyadic: (m q +- 1) / q * 2^k
+        for _ in range(6):
+            m = self._int(rng, rng.randint(1, prec + 2))
+            q = self._odd(rng, rng.randint(2, 64))
+            k = rng.randint(-2 * prec, prec)
+            for u in (-1, 1):
+                out.append(F(m * q + u, q) * F(2) ** k)
+        # shifted powers of two and their neighbours
+        for k in (-prec - 1, -3, 5, prec + 3):
+            out += [F(2) ** k, -(F(2) ** k), F(2) ** k + F(1, 3 << prec)]
+        return out
+
+    def _dyadics(self, rng, prec):
+        out = []
+        for bits in (1, 2, prec - 1, prec, prec + 1, 3 * prec, 5000):
+            for _ in range(2):
+                out.append(arith.Dyadic(self._int(rng, bits), rng.randint(-3 * prec, 3 * prec)))
+        out += [arith.Dyadic(1, 0), arith.Dyadic(-1, prec), arith.Dyadic(3, -prec)]
+        return out
+
+    def test_from_fraction(self):
+        rng = random.Random(20261018)
+        compared = 0
+        for prec in self.PRECS:
+            for x in self._fractions(rng, prec):
+                for rnd in self.RNDS:
+                    got = arith._dy_from_fraction(x, prec, rnd)
+                    want = _ref_dy_from_fraction(x, prec, rnd)
+                    assert (got.man, got.exp) == (want.man, want.exp), (x, prec, rnd)
+                    compared += 1
+        assert compared >= 600
+
+    def test_div(self):
+        rng = random.Random(20261019)
+        compared = 0
+        for prec in self.PRECS:
+            ds = self._dyadics(rng, prec)
+            pairs = [(a, b) for a in [arith._DY_ZERO] + ds for b in ds]
+            for a, b in rng.sample(pairs, 250):
+                for rnd in self.RNDS:
+                    got = arith._dy_div(a, b, prec, rnd)
+                    want = _ref_dy_div(a, b, prec, rnd)
+                    assert (got.man, got.exp) == (want.man, want.exp), (a, b, prec, rnd)
+                    compared += 1
+        assert compared > 2500
+        with pytest.raises(DomainError):
+            arith._dy_div(arith._DY_ONE, arith._DY_ZERO, 53, arith._FLOOR)
+
+    def test_cmp_fraction(self):
+        rng = random.Random(20261020)
+        compared = 0
+        for prec in self.PRECS:
+            ds = self._dyadics(rng, prec)
+            for x in self._fractions(rng, prec):
+                # the roundings of x itself, one unit off them, and strangers
+                near = [_ref_dy_from_fraction(x, prec, rnd) for rnd in self.RNDS]
+                near += [arith._dy_nudge(d, prec, rnd) for d in near for rnd in self.RNDS]
+                near += [arith._dy_neg(d) for d in near[:2]] + [arith._DY_ZERO]
+                for a in near + rng.sample(ds, 3):
+                    assert arith._dy_cmp_fraction(a, x) == _ref_dy_cmp_fraction(a, x), (a, x)
+                    compared += 1
+            # dyadic rationals against themselves and their neighbours
+            for d in ds:
+                x = d.as_fraction()
+                for a in (d, arith._dy_nudge(d, prec, arith._FLOOR), arith._dy_neg(d)):
+                    assert arith._dy_cmp_fraction(a, x) == _ref_dy_cmp_fraction(a, x), (a, x)
+                    compared += 1
+        assert compared > 2500
