@@ -12,7 +12,9 @@ enclosure of the real number it describes.  Transcendental kernels are
 fixed-point series, and each evaluation runs the one pass of its rounding
 direction: toward -infinity every term rounds down, toward +infinity every
 term rounds up and the tail is padded.  That yields a certified one-sided
-bound without trusting any floating-point hardware.
+bound without trusting any floating-point hardware.  Outside those kernels
+every directed quotient goes through ``_quotient`` and every exact dyadic
+comparison through ``_me_cmp``.
 """
 
 from __future__ import annotations
@@ -308,20 +310,27 @@ def _dy_sub(a: Dyadic, b: Dyadic, prec: int, rnd: int) -> Dyadic:
     return _dy_add(a, _dy_neg(b), prec, rnd)
 
 
+def _quotient(n: int, d: int, exp: int, prec: int, rnd: int) -> Dyadic:
+    """(n/d) * 2**exp for d > 0, rounded to prec bits toward rnd.
+
+    The shift k gives the integer quotient prec + 4 or prec + 5 bits, however
+    long n and d are.  Floor division carries the sign of n, and 1 more on a
+    remainder makes it a ceiling.  Rounding twice in one direction onto nested
+    grids is one rounding, floor(floor(y) / 2**j) == floor(y / 2**j) and the
+    same for ceilings, so the result is y rounded once (n == 0 gives 0).
+    """
+    k = prec + 4 + d.bit_length() - abs(n).bit_length()
+    q, r = divmod(n << k, d) if k >= 0 else divmod(n, d << -k)
+    if r and rnd == _CEIL:
+        q += 1
+    return _dy_round(q, exp - k, prec, rnd)
+
+
 def _dy_div(a: Dyadic, b: Dyadic, prec: int, rnd: int) -> Dyadic:
     if b.man == 0:
         raise DomainError("division by zero dyadic")
-    if a.man == 0:
-        return _DY_ZERO
-    neg = (a.man < 0) != (b.man < 0)
-    am, bm = abs(a.man), abs(b.man)
-    k = prec + 4 + max(0, bm.bit_length() - am.bit_length())
-    q, r = divmod(am << k, bm)
-    if neg:
-        man = -(q + 1) if (r and rnd == _FLOOR) else -q
-    else:
-        man = q + 1 if (r and rnd == _CEIL) else q
-    return _dy_round(man, a.exp - b.exp - k, prec, rnd)
+    n = a.man if b.man > 0 else -a.man
+    return _quotient(n, abs(b.man), a.exp - b.exp, prec, rnd)
 
 
 def _dy_cmp(a: Dyadic, b: Dyadic) -> int:
@@ -330,50 +339,12 @@ def _dy_cmp(a: Dyadic, b: Dyadic) -> int:
 
 def _dy_cmp_fraction(a: Dyadic, x: Rational) -> int:
     x = Fraction(x)
-    sa = a.sign
-    sx = (x > 0) - (x < 0)
-    if sa != sx:
-        return -1 if sa < sx else 1
-    if sa == 0:
-        return 0
-    p, q = abs(x.numerator), x.denominator
-    # crude magnitude window: 2**(px-1) <= |x| < 2**(px+1)
-    px = p.bit_length() - q.bit_length()
-    pa = a.mag_bits
-    if pa - 1 > px + 1:
-        return sa
-    if pa <= px - 2:  # |a| < 2**pa <= 2**(px-1) <= |x|
-        return -sa
-    # close call: compare man * q * 2**exp against p exactly
-    m = abs(a.man) * q
-    e = a.exp
-    if e >= 0:
-        lhs, rhs = m << e, p
-    else:
-        lhs, rhs = m, p << -e
-    return ((lhs > rhs) - (lhs < rhs)) * sa
+    return _me_cmp((a.man * x.denominator, a.exp), (x.numerator, 0))
 
 
 def _dy_from_fraction(x: Rational, prec: int, rnd: int) -> Dyadic:
     x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    if p == 0:
-        return _DY_ZERO
-    if q == 1 and abs(p).bit_length() <= prec:
-        return Dyadic(p, 0)
-    neg = p < 0
-    p = abs(p)
-    e = p.bit_length() - q.bit_length() - prec - 2
-    if e >= 0:
-        num, den = p, q << e
-    else:
-        num, den = p << -e, q
-    m, r = divmod(num, den)
-    if neg:
-        man = -(m + 1) if (r and rnd == _FLOOR) else -m
-    else:
-        man = m + 1 if (r and rnd == _CEIL) else m
-    return _dy_round(man, e, prec, rnd)
+    return _quotient(x.numerator, x.denominator, 0, prec, rnd)
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +684,11 @@ def dyadic_str(d: Dyadic, digits: int = 12) -> str:
     l2 = d.log2_estimate()
     sign = "-" if d.man < 0 else ""
     return f"{sign}2^{l2:.6g}"
+
+
+def interval_json(iv: Interval) -> list[str]:
+    """The ends of iv to 20 digits, as every JSON report writes them."""
+    return [dyadic_str(iv.lo, 20), dyadic_str(iv.hi, 20)]
 
 
 def _fraction_decimal(x: Fraction, digits: int) -> str:

@@ -35,7 +35,7 @@ from .anatomy import (
     rankin_sum,
     ratio_to_log_power,
 )
-from .arith import Interval, dyadic_str, fraction_str
+from .arith import Interval, fraction_str, interval_json
 from .errors import InvalidParameter, PaircertError
 from .compress import slice_system, verify_slice_identities
 from .diagonal import (
@@ -104,11 +104,8 @@ def _load(args):
 
 
 def _interval_json(iv: Interval) -> dict:
-    return {
-        "lo": dyadic_str(iv.lo, 20),
-        "hi": dyadic_str(iv.hi, 20),
-        "precision_bits": iv.precision_bits,
-    }
+    lo, hi = interval_json(iv)
+    return {"lo": lo, "hi": hi, "precision_bits": iv.precision_bits}
 
 
 def _cmd_gen(args) -> int:

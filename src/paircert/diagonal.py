@@ -15,10 +15,10 @@ from .arith import (
     Interval,
     compare_power,
     const,
-    dyadic_str,
     exp_of,
     fraction_str,
     interval_eval,
+    interval_json,
     is_prime,
 )
 from .errors import DegenerateMeasure, InvalidParameter
@@ -428,9 +428,6 @@ class PeelStep:
     cert_rhs: object = None  # Interval (or None when vacuous)
 
     def to_json(self) -> dict:
-        rhs = None
-        if isinstance(self.cert_rhs, Interval):
-            rhs = [dyadic_str(self.cert_rhs.lo, 20), dyadic_str(self.cert_rhs.hi, 20)]
         return {
             "step": self.step,
             "side": self.side,
@@ -440,7 +437,7 @@ class PeelStep:
             "mu_side_before": fraction_str(self.mu_side_before),
             "mu_side_after": fraction_str(self.mu_side_after),
             "cert_verdict": self.cert_verdict,
-            "cert_rhs": rhs,
+            "cert_rhs": interval_json(self.cert_rhs) if self.cert_rhs else None,
         }
 
 

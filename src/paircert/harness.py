@@ -86,6 +86,9 @@ class GeneratorConfig:
             raise InvalidParameter(f"unknown f_mode {self.f_mode!r}")
         if self.support_min > self.support_max or self.support_min < 0:
             raise InvalidParameter("bad support size bounds")
+        for name in ("value_numerator_bound", "max_exponent", "element_bound"):
+            if getattr(self, name) < 1:
+                raise InvalidParameter(f"{name} {getattr(self, name)} is below 1")
 
     def to_json(self) -> dict:
         return fields_to_json(self)

@@ -20,6 +20,25 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _rational(value) -> Fraction:
+    """Fraction(value); a float or a bool is no exact rational input."""
+    if isinstance(value, (bool, float)):
+        raise InvalidParameter(f"{value!r} is not an exact rational")
+    return Fraction(value)
+
+
+def _numeral(text: str) -> int:
+    """The int that text spells as str(n); InvalidParameter for any other
+    spelling, such as "1_0", " 3 ", "+4" or "03"."""
+    try:
+        n = int(text)
+    except (TypeError, ValueError):
+        n = None
+    if n is None or str(n) != text:
+        raise InvalidParameter(f"{text!r} is not an integer numeral")
+    return n
+
+
 class WeightFunction:
     """Finite map from positive integers to strictly positive rationals."""
 
@@ -28,10 +47,11 @@ class WeightFunction:
     def __init__(self, table: Optional[Mapping[int, Rational]] = None):
         tbl: dict[int, Fraction] = {}
         for k, val in (table or {}).items():
-            k = int(k)
+            if type(k) is not int:
+                raise InvalidParameter(f"weight support element {k!r} is not an integer")
             if k < 1:
                 raise InvalidParameter(f"weight support element {k} < 1")
-            v = Fraction(val)
+            v = _rational(val)
             if v < 0:
                 raise InvalidParameter(f"negative weight at {k}: {v}")
             if v == 0:
@@ -75,7 +95,7 @@ class WeightFunction:
 
     @classmethod
     def from_json(cls, doc: Mapping[str, str]) -> "WeightFunction":
-        return cls({int(k): Fraction(v) for k, v in doc.items()})
+        return cls({_numeral(k): v for k, v in doc.items()})
 
 
 class MultiplicativeFunction:
@@ -98,10 +118,11 @@ class MultiplicativeFunction:
         if prime_power_table is not None:
             table = {}
             for (p, a), val in prime_power_table.items():
-                p, a = int(p), int(a)
+                if type(p) is not int or type(a) is not int:
+                    raise InvalidParameter(f"prime power {p!r}^{a!r} is not of integers")
                 if a < 1:
                     raise InvalidParameter(f"prime-power exponent {a} < 1")
-                v = Fraction(val)
+                v = _rational(val)
                 if v < 0:
                     raise InvalidParameter(f"negative value at {p}^{a}: {v}")
                 table[(p, a)] = v
@@ -174,7 +195,7 @@ class MultiplicativeFunction:
         table = {}
         for key, v in doc.items():
             p_str, a_str = key.split("^")
-            table[(int(p_str), int(a_str))] = Fraction(v)
+            table[(_numeral(p_str), _numeral(a_str))] = v
         return cls(table)
 
 

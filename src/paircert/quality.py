@@ -21,12 +21,12 @@ from .arith import (
     Interval,
     Rational,
     const,
-    dyadic_str,
     exp_of,
     factorize,
     fraction_str,
     int_str,
     interval_eval,
+    interval_json,
     log_of,
     primes_upto,
     valuation,
@@ -249,10 +249,11 @@ class BoundReport:
     p_exponent: int
 
     def to_json(self) -> dict:
+        rhs_lo, rhs_hi = interval_json(self.rhs)
         return {
             "lhs": fraction_str(self.lhs),
-            "rhs_lo": dyadic_str(self.rhs.lo, 20),
-            "rhs_hi": dyadic_str(self.rhs.hi, 20),
+            "rhs_lo": rhs_lo,
+            "rhs_hi": rhs_hi,
             "rhs_lo_dyadic": {"man": int_str(self.rhs.lo.man), "exp": self.rhs.lo.exp},
             "rhs_hi_dyadic": {"man": int_str(self.rhs.hi.man), "exp": self.rhs.hi.exp},
             "verdict": self.verdict,

@@ -18,11 +18,11 @@ from .arith import (
     Interval,
     Rational,
     const,
-    dyadic_str,
     exp_of,
     factorize,
     fraction_str,
     interval_eval,
+    interval_json,
     log_of,
     primes_upto,
 )
@@ -250,7 +250,7 @@ class ResolutionReport:
     def to_json(self) -> dict:
         def enc(x):
             if isinstance(x, Interval):
-                return [dyadic_str(x.lo, 20), dyadic_str(x.hi, 20)]
+                return interval_json(x)
             if x is None:
                 return None
             return fraction_str(x)

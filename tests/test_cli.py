@@ -226,6 +226,10 @@ def test_usage_error_exits_4(instance_file, capsys, argv):
     assert ": error: " in captured.err.splitlines()[-1]
 
 
+# f on every prime power the instance_file supports consult: the totient
+F_TABLE = {"2^1": "1", "2^2": "2", "3^1": "2", "3^2": "6"}
+
+
 @pytest.mark.parametrize(
     "breakage",
     [
@@ -233,8 +237,29 @@ def test_usage_error_exits_4(instance_file, capsys, argv):
         lambda doc: doc.pop("params"),
         lambda doc: doc.update(edges=[[2.9, 3]], theta={"3": "1/3"}),
         lambda doc: doc.update(edge=doc.pop("edges")),
+        lambda doc: doc["psi"].update({"1_0": "1/10"}),
+        lambda doc: doc["psi"].update({" 3 ": doc["psi"].pop("3")}),
+        lambda doc: doc["psi"].update({"+4": "1/4"}),
+        lambda doc: doc.update(f={**F_TABLE, "2^1_0": "1"}),
+        lambda doc: doc["psi"].update({"2": 0.1}),
+        lambda doc: doc["psi"].update({"2": True}),
+        lambda doc: doc.update(f={**F_TABLE, "3^1": 2.0}),
+        lambda doc: doc.update(g={**F_TABLE, "3^2": True}),
     ],
-    ids=["bad-fraction", "missing-params", "float-edge-vertex", "edges-key-typo"],
+    ids=[
+        "bad-fraction",
+        "missing-params",
+        "float-edge-vertex",
+        "edges-key-typo",
+        "underscore-weight-key",
+        "padded-weight-key",
+        "plus-weight-key",
+        "underscore-f-exponent",
+        "float-weight",
+        "bool-weight",
+        "float-f-value",
+        "bool-g-value",
+    ],
 )
 def test_malformed_instance_exits_4_with_one_line(tmp_path, instance_file, capsys, breakage):
     doc = json.loads(instance_file.read_text())
@@ -266,6 +291,9 @@ PARAMS_DOC = {"epsilon": "1/4", "C": "1", "t": "10", "K": "0"}
         {"params": {**PARAMS_DOC, "precision_bits": 300.5}},
         {"max_exponent": True},
         {"seed": "5"},
+        {"max_exponent": 0},
+        {"value_numerator_bound": 0},
+        {"element_bound": 0},
     ],
     ids=[
         "bad-fraction",
@@ -279,6 +307,9 @@ PARAMS_DOC = {"epsilon": "1/4", "C": "1", "t": "10", "K": "0"}
         "float-precision-bits",
         "bool-max-exponent",
         "numeral-string-seed",
+        "zero-max-exponent",
+        "zero-value-numerator-bound",
+        "zero-element-bound",
     ],
 )
 @pytest.mark.parametrize(

@@ -85,6 +85,11 @@ class TestGenerator:
         with pytest.raises(InvalidParameter, match="seed must be an integer"):
             GeneratorConfig(seed=1.5)
 
+    @pytest.mark.parametrize("name", ["max_exponent", "value_numerator_bound", "element_bound"])
+    def test_bound_below_one_rejected(self, name):
+        with pytest.raises(InvalidParameter, match=f"{name} 0 is below 1"):
+            GeneratorConfig(**{name: 0})
+
 
 class TestRescale:
     def test_identity(self):

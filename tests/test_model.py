@@ -46,6 +46,21 @@ class TestWeightFunction:
         w = WeightFunction({10: F(3, 7), 2: F(1, 2)})
         assert WeightFunction.from_json(w.to_json()) == w
 
+    @pytest.mark.parametrize("table", [{"2": F(1, 2)}, {2.0: F(1, 2)}, {True: F(1)}])
+    def test_non_int_key_rejected(self, table):
+        with pytest.raises(InvalidParameter, match="is not an integer"):
+            WeightFunction(table)
+
+    @pytest.mark.parametrize("value", [0.5, True])
+    def test_float_or_bool_weight_rejected(self, value):
+        with pytest.raises(InvalidParameter, match="not an exact rational"):
+            WeightFunction({2: value})
+
+    @pytest.mark.parametrize("key", ["1_0", " 3 ", "+4", "03", "-0", "x", ""])
+    def test_non_canonical_json_key_rejected(self, key):
+        with pytest.raises(InvalidParameter, match="is not an integer numeral"):
+            WeightFunction.from_json({key: "1/2"})
+
 
 class TestMultiplicative:
     def test_totient_accepts(self):
@@ -95,6 +110,18 @@ class TestMultiplicative:
         assert MultiplicativeFunction.from_json("totient") == TOTIENT
         f = MultiplicativeFunction({(2, 1): F(1, 3), (3, 2): F(5)})
         assert MultiplicativeFunction.from_json(f.to_json()) == f
+
+    @pytest.mark.parametrize("key", ["2^1_0", "2^ 1", "+2^1", "02^1", "2^x"])
+    def test_non_canonical_json_key_rejected(self, key):
+        with pytest.raises(InvalidParameter, match="is not an integer numeral"):
+            MultiplicativeFunction.from_json({key: "1"})
+
+    @pytest.mark.parametrize(
+        "table", [{(2, 1): 1.0}, {(2, 1): False}, {("2", 1): 1}, {(2, 1.0): 1}]
+    )
+    def test_malformed_table_rejected(self, table):
+        with pytest.raises(InvalidParameter):
+            MultiplicativeFunction(table)
 
 
 class TestMeasures:
