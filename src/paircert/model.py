@@ -32,7 +32,7 @@ def _numeral(text: str) -> int:
     spelling, such as "1_0", " 3 ", "+4" or "03"."""
     try:
         n = int(text)
-    except (TypeError, ValueError):
+    except ValueError:
         n = None
     if n is None or str(n) != text:
         raise InvalidParameter(f"{text!r} is not an integer numeral")

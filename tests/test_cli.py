@@ -226,7 +226,7 @@ def test_usage_error_exits_4(instance_file, capsys, argv):
     assert ": error: " in captured.err.splitlines()[-1]
 
 
-# f on every prime power the instance_file supports consult: the totient
+# the totient at every prime power that instance_file's supports consult
 F_TABLE = {"2^1": "1", "2^2": "2", "3^1": "2", "3^2": "6"}
 
 
