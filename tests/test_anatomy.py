@@ -5,6 +5,7 @@ import random
 import shutil
 import subprocess
 import sys
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -405,6 +406,100 @@ class TestMertensBracket:
             ratio_to_log_power(F(1, 2), 2)
         with pytest.raises(InvalidParameter, match="gamma must be >= 1"):
             ratio_to_log_power(100, F(1, 2))
+
+
+# The Mertens product as it stood with a prime indicator filled one prime at
+# a time, a modular inverse and a progression scan per prime, and a product
+# tree multiplied pair by pair; and the omega_t histogram as it stood with
+# one bytes.count pass per value. Kept verbatim (the histogram without its
+# cache) as the reference that the kernels must match integer for integer.
+
+
+def _ref_tree_prod(values: list[int]) -> int:
+    if not values:
+        return 1
+    while len(values) > 1:
+        values = [
+            values[i] * values[i + 1] if i + 1 < len(values) else values[i]
+            for i in range(0, len(values), 2)
+        ]
+    return values[0]
+
+
+def _ref_mertens_product(t, gamma):
+    gamma = anatomy._mertens_gamma(t, gamma)
+    ps = primes_upto(t)
+    a, b = gamma.numerator, gamma.denominator
+    c = a - b
+    nums = [p * b + c for p in ps]  # indexed like ps
+    is_p = bytearray(ps[-1] + 1 if ps else 0)
+    for p in ps:
+        is_p[p] = 1
+    kept = []
+    for q in ps:
+        if b % q:
+            r = -c * pow(b, -1, q) % q
+            k = is_p[r::q].find(1)
+            if k >= 0:
+                nums[bisect_left(ps, r + k * q)] //= q
+                continue
+        kept.append(q)
+    return coprime_fraction(_ref_tree_prod(nums), b ** len(ps) * _ref_tree_prod(kept))
+
+
+def _ref_omega_histogram(x: int, t: int) -> tuple[int, ...]:
+    counts = _omega_counts(x, t)
+    hist = [0]
+    while reps := counts.count(len(hist)):
+        hist.append(reps)
+    hist[0] = x - sum(hist)
+    return tuple(hist)
+
+
+class TestAnatomyKernelReference:
+    """mertens_product, _tree_prod and _omega_histogram against the
+    references above, integer for integer."""
+
+    _TS = [1, 2, F(5, 2), 3, F(21, 2), 300, 10**4, 10**5]
+    # c = 0 (gamma 1), b = 1, and primes dividing b (2, 3, 2 and 3)
+    _GAMMAS = [1, F(3, 2), 2, F(5, 2), F(7, 3), F(11, 6), 4]
+
+    def test_mertens_product(self):
+        rng = random.Random(20251019)
+        ts = self._TS + [rng.randint(4, 5000) for _ in range(6)] + [F(rng.randint(8, 9000), 3)]
+        gammas = self._GAMMAS + [F(rng.randint(7, 40), rng.randint(2, 6)) for _ in range(3)]
+        compared = 0
+        for t in ts:
+            for gamma in gammas:
+                if F(gamma) < 1:
+                    continue
+                got = mertens_product(t, gamma)
+                want = _ref_mertens_product(t, gamma)
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+                compared += 1
+        assert compared >= len(ts) * len(self._GAMMAS)
+
+    def test_tree_prod(self):
+        rng = random.Random(20251020)
+        lengths = [0, 1, 2, 3, 15, 16, 17, 31, 32, 33, 100, 257, 1000]
+        for n in lengths:
+            values = [rng.getrandbits(rng.randint(1, 80)) + 1 for _ in range(n)]
+            assert anatomy._tree_prod(list(values)) == _ref_tree_prod(values), n
+
+    def test_omega_histogram(self):
+        cap = anatomy.ENUMERATION_CAP
+        rng = random.Random(20251021)
+        pairs = [(1, 1), (1, 10), (2, 2), (30, 5), (4001, 30), (30031, 13), (250000, 300)]
+        pairs += [(250000, 10**4), (510509, 17), (510510, 16), (510510, 17), (510510, 10**5)]
+        pairs += [(cap, 17), (cap, 10**5)]
+        pairs += [(rng.randint(1, cap), rng.choice([1, 2, 7, 17, 300, 10**4])) for _ in range(6)]
+        sevens = 0
+        for x, t in pairs:
+            want = _ref_omega_histogram(x, t)
+            assert _omega_histogram.__wrapped__(x, t) == want, (x, t)
+            sevens += len(want) == 8
+        assert sevens >= 3  # the omega = 7 bucket is filled
+
 
 def test_coprime_fraction():
     for n, d in ((0, 1), (1, 1), (-3, 4), (7, 2), (2**521 - 1, 3**300), (-(5**200), 2**700)):
