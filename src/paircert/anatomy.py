@@ -28,10 +28,11 @@ from .arith import (
     fraction_str,
     interval_eval,
     log_of,
+    prime_flags,
     primes_upto,
 )
 from .errors import InvalidParameter, ResourceLimit
-from .model import MultiplicativeFunction
+from .model import MultiplicativeFunction, _rational
 
 ENUMERATION_CAP = 2_000_000
 
@@ -78,21 +79,42 @@ def _omega_histogram(x: int, t: int) -> tuple[int, ...]:
     """hist[c] = #{1 <= n <= x : omega_t(n) = c}, up to the largest c taken.
 
     The c taken are 0, 1, ..., max: c of the small primes of n multiply to
-    at most n. So the counts stop at the first empty bucket. The histogram
-    is cached on (x, t) rather than the x + 1 byte sieve behind it, so the
+    at most n. So the histogram ends at its last nonempty bucket. It is
+    cached on (x, t) rather than the x + 1 byte sieve behind it, so the
     count and the Rankin sum of one chain share a single sieve and a single
-    set of counting passes, and the cache holds a few ints per entry.
+    tally, and the cache holds a few ints per entry.
+
+    The tally reads the sieve as one integer, one byte per n. Every byte is
+    at most 7 (omega_t(n) <= 7 for n <= ENUMERATION_CAP), so its bits 0, 1
+    and 2 hold it, and three bit planes, each masked to one bit per byte,
+    describe the whole sieve. The popcount of the AND of the planes of the
+    bits in s counts the n whose byte has every bit of s set; inclusion-
+    exclusion over the bits outside a value v turns these superset counts
+    into the exact count of v. Seven popcounts of big integers replace one
+    bytes.count pass per value, whose per-byte compare loop branches on the
+    data, and these data make that branch unpredictable.
     """
     counts = _omega_counts(x, t)
-    hist = [0]
-    while reps := counts.count(len(hist)):
-        hist.append(reps)
-    hist[0] = x - sum(hist)
+    whole = int.from_bytes(counts, "little")
+    ones = int.from_bytes(b"\x01" * len(counts), "little")
+    p0, p1, p2 = (whole >> bit & ones for bit in range(3))
+    p01 = p0 & p1
+    # superset[s] = #{0 <= n <= x : every bit of s is set in counts[n]}
+    superset = [len(counts)]
+    superset += [m.bit_count() for m in (p0, p1, p01, p2, p0 & p2, p1 & p2, p01 & p2)]
+    hist = [
+        sum((-1) ** (s ^ v).bit_count() * superset[s] for s in range(v, 8) if s & v == v)
+        for v in range(8)
+    ]
+    while hist[-1] == 0:
+        hist.pop()
+    hist[0] -= 1  # n = 0
     return tuple(hist)
 
 
 def count_many_small_primes(x: Rational, t: Rational, K: Rational) -> int:
     """#{n <= x : omega_t(n) >= K}, by exact enumeration."""
+    x, t, K = _rational(x), _rational(t), _rational(K)
     if x < 1:
         raise InvalidParameter(f"count requires x >= 1, got {x}")
     if t < 1:
@@ -100,7 +122,6 @@ def count_many_small_primes(x: Rational, t: Rational, K: Rational) -> int:
     xi = math.floor(x)
     if xi > ENUMERATION_CAP:
         raise ResourceLimit(f"enumeration bound {xi} exceeds cap {ENUMERATION_CAP}")
-    K = Fraction(K)
     if K <= 0:
         return xi
     return sum(_omega_histogram(xi, math.floor(t))[math.ceil(K) :])
@@ -108,11 +129,11 @@ def count_many_small_primes(x: Rational, t: Rational, K: Rational) -> int:
 
 def rankin_sum(x: Rational, t: Rational, gamma: Rational) -> Fraction:
     """sum_{n <= x} gamma^(omega_t(n)), exactly."""
+    x, t, gamma = _rational(x), _rational(t), _rational(gamma)
     if x < 1:
         raise InvalidParameter(f"rankin_sum requires x >= 1, got {x}")
     if t < 1:
         raise InvalidParameter(f"rankin_sum requires t >= 1, got {t}")
-    gamma = Fraction(gamma)
     if gamma <= 0:
         raise InvalidParameter(f"gamma must be positive, got {gamma}")
     xi = math.floor(x)
@@ -137,8 +158,8 @@ def divisor_anatomy_sum(
     """
     if M < 1:
         raise InvalidParameter(f"M must be >= 1, got {M}")
-    need = math.ceil(Fraction(K))  # an integer count is >= K iff >= ceil(K)
-    bound = math.floor(t)
+    need = math.ceil(_rational(K))  # an integer count is >= K iff >= ceil(K)
+    bound = math.floor(_rational(t))
     fac = factorize(M)
     divs = [(1, 0, ())]  # (m, omega_t(m), exponents of m along fac)
     for p, e in fac:
@@ -169,7 +190,7 @@ def rankin_divisor_sum(
     M: int, t: Rational, gamma: Rational, f: MultiplicativeFunction
 ) -> Fraction:
     """sum over mn = M of gamma^(omega_t(m)) f(n), by divisor enumeration."""
-    gamma = Fraction(gamma)
+    t, gamma = _rational(t), _rational(gamma)
     total = _ZERO
     for m in divisors(M):
         total += gamma ** small_prime_divisor_count(m, t) * f(M // m)
@@ -184,8 +205,8 @@ def rankin_divisor_product(
         p <= t:  (1*f)(p^v) + (gamma - 1) (1*f)(p^(v-1))
         p >  t:  (1*f)(p^v)
     """
-    gamma = Fraction(gamma)
-    bound = math.floor(t)
+    gamma = _rational(gamma)
+    bound = math.floor(_rational(t))
     out = _ONE
     for p, e in factorize(M):
         full = f.one_star_prime_power(p, e)
@@ -206,11 +227,11 @@ def divisor_anatomy_bound(
     """
     if M < 1:
         raise InvalidParameter(f"M must be >= 1, got {M}")
-    gamma = Fraction(gamma)
+    gamma = _rational(gamma)
     if gamma <= 1:
         raise InvalidParameter(f"gamma must exceed 1, got {gamma}")
-    K = Fraction(K)
-    bound = math.floor(t)
+    K = _rational(K)
+    bound = math.floor(_rational(t))
     a, b = gamma.numerator, gamma.denominator
     num, den = M, 1  # 1 + (gamma - 1)/p = (p b + a - b)/(p b)
     for p, _ in factorize(M):
@@ -226,8 +247,9 @@ def divisor_anatomy_bound(
 
 
 def _tree_prod(values: list[int]) -> int:
-    if not values:
-        return 1
+    """The product of values as a balanced tree: math.prod over runs of 16,
+    then pairs, so the large multiplications have operands of like size."""
+    values = [math.prod(values[i : i + 16]) for i in range(0, len(values), 16)] or [1]
     while len(values) > 1:
         values = [
             values[i] * values[i + 1] if i + 1 < len(values) else values[i]
@@ -236,14 +258,17 @@ def _tree_prod(values: list[int]) -> int:
     return values[0]
 
 
-def _mertens_gamma(t: Rational, gamma: Rational) -> Fraction:
-    """Check the arguments of a Mertens product; gamma as a Fraction."""
+_VALUE_SIEVE_MAX_B = 4  # the value sieve holds b bytes per integer up to t
+
+
+def _mertens_args(t: Rational, gamma: Rational) -> tuple[Fraction, Fraction]:
+    """Check the arguments of a Mertens product; both as Fractions."""
+    t, gamma = _rational(t), _rational(gamma)
     if t < 1:
         raise InvalidParameter(f"mertens_product requires t >= 1, got {t}")
-    gamma = Fraction(gamma)
     if gamma < 1:
         raise InvalidParameter(f"gamma must be >= 1, got {gamma}")
-    return gamma
+    return t, gamma
 
 
 def mertens_product(t: Rational, gamma: Rational) -> Fraction:
@@ -254,26 +279,42 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     divides no p b + c, since p b + c = a (mod q), so it never cancels. A
     prime q <= t with q not dividing b divides the denominator exactly once
     (from p = q), so it cancels if and only if it divides some p b + c, that
-    is if some prime p <= t has p = -c/b (mod q): then one such factor is
-    divided by q, and otherwise q is kept in the denominator. The reduced
-    numerator and b^pi(t) prod(kept q) are coprime; both are balanced
-    product trees, and the Fraction is built without a gcd.
+    is if some prime p <= t has p b = -c (mod q): then the factor of the
+    smallest such p is divided by q, and otherwise q is kept in the
+    denominator. The reduced numerator and b^pi(t) prod(kept q) are coprime;
+    both are balanced product trees, and the Fraction is built without a gcd.
+
+    The smallest such p is found by one scan of a progression mod q. For
+    b <= _VALUE_SIEVE_MAX_B the scan runs over is_v, which marks p b at
+    index p b for every prime p <= t (the prime sieve laid out with stride
+    b): the marked indices j = -c (mod q) are the p b with q | p b + c, and
+    since p b grows with p, the first one found is the smallest p b, so
+    p = j / b is the smallest p. No modular inverse is needed. For a larger
+    b, is_v would be b times the sieve and slower to scan than one modular
+    inverse per prime, so the scan runs over the sieve itself, from
+    p = -c b^-1 (mod q).
     """
-    gamma = _mertens_gamma(t, gamma)
+    t, gamma = _mertens_args(t, gamma)
     ps = primes_upto(t)
     a, b = gamma.numerator, gamma.denominator
     c = a - b
     nums = [p * b + c for p in ps]  # indexed like ps
-    is_p = bytearray(ps[-1] + 1 if ps else 0)
-    for p in ps:
-        is_p[p] = 1
+    flags = prime_flags(t)
+    by_value = b <= _VALUE_SIEVE_MAX_B
+    if by_value:
+        is_v = bytearray(b * (len(flags) - 1) + 1)
+        is_v[::b] = flags
     kept = []
     for q in ps:
         if b % q:
-            r = -c * pow(b, -1, q) % q
-            k = is_p[r::q].find(1)
-            if k >= 0:
-                nums[bisect_left(ps, r + k * q)] //= q
+            if by_value:
+                j = -c % q
+                p = (j + q * is_v[j::q].find(1)) // b
+            else:
+                r = -c * pow(b, -1, q) % q
+                p = r + q * flags[r::q].find(1)
+            if p > 0:  # find gave -1 when no p <= t fits, so p < 0
+                nums[bisect_left(ps, p)] //= q
                 continue
         kept.append(q)
     return coprime_fraction(_tree_prod(nums), b ** len(ps) * _tree_prod(kept))
@@ -329,7 +370,7 @@ def ratio_to_log_power(
     round alike, the product rounds as they do. When they do not, the exact
     product is built and rounded instead.
     """
-    gamma = _mertens_gamma(t, gamma)
+    t, gamma = _mertens_args(t, gamma)
     # Log t is the only factor, and one equal to 1 is skipped, so the scale
     # that point is asked at stays 1
     return _interval_eval(
@@ -367,8 +408,7 @@ def count_chain_report(
     x: Rational, t: Rational, K: Rational, gamma: Rational
 ) -> AnatomyReport:
     """Rankin chain for the unweighted count (integer K for exactness)."""
-    K = Fraction(K)
-    gamma = Fraction(gamma)
+    K, gamma = _rational(K), _rational(gamma)
     if K.denominator != 1:
         raise InvalidParameter("exact chain reports need integer K")
     if gamma < 1:
@@ -384,8 +424,7 @@ def divisor_chain_report(
     M: int, t: Rational, K: Rational, gamma: Rational, f: MultiplicativeFunction
 ) -> AnatomyReport:
     """Divisor chain sum <= gamma^-K (factorized product) <= pre-Mertens bound."""
-    K = Fraction(K)
-    gamma = Fraction(gamma)
+    K, gamma = _rational(K), _rational(gamma)
     if K.denominator != 1:
         raise InvalidParameter("exact chain reports need integer K")
     if gamma <= 1:

@@ -92,6 +92,16 @@ def primes_upto(t: Rational) -> list[int]:
     return _primes[: bisect_right(_primes, bound)]
 
 
+def prime_flags(t: Rational) -> bytearray:
+    """flags[n] = 1 if n is prime, else 0, for 0 <= n <= floor(t).  Requires
+    t >= 1.  A copy of a prefix of the shared sieve."""
+    if t < 1:
+        raise InvalidParameter(f"prime_flags requires t >= 1, got {t}")
+    bound = floor(t)
+    _ensure_sieve(bound)
+    return _is_prime[: bound + 1]
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

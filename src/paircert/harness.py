@@ -19,7 +19,7 @@ from typing import Optional, Union
 from .arith import Rational, fraction_str, primes_upto
 from .compress import slice_system, verify_slice_identities
 from .diagonal import concentrate, peel, property_two_holds
-from .errors import DegenerateMeasure, InvalidParameter, PaircertError
+from .errors import DegenerateMeasure, InvalidParameter, PaircertError, ResourceLimit
 from .model import MultiplicativeFunction, PairSystem, WeightFunction, check_fields, fields_to_json
 from .quality import (
     HOLDS,
@@ -39,6 +39,13 @@ DEFAULT_EPSILONS = (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5))
 DEFAULT_CS = (Fraction(1, 2), Fraction(1))
 DEFAULT_TS = (Fraction(1), Fraction(10), Fraction(100))
 DEFAULT_KS = (Fraction(0), Fraction(1), Fraction(2), Fraction(4))
+
+# Largest support_max a GeneratorConfig takes. Generation tests every pair of
+# support elements, so its time grows as the square of the support size:
+# about 4 s for one instance with 1000 elements on each side (Python 3.11,
+# 2 vCPUs). The default pool and element_bound hold only a few thousand
+# distinct elements anyway.
+SUPPORT_CAP = 1000
 
 
 @contextmanager
@@ -86,6 +93,8 @@ class GeneratorConfig:
             raise InvalidParameter(f"unknown f_mode {self.f_mode!r}")
         if self.support_min > self.support_max or self.support_min < 0:
             raise InvalidParameter("bad support size bounds")
+        if self.support_max > SUPPORT_CAP:
+            raise ResourceLimit(f"support_max {self.support_max} exceeds cap {SUPPORT_CAP}")
         for name in ("value_numerator_bound", "max_exponent", "element_bound"):
             if getattr(self, name) < 1:
                 raise InvalidParameter(f"{name} {getattr(self, name)} is below 1")
@@ -98,7 +107,8 @@ class GeneratorConfig:
         """The config a document describes, an absent key taking its default.
         InvalidParameter for a malformed one: not an object, a key that is no
         field name, a bad rational, an int field holding a non-int (a bool,
-        a float, a numeral string), a bad f_mode, or a malformed params."""
+        a float, a numeral string), a bad f_mode, or a malformed params;
+        ResourceLimit for a support_max above SUPPORT_CAP."""
         with _malformed("generator config"):
             if "params" in doc:
                 doc = {**doc, "params": Params.from_json(doc["params"])}

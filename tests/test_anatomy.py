@@ -74,6 +74,29 @@ class TestCount:
         with pytest.raises(ResourceLimit):
             count_many_small_primes(10**9, 10, 1)
 
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (count_many_small_primes, (100.5, 10, 2)),
+            (count_many_small_primes, (100, 10.0, 2)),
+            (count_many_small_primes, (100, 10, 1.5)),
+            (count_many_small_primes, (True, 10, 2)),
+            (rankin_sum, (100, 10, True)),
+            (rankin_sum, (100, 10, 1.5)),
+            (rankin_sum, (100.0, 10, 2)),
+            (count_chain_report, (100, 10, 2, 1.5)),
+            (count_chain_report, (100, 10, True, 2)),
+            (count_chain_report, (100, 10.5, 2, 2)),
+            (divisor_chain_report, (12, 10.5, 2, 2, TOTIENT)),
+            (divisor_chain_report, (12, 10, 2.0, 2, TOTIENT)),
+            (divisor_chain_report, (12, 10, 2, True, TOTIENT)),
+        ],
+    )
+    def test_float_and_bool_arguments(self, fn, args):
+        """x, t, K and gamma are exact rationals; a float or a bool is not."""
+        with pytest.raises(InvalidParameter, match="not an exact rational"):
+            fn(*args)
+
     @pytest.mark.parametrize("t", [1, 2, F(7, 2), 30, 2000, 10**4])
     def test_against_per_n_loops(self, t):
         x = F(4001, 2)
@@ -406,6 +429,12 @@ class TestMertensBracket:
             ratio_to_log_power(F(1, 2), 2)
         with pytest.raises(InvalidParameter, match="gamma must be >= 1"):
             ratio_to_log_power(100, F(1, 2))
+        # a float is read as its dyadic value, a bool as 0 or 1: neither is
+        # the rational it stands for
+        for t, gamma in ((10, 1.1), (10.1, 2), (10, True), (True, 2), (100.0, F(3, 2))):
+            for fn in (mertens_product, ratio_to_log_power):
+                with pytest.raises(InvalidParameter, match="not an exact rational"):
+                    fn(t, gamma)
 
 
 # The Mertens product as it stood with a prime indicator filled one prime at
@@ -427,7 +456,7 @@ def _ref_tree_prod(values: list[int]) -> int:
 
 
 def _ref_mertens_product(t, gamma):
-    gamma = anatomy._mertens_gamma(t, gamma)
+    gamma = F(gamma)  # the arguments are checked by the kernel under test
     ps = primes_upto(t)
     a, b = gamma.numerator, gamma.denominator
     c = a - b
@@ -468,6 +497,8 @@ class TestAnatomyKernelReference:
         rng = random.Random(20251019)
         ts = self._TS + [rng.randint(4, 5000) for _ in range(6)] + [F(rng.randint(8, 9000), 3)]
         gammas = self._GAMMAS + [F(rng.randint(7, 40), rng.randint(2, 6)) for _ in range(3)]
+        # b at and past the value sieve's bound, a large b, and a large c
+        gammas += [F(17, 4), F(21, 5), F(10**6 + 3, 10**6), F(10**9 + 1, 2)]
         compared = 0
         for t in ts:
             for gamma in gammas:

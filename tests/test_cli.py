@@ -294,6 +294,7 @@ PARAMS_DOC = {"epsilon": "1/4", "C": "1", "t": "10", "K": "0"}
         {"max_exponent": 0},
         {"value_numerator_bound": 0},
         {"element_bound": 0},
+        {"support_min": 10**6, "support_max": 10**6},
     ],
     ids=[
         "bad-fraction",
@@ -310,6 +311,7 @@ PARAMS_DOC = {"epsilon": "1/4", "C": "1", "t": "10", "K": "0"}
         "zero-max-exponent",
         "zero-value-numerator-bound",
         "zero-element-bound",
+        "support-max-past-cap",
     ],
 )
 @pytest.mark.parametrize(
@@ -327,7 +329,8 @@ def test_malformed_config_exits_4_with_one_line(tmp_path, capsys, config_doc, ar
     assert rc == 4
     assert captured.out == "" and not out.exists()
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("paircert: InvalidParameter: ")
+    error = "ResourceLimit" if "support_max" in config_doc else "InvalidParameter"
+    assert len(lines) == 1 and lines[0].startswith(f"paircert: {error}: ")
 
 
 UNREADABLE_ARGV = {

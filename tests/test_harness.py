@@ -9,7 +9,7 @@ import pytest
 
 import paircert.harness as harness_mod
 from paircert import arith
-from paircert.errors import InvalidParameter
+from paircert.errors import InvalidParameter, ResourceLimit
 from paircert.harness import (
     CampaignReport,
     GeneratorConfig,
@@ -89,6 +89,11 @@ class TestGenerator:
     def test_bound_below_one_rejected(self, name):
         with pytest.raises(InvalidParameter, match=f"{name} 0 is below 1"):
             GeneratorConfig(**{name: 0})
+
+    def test_support_max_capped(self):
+        GeneratorConfig(support_max=harness_mod.SUPPORT_CAP)
+        with pytest.raises(ResourceLimit, match="support_max 1001 exceeds cap 1000"):
+            GeneratorConfig(support_min=1001, support_max=harness_mod.SUPPORT_CAP + 1)
 
 
 class TestRescale:
