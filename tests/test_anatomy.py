@@ -73,10 +73,15 @@ class TestCount:
     def test_cap(self):
         with pytest.raises(ResourceLimit):
             count_many_small_primes(10**9, 10, 1)
+        # omega_t(n) <= 7 up to the cap, which the byte sieve and the three
+        # bit planes of the histogram rely on
+        assert anatomy.ENUMERATION_CAP < math.prod(primes_upto(19))
 
     @pytest.mark.parametrize(
         "fn, args",
         [
+            (small_prime_divisor_count, (6, True)),
+            (small_prime_divisor_count, (6, 10.0)),
             (count_many_small_primes, (100.5, 10, 2)),
             (count_many_small_primes, (100, 10.0, 2)),
             (count_many_small_primes, (100, 10, 1.5)),
