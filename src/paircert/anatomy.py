@@ -43,15 +43,18 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def small_prime_divisor_count(n: int, t: Rational) -> int:
-    """omega_t(n) = #{p <= t : p | n} (the single-integer anatomy count).
-
-    t is checked by type only and floored as it is, with no Fraction made of
-    it: the edge sets call this twice per candidate pair.
-    """
+def small_prime_bound(t: Rational) -> int:
+    """floor(t), for a caller that counts omega_t of many integers to floor t
+    once. No Fraction is made of t: a float or bool t raises InvalidParameter."""
     if isinstance(t, (bool, float)):
         raise InvalidParameter(f"{t!r} is not an exact rational")
-    bound = math.floor(t)
+    return math.floor(t)
+
+
+def small_prime_divisor_count(n: int, t: Rational) -> int:
+    """omega_t(n) = #{p <= t : p | n} (the single-integer anatomy count),
+    with t read through small_prime_bound."""
+    bound = small_prime_bound(t)
     if bound < 2:
         return 0
     return sum(1 for p, _ in factorize(n) if p <= bound)

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .anatomy import small_prime_bound
 from .arith import Rational, _int_valuation, fraction_str, is_prime
 from .errors import InvalidParameter
 from .model import PairSystem, WeightFunction, edge_mass, mu_pairs
-from .quality import FAILED, HOLDS, VACUOUS, d_value, omega_t
+from .quality import FAILED, HOLDS, VACUOUS, _d_ratio, omega_t
 
 
 @dataclass(frozen=True)
@@ -92,14 +93,15 @@ def slice_system(system: PairSystem, p: int, i: int, j: int) -> Slice:
     system.g.prime_power(p, j)
     m = min(i, j)
     pi, pj = p**i, p**j
-    scale_psi = Fraction(p ** (j - m))
-    scale_theta = Fraction(p ** (i - m))
     # p was checked above; supports hold positive integers
     v_cell = frozenset(v for v in system.psi.support() if _int_valuation(p, v) == i)
     w_cell = frozenset(w for w in system.theta.support() if _int_valuation(p, w) == j)
-    psi_t = WeightFunction({v // pi: scale_psi * system.psi.value(v) for v in v_cell})
-    theta_t = WeightFunction(
-        {w // pj: scale_theta * system.theta.value(w) for w in w_cell}
+    # the source validated its weights: rescaled by p^k they stay positive
+    psi_t = WeightFunction._scaled(
+        ((v // pi, a) for v, a in system.psi.items() if v in v_cell), p ** (j - m)
+    )
+    theta_t = WeightFunction._scaled(
+        ((w // pj, b) for w, b in system.theta.items() if w in w_cell), p ** (i - m)
     )
     edges = frozenset(
         (v // pi, w // pj)
@@ -110,13 +112,13 @@ def slice_system(system: PairSystem, p: int, i: int, j: int) -> Slice:
     return Slice(p, i, j, tilde, v_cell, w_cell)
 
 
-def _edgewise(name, edges, left, right) -> IdentityCheck:
-    """HOLDS iff left(v, w) == right(v, w) on every edge, else FAILED with
-    both sides at the first mismatching edge in sorted order."""
+def _edgewise(name, edges, mismatch) -> IdentityCheck:
+    """HOLDS iff mismatch(v, w) is None on every edge, else FAILED with the
+    two sides it returns at the first mismatching edge in sorted order."""
     for v, w in sorted(edges):
-        lhs, rhs = left(v, w), right(v, w)
-        if lhs != rhs:
-            return IdentityCheck(name, FAILED, lhs, rhs, f"at slice edge ({v},{w})")
+        sides = mismatch(v, w)
+        if sides is not None:
+            return IdentityCheck(name, FAILED, *sides, f"at slice edge ({v},{w})")
     return IdentityCheck(name, HOLDS)
 
 
@@ -139,7 +141,10 @@ def verify_slice_identities(
     left sides of (a), (b) and (c) from the slice's own view, built from its
     rescaled weights, and the right sides from the source's view summed
     over V_i, W_j and E cap (V_i x W_j), so each side is still computed
-    independently.  (f) compares the two systems' PairSystem.primes.
+    independently.  (d) compares the two D-ratios as integer pairs by
+    cross-multiplication and builds their d_value Fractions only for the
+    report of a mismatch; (e) floors t once.  (f) compares the two systems'
+    PairSystem.primes.
     """
     p, i, j = s.p, s.i, s.j
     m = min(i, j)
@@ -185,26 +190,23 @@ def verify_slice_identities(
             IdentityCheck("c:pair-measure", HOLDS if ok else FAILED, lhs_c, rhs_c)
         )
 
-    # (d) quality preserved edgewise
-    report.checks.append(
-        _edgewise(
-            "d:quality",
-            s.tilde.edges,
-            lambda v, w: d_value(v, w, s.tilde.psi, s.tilde.theta),
-            lambda v, w: d_value(pi * v, pj * w, source.psi, source.theta),
-        )
-    )
+    # (d) quality preserved edgewise, D-ratios compared by cross-multiplication
+    def d_mismatch(v, w):
+        ln, ld = _d_ratio(v, w, s.tilde.psi, s.tilde.theta)
+        rn, rd = _d_ratio(pi * v, pj * w, source.psi, source.theta)
+        return None if ln * rd == rn * ld else (Fraction(ln, ld), Fraction(rn, rd))
+
+    report.checks.append(_edgewise("d:quality", s.tilde.edges, d_mismatch))
 
     # (e) omega bookkeeping: drop of exactly [i != j and p <= t]
     drop = slice_k_shift(s, t)
-    report.checks.append(
-        _edgewise(
-            "e:omega-shift",
-            s.tilde.edges,
-            lambda v, w: omega_t(v, w, t),
-            lambda v, w: omega_t(pi * v, pj * w, t) - drop,
-        )
-    )
+    t_floor = small_prime_bound(t)
+
+    def e_mismatch(v, w):
+        lhs, rhs = omega_t(v, w, t_floor), omega_t(pi * v, pj * w, t_floor) - drop
+        return None if lhs == rhs else (lhs, rhs)
+
+    report.checks.append(_edgewise("e:omega-shift", s.tilde.edges, e_mismatch))
 
     # (f) slice prime support avoids p and stays inside the source support
     ps_slice = set(s.tilde.primes)

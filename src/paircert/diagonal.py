@@ -21,7 +21,7 @@ from .arith import (
     interval_json,
     is_prime,
 )
-from .errors import DegenerateMeasure, InvalidParameter
+from .errors import DegenerateMeasure, InvalidParameter, InvariantBroken
 from .model import PairSystem, SideMasses, edge_mass
 from .quality import (
     DEFAULT_PRECISION_CAP,
@@ -509,10 +509,27 @@ def property_two_report(
     return rows
 
 
+def _property_two_violators(nbhd, inv_qp: Fraction):
+    """The (side, vertex) pairs that fail property two, from the
+    _neighborhood_masses tuple nbhd, in property_two_report's row order."""
+    adj, gamma, own, mu_e = nbhd
+    return (
+        ("vw"[s], x)
+        for s in (0, 1)
+        for x in sorted(adj[s])
+        if _below_share(gamma[s][x], own[s], mu_e, inv_qp)
+    )
+
+
 def property_two_holds(
     system: PairSystem, edges: Iterable[tuple[int, int]], params: Params
 ) -> bool:
-    return all(ok for *_, ok in property_two_report(system, edges, params))
+    """Whether no vertex of E fails property two, with no rows built."""
+    E = frozenset(edges)
+    if not E:
+        return True
+    nbhd = _neighborhood_masses(system.masses, E)
+    return next(_property_two_violators(nbhd, 1 / params.q_prime), None) is None
 
 
 # peel certifies mu_after > rhs, the negation of certify_le(mu_after, rhs)
@@ -596,5 +613,5 @@ def peel(
         mu_e = e_after
         step += 1
         if step > max_steps:
-            raise RuntimeError("peel exceeded the vertex-count step bound")
+            raise InvariantBroken("peel exceeded the vertex-count step bound")
     return PeelResult(frozenset((v, w) for v, ws in adj[0].items() for w in ws), trace)

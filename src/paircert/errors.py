@@ -33,3 +33,8 @@ class NotStructured(PaircertError, ValueError):
 
 class ResourceLimit(PaircertError, RuntimeError):
     """Input exceeds a configured enumeration/factorization/precision cap."""
+
+
+class InvariantBroken(PaircertError, RuntimeError):
+    """An internal invariant failed, such as peel running past its
+    vertex-count step bound: a fault in the package, not in the input."""

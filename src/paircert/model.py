@@ -60,6 +60,16 @@ class WeightFunction:
         object.__setattr__(self, "_table", tbl)
         object.__setattr__(self, "_support", tuple(sorted(tbl)))
 
+    @classmethod
+    def _scaled(cls, items: Iterable[tuple[int, Fraction]], scale: int) -> "WeightFunction":
+        """x -> scale * value over the (x, value) items of a validated weight,
+        scale a positive integer: no entry is checked again."""
+        tbl = {x: val * scale if scale != 1 else val for x, val in items}
+        wf = object.__new__(cls)
+        object.__setattr__(wf, "_table", tbl)
+        object.__setattr__(wf, "_support", tuple(sorted(tbl)))
+        return wf
+
     def __setattr__(self, *args):
         raise AttributeError("WeightFunction is immutable")
 
@@ -344,15 +354,25 @@ class SideMasses:
         nu = self.nu.get(x)
         return dict(factorize(x)) if nu is None else nu
 
-    def measure(self, xs: Optional[Iterable[int]] = None) -> Fraction:
-        """mu(xs), zero off the support; the whole support by default."""
-        nums = self.num.values() if xs is None else (self.num.get(x, 0) for x in xs)
-        return Fraction(sum(nums), self.den)
+    def measure(self) -> Fraction:
+        """mu of the whole support."""
+        return Fraction(sum(self.num.values()), self.den)
 
 
 def edge_mass(V: SideMasses, W: SideMasses, E: Iterable[tuple[int, int]]) -> int:
     """mu(E) * V.den * W.den."""
     return sum(V.num.get(v, 0) * W.num.get(w, 0) for v, w in E)
+
+
+def _f_ratio(f: MultiplicativeFunction, fac: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """f(x) as a (numerator, positive denominator) pair, not reduced, from
+    the factorization fac of x."""
+    n = d = 1
+    for p, e in fac:
+        val = f.prime_power(p, e)
+        n *= val.numerator
+        d *= val.denominator
+    return n, d
 
 
 def _side_masses(f: MultiplicativeFunction, weight: WeightFunction) -> SideMasses:
@@ -361,11 +381,8 @@ def _side_masses(f: MultiplicativeFunction, weight: WeightFunction) -> SideMasse
     reduced, nu = {}, {}
     for x, wx in weight.items():
         fac = factorize(x)
-        n, d = wx.numerator, wx.denominator * x
-        for p, e in fac:
-            val = f.prime_power(p, e)
-            n *= val.numerator
-            d *= val.denominator
+        fn, fd = _f_ratio(f, fac)
+        n, d = wx.numerator * fn, wx.denominator * x * fd
         g = gcd(n, d)
         reduced[x] = (n // g, d // g)
         nu[x] = dict(fac)

@@ -112,11 +112,19 @@ class Params:
         return cls(**doc)
 
 
+def _d_ratio(v: int, w: int, psi: WeightFunction, theta: WeightFunction) -> tuple[int, int]:
+    """D(v,w) as an unreduced (numerator, positive denominator) pair, the
+    max of w psi(v) and v theta(w) taken by cross-multiplication."""
+    a, b = psi.value(v), theta.value(w)
+    an, ad = w * a.numerator, a.denominator
+    bn, bd = v * b.numerator, b.denominator
+    g = gcd(v, w)
+    return (an, ad * g) if an * bd >= bn * ad else (bn, bd * g)
+
+
 def d_value(v: int, w: int, psi: WeightFunction, theta: WeightFunction) -> Fraction:
     """Quality D(v,w) = max(w psi(v), v theta(w)) / gcd(v,w), exactly."""
-    a = w * psi.value(v)
-    b = v * theta.value(w)
-    return max(a, b) / gcd(v, w)
+    return Fraction(*_d_ratio(v, w, psi, theta))
 
 
 def omega_t(v: int, w: int, t: Rational, literal_lcm: bool = False) -> int:
@@ -144,23 +152,44 @@ def build_edge_set(
     K: Rational,
     literal_lcm: bool = False,
 ) -> frozenset[tuple[int, int]]:
-    """All (v,w) in supp(psi) x supp(theta) with D <= 1 and omega_t >= K.
+    """All (v,w) in supp(psi) x supp(theta) with D <= 1 and omega_t >= K,
+    by _quality_pairs over the whole support product."""
+    thetas = [(w, *b.as_integer_ratio()) for w, b in theta.items()]
+    return frozenset(_quality_pairs(((v, a, thetas) for v, a in psi.items()), t, K, literal_lcm))
 
-    Exhaustive over the support product with early D-rejection by integer
-    cross-multiplication (w psi(v) <= gcd(v,w) and v theta(w) <= gcd(v,w));
-    omega is only computed for pairs passing the quality filter, and only
-    when K > 0 (omega >= 0 always, so K <= 0 never filters), with t floored
-    once per call. t < 1 raises InvalidParameter for every K, as omega_t
-    does.
+
+def stray_edges(
+    psi: WeightFunction, theta: WeightFunction, edges: Iterable[tuple[int, int]], t: Rational, K: Rational
+) -> frozenset[tuple[int, int]]:
+    """The edges outside build_edge_set(psi, theta, t, K): those off the
+    supports and those failing its test, which runs on these edges only."""
+    E = frozenset(edges)
+    rows = (
+        (v, psi.value(v), [(w, *theta.value(w).as_integer_ratio())])
+        for v, w in E
+        if v in psi and w in theta
+    )
+    return E - frozenset(_quality_pairs(rows, t, K))
+
+
+def _quality_pairs(rows, t: Rational, K: Rational, literal_lcm: bool = False):
+    """The (v, w) with D <= 1 and omega_t >= K among the rows (v, psi(v),
+    [(w, theta(w) as an integer ratio), ...]) of positive weights.
+
+    D is rejected early by integer cross-multiplication (w psi(v) <=
+    gcd(v,w) and v theta(w) <= gcd(v,w)); omega is only computed for pairs
+    passing it, and only when K > 0 (omega >= 0 always), with t floored once
+    per call; when K > 0 and t < 2 omega_t is 0, so no pair is tested. t < 1
+    raises InvalidParameter for every K, as omega_t does.
     """
     if t < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
-    K = Fraction(K)
-    k_min = ceil(K)  # omega is an integer: omega >= K iff omega >= ceil(K)
+    k_min = ceil(Fraction(K))  # omega is an integer: omega >= K iff omega >= ceil(K)
     t_floor = floor(t)
-    thetas = [(w, b.numerator, b.denominator) for w, b in theta.items()]
+    if k_min > 0 and t_floor < 2:
+        return []
     out = []
-    for v, a in psi.items():
+    for v, a, thetas in rows:
         an, ad = a.numerator, a.denominator
         for w, bn, bd in thetas:
             g = gcd(v, w)
@@ -169,7 +198,7 @@ def build_edge_set(
             if k_min > 0 and omega_t(v, w, t_floor, literal_lcm) < k_min:
                 continue
             out.append((v, w))
-    return frozenset(out)
+    return out
 
 
 def build_edge_set_bruteforce(
@@ -288,8 +317,7 @@ def main_bound_check(
     """Certified check of the main inequality for E inside the edge set."""
     E = system.edges if edges is None else frozenset(edges)
     if verify_preconditions:
-        legal = build_edge_set(system.psi, system.theta, params.t, params.K)
-        stray = E - legal
+        stray = stray_edges(system.psi, system.theta, E, params.t, params.K)
         if stray:
             raise InvalidParameter(
                 f"{len(stray)} edges outside the (t, K) edge set, e.g. {sorted(stray)[0]}"

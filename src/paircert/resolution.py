@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import ceil, gcd, lcm, prod
 from typing import Iterable, Optional, Union
 
-from .anatomy import mertens_product, small_prime_divisor_count
+from .anatomy import mertens_product, small_prime_bound, small_prime_divisor_count
 from .arith import (
     Interval,
     Rational,
@@ -27,17 +27,17 @@ from .arith import (
     primes_upto,
 )
 from .errors import InvalidParameter, NotStructured
-from .model import PairSystem, mu_pairs
+from .model import PairSystem, _f_ratio
 from .quality import (
     DEGENERATE_EMPTY,
     HOLDS,
     PRECONDITION_FAILED,
     VIOLATED,
     Params,
-    build_edge_set,
     restrict,
+    stray_edges,
 )
-from .diagonal import _offsets, _shape_violation, adjacency, property_two_report
+from .diagonal import _neighborhood_masses, _offsets, _property_two_violators, _shape_violation, adjacency
 
 _ZERO = Fraction(0)
 
@@ -154,41 +154,51 @@ def s_sums(
 def _s_sums(
     system: PairSystem, dec: Decomposition, w_adj: dict, t: Rational, K: Rational
 ) -> SSums:
-    """s_sums from a nonempty edge set's decomposition and w -> Gamma(w) map."""
-    quarter = Fraction(K) / 4
+    """s_sums from a nonempty edge set's decomposition and w -> Gamma(w)
+    map, in integers: f(v)/(v v-) over one common denominator, g(w)/(w w-
+    v0+(w)) over another, and one Fraction per S_k at the end."""
+    bound, k4 = small_prime_bound(t), ceil(Fraction(K) / 4)
 
     def passes(part: int) -> bool:
-        return small_prime_divisor_count(part, t) >= quarter
+        return small_prime_divisor_count(part, bound) >= k4
 
     w0 = min(w_adj, key=lambda w: (-dec.w_parts[w][1], w))
-    w0_plus = dec.w_parts[w0][1]
     v0 = {
         w: min(vs, key=lambda v: (-dec.v_parts[v][1], v)) for w, vs in w_adj.items()
     }
+    f_num, f_den = _over_lcm(system.f, {v: v * m for v, (m, _) in dec.v_parts.items()})
+    g_num, g_den = _over_lcm(
+        system.g,
+        {w: w * m * dec.v_parts[v0[w]][1] for w, (m, _) in dec.w_parts.items()},
+    )
+    v_passes = {v: (passes(m), passes(p)) for v, (m, p) in dec.v_parts.items()}
 
-    s1 = s2 = s3 = s4 = _ZERO
-    for w in sorted(w_adj):
+    s1 = s2 = s3 = s4 = 0
+    for w, vs in w_adj.items():
         w_minus, w_plus = dec.w_parts[w]
-        outer = system.g(w) * Fraction(1, w * w_minus)
-        v0_plus = dec.v_parts[v0[w]][1]
-        inner_all = _ZERO
-        inner_minus = _ZERO
-        inner_plus = _ZERO
-        for v in sorted(w_adj[w]):
-            v_minus, v_plus = dec.v_parts[v]
-            term = system.f(v) * Fraction(1, v * v_minus)
-            inner_all += term
-            if passes(v_minus):
-                inner_minus += term
-            if passes(v_plus):
-                inner_plus += term
-        s1 += outer * inner_minus / v0_plus
-        s2 += outer * inner_plus / v0_plus
+        outer = g_num[w]
+        s1 += outer * sum(f_num[v] for v in vs if v_passes[v][0])
+        s2 += outer * sum(f_num[v] for v in vs if v_passes[v][1])
+        whole = outer * sum(f_num[v] for v in vs)
         if passes(w_minus):
-            s3 += outer * inner_all / v0_plus
+            s3 += whole
         if passes(w_plus):
-            s4 += outer * inner_all / v0_plus
-    return SSums(s1 / w0_plus, s2 / w0_plus, s3 / w0_plus, s4 / w0_plus, w0, v0)
+            s4 += whole
+    den = f_den * g_den * dec.w_parts[w0][1]
+    return SSums(*(Fraction(x, den) for x in (s1, s2, s3, s4)), w0, v0)
+
+
+def _over_lcm(f, scales: dict[int, int]) -> tuple[dict[int, int], int]:
+    """x -> f(x) / scales[x] as integers over one common denominator."""
+    ratios = {x: _f_ratio(f, factorize(x)) for x in scales}
+    dens = {x: d * scales[x] for x, (_, d) in ratios.items()}
+    den = lcm(*dens.values())
+    return {x: n * (den // dens[x]) for x, (n, _) in ratios.items()}, den
+
+
+def _exceeds_one(x: Fraction, m: int) -> bool:
+    """x m > 1, by cross-multiplication."""
+    return x.numerator * m > x.denominator
 
 
 def s_majorant(
@@ -300,6 +310,11 @@ def resolution_check(
     least stray edge).  With these in
     place the squared inequality is a theorem; a violation would be a
     reportable mathematical event, not a tolerance issue.
+
+    One _neighborhood_masses call gives the adjacency, property two
+    (decided by _below_share, as in peel) and mu(E), mu(V'), mu(W') as
+    integers; containment tests each edge of E by build_edge_set's own
+    test (stray_edges); the pointwise bounds are cross-multiplied.
     """
     E = frozenset(edges)
     pre: dict[str, object] = {}
@@ -315,14 +330,16 @@ def resolution_check(
     if not ok_struct:
         witnesses["structured"] = wit
 
-    # rows are (side, vertex, mass, threshold, ok)
-    p2 = property_two_report(system, E, params)
-    bad_p2 = [(r[0], r[1]) for r in p2 if not r[4]]
-    pre["combinatorial"] = not bad_p2
-    if bad_p2:
-        witnesses["combinatorial"] = bad_p2[0]
+    V, W = system.masses
+    nbhd = _neighborhood_masses((V, W), E)
+    adj, _, own, mu_e_num = nbhd
 
-    stray = E - build_edge_set(system.psi, system.theta, params.t, params.K)
+    bad_p2 = next(_property_two_violators(nbhd, 1 / params.q_prime), None)
+    pre["combinatorial"] = bad_p2 is None
+    if bad_p2:
+        witnesses["combinatorial"] = bad_p2
+
+    stray = stray_edges(system.psi, system.theta, E, params.t, params.K)
     pre["containment"] = not stray
     if stray:
         witnesses["containment"] = min(stray)
@@ -334,7 +351,8 @@ def resolution_check(
         )
 
     dec = build_decomposition(E, N)
-    w_adj = adjacency(E)[1]
+    w_adj = adj[1]
+    psi, theta = system.psi.value, system.theta.value
 
     reconstruction_ok = True
     for parts, side in ((dec.v_parts, "v"), (dec.w_parts, "w")):
@@ -360,7 +378,7 @@ def resolution_check(
         if vm * vp * wm * wp != (v * w) // (g * g):
             four_factor_ok = False
             witnesses.setdefault("four_factor", (v, w))
-        if system.psi.value(v) * vm * wp > 1 or system.theta.value(w) * vp * wm > 1:
+        if _exceeds_one(psi(v), vm * wp) or _exceeds_one(theta(w), vp * wm):
             pointwise_ok = False
             witnesses.setdefault("pointwise", (v, w))
 
@@ -370,21 +388,16 @@ def resolution_check(
     w0 = sums.w0
     w0_plus = dec.w_parts[w0][1]
     for v in sorted(w_adj[w0]):
-        vm, _ = dec.v_parts[v]
-        if system.psi.value(v) * vm * w0_plus > 1:
+        if _exceeds_one(psi(v), dec.v_parts[v][0] * w0_plus):
             pointwise_ok = False
             witnesses.setdefault("pointwise_extremal", ("v", v))
     for w in sorted(w_adj):
-        wm = dec.w_parts[w][0]
-        v0p = dec.v_parts[sums.v0[w]][1]
-        if system.theta.value(w) * v0p * wm > 1:
+        if _exceeds_one(theta(w), dec.v_parts[sums.v0[w]][1] * dec.w_parts[w][0]):
             pointwise_ok = False
             witnesses.setdefault("pointwise_extremal", ("w", w))
 
-    mu_e = mu_pairs(system, E)
-    vs, ws = restrict(E)
-    V, W = system.masses
-    mu_v, mu_w = V.measure(vs), W.measure(ws)
+    mu_e = Fraction(mu_e_num, V.den * W.den)
+    mu_v, mu_w = Fraction(own[0], V.den), Fraction(own[1], W.den)
     lhs_sq = mu_e * mu_e
     rhs = params.q_prime**2 * sums.total * mu_v * mu_w
 

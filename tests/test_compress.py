@@ -190,3 +190,43 @@ def test_edgewise_checks_report_the_mismatching_edge():
     # omega_10(2, 1) = 1, omega_10(2, 2) - 1 = -1
     assert (checks["e:omega-shift"].lhs, checks["e:omega-shift"].rhs) == (1, -1)
     assert checks["d:quality"].detail == checks["e:omega-shift"].detail == "at slice edge (2,1)"
+
+
+def test_slice_weights_are_not_validated_again(monkeypatch):
+    """slice_system rescales the source's validated weights without one
+    model._rational call; the public constructor still makes them."""
+    import paircert.model as model
+
+    corpus = _slice_corpus(47, 10)
+    calls = []
+    real = model._rational
+    monkeypatch.setattr(model, "_rational", lambda value: calls.append(value) or real(value))
+    for system, _, s in corpus:
+        for i, j in ((s.i, s.j), (0, 0), (1, 0), (0, 2)):
+            slice_system(system, s.p, i, j)
+    assert calls == []
+    WeightFunction({1: F(1, 2)})
+    assert calls == [F(1, 2)]
+
+
+def test_an_extra_factor_p_in_the_slice_weights_fails_a_and_b():
+    """The measure identities catch a slice whose psi~ and theta~ were both
+    scaled by one p too many."""
+    caught = 0
+    for system, params, s in _slice_corpus(53, 60):
+        good = {c.name: c for c in verify_slice_identities(system, s, params.t).checks}
+        if not (good["a:psi-measure"].lhs and good["b:theta-measure"].lhs):
+            continue  # zero or vacuous masses cannot show a scale
+        assert good["a:psi-measure"].status == good["b:theta-measure"].status == "holds"
+        tilde = PairSystem(
+            WeightFunction({v: s.p * a for v, a in s.tilde.psi.items()}),
+            WeightFunction({w: s.p * b for w, b in s.tilde.theta.items()}),
+            s.tilde.f,
+            s.tilde.g,
+            s.tilde.edges,
+        )
+        bad = Slice(s.p, s.i, s.j, tilde, s.v_cell, s.w_cell)
+        failed = {c.name for c in verify_slice_identities(system, bad, params.t).failures()}
+        assert {"a:psi-measure", "b:theta-measure"} <= failed
+        caught += 1
+    assert caught >= 8

@@ -17,7 +17,7 @@ from paircert.diagonal import (
     property_two_holds,
     property_two_report,
 )
-from paircert.errors import DegenerateMeasure, InvalidParameter
+from paircert.errors import DegenerateMeasure, InvalidParameter, InvariantBroken, PaircertError
 from paircert.model import MultiplicativeFunction, PairSystem, TOTIENT, WeightFunction, mu_pairs, mu_set
 from paircert.quality import FAILED, HOLDS, INCONCLUSIVE, VIOLATED, build_edge_set
 from conftest import make_corpus, small_params
@@ -342,3 +342,65 @@ class TestPeel:
             if st.mu_side_after == st.mu_side_before:
                 assert st.cert_verdict == "vacuous"
         assert property_two_holds(sys_, res.edges, small_params())
+
+
+def _zero_mass_system():
+    """v = 2 carries no mass (f(2) = 0), and its only neighbour w = 5 keeps
+    an edge to v = 3: removing v = 2 changes no mass."""
+    f = MultiplicativeFunction({(2, 1): 0, (3, 1): F(2), (5, 1): F(4), (7, 1): F(6)})
+    psi = WeightFunction({3: F(1, 3), 2: F(1, 2)})
+    theta = WeightFunction({5: F(1, 5000), 7: F(1, 7)})
+    return PairSystem(psi, theta, f, TOTIENT, {(3, 5), (3, 7), (2, 5)})
+
+
+def test_peel_step_guard_raises_a_typed_error(monkeypatch):
+    """A peel whose maps never lose the removed vertex repeats the same
+    vacuous step; one step past the vertex count it raises InvariantBroken,
+    a PaircertError that is still a RuntimeError."""
+    import paircert.diagonal as diagonal
+
+    pops = []
+
+    class Sticky(dict):
+        def pop(self, key):  # hands the entry out but keeps it
+            pops.append(key)
+            return self[key]
+
+    real = diagonal._neighborhood_masses
+
+    def sticky(sides, E):
+        adj, gamma, own, mu_e = real(sides, E)
+        return [Sticky(m) for m in adj], [Sticky(m) for m in gamma], own, mu_e
+
+    monkeypatch.setattr(diagonal, "_neighborhood_masses", sticky)
+    system = _zero_mass_system()
+    with pytest.raises(InvariantBroken, match="step bound") as info:
+        peel(system, system.edges, small_params())
+    assert isinstance(info.value, RuntimeError) and isinstance(info.value, PaircertError)
+    # two pops (adjacency and gamma) per step; 2 + 2 vertices, so 5 steps
+    assert pops == [2] * 10
+
+
+class TestPropertyTwoBoundary:
+    """v = 4 has neighbourhood mass exactly its threshold 1/2, and property
+    two only fails strictly below it (_below_share's strict <)."""
+
+    psi = WeightFunction({4: F(2, 3), 6: F(1)})
+    theta = WeightFunction({1: F(1, 2), 4: F(4, 3), 6: F(3, 2)})
+    system = PairSystem(psi, theta, TOTIENT, TOTIENT, {(4, 6), (6, 1), (6, 4)})
+    params = small_params(epsilon=F(1, 10), t=F(1), K=F(0))
+
+    def test_the_row_sits_on_the_threshold(self):
+        rows = property_two_report(self.system, self.system.edges, self.params)
+        assert rows[0] == ("v", 4, F(1, 2), F(1, 2), True)
+        assert all(ok for *_, ok in rows)
+
+    def test_property_two_holds_and_peel_takes_no_step(self):
+        assert property_two_holds(self.system, self.system.edges, self.params)
+        assert peel(self.system, self.system.edges, self.params).steps == 0
+
+    def test_resolution_reports_it_as_met(self):
+        from paircert.resolution import resolution_check
+
+        rep = resolution_check(self.system, self.system.edges, 1, self.params)
+        assert rep.preconditions["combinatorial"] is True

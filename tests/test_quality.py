@@ -26,6 +26,7 @@ from paircert.quality import (
     p_value,
     prime_support,
     restrict,
+    stray_edges,
     w_neighborhood,
 )
 from conftest import make_corpus, small_params
@@ -167,6 +168,38 @@ class TestEdgeSets:
                 system.psi, system.theta, params.t, params.K, literal_lcm=True
             )
             assert fast_l == slow_l
+
+    @pytest.mark.parametrize("literal_lcm", [False, True])
+    def test_no_omega_test_when_t_is_below_two(self, monkeypatch, literal_lcm):
+        """With floor(t) < 2 and K > 0, omega_t is 0 for every pair: the edge
+        set is empty, as the oracle says, and no pair's omega is computed."""
+        import paircert.quality as quality
+
+        corpus = make_corpus(83, 6)
+        calls = []
+        real = quality.omega_t
+        monkeypatch.setattr(quality, "omega_t", lambda *a: calls.append(a) or real(*a))
+        for system, _ in corpus:
+            for t in (F(1), F(3, 2)):
+                for K in (F(1, 2), F(1), F(2)):
+                    got = build_edge_set(system.psi, system.theta, t, K, literal_lcm)
+                    oracle = build_edge_set_bruteforce(system.psi, system.theta, t, K, literal_lcm)
+                    assert got == oracle == frozenset()
+                assert build_edge_set(system.psi, system.theta, t, 0, literal_lcm) == (
+                    build_edge_set_bruteforce(system.psi, system.theta, t, 0, literal_lcm)
+                )
+        assert calls == []
+
+    def test_stray_edges_are_those_outside_the_edge_set(self):
+        """stray_edges tests the given pairs only, off the supports too, and
+        agrees with the difference to the whole edge set."""
+        for system, params in make_corpus(79, 12):
+            legal = build_edge_set(system.psi, system.theta, params.t, params.K)
+            vs = [*system.psi.support()[:8], 10**6 + 3]
+            ws = [*system.theta.support()[:8], 10**6 + 3]
+            box = {(v, w) for v in vs for w in ws}
+            got = stray_edges(system.psi, system.theta, box, params.t, params.K)
+            assert got == box - legal
 
 
 class TestNeighborhoods:

@@ -125,6 +125,40 @@ class TestSSums:
         assert ss3.w0 == 3
 
 
+def _s_sums_reference(system, edges, N, t, K):
+    """S1..S4 summed term by term in Fractions, as the definition reads:
+    g(w) f(v) / (w w- v v- v0+(w) w0+) over the edges whose v-, v+, w- or
+    w+ has omega_t >= K/4."""
+    dec = build_decomposition(edges, N)
+    gamma = {}
+    for v, w in edges:
+        gamma.setdefault(w, []).append(v)
+    w0_plus = max(plus for _, plus in dec.w_parts.values())
+    sums = [F(0)] * 4
+    for w, vs in gamma.items():
+        w_minus, w_plus = dec.w_parts[w]
+        v0_plus = max(dec.v_parts[v][1] for v in vs)
+        for v in vs:
+            v_minus, v_plus = dec.v_parts[v]
+            term = system.g(w) * system.f(v) / (w * w_minus * v * v_minus * v0_plus * w0_plus)
+            for k, part in enumerate((v_minus, v_plus, w_minus, w_plus)):
+                if small_prime_divisor_count(part, t) >= F(K) / 4:
+                    sums[k] += term
+    return sums
+
+
+class TestSSumsReference:
+    @pytest.mark.parametrize("f_mode", ["totient", "random"])
+    def test_integer_sums_equal_the_fraction_reference(self, f_mode):
+        cases = _structured_cases(241, 30, f_mode=f_mode)
+        assert len(cases) >= 10
+        for system, params, N, edges in cases:
+            for K in (params.K, F(4), F(6)):
+                ss = s_sums(system, edges, N, params.t, K)
+                ref = _s_sums_reference(system, edges, N, params.t, K)
+                assert [ss.s1, ss.s2, ss.s3, ss.s4] == ref
+
+
 class TestCaseSplitSoundness:
     def test_omega_splits_across_parts(self):
         """On a structured edge with omega_t(v,w) >= K, at least one of the
