@@ -5,6 +5,7 @@ higher working precision than anything the engine uses; the engine itself
 never touches floating point.
 """
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -802,3 +803,177 @@ class TestDyadicPrimitiveReference:
                     assert arith._dy_cmp_fraction(a, x) == _ref_dy_cmp_fraction(a, x), (a, x)
                     compared += 1
         assert compared > 2500
+
+
+# Interval.log and Interval.exp as they stood with one series per end: both
+# methods round each end on its own through _ln_dy and _exp_dy, copied here
+# verbatim.  Kept as the reference that the shared-bracket kernels must match
+# bit for bit.
+
+
+def _ref_series_exp_dy(a, prec, rnd):
+    Dyadic, _FLOOR, _CEIL = arith.Dyadic, arith._FLOOR, arith._CEIL
+    w = prec + arith._GUARD
+    if a.man == 0:
+        return arith._DY_ONE
+    pos = a.mag_bits
+    if pos <= -w:
+        # |a| <= 2^-w: e^a within [1 - 2^(1-w), 1 + 2^(1-w)]
+        if rnd == _FLOOR:
+            return Dyadic((1 << w) - 2, -w) if a.man < 0 else arith._DY_ONE
+        return Dyadic((1 << w) + 2, -w) if a.man > 0 else arith._DY_ONE
+    if pos > arith._MAG_CAP:
+        raise ResourceLimit(f"exp argument magnitude 2^{pos} exceeds cap")
+    if a.man < 0:
+        # e^a = 1 / e^|a|; flip the rounding direction through the division
+        inner = _ref_series_exp_dy(arith._dy_neg(a), prec + 4, _CEIL if rnd == _FLOOR else _FLOOR)
+        return arith._dy_div(arith._DY_ONE, inner, prec, rnd)
+    wk = w + max(pos, 0) + 8
+    l2lo, l2hi = arith._ln2_scaled(wk)
+    s = max(wk, -a.exp)
+    x = a.man << (s + a.exp)
+    k = x // (l2hi << (s - wk))
+    l2 = l2hi if rnd == _FLOOR else l2lo
+    r = arith._dy_round(x - ((k * l2) << (s - wk)), -s, w + 8, rnd)
+    return arith._dy_round(arith._exp_series_scaled(r.man, -r.exp, w, rnd), k - w, prec, rnd)
+
+
+def _ref_series_ln_dy(a, prec, rnd):
+    _FLOOR = arith._FLOOR
+    if a.sign <= 0:
+        raise DomainError("log of a nonpositive value")
+    if a == arith._DY_ONE:
+        return arith._DY_ZERO
+    w = prec + arith._GUARD
+    bl = a.man.bit_length()
+    s = a.exp + bl - 1  # a = m * 2^s with m in [1, 2)
+    half = 1 << (bl - 1)
+    # atanh argument z = (m-1)/(m+1) in [0, 1/3)
+    at = 2 * arith._atanh_series_scaled(a.man - half, a.man + half, w, rnd)
+    if s == 0:
+        return arith._dy_round(at, -w, prec, rnd)
+    wk = w + abs(s).bit_length() + 8
+    l2lo, l2hi = arith._ln2_scaled(wk)
+    sl2 = s * (l2lo if (s > 0) == (rnd == _FLOOR) else l2hi)
+    # align scale 2^-wk with 2^-w (wk > w)
+    return arith._dy_round(sl2 + (at << (wk - w)), -wk, prec, rnd)
+
+
+def _ref_interval_exp(iv, prec):
+    p = prec or iv.precision_bits
+    return Interval(
+        _ref_series_exp_dy(iv.lo, p, arith._FLOOR), _ref_series_exp_dy(iv.hi, p, arith._CEIL), p
+    )
+
+
+def _ref_interval_log(iv, prec):
+    p = prec or iv.precision_bits
+    if iv.lo.sign <= 0:
+        raise DomainError("log of an interval reaching zero")
+    return Interval(
+        _ref_series_ln_dy(iv.lo, p, arith._FLOOR), _ref_series_ln_dy(iv.hi, p, arith._CEIL), p
+    )
+
+
+def _interval_outcome(fn, iv, prec):
+    try:
+        out = fn(iv, prec)
+    except (DomainError, ResourceLimit) as exc:
+        return type(exc).__name__
+    return out.lo.man, out.lo.exp, out.hi.man, out.hi.exp, out.precision_bits
+
+
+def _dyadic(rng, bits, mag, sign=1):
+    """A random dyadic of sign, odd mantissa of `bits` bits and magnitude
+    position mag (2^(mag-1) <= |value| < 2^mag)."""
+    man = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    return arith.Dyadic(sign * man, mag - bits)
+
+
+_BY_VALUE = functools.cmp_to_key(arith._dy_cmp)
+
+
+class TestIntervalKernelReference:
+    """Interval.log and Interval.exp against the per-end series reference, bit
+    for bit: point, one-ulp and wide intervals; arguments near 1 and near
+    powers of two; negative, mixed-sign, tiny and capped exp arguments."""
+
+    PRECS = (16, 17, 53, 256, 1024, 4096)
+
+    @staticmethod
+    def _widen(ends, rng, prec):
+        """Point, one-ulp and wide intervals over the sorted ends."""
+        up = [arith._dy_nudge(a, prec, arith._CEIL) for a in ends]
+        out = [(a, a) for a in ends] + list(zip(ends, up))
+        for _ in range(len(ends)):
+            a, b = sorted(rng.sample(ends, 2), key=_BY_VALUE)
+            out.append((a, b))
+        return [Interval(a, b, prec) for a, b in out]
+
+    def _log_intervals(self, rng, prec):
+        w = prec + arith._GUARD
+        ends = []
+        for j in (1, 2, 5, 20, prec // 2, prec, w, w + 9):  # 1 +- 2^-j
+            ends += [arith.Dyadic((1 << j) + 1, -j), arith.Dyadic((1 << j) - 1, -j)]
+        for s in (1, -1, 7, -30, rng.randint(1 << 20, 1 << 40)):  # near 2^s
+            ends += [arith.Dyadic((1 << prec) + u, s - prec) for u in (-1, 0, 1)]
+        for bits in (1, 3, prec, prec + 1, 2 * prec):
+            ends += [_dyadic(rng, bits, rng.randint(-40, 40)) for _ in range(2)]
+        ivs = self._widen(ends, rng, prec)
+        ivs += [Interval.from_fraction(F(rng.randint(1, 10**9), rng.randint(1, 10**9)), prec)]
+        for j in (3, prec // 2, w):  # straddling 1 and a power of two
+            ivs.append(Interval(arith.Dyadic((1 << j) - 1, -j), arith.Dyadic((1 << j) + 1, -j), prec))
+            ivs.append(Interval(arith.Dyadic((1 << j) - 1, 5 - j), arith.Dyadic((1 << j) + 1, 5 - j), prec))
+        return ivs
+
+    def _exp_intervals(self, rng, prec):
+        w = prec + arith._GUARD
+        cap = arith._MAG_CAP
+        ends = []
+        for sign in (1, -1):
+            ends += [_dyadic(rng, rng.randint(1, prec), -w - rng.randint(0, 3), sign)]
+            ends += [_dyadic(rng, 1, -w + 1, sign), _dyadic(rng, prec, -w + 1, sign)]
+            for _ in range(5):
+                mag = rng.randint(-w // 2, 12)
+                ends.append(_dyadic(rng, rng.choice([1, 5, prec, 2 * prec]), mag, sign))
+        # multiples of ln 2 on the kernel's own grid, where k changes
+        for j in (1, 3, 1000):
+            wk = w + ((j * 7 // 10).bit_length() or 1) + 8
+            l2lo, l2hi = arith._ln2_scaled(wk)
+            ends += [arith.Dyadic(j * l2hi, -wk), arith.Dyadic(j * l2lo, -wk)]
+        ends.sort(key=_BY_VALUE)
+        ivs = self._widen(ends, rng, prec)
+        at_cap = [_dyadic(rng, prec, cap), _dyadic(rng, 1, cap), _dyadic(rng, 3, cap + 1)]
+        for a in at_cap[:2]:
+            ivs += [Interval(a, a, prec), Interval(arith._dy_neg(a), arith._dy_neg(a), prec)]
+        ivs += [Interval(arith._DY_ONE, at_cap[2], prec), Interval(arith._dy_neg(at_cap[2]), arith._DY_ONE, prec)]
+        return ivs
+
+    def _compare(self, method, ref, intervals, prec):
+        for iv in intervals:
+            got = _interval_outcome(method, iv, prec)
+            assert got == _interval_outcome(ref, iv, prec), (iv, prec)
+        return len(intervals)
+
+    def test_log_bit_identical_to_series_reference(self):
+        rng = random.Random(20261019)
+        compared = 0
+        for prec in self.PRECS:
+            ivs = self._log_intervals(rng, prec)
+            if prec > 1024:
+                ivs = rng.sample(ivs, 10)
+            compared += self._compare(Interval.log, _ref_interval_log, ivs, prec)
+        assert compared > 500
+
+    def test_exp_bit_identical_to_series_reference(self):
+        rng = random.Random(20261020)
+        compared = limits = 0
+        for prec in self.PRECS:
+            ivs = self._exp_intervals(rng, prec)
+            limits += sum(
+                _interval_outcome(Interval.exp, iv, prec) == "ResourceLimit" for iv in ivs[-6:]
+            )
+            if prec > 1024:
+                ivs = rng.sample(ivs[:-6], 10) + ivs[-6:]
+            compared += self._compare(Interval.exp, _ref_interval_exp, ivs, prec)
+        assert compared > 350 and limits > 0
