@@ -8,13 +8,20 @@ factors (e^x, Log t, fractional powers).
 
 The interval engine represents endpoints as dyadic numbers man * 2**exp
 with directed (outward) rounding, so an :class:`Interval` is a guaranteed
-enclosure of the real number it describes.  Transcendental kernels are
-fixed-point series, and each evaluation runs the one pass of its rounding
+enclosure of the real number it describes.  The ends of ln and exp are the
+roundings of fixed-point series, each run in the one pass of its rounding
 direction: toward -infinity every term rounds down, toward +infinity every
 term rounds up and the tail is padded.  That yields a certified one-sided
-bound without trusting any floating-point hardware.  Outside those kernels
-every directed quotient goes through ``_quotient`` and every exact dyadic
-comparison through ``_me_cmp``.
+bound without trusting any floating-point hardware.  Most ends are decided
+without running those series: a reduced fixed-point bracket (_ln_fixed:
+isqrt halvings, then atanh on multiply and shift; _exp_fixed: r/2^j, Taylor
+on multiply and shift, j squarings), one per interval when its ends lie
+close (_ln_ends, _exp_ends), shows which way the series would round, by
+Ziv's test against a proved bound E_old on the series' error (_ln_round,
+_exp_round).  When it cannot, the series runs as the fallback, so every end
+is the series' own, bit for bit.  Outside those kernels every directed
+quotient goes through ``_quotient`` and every exact dyadic comparison
+through ``_me_cmp``.
 """
 
 from __future__ import annotations
@@ -366,7 +373,18 @@ def _exp_series_scaled(c: int, k: int, w: int, rnd: int) -> int:
     """A bound of e^(c/2^k) scaled by 2^w, for 0 <= c/2^k <= 1: below it for
     _FLOOR (every term rounded down), above it for _CEIL (every term rounded
     up, the tail padded).  A term shifts, then divides:
-    floor(floor(tc/2^k)/n) = floor(tc/(2^k n))."""
+    floor(floor(tc/2^k)/n) = floor(tc/(2^k n)).
+
+    Either bound lies within 2w + 16 of 2^w e^r, r = c/2^k (the E_old of
+    _exp_round).  With T_n = 2^w r^n/n!, the term t_n = floor(t_(n-1) r/n)
+    falls short of T_n by d_n < d_(n-1) r/n + 1, so d_1 < 1 and d_n < 3/2;
+    rounded up, it exceeds T_n by as much at most.  As r <= 1 and
+    n! >= 2^(n-1), T_n <= 1/2 once n >= w + 2, so either pass stops after
+    N <= w + 2 terms.  Below: the shortfall is under 3N/2 plus the tail
+    past t_N = 0, at most T_N < 3/2 as the ratio r/(N+1) <= 1/2, so under
+    3w/2 + 5.  Above: the excess is under 3N/2 plus the padding
+    2u + 8 <= 12 (u <= 2 at the stop), so under 3w/2 + 15.
+    """
     scale = 1 << w
     if c == 0:
         return scale
@@ -388,7 +406,20 @@ def _exp_series_scaled(c: int, k: int, w: int, rnd: int) -> int:
 
 def _atanh_series_scaled(c: int, d: int, w: int, rnd: int) -> int:
     """A bound of atanh(c/d) scaled by 2^w, for 0 <= c/d <= 1/2: below it
-    for _FLOOR, above it for _CEIL (terms rounded up, the tail padded)."""
+    for _FLOOR, above it for _CEIL (terms rounded up, the tail padded).
+
+    Either bound lies within w + 15 of 2^w atanh z, z = c/d, so twice it,
+    as _ln_round uses it, within 2w + 30 of 2^w ln((1+z)/(1-z)) (under the
+    E_old = 2w + 32 of _ln_round).  With V_i = 2^w z^(2i+1), the power
+    v_i = floor(v_(i-1) z^2) falls short of V_i by d_i < d_(i-1) z^2 + 1, so
+    d_0 < 1 and d_i < 4/3, and the term floor(v_i/(2i+1)) short of
+    V_i/(2i+1) by under 4/9 + 1 = 13/9 (i >= 1); rounded up, the excesses
+    are as small.  V_i <= 2^(w-2i-1), so either pass stops after
+    N <= w/2 + 1 terms.  Below: the shortfall is under 1 + 13N/9 plus the
+    tail past v_N = 0, under V_N z^2/(1 - z^2) < 1/2, so under w + 4.
+    Above: the excess is under 1 + 13N/9 plus the padding 2 term + 8 <= 12,
+    so under w + 15.
+    """
     if c == 0:
         return 0
     scale = 1 << w
@@ -416,6 +447,122 @@ def _ln2_scaled(w: int) -> tuple[int, int]:
     return 2 * _atanh_series_scaled(1, 3, w, _FLOOR), 2 * _atanh_series_scaled(1, 3, w, _CEIL)
 
 
+# ---------------------------------------------------------------------------
+# Reduced fixed-point brackets, decided against the series (Ziv's test)
+# ---------------------------------------------------------------------------
+
+
+def _decided(lo: int, hi: int, exp: int, prec: int, rnd: int) -> Optional[Dyadic]:
+    """_dy_round(n, exp, prec, rnd), the same for every integer n in
+    [lo, hi], or None when it is not.  Rounding is monotone, so the two
+    ends decide every point between (Ziv's rounding test)."""
+    out = _dy_round(lo, exp, prec, rnd)
+    return out if out == _dy_round(hi, exp, prec, rnd) else None
+
+
+def _ln_fixed(man: int, w: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^w ln m <= hi, m = man / 2^(bitlen(man)-1) in
+    [1, 2), at most a few units apart.
+
+    On the scale 2^f, x <= X = 2^f m^(1/2^k) < x + 2 after k isqrt halvings
+    (sqrt halves the error of its argument, and each isqrt adds under 1),
+    taken until x <= 2^f (1 + 2^-h).  Then ln m = 2^k ln(X/2^f), where
+    ln(x/2^f) <= ln(X/2^f) <= ln(x/2^f) + 2^(1-f), and
+    ln(x/2^f) = 2 atanh z, z = (x - 2^f)/(x + 2^f) <= 1/17.  Its series runs
+    on one multiply and shift per term: each term falls short by under 2,
+    and the tail past the last nonzero one by under 1, so 2^f atanh z lies
+    in [s, s + 2j] after j - 1 terms past the first.
+    """
+    if man & (man - 1) == 0:
+        return 0, 0
+    h = max(3, isqrt(w) >> 2)  # more halvings, fewer terms, as w grows
+    f = w + 2 * h + 16
+    one = 1 << f
+    sh = f + 1 - man.bit_length()
+    x = man << sh if sh >= 0 else man >> -sh
+    k = 0
+    while x > one + (one >> h):
+        x = isqrt(x << f)
+        k += 1
+    z = ((x - one) << f) // (x + one)
+    z2 = (z * z) >> f
+    s = v = z
+    j = 1
+    while v:
+        v = (v * z2) >> f
+        s += v // (2 * j + 1)
+        j += 1
+    g = f - w
+    return (s << (k + 1)) >> g, -((-(s + 2 * j + 1) << (k + 1)) >> g)
+
+
+def _exp_fixed(r: Dyadic, w: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^w e^r <= hi for 0 <= r < 1, at most a few
+    units apart.
+
+    On the scale 2^f, y = floor(2^f r/2^j), and e^(y/2^f) is summed on one
+    multiply, shift and small division per term, each short by under 3/2:
+    under 2n in all after n terms, and 4 more cover r/2^j - y/2^f < 2^-f.
+    Then j squarings, each rounded down, carry the bracket [s, s + e] with
+    e' = 2 + floor((2 s e + e^2)/2^f).
+    """
+    if r.man == 0:
+        return 1 << w, 1 << w
+    j = max(3, isqrt(w) >> 1)  # more halvings, fewer terms, as w grows
+    f = w + 2 * j + 16
+    one = 1 << f
+    sh = r.exp - j + f
+    y = r.man << sh if sh >= 0 else r.man >> -sh
+    s = t = one
+    n = 1
+    while t:
+        t = ((t * y) >> f) // n
+        s += t
+        n += 1
+    e = 2 * n + 4
+    for _ in range(j):
+        e = 2 + ((2 * s * e + e * e) >> f)
+        s = (s * s) >> f
+    g = f - w
+    return s >> g, -((-(s + e)) >> g)
+
+
+def _exp_reduced(a: Dyadic, w: int, rnd: int) -> tuple[Dyadic, int]:
+    """(r, k) with e^a = e^r 2^k, r >= 0 on w + 8 bits taken with the ln 2
+    bound and the rounding that move e^r toward rnd, for a > 0 of magnitude
+    position at most _MAG_CAP."""
+    pos = a.mag_bits
+    wk = w + max(pos, 0) + 8
+    l2lo, l2hi = _ln2_scaled(wk)
+    # a = x / 2^s and ln 2 within [l2lo, l2hi] / 2^wk, on the common scale 2^-s
+    s = max(wk, -a.exp)
+    x = a.man << (s + a.exp)
+    k = x // (l2hi << (s - wk))
+    # r < 0.7, inside the series' range: x < (k + 1) l2hi 2^(s-wk) by the
+    # choice of k, so before its rounding r < (l2hi + k (l2hi - l2lo)) / 2^wk,
+    # where l2hi - l2lo < wk and k < 2^(pos+1) = 2^(wk-w-7); the rounding
+    # adds less than r 2^-(w+7).
+    l2 = l2hi if rnd == _FLOOR else l2lo
+    return _dy_round(x - ((k * l2) << (s - wk)), -s, w + 8, rnd), k
+
+
+def _exp_round(r: Dyadic, k: int, prec: int, rnd: int, lo: int, hi: int) -> Dyadic:
+    """e^r 2^k rounded to prec bits toward rnd from the series bound
+    _exp_series_scaled(r, w, rnd), w = prec + _GUARD, as _exp_dy rounds it.
+
+    The series bound lies within E_old = 2w + 16 of 2^w e^r (derived at
+    _exp_series_scaled), so for lo <= 2^w e^r <= hi it lies in
+    [lo - E_old, hi + E_old]; when that range decides the rounding, the
+    series is not run.
+    """
+    w = prec + _GUARD
+    e = 2 * w + 16
+    out = _decided(lo - e, hi + e, k - w, prec, rnd)
+    if out is None:
+        out = _dy_round(_exp_series_scaled(r.man, -r.exp, w, rnd), k - w, prec, rnd)
+    return out
+
+
 def _exp_dy(a: Dyadic, prec: int, rnd: int) -> Dyadic:
     """Certified one-sided bound of e^(value of a)."""
     w = prec + _GUARD
@@ -433,41 +580,90 @@ def _exp_dy(a: Dyadic, prec: int, rnd: int) -> Dyadic:
         # e^a = 1 / e^|a|; flip the rounding direction through the division
         inner = _exp_dy(_dy_neg(a), prec + 4, _CEIL if rnd == _FLOOR else _FLOOR)
         return _dy_div(_DY_ONE, inner, prec, rnd)
-    wk = w + max(pos, 0) + 8
-    l2lo, l2hi = _ln2_scaled(wk)
-    # a = x / 2^s and ln 2 within [l2lo, l2hi] / 2^wk, on the common scale 2^-s
-    s = max(wk, -a.exp)
-    x = a.man << (s + a.exp)
-    k = x // (l2hi << (s - wk))
-    # r = a - k ln 2 >= 0 on w + 8 bits, with the ln 2 bound and the
-    # rounding that move e^r toward rnd.  r < 0.7, inside the series' range:
-    # x < (k + 1) l2hi 2^(s-wk) by the choice of k, so before its rounding
-    # r < (l2hi + k (l2hi - l2lo)) / 2^wk, where l2hi - l2lo < wk and
-    # k < 2^(pos+1) = 2^(wk-w-7); the rounding adds less than r 2^-(w+7).
-    l2 = l2hi if rnd == _FLOOR else l2lo
-    r = _dy_round(x - ((k * l2) << (s - wk)), -s, w + 8, rnd)
-    return _dy_round(_exp_series_scaled(r.man, -r.exp, w, rnd), k - w, prec, rnd)
+    r, k = _exp_reduced(a, w, rnd)
+    return _exp_round(r, k, prec, rnd, *_exp_fixed(r, w))
+
+
+def _exp_ends(lo: Dyadic, hi: Dyadic, prec: int) -> tuple[Dyadic, Dyadic]:
+    """(_exp_dy(lo, prec, _FLOOR), _exp_dy(hi, prec, _CEIL)) for 0 < lo <= hi
+    of magnitude positions in (-w, _MAG_CAP], w = prec + _GUARD.
+
+    The upper end's bracket comes from the lower one's when their reduced
+    arguments r0, r1 lie close: e^r1 = e^r0 e^d with d = r1 - r0 exact, and
+    1 + d <= e^d <= 1 + d + d^2 for d <= 1, a bracket d^2 e^r0 wide, so
+    at most one unit wider when d^2 <= 2^(-w-1).  Otherwise _exp_dy takes hi
+    on its own.
+    """
+    w = prec + _GUARD
+    r0, k0 = _exp_reduced(lo, w, _FLOOR)
+    b0, b1 = _exp_fixed(r0, w)
+    down = _exp_round(r0, k0, prec, _FLOOR, b0, b1)
+    r1, k1 = _exp_reduced(hi, w, _CEIL)
+    e = min(r0.exp, r1.exp)
+    d = (r1.man << (r1.exp - e)) - (r0.man << (r0.exp - e))  # d / 2^g = r1 - r0
+    g = -e
+    if not d or 2 * (abs(d).bit_length() - g) <= -w - 1:
+        up = b0 + ((b0 * d) >> g), b1 - ((-b1 * d * ((1 << g) + d)) >> (2 * g))
+        return down, _exp_round(r1, k1, prec, _CEIL, *up)
+    return down, _exp_dy(hi, prec, _CEIL)
+
+
+def _ln_round(a: Dyadic, prec: int, rnd: int, lo: int, hi: int) -> Dyadic:
+    """ln a rounded to prec bits toward rnd, as _ln_dy rounds it, from
+    lo <= 2^w ln m <= hi, a = m 2^s with m in [1, 2) and w = prec + _GUARD.
+
+    The series rounds s ln 2 + at/2^w, ln 2 bounded toward rnd on the scale
+    2^-wk, from at = 2 _atanh_series_scaled(m - 1, m + 1, w, rnd), which lies
+    within E_old = 2w + 32 of 2^w ln m (derived at _atanh_series_scaled).
+    So at lies in [lo - E_old, hi + E_old]; when that range decides the
+    rounding, the series is not run.
+    """
+    if a == _DY_ONE:
+        return _DY_ZERO
+    w = prec + _GUARD
+    s = a.exp + a.man.bit_length() - 1
+    sl2, sh, exp = 0, 0, -w
+    if s:
+        wk = w + abs(s).bit_length() + 8
+        l2lo, l2hi = _ln2_scaled(wk)
+        # align scale 2^-wk with 2^-w (wk > w)
+        sl2, sh, exp = s * (l2lo if (s > 0) == (rnd == _FLOOR) else l2hi), wk - w, -wk
+    e = 2 * w + 32
+    out = _decided(sl2 + ((lo - e) << sh), sl2 + ((hi + e) << sh), exp, prec, rnd)
+    if out is None:
+        half = 1 << (a.man.bit_length() - 1)
+        # atanh argument z = (m-1)/(m+1) in [0, 1/3)
+        at = 2 * _atanh_series_scaled(a.man - half, a.man + half, w, rnd)
+        out = _dy_round(sl2 + (at << sh), exp, prec, rnd)
+    return out
 
 
 def _ln_dy(a: Dyadic, prec: int, rnd: int) -> Dyadic:
     """Certified one-sided bound of ln(value of a), a > 0."""
     if a.sign <= 0:
         raise DomainError("log of a nonpositive value")
-    if a == _DY_ONE:
-        return _DY_ZERO
+    return _ln_round(a, prec, rnd, *_ln_fixed(a.man, prec + _GUARD))
+
+
+def _ln_ends(lo: Dyadic, hi: Dyadic, prec: int) -> tuple[Dyadic, Dyadic]:
+    """(_ln_dy(lo, prec, _FLOOR), _ln_dy(hi, prec, _CEIL)) for 0 < lo <= hi.
+
+    The upper end's bracket comes from the lower one's when both ends share
+    their binary exponent s and lie close: then ln m_hi - ln m_lo =
+    ln(hi/lo) lies in [d/hi, d/lo], d = hi - lo, a bracket d^2/(lo hi)
+    wide, so at most one unit wider when (d/lo)^2 <= 2^-w.  Otherwise _ln_dy
+    takes hi on its own.
+    """
     w = prec + _GUARD
-    bl = a.man.bit_length()
-    s = a.exp + bl - 1  # a = m * 2^s with m in [1, 2)
-    half = 1 << (bl - 1)
-    # atanh argument z = (m-1)/(m+1) in [0, 1/3)
-    at = 2 * _atanh_series_scaled(a.man - half, a.man + half, w, rnd)
-    if s == 0:
-        return _dy_round(at, -w, prec, rnd)
-    wk = w + abs(s).bit_length() + 8
-    l2lo, l2hi = _ln2_scaled(wk)
-    sl2 = s * (l2lo if (s > 0) == (rnd == _FLOOR) else l2hi)
-    # align scale 2^-wk with 2^-w (wk > w)
-    return _dy_round(sl2 + (at << (wk - w)), -wk, prec, rnd)
+    b0, b1 = _ln_fixed(lo.man, w)
+    down = _ln_round(lo, prec, _FLOOR, b0, b1)
+    if lo.mag_bits == hi.mag_bits:  # one binade: the alignment shifts are short
+        e = min(lo.exp, hi.exp)
+        x, y = lo.man << (lo.exp - e), hi.man << (hi.exp - e)
+        d = y - x
+        if not d or 2 * (d.bit_length() - x.bit_length() + 1) <= -w:
+            return down, _ln_round(hi, prec, _CEIL, b0 + (d << w) // y, b1 - ((-d << w) // x))
+    return down, _ln_dy(hi, prec, _CEIL)
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +797,21 @@ class Interval:
 
     def exp(self, prec: Optional[int] = None) -> "Interval":
         p = prec or self.precision_bits
-        return Interval(_exp_dy(self.lo, p, _FLOOR), _exp_dy(self.hi, p, _CEIL), p)
+        lo, hi = self.lo, self.hi
+        mags = lo.mag_bits, hi.mag_bits
+        if lo.sign == hi.sign != 0 and -(p + _GUARD) < min(mags) and max(mags) <= _MAG_CAP:
+            if lo.sign > 0:
+                return Interval(*_exp_ends(lo, hi, p), p)
+            # e^a = 1 / e^|a| at p + 4 bits, as _exp_dy takes a negative a
+            down, up = _exp_ends(_dy_neg(hi), _dy_neg(lo), p + 4)
+            return Interval(_dy_div(_DY_ONE, up, p, _FLOOR), _dy_div(_DY_ONE, down, p, _CEIL), p)
+        return Interval(_exp_dy(lo, p, _FLOOR), _exp_dy(hi, p, _CEIL), p)
 
     def log(self, prec: Optional[int] = None) -> "Interval":
         p = prec or self.precision_bits
         if self.lo.sign <= 0:
             raise DomainError("log of an interval reaching zero")
-        return Interval(_ln_dy(self.lo, p, _FLOOR), _ln_dy(self.hi, p, _CEIL), p)
+        return Interval(*_ln_ends(self.lo, self.hi, p), p)
 
     def pow(self, expo: Union[Rational, "Interval"], prec: Optional[int] = None) -> "Interval":
         """x^expo for a positive interval x, via exp(expo * ln x)."""
@@ -653,9 +857,9 @@ def _bracket_point(lo: int, hi: int, exp: int, bits: int) -> Optional[Interval]:
     bracket round alike in each direction, x rounds the same way too (Ziv's
     rounding test).
     """
-    down = _dy_round(lo, exp, bits, _FLOOR)
-    up = _dy_round(hi, exp, bits, _CEIL)
-    if down != _dy_round(hi, exp, bits, _FLOOR) or up != _dy_round(lo, exp, bits, _CEIL):
+    down = _decided(lo, hi, exp, bits, _FLOOR)
+    up = _decided(lo, hi, exp, bits, _CEIL)
+    if down is None or up is None:
         return None
     return Interval(down, up, bits)
 

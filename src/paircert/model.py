@@ -211,13 +211,13 @@ class MultiplicativeFunction:
 
 def check_fields(config) -> None:
     """Validate a frozen config dataclass in place by its (string) field
-    annotations: a Fraction field goes through Fraction(); an int field
-    holding a non-int (a bool, a float, a numeral string) raises
-    InvalidParameter."""
+    annotations: a Fraction field goes through _rational, so a float or a
+    bool raises InvalidParameter, as does an int field holding a non-int (a
+    bool, a float, a numeral string)."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "Fraction":
-            object.__setattr__(config, f.name, Fraction(value))
+            object.__setattr__(config, f.name, _rational(value))
         elif f.type == "int" and type(value) is not int:
             raise InvalidParameter(f"{f.name} must be an integer, got {value!r}")
 
@@ -366,7 +366,12 @@ def edge_mass(V: SideMasses, W: SideMasses, E: Iterable[tuple[int, int]]) -> int
 
 def _f_ratio(f: MultiplicativeFunction, fac: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """f(x) as a (numerator, positive denominator) pair, not reduced, from
-    the factorization fac of x."""
+    the factorization fac of x; the totient's p^a - p^(a-1) as integers."""
+    if f.is_totient():
+        n = 1
+        for p, e in fac:
+            n *= (p - 1) * p ** (e - 1)
+        return n, 1
     n = d = 1
     for p, e in fac:
         val = f.prime_power(p, e)

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, gcd
 from typing import Iterable, Optional
 
-from .anatomy import small_prime_divisor_count
+from .anatomy import small_prime_bound, small_prime_divisor_count
 from .arith import (
     Interval,
     Rational,
@@ -32,7 +32,7 @@ from .arith import (
     valuation,
 )
 from .errors import InvalidParameter
-from .model import PairSystem, WeightFunction, check_fields, fields_to_json, mu_pairs, prime_support
+from .model import PairSystem, WeightFunction, _rational, check_fields, fields_to_json, mu_pairs, prime_support
 
 DEFAULT_PRECISION_CAP = 1 << 14
 
@@ -107,8 +107,8 @@ class Params:
     def from_json(cls, doc: dict) -> "Params":
         """The params a document describes. TypeError for one that is not an
         object, lacks epsilon, C, t or K, or has another key; ValueError for a
-        bad rational; InvalidParameter for a non-int p0 or precision_bits, or
-        a value outside its domain."""
+        bad rational; InvalidParameter for a float or bool rational, a non-int
+        p0 or precision_bits, or a value outside its domain."""
         return cls(**doc)
 
 
@@ -179,13 +179,14 @@ def _quality_pairs(rows, t: Rational, K: Rational, literal_lcm: bool = False):
     D is rejected early by integer cross-multiplication (w psi(v) <=
     gcd(v,w) and v theta(w) <= gcd(v,w)); omega is only computed for pairs
     passing it, and only when K > 0 (omega >= 0 always), with t floored once
-    per call; when K > 0 and t < 2 omega_t is 0, so no pair is tested. t < 1
-    raises InvalidParameter for every K, as omega_t does.
+    per call (small_prime_bound); when K > 0 and t < 2 omega_t is 0, so no
+    pair is tested. t < 1, or a float or bool t or K, raises
+    InvalidParameter for every K, as omega_t does.
     """
-    if t < 1:
+    t_floor = small_prime_bound(t)
+    if t_floor < 1:
         raise InvalidParameter(f"t must be >= 1, got {t}")
-    k_min = ceil(Fraction(K))  # omega is an integer: omega >= K iff omega >= ceil(K)
-    t_floor = floor(t)
+    k_min = ceil(_rational(K))  # omega is an integer: omega >= K iff omega >= ceil(K)
     if k_min > 0 and t_floor < 2:
         return []
     out = []

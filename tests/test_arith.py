@@ -977,3 +977,148 @@ class TestIntervalKernelReference:
                 ivs = rng.sample(ivs[:-6], 10) + ivs[-6:]
             compared += self._compare(Interval.exp, _ref_interval_exp, ivs, prec)
         assert compared > 350 and limits > 0
+
+
+class TestReducedBrackets:
+    """The reduced fixed-point brackets that decide most ln and exp ends,
+    and the series fallback behind them."""
+
+    PRECS = (16, 17, 53, 256, 1024, 4096)
+
+    @staticmethod
+    def _mantissas(rng, prec):
+        w = prec + arith._GUARD
+        out = [1, 2, 3, (1 << prec) + 1, (1 << prec) - 1, (1 << w) + 1, (1 << (2 * w)) - 1]
+        out += [_dyadic(rng, bits, bits).man for bits in (3, prec, w + 1, 2 * w + 5)]
+        return out
+
+    @staticmethod
+    def _reduced(rng, prec):
+        """r in [0, 0.7) on w + 8 bits, as _exp_reduced leaves it."""
+        w = prec + arith._GUARD
+        out = [arith._DY_ZERO, arith.Dyadic(1, -w - 8), arith.Dyadic(1, -1)]
+        out += [arith.Dyadic((7 << (w + 4)) // 10 - 1, -(w + 8))]  # just below 0.7
+        out += [_dyadic(rng, w + 8, -rng.randint(0, 40)) for _ in range(3)]
+        return out
+
+    def test_ln_bracket_contains_the_value(self):
+        rng = random.Random(20261021)
+        for prec in self.PRECS:
+            w = prec + arith._GUARD
+            with mpmath.workprec(2 * w):
+                for man in self._mantissas(rng, prec):
+                    lo, hi = arith._ln_fixed(man, w)
+                    m = mpmath.mpf(man) / mpmath.mpf(2) ** (man.bit_length() - 1)
+                    assert lo <= mpmath.log(m) * mpmath.mpf(2) ** w <= hi, (man, prec)
+                    assert hi - lo <= 4
+
+    def test_exp_bracket_contains_the_value(self):
+        rng = random.Random(20261022)
+        for prec in self.PRECS:
+            w = prec + arith._GUARD
+            with mpmath.workprec(2 * w):
+                for r in self._reduced(rng, prec):
+                    lo, hi = arith._exp_fixed(r, w)
+                    x = mpmath.mpf(r.man) * mpmath.mpf(2) ** r.exp
+                    assert lo <= mpmath.exp(x) * mpmath.mpf(2) ** w <= hi, (r, prec)
+                    assert hi - lo <= 4
+
+    def test_values_just_above_an_integer(self):
+        """Brackets of values 2^-64 above an integer N: the working scale's
+        guard bits would round an upper end without its slack down to N."""
+        rng = random.Random(20261025)
+        for prec in self.PRECS:
+            w = prec + arith._GUARD
+            with mpmath.workprec(2 * w + 200):
+                for _ in range(3):
+                    n = mpmath.mpf(rng.randint(1 << (w - 2), 1 << (w - 1)))  # ln m in [1/4, 1/2]
+                    x = (n + mpmath.mpf(2) ** -64) / mpmath.mpf(2) ** w
+                    man = int(mpmath.floor(mpmath.exp(x) * mpmath.mpf(2) ** (w + 80)))
+                    lo, hi = arith._ln_fixed(man, w)
+                    m = mpmath.mpf(man) / mpmath.mpf(2) ** (man.bit_length() - 1)
+                    assert lo <= mpmath.log(m) * mpmath.mpf(2) ** w <= hi, (man, prec)
+                    n = mpmath.mpf(rng.randint(1 << w, 3 << (w - 1)))  # e^r in [1, 3/2]
+                    y = mpmath.log(n + mpmath.mpf(2) ** -64) - w * mpmath.log(2)
+                    r = arith.Dyadic(int(mpmath.ceil(y * mpmath.mpf(2) ** (w + 80))), -w - 80)
+                    assert 0 <= r.man and r.mag_bits <= 0
+                    lo, hi = arith._exp_fixed(r, w)
+                    rv = mpmath.mpf(r.man) * mpmath.mpf(2) ** r.exp
+                    assert lo <= mpmath.exp(rv) * mpmath.mpf(2) ** w <= hi, (r, prec)
+
+    def test_series_within_e_old(self, rng):
+        """The series bounds lie within the E_old that _ln_round and
+        _exp_round allow them: 2w + 32 for twice atanh, 2w + 16 for exp."""
+        for _ in range(60):
+            w = rng.randint(8, 600)
+            d = rng.randint(2, 1 << rng.randint(2, 300))
+            c = rng.randint(0, d // 3)
+            k = rng.randint(1, 700)
+            rc = rng.randint(0, (7 << k) // 10)
+            with mpmath.workprec(2 * w + 64):
+                ln = mpmath.log(mpmath.mpf(d + c) / (d - c)) * mpmath.mpf(2) ** w
+                ex = mpmath.exp(mpmath.mpf(rc) / mpmath.mpf(2) ** k) * mpmath.mpf(2) ** w
+                for rnd in (arith._FLOOR, arith._CEIL):
+                    assert abs(2 * arith._atanh_series_scaled(c, d, w, rnd) - ln) <= 2 * w + 32
+                    assert abs(arith._exp_series_scaled(rc, k, w, rnd) - ex) <= 2 * w + 16
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        series = getattr(arith, name)
+        monkeypatch.setattr(arith, name, lambda *args: calls.append(args) or series(*args))
+        return calls
+
+    def test_undecided_ends_fall_back_to_the_series(self, monkeypatch):
+        """Brackets too wide for the rounding test send every end to the
+        series, which gives the reference's bits."""
+        for name in ("_ln_fixed", "_exp_fixed"):
+            fixed = getattr(arith, name)
+            monkeypatch.setattr(
+                arith, name, lambda x, w, fixed=fixed: tuple(
+                    b + u * (1 << w) for b, u in zip(fixed(x, w), (-1, 1))
+                )
+            )
+        atanh = self._count(monkeypatch, "_atanh_series_scaled")
+        expser = self._count(monkeypatch, "_exp_series_scaled")
+        rng = random.Random(20261023)
+        for prec in (17, 53, 256):
+            for _ in range(6):
+                a = _dyadic(rng, prec, rng.randint(-6, 6))
+                iv = Interval(a, arith._dy_nudge(a, prec, arith._CEIL), prec)
+                for method, ref, calls in (
+                    (Interval.log, _ref_interval_log, atanh),
+                    (Interval.exp, _ref_interval_exp, expser),
+                ):
+                    del calls[:]
+                    got = _interval_outcome(method, iv, prec)
+                    assert len([c for c in calls if c[:2] != (1, 3)]) == 2  # not ln 2's
+                    assert got == _interval_outcome(ref, iv, prec), (iv, prec)
+
+    def test_ends_on_a_rounding_boundary_fall_back(self, monkeypatch):
+        """ln m and e^a within 2^-2w of a prec-bit rounding boundary, on the
+        side where the series bound rounds to the neighbour of the true
+        value's rounding: only the series gives the reference's bits, so the
+        rounding test must leave these ends to it."""
+        atanh = self._count(monkeypatch, "_atanh_series_scaled")
+        expser = self._count(monkeypatch, "_exp_series_scaled")
+        rng = random.Random(20261024)
+        for prec in (53, 256, 1024):
+            w = prec + arith._GUARD
+            for _ in range(3):
+                g = rng.randint(1 << (prec - 1), (1 << prec) - 1)  # 2^w ln m = g 2^32
+                h = rng.randint(1 << (prec - 1), (7 << prec) // 10)  # 2^w e^a = h 2^33
+                with mpmath.workprec(4 * w):
+                    m = mpmath.exp(mpmath.mpf(g) * mpmath.mpf(2) ** (32 - w)) * mpmath.mpf(2) ** (3 * w)
+                    a = mpmath.log(mpmath.mpf(h) * mpmath.mpf(2) ** (1 - prec)) * mpmath.mpf(2) ** (w + 8)
+                    ln_args = [arith.Dyadic(int(f(m)), -3 * w) for f in (mpmath.ceil, mpmath.floor)]
+                    exp_args = [arith.Dyadic(int(f(a)), -w - 8) for f in (mpmath.ceil, mpmath.floor)]
+                for method, ref, args, calls in (
+                    (Interval.log, _ref_interval_log, ln_args, atanh),
+                    (Interval.exp, _ref_interval_exp, exp_args, expser),
+                ):
+                    for x in args:
+                        iv = Interval(x, x, prec)
+                        del calls[:]
+                        got = _interval_outcome(method, iv, prec)
+                        assert calls, (x, prec)
+                        assert got == _interval_outcome(ref, iv, prec), (x, prec)

@@ -245,6 +245,8 @@ F_TABLE = {"2^1": "1", "2^2": "2", "3^1": "2", "3^2": "6"}
         lambda doc: doc["psi"].update({"2": True}),
         lambda doc: doc.update(f={**F_TABLE, "3^1": 2.0}),
         lambda doc: doc.update(g={**F_TABLE, "3^2": True}),
+        lambda doc: doc["params"].update(epsilon=0.25),
+        lambda doc: doc["params"].update(t=True),
     ],
     ids=[
         "bad-fraction",
@@ -259,6 +261,8 @@ F_TABLE = {"2^1": "1", "2^2": "2", "3^1": "2", "3^2": "6"}
         "bool-weight",
         "float-f-value",
         "bool-g-value",
+        "float-epsilon",
+        "bool-t",
     ],
 )
 def test_malformed_instance_exits_4_with_one_line(tmp_path, instance_file, capsys, breakage):
@@ -295,6 +299,9 @@ PARAMS_DOC = {"epsilon": "1/4", "C": "1", "t": "10", "K": "0"}
         {"value_numerator_bound": 0},
         {"element_bound": 0},
         {"support_min": 10**6, "support_max": 10**6},
+        {"params": {**PARAMS_DOC, "epsilon": 0.1}},
+        {"params": {**PARAMS_DOC, "K": True}},
+        {"density": 0.5},
     ],
     ids=[
         "bad-fraction",
@@ -312,6 +319,9 @@ PARAMS_DOC = {"epsilon": "1/4", "C": "1", "t": "10", "K": "0"}
         "zero-value-numerator-bound",
         "zero-element-bound",
         "support-max-past-cap",
+        "float-epsilon",
+        "bool-k",
+        "float-density",
     ],
 )
 @pytest.mark.parametrize(

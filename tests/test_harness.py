@@ -90,6 +90,11 @@ class TestGenerator:
         with pytest.raises(InvalidParameter, match=f"{name} 0 is below 1"):
             GeneratorConfig(**{name: 0})
 
+    @pytest.mark.parametrize("value", [0.5, True])
+    def test_float_or_bool_density_rejected(self, value):
+        with pytest.raises(InvalidParameter, match="is not an exact rational"):
+            GeneratorConfig(density=value)
+
     def test_support_max_capped(self):
         GeneratorConfig(support_max=harness_mod.SUPPORT_CAP)
         with pytest.raises(ResourceLimit, match="support_max 1001 exceeds cap 1000"):

@@ -15,6 +15,7 @@ from paircert.model import (
     PairSystem,
     TOTIENT,
     WeightFunction,
+    _f_ratio,
     mu_pairs,
     mu_point,
     mu_set,
@@ -81,6 +82,18 @@ class TestMultiplicative:
         assert TOTIENT.prime_power(2, 3) == 4
         assert TOTIENT(1) == 1
         assert TOTIENT(12) == 4
+
+    def test_totient_ratio_is_phi(self):
+        """_f_ratio reads the totient as integers: (phi(x), 1) for x <= 10^4,
+        phi from a sieve of its own."""
+        n = 10**4
+        phi = list(range(n + 1))
+        for p in range(2, n + 1):
+            if phi[p] == p:  # p is prime
+                for m in range(p, n + 1, p):
+                    phi[m] -= phi[m] // p
+        for x in range(1, n + 1):
+            assert _f_ratio(TOTIENT, factorize(x)) == (phi[x], 1), x
 
     def test_missing_entry_raises(self):
         f = MultiplicativeFunction({(2, 1): 1})

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from paircert.arith import Dyadic, Interval, const
+from paircert.arith import Dyadic, Interval, const, interval_eval
 from paircert.errors import InvalidParameter
 from paircert.model import PairSystem, TOTIENT, WeightFunction, mu_pairs
 from paircert.quality import (
@@ -63,6 +63,16 @@ class TestParams:
     def test_json_round_trip(self):
         p = small_params(K=F(7, 2))
         assert Params.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize(
+        "field, value", [("epsilon", 0.1), ("C", True), ("t", 10.0), ("K", False)]
+    )
+    def test_float_or_bool_rational_rejected(self, field, value):
+        with pytest.raises(InvalidParameter, match="is not an exact rational"):
+            small_params(**{field: value})
+        doc = {**small_params().to_json(), field: value}
+        with pytest.raises(InvalidParameter, match="is not an exact rational"):
+            Params.from_json(doc)
 
 
 class TestDValue:
@@ -143,6 +153,15 @@ class TestEdgeSets:
         theta = WeightFunction({5: F(4)})
         with pytest.raises(InvalidParameter, match="t must be >= 1"):
             build_edge_set(psi, theta, F(1, 2), K)
+
+    @pytest.mark.parametrize("t, K", [(True, 0), (1.5, 0), (10, 0.5), (10, True)])
+    def test_float_or_bool_t_or_k_rejected(self, t, K):
+        """Not read as the rational it rounds to: True is not t = 1."""
+        psi = WeightFunction({2: F(1, 2), 3: F(1, 3)})
+        with pytest.raises(InvalidParameter, match="is not an exact rational"):
+            build_edge_set(psi, psi, t, K)
+        with pytest.raises(InvalidParameter, match="is not an exact rational"):
+            stray_edges(psi, psi, {(2, 2)}, t, K)
 
     def test_monotone_in_k_and_t(self):
         for system, params in make_corpus(101, 12):
@@ -350,6 +369,18 @@ class TestCertifyLe:
     def test_base_scales_the_product(self):
         assert certify_le(F(3), 2, self.SQRT_FOUR, 256)[0] == HOLDS
         assert certify_le(F(5), 2, self.SQRT_FOUR, 256)[0] == VIOLATED
+
+    def test_lhs_on_the_upper_end_does_not_settle(self):
+        """lhs equal to the upper end of a non-point enclosure of sqrt(2) is
+        not certified above the value at that precision: sqrt(2) is
+        irrational, so only a narrower enclosure shows lhs > sqrt(2)."""
+        sqrt_two = [(const(2), F(1, 2))]
+        start = interval_eval(1, sqrt_two, 256)
+        assert not start.is_point()
+        lhs = start.hi.as_fraction()
+        got, enclosure, bits = certify_le(lhs, 1, sqrt_two, 256)
+        assert (got, bits) == (VIOLATED, 512)
+        assert enclosure.hi_cmp(lhs) < 0
 
 
 class TestScalingCovariance:
