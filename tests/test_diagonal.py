@@ -8,6 +8,8 @@ import pytest
 from paircert.diagonal import (
     CenterResult,
     DiagonalMeasure,
+    _center_scan,
+    _MassTable,
     bilinear_check,
     concentrate,
     decay_hypothesis_report,
@@ -19,7 +21,7 @@ from paircert.diagonal import (
 )
 from paircert.errors import DegenerateMeasure, InvalidParameter, InvariantBroken, PaircertError
 from paircert.model import MultiplicativeFunction, PairSystem, TOTIENT, WeightFunction, mu_pairs, mu_set
-from paircert.quality import FAILED, HOLDS, INCONCLUSIVE, VIOLATED, build_edge_set
+from paircert.quality import FAILED, HOLDS, INCONCLUSIVE, VIOLATED, build_edge_set, restrict
 from conftest import make_corpus, small_params
 
 
@@ -245,6 +247,155 @@ class TestConcentrate:
             if res.edges_star:
                 ok, _ = check_structured(res.edges_star, res.N)
                 assert ok
+
+
+# concentrate's center scan and E* filter as they were before the one-pass
+# forms, kept verbatim as the reference that the current code must match on
+# every input: the scan recomputes tail(k) over all cells at each k, and the
+# filter keeps a pair when _shape_violation finds no prime.
+def _ref_center_scan(cells):
+    idx = {i for i, _ in cells} | {j for _, j in cells}
+
+    def tail(k: int) -> int:
+        return sum(m for (i, j), m in cells.items() if abs(i - k) + abs(j - k) >= 2)
+
+    k = min(range(min(idx) - 1, max(idx) + 2), key=tail)  # the first minimum
+    return k, tail(k)
+
+
+def _ref_offsets(nu, nu_n):
+    out = {p: e - nu_n.get(p, 0) for p, e in nu.items()}
+    out.update((p, -k) for p, k in nu_n.items() if p not in nu)
+    return {p: d for p, d in out.items() if d}
+
+
+def _ref_shape_violation(off_v, off_w):
+    bad = (
+        p
+        for p in off_v.keys() | off_w.keys()
+        if abs(off_v.get(p, 0)) + abs(off_w.get(p, 0)) > 1
+    )
+    return min(bad, default=None)
+
+
+def _ref_star(system, E, centers):
+    V, W = system.masses
+    nu_n = {p: k for p, k in centers.items() if k}
+    vs, ws = restrict(E)
+    off_v = {v: _ref_offsets(V.exponents(v), nu_n) for v in vs}
+    off_w = {w: _ref_offsets(W.exponents(w), nu_n) for w in ws}
+    return frozenset(
+        (v, w) for v, w in E if _ref_shape_violation(off_v[v], off_w[w]) is None
+    )
+
+
+def _cell_grid(rng):
+    """Seeded cell maps: ties between two k, one cell, only cells with
+    |i - j| = 1, only cells with |i - j| >= 2, and masses past 2^64."""
+    big = 1 << 64
+    grid = []
+    for _ in range(40):
+        m = rng.randint(1, 9)
+        a, b = sorted(rng.sample(range(-2, 8), 2))
+        grid.append({(a, a): m, (b, b): m})  # a tie between a and b
+        grid.append({(a, a + 1): m})  # a tie between a and a + 1
+        grid.append({(b, b): m, (a, a + 1): m})  # a tie between a and b
+        grid.append({(rng.randint(-2, 8), rng.randint(-2, 8)): rng.randint(1, 9)})
+        grid.append({(i, i + rng.choice((-1, 1))): rng.randint(1, big) for i in range(a, b + 1)})
+        grid.append({(i, i + rng.choice((-3, -2, 2, 5))): rng.randint(1, 9) for i in range(a, b + 1)})
+        grid.append({(rng.randint(0, 6), rng.randint(0, 6)): rng.randint(big, big << 20) for _ in range(6)})
+        tied = rng.randint(big, big << 8)
+        grid.append({(a, a): tied, (b, b + 1): tied, (b + 3, b): rng.randint(1, big)})
+    return grid
+
+
+# the center N = 2^3 3^3 5^2 of a one-vertex system with all its mass on (N, N)
+_N_EXP = {2: 3, 3: 3, 5: 2}
+_SHAPE_PRIMES = (2, 3, 5, 7, 11)
+
+
+def _vertex(off):
+    """N prod p^d over the offsets d = nu_p(x/N) in off."""
+    x = 1
+    for p in _SHAPE_PRIMES:
+        x *= p ** (_N_EXP.get(p, 0) + off.get(p, 0))
+    return x
+
+
+def _offset_grid(rng):
+    """Seeded (category, off_v, off_w) triples: |d| >= 2 on one side, one
+    shared prime, disjoint primes, and empty offsets."""
+
+    def units(primes):  # a -1 needs p | N
+        return {p: rng.choice((-1, 1)) if p in _N_EXP else 1 for p in primes}
+
+    def low(p):
+        return -_N_EXP.get(p, 0)
+
+    out = []
+    for _ in range(60):
+        primes = rng.sample(_SHAPE_PRIMES, rng.randint(1, 4))
+        big = units(primes)
+        p = rng.choice(primes)
+        big[p] = rng.choice([d for d in (-3, -2, 2, 3) if d >= low(p)])
+        other = units(rng.sample(_SHAPE_PRIMES, rng.randint(0, 3)))
+        out.append(("wide", big, other) if rng.random() < 0.5 else ("wide", other, big))
+        shared = rng.choice(_SHAPE_PRIMES)
+        rest = [q for q in _SHAPE_PRIMES if q != shared]
+        a, b = units([shared] + rng.sample(rest, 1)), units([shared] + rng.sample(rest, 1))
+        out.append(("shared", a, b))
+        split = rng.sample(_SHAPE_PRIMES, rng.randint(1, 5))
+        cut = rng.randint(0, len(split))
+        out.append(("disjoint", units(split[:cut]), units(split[cut:])))
+        out.append(("empty", {}, units(rng.sample(_SHAPE_PRIMES, rng.randint(0, 2)))))
+        out.append(("empty", units(rng.sample(_SHAPE_PRIMES, rng.randint(0, 2))), {}))
+    out.append(("empty", {}, {}))
+    return out
+
+
+class TestConcentrateReference:
+    """_center_scan and concentrate's E* filter against the verbatim
+    references above, on seeded grids."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_center_scan_matches_the_reference(self, seed):
+        for cells in _cell_grid(random.Random(seed)):
+            assert _center_scan(cells) == _ref_center_scan(cells), cells
+
+    def test_center_scan_breaks_ties_to_the_smallest_k(self):
+        assert _center_scan({(0, 0): 5, (3, 3): 5}) == (0, 5)
+        assert _center_scan({(1, 2): 1 << 70}) == (1, 0)
+        assert _center_scan({(4, 0): 7}) == (-1, 7)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_star_filter_matches_the_reference_on_offset_pairs(self, seed):
+        N = _vertex({})
+        psi = WeightFunction({N: F(1)})
+        system = PairSystem(psi, psi, TOTIENT, TOTIENT, {(N, N)})
+        grid = _offset_grid(random.Random(seed))
+        # every other pair lies off the supports, so it has no mass and
+        # leaves the center where the pair (N, N) puts it
+        E = {(N, N)} | {(_vertex(a), _vertex(b)) for _, a, b in grid}
+        res = concentrate(system, E, small_params())
+        assert res.centers == _N_EXP and res.N == N
+        assert res.edges_star == _ref_star(system, frozenset(E), res.centers)
+        kept = {"wide": False, "shared": False, "disjoint": True, "empty": True}
+        for category, a, b in grid:
+            assert ((_vertex(a), _vertex(b)) in res.edges_star) is kept[category]
+
+    def test_concentrate_matches_the_reference_on_a_corpus(self):
+        compared = 0
+        for system, params in make_corpus(97, 30) + make_corpus(98, 30, f_mode="random"):
+            if mu_pairs(system) == 0:
+                continue
+            E = system.edges
+            res = concentrate(system, E, params)
+            table = _MassTable(system, E)
+            want = {p: max(0, _ref_center_scan(table.masses(p)[0])[0]) for p in system.primes}
+            assert res.centers == want
+            assert res.edges_star == _ref_star(system, E, res.centers)
+            compared += 1
+        assert compared >= 20
 
 
 class TestPeel:
