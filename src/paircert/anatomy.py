@@ -51,6 +51,14 @@ def small_prime_bound(t: Rational) -> int:
     return math.floor(t)
 
 
+def _check_M(M) -> None:
+    """InvalidParameter unless M is an int >= 1 (a bool is no int here)."""
+    if type(M) is not int:
+        raise InvalidParameter(f"M must be an integer, got {M!r}")
+    if M < 1:
+        raise InvalidParameter(f"M must be >= 1, got {M}")
+
+
 def small_prime_divisor_count(n: int, t: Rational) -> int:
     """omega_t(n) = #{p <= t : p | n} (the single-integer anatomy count),
     with t read through small_prime_bound."""
@@ -168,8 +176,7 @@ def divisor_anatomy_sum(
     taken ascending, need them. The sum runs over integer numerators, one
     running sum per denominator.
     """
-    if M < 1:
-        raise InvalidParameter(f"M must be >= 1, got {M}")
+    _check_M(M)
     need = math.ceil(_rational(K))  # an integer count is >= K iff >= ceil(K)
     bound = math.floor(_rational(t))
     fac = factorize(M)
@@ -202,6 +209,7 @@ def rankin_divisor_sum(
     M: int, t: Rational, gamma: Rational, f: MultiplicativeFunction
 ) -> Fraction:
     """sum over mn = M of gamma^(omega_t(m)) f(n), by divisor enumeration."""
+    _check_M(M)
     t, gamma = _rational(t), _rational(gamma)
     total = _ZERO
     for m in divisors(M):
@@ -217,6 +225,7 @@ def rankin_divisor_product(
         p <= t:  (1*f)(p^v) + (gamma - 1) (1*f)(p^(v-1))
         p >  t:  (1*f)(p^v)
     """
+    _check_M(M)
     gamma = _rational(gamma)
     bound = math.floor(_rational(t))
     out = _ONE
@@ -237,8 +246,7 @@ def divisor_anatomy_bound(
     Exact rational for integer K; non-integer K falls back to a certified
     interval (flagged by the return type).
     """
-    if M < 1:
-        raise InvalidParameter(f"M must be >= 1, got {M}")
+    _check_M(M)
     gamma = _rational(gamma)
     if gamma <= 1:
         raise InvalidParameter(f"gamma must exceed 1, got {gamma}")

@@ -182,7 +182,7 @@ def find_center(dm: DiagonalMeasure) -> CenterResult:
 
     tail(k) = sum of m(i,j) over |i-k| + |j-k| >= 2, scanned exhaustively
     over [min support - 1, max support + 1] in integers over the cells'
-    common denominator.
+    common denominator, as the total less the near mass (see _center_scan).
     """
     den = lcm(*(m.denominator for m in dm.cells.values()))
     k, tail = _center_scan(
@@ -194,14 +194,27 @@ def find_center(dm: DiagonalMeasure) -> CenterResult:
 def _center_scan(cells: dict[tuple[int, int], int]) -> tuple[int, int]:
     """(k, tail(k)) for integer cell masses: the exhaustive tail scan of
     find_center, which any positive common scale of the masses leaves
-    unchanged."""
+    unchanged.
+
+    One pass fills near(k), the mass of the cells with |i-k| + |j-k| <= 1:
+    a cell (i, i) is near k = i only, a cell with |i-j| = 1 is near k = i
+    and k = j, and any other cell is near no k.  So tail(k) = total -
+    near(k), and the first maximum of near over the scan range is the
+    first minimum of tail.
+    """
+    near: dict[int, int] = {}
+    for (i, j), m in cells.items():
+        if i == j:
+            near[i] = near.get(i, 0) + m
+        elif abs(i - j) == 1:
+            near[i] = near.get(i, 0) + m
+            near[j] = near.get(j, 0) + m
     idx = {i for i, _ in cells} | {j for _, j in cells}
-
-    def tail(k: int) -> int:
-        return sum(m for (i, j), m in cells.items() if abs(i - k) + abs(j - k) >= 2)
-
-    k = min(range(min(idx) - 1, max(idx) + 2), key=tail)  # the first minimum
-    return k, tail(k)
+    k, best = min(idx) - 1, 0  # no cell is near min(idx) - 1
+    for c in range(k + 1, max(idx) + 2):
+        if near.get(c, 0) > best:  # the first maximum
+            k, best = c, near[c]
+    return k, sum(cells.values()) - best
 
 
 @dataclass
@@ -369,8 +382,15 @@ def concentrate(
     the integer cells themselves, with no DiagonalMeasure built; a tied
     k = -1 is clamped to 0 (same tail, keeps N integral).  E* keeps the
     edges with |nu_p(v/N)| + |nu_p(w/N)| <= 1 at every prime, off the
-    support too, read off the vertex factorizations (_shape_violation),
-    and removed_fraction is (mu(E) - mu(E*)) / mu(E) in exact integers.
+    support too, read off the vertex factorizations, and removed_fraction
+    is (mu(E) - mu(E*)) / mu(E) in exact integers.
+
+    That shape test is _shape_violation(off_v, off_w) is None, decided from
+    one summary per vertex (_unit_primes).  For integers a and b,
+    |a| + |b| <= 1 holds iff |a| <= 1, |b| <= 1 and not both are nonzero.
+    The offsets hold only nonzero nu_p(x/N), so a pair has the shape iff
+    neither vertex has an offset of size >= 2 and the key sets of their
+    offsets are disjoint (isdisjoint).
     """
     E = frozenset(edges)
     table = _MassTable(system, E)
@@ -386,10 +406,11 @@ def concentrate(
     V, W = table.V, table.W
     nu_n = {p: k for p, k in centers.items() if k}
     vs, ws = restrict(E)
-    off_v = {v: _offsets(V.exponents(v), nu_n) for v in vs}
-    off_w = {w: _offsets(W.exponents(w), nu_n) for w in ws}
+    unit_v, unit_w = _unit_primes(V, vs, nu_n), _unit_primes(W, ws, nu_n)
     star = frozenset(
-        (v, w) for v, w in E if _shape_violation(off_v[v], off_w[w]) is None
+        (v, w)
+        for v, w in E
+        if v in unit_v and w in unit_w and unit_v[v].isdisjoint(unit_w[w])
     )
     removed = Fraction(table.total - edge_mass(V, W, star), table.total)
     return ConcentrateResult(N, star, removed, centers)
@@ -401,6 +422,17 @@ def _offsets(nu: dict[int, int], nu_n: dict[int, int]) -> dict[int, int]:
     out = {p: e - nu_n.get(p, 0) for p, e in nu.items()}
     out.update((p, -k) for p, k in nu_n.items() if p not in nu)
     return {p: d for p, d in out.items() if d}
+
+
+def _unit_primes(side: SideMasses, xs: Iterable[int], nu_n: dict[int, int]) -> dict:
+    """{x: the primes p with nu_p(x/N) != 0} over the x in xs with every
+    |nu_p(x/N)| <= 1; an x with some |nu_p(x/N)| >= 2 is left out."""
+    out = {}
+    for x in xs:
+        off = _offsets(side.exponents(x), nu_n)
+        if all(-1 <= d <= 1 for d in off.values()):
+            out[x] = off.keys()
+    return out
 
 
 def _shape_violation(off_v: dict[int, int], off_w: dict[int, int]) -> Optional[int]:

@@ -20,7 +20,7 @@ from .arith import Rational, fraction_str, primes_upto
 from .compress import slice_system, verify_slice_identities
 from .diagonal import concentrate, peel, property_two_holds
 from .errors import DegenerateMeasure, InvalidParameter, PaircertError, ResourceLimit
-from .model import MultiplicativeFunction, PairSystem, WeightFunction, check_fields, fields_to_json
+from .model import MultiplicativeFunction, PairSystem, WeightFunction, _rational, check_fields, fields_to_json
 from .quality import (
     HOLDS,
     INCONCLUSIVE,
@@ -220,8 +220,11 @@ def generate_instance(
 
 
 def rescale_kmy(psi: WeightFunction, y: Rational, Q: int) -> WeightFunction:
-    """Pointwise division by y with the support truncated to [1, Q]."""
-    y = Fraction(y)
+    """Pointwise division by y with the support truncated to [1, Q]; y is
+    read through _rational and Q must be an int, not a bool."""
+    y = _rational(y)
+    if type(Q) is not int:
+        raise InvalidParameter(f"truncation bound Q must be an integer, got {Q!r}")
     if y <= 0:
         raise InvalidParameter(f"rescale factor must be positive, got {y}")
     return WeightFunction({n: val / y for n, val in psi.items() if n <= Q})
@@ -237,8 +240,9 @@ def corollary_bound_check(
     precision_bits: int = 256,
 ) -> BoundReport:
     """The symmetric totient preset: psi = theta, f = g = totient, with
-    epsilon/2 substituted so epsilon may range over (0, 4/5]."""
-    epsilon = Fraction(epsilon)
+    epsilon/2 substituted so epsilon may range over (0, 4/5]; epsilon is
+    read through _rational."""
+    epsilon = _rational(epsilon)
     if not 0 < epsilon <= Fraction(4, 5):
         raise InvalidParameter(f"corollary epsilon {epsilon} outside (0, 4/5]")
     params = Params(

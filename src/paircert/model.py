@@ -21,7 +21,17 @@ _ONE = Fraction(1)
 
 
 def _rational(value) -> Fraction:
-    """Fraction(value); a float or a bool is no exact rational input."""
+    """value as a Fraction; a float or a bool is no exact rational input.
+
+    An exact Fraction is returned as it is (a Fraction is immutable, so
+    the copy Fraction(value) would be equal and no safer), and an exact int
+    is converted directly; neither is a bool or a float.  Anything else
+    goes through Fraction(value) after the bool/float test.
+    """
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, (bool, float)):
         raise InvalidParameter(f"{value!r} is not an exact rational")
     return Fraction(value)
@@ -52,9 +62,9 @@ class WeightFunction:
             if k < 1:
                 raise InvalidParameter(f"weight support element {k} < 1")
             v = _rational(val)
-            if v < 0:
+            if v.numerator < 0:
                 raise InvalidParameter(f"negative weight at {k}: {v}")
-            if v == 0:
+            if not v.numerator:
                 continue  # zero means "not in support"
             tbl[k] = v
         object.__setattr__(self, "_table", tbl)
@@ -133,7 +143,7 @@ class MultiplicativeFunction:
                 if a < 1:
                     raise InvalidParameter(f"prime-power exponent {a} < 1")
                 v = _rational(val)
-                if v < 0:
+                if v.numerator < 0:
                     raise InvalidParameter(f"negative value at {p}^{a}: {v}")
                 table[(p, a)] = v
         object.__setattr__(self, "_table", table)

@@ -237,6 +237,22 @@ class TestDivisorSums:
     def test_bound_hand_example(self):
         assert divisor_anatomy_bound(12, 10, 1, 2) == 12
 
+    @pytest.mark.parametrize("M", [12.0, True, F(12), "12"], ids=["float", "bool", "fraction", "str"])
+    @pytest.mark.parametrize(
+        "fn, rest",
+        [
+            (divisor_anatomy_sum, (10, 1, TOTIENT)),
+            (rankin_divisor_sum, (10, 2, TOTIENT)),
+            (rankin_divisor_product, (10, 2, TOTIENT)),
+            (divisor_anatomy_bound, (10, 1, 2)),
+            (divisor_chain_report, (10, 1, 2, TOTIENT)),
+        ],
+    )
+    def test_M_must_be_an_int(self, fn, rest, M):
+        """M = True is not read as 1, and M = 12.0 fails before factorize."""
+        with pytest.raises(InvalidParameter, match="M must be an integer"):
+            fn(M, *rest)
+
     def test_bound_trivial_cases(self):
         assert divisor_anatomy_bound(1, 10, 3, 2) == F(1, 8)
         assert divisor_anatomy_bound(12, F(3, 2), 1, 2) == 6  # no primes <= 3/2

@@ -120,6 +120,12 @@ class TestRescale:
         with pytest.raises(InvalidParameter):
             rescale_kmy(WeightFunction({}), 0, 10)
 
+    @pytest.mark.parametrize("y, Q", [(0.1, 10), (True, 10), (2, 10.0), (2, True)])
+    def test_float_or_bool_argument_rejected(self, y, Q):
+        """y = 0.1 would give dyadic weights and y = True would be read as 1."""
+        with pytest.raises(InvalidParameter):
+            rescale_kmy(WeightFunction({2: F(1, 2)}), y, Q)
+
     def test_pipeline_equivalence(self):
         """Edge measure of the rescaled symmetric system equals the direct
         double sum over [Q]^2 with D <= y divided by y^2, exactly."""
@@ -167,6 +173,13 @@ class TestCorollaryPreset:
     def test_epsilon_range(self):
         with pytest.raises(InvalidParameter):
             corollary_bound_check(WeightFunction({}), F(9, 10), F(1), F(1), F(0))
+
+    @pytest.mark.parametrize("epsilon", [0.1, True])
+    def test_float_or_bool_epsilon_rejected(self, epsilon):
+        """A dyadic 0.1 is no exact epsilon, so no verdict is certified on it."""
+        psi = WeightFunction({2: F(1, 2), 3: F(1, 3)})
+        with pytest.raises(InvalidParameter, match="not an exact rational"):
+            corollary_bound_check(psi, epsilon, 1, 10, 0)
 
 
 class TestPersistence:

@@ -34,6 +34,26 @@ class TestWeightFunction:
         with pytest.raises(InvalidParameter):
             WeightFunction({2: F(-1, 2)})
 
+    @pytest.mark.parametrize("zero", [0, F(0)], ids=["int", "fraction"])
+    def test_zero_value_of_either_type_means_absent(self, zero):
+        w = WeightFunction({2: F(1, 2), 3: zero})
+        assert w.support() == (2,) and 3 not in w
+
+    @pytest.mark.parametrize("value", [-1, F(-1, 2)], ids=["int", "fraction"])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda v: WeightFunction({2: v}), lambda v: MultiplicativeFunction({(2, 1): v})],
+        ids=["weight", "multiplicative"],
+    )
+    def test_negative_value_of_either_type_rejected(self, build, value):
+        with pytest.raises(InvalidParameter, match="negative"):
+            build(value)
+
+    def test_fraction_value_is_stored_as_given(self):
+        x = F(2, 3)
+        assert WeightFunction({5: x}).value(5) is x
+        assert MultiplicativeFunction({(5, 1): x}).prime_power(5, 1) is x
+
     def test_nonpositive_key_rejected(self):
         with pytest.raises(InvalidParameter):
             WeightFunction({0: F(1)})
