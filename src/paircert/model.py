@@ -23,10 +23,9 @@ _ONE = Fraction(1)
 def _rational(value) -> Fraction:
     """value as a Fraction; a float or a bool is no exact rational input.
 
-    An exact Fraction is returned as it is (a Fraction is immutable, so
-    the copy Fraction(value) would be equal and no safer), and an exact int
-    is converted directly; neither is a bool or a float.  Anything else
-    goes through Fraction(value) after the bool/float test.
+    An exact Fraction comes back as it is (it is immutable, so a copy would
+    gain nothing) and an exact int is converted directly, both before the
+    bool/float test; anything else goes through that test, then Fraction().
     """
     if type(value) is Fraction:
         return value
