@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -19,9 +20,18 @@ from paircert.diagonal import (
     property_two_holds,
     property_two_report,
 )
+from paircert.arith import Interval, const, exp_of, interval_eval
 from paircert.errors import DegenerateMeasure, InvalidParameter, InvariantBroken, PaircertError
 from paircert.model import MultiplicativeFunction, PairSystem, TOTIENT, WeightFunction, mu_pairs, mu_set
-from paircert.quality import FAILED, HOLDS, INCONCLUSIVE, VIOLATED, build_edge_set, restrict
+from paircert.quality import (
+    DEFAULT_PRECISION_CAP,
+    FAILED,
+    HOLDS,
+    INCONCLUSIVE,
+    VIOLATED,
+    build_edge_set,
+    restrict,
+)
 from conftest import make_corpus, small_params
 
 
@@ -178,6 +188,56 @@ class TestDecay:
             rep = decay_hypothesis_report(dm, params)
             assert rep.c1_lower_ok in (HOLDS, VIOLATED, "inconclusive")
             assert len(rep.cell_checks) == len(dm.cells)
+
+
+def _ref_c1_lower_ok(p, params):
+    """c1 >= c2 / (1 + (2 C3 - 1) lambda) decided by precision doubling: the
+    interval loop decay_hypothesis_report once ran, verbatim but for
+    Interval.scale written out."""
+    eps = params.epsilon
+    below_p0 = p <= params.p0
+    prec = params.precision_bits
+    c1_verdict = INCONCLUSIVE
+    while True:
+        w = prec + 16
+        lam = interval_eval(F(1), [(const(p), eps - F(1, 2))], w)
+        c3 = exp_of(params.C).enclosure(w)
+        c2 = Interval.from_fraction(1, w).sub(
+            interval_eval(F(1), [(const(2), F(-1, 10))], w), w
+        )
+        denom = Interval.from_fraction(1, w).add(
+            c3.mul(Interval.from_fraction(2, w + 4), w).sub(Interval.from_fraction(1, w), w).mul(lam, w), w
+        )
+        rhs = c2.div(denom, w)
+        if below_p0:
+            c1 = interval_eval(F(1), [(const(100) * exp_of(params.C), F(-1))], w)
+        else:
+            c1 = Interval.from_fraction(1, w)
+        if c1.certified_ge(rhs):
+            c1_verdict = HOLDS
+            break
+        if c1.certified_lt(rhs):
+            c1_verdict = VIOLATED
+            break
+        if prec * 2 > DEFAULT_PRECISION_CAP:
+            break
+        prec *= 2
+    return c1_verdict
+
+
+class TestC1Reference:
+    def test_c1_verdict_equals_the_interval_loop(self):
+        dm_at = {p: _make_dm({(0, 0): 1}, {0: 1}, {0: 1}, p=p) for p in (1, 2, 3, 97, 101, 1009)}
+        seen = set()
+        for p, p0, eps, C, bits in product(
+            dm_at, (1, 2, 100, 10**6), (F(1, 1000), F(1, 10), F(2, 5)),
+            (F(1, 1000), F(1, 2), F(5), F(40)), (16, 256),
+        ):
+            params = small_params(epsilon=eps, C=C, p0=p0, precision_bits=bits)
+            got = decay_hypothesis_report(dm_at[p], params).c1_lower_ok
+            assert got == _ref_c1_lower_ok(p, params), (p, p0, eps, C, bits)
+            seen.add((p > p0, got))
+        assert seen == {(True, HOLDS), (False, VIOLATED)}
 
 
 class TestConcentrate:
