@@ -32,7 +32,7 @@ from .arith import (
     primes_upto,
 )
 from .errors import InvalidParameter, ResourceLimit
-from .model import MultiplicativeFunction, _rational
+from .model import MultiplicativeFunction, _check_precision, _rational
 
 ENUMERATION_CAP = 2_000_000
 # omega_t(n) <= 7 below 2*3*5*7*11*13*17*19: the sieve's bytes and the
@@ -246,6 +246,7 @@ def divisor_anatomy_bound(
     Exact rational for integer K; non-integer K falls back to a certified
     interval (flagged by the return type).
     """
+    _check_precision(precision_bits, "precision_bits")
     _check_M(M)
     gamma = _rational(gamma)
     if gamma <= 1:
@@ -395,6 +396,7 @@ def ratio_to_log_power(
     round alike, the product rounds as they do. When they do not, the exact
     product is built and rounded instead.
     """
+    _check_precision(precision_bits, "precision_bits")
     t, gamma = _mertens_args(t, gamma)
     # Log t is the only factor, and one equal to 1 is skipped, so the scale
     # that point is asked at stays 1

@@ -789,10 +789,6 @@ class Interval:
         inv_hi = _dy_div(_DY_ONE, other.lo, p + 4, _CEIL)
         return self.mul(Interval(inv_lo, inv_hi, p + 4), p)
 
-    def scale(self, q: Rational, prec: Optional[int] = None) -> "Interval":
-        p = prec or self.precision_bits
-        return self.mul(Interval.from_fraction(q, p + 4), p)
-
     # -- transcendental -----------------------------------------------
 
     def exp(self, prec: Optional[int] = None) -> "Interval":
@@ -812,37 +808,6 @@ class Interval:
         if self.lo.sign <= 0:
             raise DomainError("log of an interval reaching zero")
         return Interval(*_ln_ends(self.lo, self.hi, p), p)
-
-    def pow(self, expo: Union[Rational, "Interval"], prec: Optional[int] = None) -> "Interval":
-        """x^expo for a positive interval x, via exp(expo * ln x)."""
-        p = prec or self.precision_bits
-        if self.lo.sign <= 0:
-            raise DomainError("power base interval reaches zero")
-        if self.lo == _DY_ONE and self.hi == _DY_ONE:
-            return Interval.exact_one(p)
-        if not isinstance(expo, Interval):
-            e = Fraction(expo)
-            if e == 0:
-                return Interval.exact_one(p)
-            if e.denominator == 1 and abs(e.numerator) <= 4:
-                # tiny integer powers: repeated interval multiplication
-                n = e.numerator
-                base = self if n > 0 else Interval.exact_one(p).div(self, p + 8)
-                out = base
-                for _ in range(abs(n) - 1):
-                    out = out.mul(base, p + 8)
-                return out.round(p)
-            y_mag = e.numerator.bit_length() - e.denominator.bit_length() + 1
-            expo_iv = None
-        else:
-            y_mag = max(expo.lo.mag_bits, expo.hi.mag_bits)
-            expo_iv = expo
-        ln_mag = max(abs(self.lo.mag_bits), abs(self.hi.mag_bits)).bit_length() + 1
-        w = p + _GUARD + max(0, y_mag) + ln_mag
-        ln_x = self.log(w)
-        if expo_iv is None:
-            expo_iv = Interval.from_fraction(e, w)
-        return ln_x.mul(expo_iv, w).exp(p)
 
     def __repr__(self):
         return f"Interval[{dyadic_str(self.lo)}, {dyadic_str(self.hi)}]@{self.precision_bits}b"
@@ -1201,7 +1166,9 @@ def _power_enclosure(
     w: int,
 ) -> Interval:
     """Enclosure of e_expr ^ e_expo at working precision w, for a positive
-    base; expr_r and expo_r are the exact rational values or None."""
+    base; expr_r and expo_r are the exact rational values or None.  An
+    integer exponent |n| <= 4 takes repeated interval multiplication, any
+    other exp(expo * ln base)."""
 
     def base_at(prec: int) -> Interval:
         if expr_r is not None:
@@ -1211,21 +1178,41 @@ def _power_enclosure(
     # a large exponent magnifies the absolute error of y*ln(x), so both
     # the exponent and the base enclosures get matching extra precision
     if expo_r is not None:
-        probe: Union[Fraction, Interval] = expo_r
+        expo_iv = None
         mag = max(0, expo_r.numerator.bit_length() - expo_r.denominator.bit_length() + 1)
     else:
-        probe = e_expo.enclosure(w)
-        mag = max(probe.lo.mag_bits, probe.hi.mag_bits, 0)
+        expo_iv = e_expo.enclosure(w)
+        mag = max(expo_iv.lo.mag_bits, expo_iv.hi.mag_bits, 0)
     # exp() refuses arguments of magnitude 2^_MAG_CAP; while |ln base| <
     # 2^64 that takes |expo| >= 2^(_MAG_CAP - 64), so only such exponents
     # are checked before the work at precision w + mag
     if mag > _MAG_CAP - 64:
-        _check_exp_magnitude(base_at(w), probe, w)
-    expo_arg = e_expo.enclosure(w + mag) if expo_r is None and mag > 0 else probe
-    base_iv = base_at(w + mag)
-    if base_iv.lo.sign <= 0:
+        _check_exp_magnitude(base_at(w), expo_r if expo_iv is None else expo_iv, w)
+    if expo_iv is not None and mag > 0:
+        expo_iv = e_expo.enclosure(w + mag)
+    x = base_at(w + mag)
+    if x.lo.sign <= 0:
         raise DomainError("nonpositive base of a fractional power")
-    return base_iv.pow(expo_arg, w)
+    if x.lo == _DY_ONE and x.hi == _DY_ONE:
+        return Interval.exact_one(w)
+    if expo_iv is None:
+        if expo_r == 0:
+            return Interval.exact_one(w)
+        n = expo_r.numerator
+        if expo_r.denominator == 1 and abs(n) <= 4:
+            base = x if n > 0 else Interval.exact_one(w).div(x, w + 8)
+            out = base
+            for _ in range(abs(n) - 1):
+                out = out.mul(base, w + 8)
+            return out.round(w)
+    else:  # the re-enclosed exponent's magnitude
+        mag = max(expo_iv.lo.mag_bits, expo_iv.hi.mag_bits, 0)
+    ln_mag = max(abs(x.lo.mag_bits), abs(x.hi.mag_bits)).bit_length() + 1
+    wl = w + _GUARD + mag + ln_mag
+    ln_x = x.log(wl)
+    if expo_iv is None:
+        expo_iv = Interval.from_fraction(expo_r, wl)
+    return ln_x.mul(expo_iv, wl).exp(w)
 
 
 def _check_exp_magnitude(

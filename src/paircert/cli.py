@@ -56,8 +56,8 @@ from .harness import (
     read_json,
     write_campaign_csv,
 )
+from .model import _check_precision
 from .quality import (
-    DEFAULT_PRECISION_CAP,
     DEGENERATE_EMPTY,
     HOLDS,
     INCONCLUSIVE,
@@ -384,8 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "certify" and not (args.instance or args.campaign):
         parser.error("certify needs --instance or --campaign")
     try:
-        if args.precision is not None and not 16 <= args.precision <= DEFAULT_PRECISION_CAP:
-            raise InvalidParameter(f"--precision outside [16, 2^14]: {args.precision}")
+        if args.precision is not None:
+            _check_precision(args.precision, "--precision")
         return args.func(args)
     except (PaircertError, OSError) as exc:
         message = " ".join(str(exc).split())

@@ -24,7 +24,6 @@ from .arith import (
 from .errors import DegenerateMeasure, InvalidParameter, InvariantBroken
 from .model import PairSystem, SideMasses, edge_mass
 from .quality import (
-    DEFAULT_PRECISION_CAP,
     FAILED,
     HOLDS,
     INCONCLUSIVE,
@@ -267,13 +266,18 @@ def bilinear_check(dm: DiagonalMeasure, params: Params) -> list[CellCheck]:
 @dataclass
 class DecayReport:
     """Lemma-shaped decay diagnostics at one prime with the preset
-    c1 = (100 e^C)^(-[p<=p0]), C3 = e^C, lambda = p^(eps - 1/2),
-    x_i = alpha_i^(1/2+eps), y_j = beta_j^(1/2+eps)."""
+    c1 = (100 e^C)^(-[p<=p0]), c2 = 1 - 2^(-1/10), C3 = e^C,
+    lambda = p^(eps - 1/2), x_i = alpha_i^(1/2+eps), y_j = beta_j^(1/2+eps).
+
+    Both hypotheses on the constants are decided exactly, for the Params
+    domain 0 < eps <= 2/5, C > 0 and an integer p >= 1: lambda <= 1 - c2 iff
+    p^(5 - 10 eps) >= 2, and c1 >= c2 / (1 + (2 C3 - 1) lambda) iff p > p0.
+    """
 
     p: int
     center: CenterResult
-    lambda_in_range: str  # lambda <= 1 - c2 with c2 = 1 - 2^(-1/10), exact
-    c1_lower_ok: str
+    lambda_in_range: str  # lambda <= 1 - c2: HOLDS iff p^(5 - 10 eps) >= 2
+    c1_lower_ok: str  # c1 >= c2 / (1 + (2 C3 - 1) lambda): HOLDS iff p > p0
     cell_checks: list[CellCheck]
     tail_ratio: Optional[Interval]  # tail / (p^(-1-2eps) + p^(-(3-2eps)/2))
 
@@ -292,36 +296,12 @@ def decay_hypothesis_report(dm: DiagonalMeasure, params: Params) -> DecayReport:
     lam_ok = compare_power(Fraction(p), 5 - 10 * eps, Fraction(2)) >= 0
     lambda_in_range = HOLDS if lam_ok else VIOLATED
 
-    # first conclusion: c1 >= c2 / (1 + (2 C3 - 1) lambda), an interval
-    # against an interval at 16 guard bits, so not a certify_le comparison
-    prec = params.precision_bits
-    c1_verdict = INCONCLUSIVE
-    while True:
-        w = prec + 16
-        lam = interval_eval(Fraction(1), [(const(p), eps - Fraction(1, 2))], w)
-        c3 = exp_of(params.C).enclosure(w)
-        c2 = Interval.from_fraction(1, w).sub(
-            interval_eval(Fraction(1), [(const(2), Fraction(-1, 10))], w), w
-        )
-        denom = Interval.from_fraction(1, w).add(
-            c3.scale(2, w).sub(Interval.from_fraction(1, w), w).mul(lam, w), w
-        )
-        rhs = c2.div(denom, w)
-        if below_p0:
-            c1 = interval_eval(
-                Fraction(1), [(const(100) * exp_of(params.C), Fraction(-1))], w
-            )
-        else:
-            c1 = Interval.from_fraction(1, w)
-        if c1.certified_ge(rhs):
-            c1_verdict = HOLDS
-            break
-        if c1.certified_lt(rhs):
-            c1_verdict = VIOLATED
-            break
-        if prec * 2 > DEFAULT_PRECISION_CAP:
-            break
-        prec *= 2
+    # c1 >= c2 / (1 + (2 C3 - 1) lambda) iff p > p0.  Above p0, c1 = 1 > c2
+    # > the right side.  At or below it, lambda <= 1 (p >= 1, as
+    # compare_power has checked, and eps < 1/2) and C3 > 1 give
+    # c1 (1 + (2 C3 - 1) lambda) <= 2 C3 / (100 C3) = 1/50 < c2, since
+    # 2 * 49^10 > 50^10
+    c1_lower_ok = VIOLATED if below_p0 else HOLDS
 
     # cell hypothesis m(i,j) <= c1 [C3 lambda^|i-j|] x_i y_j
     def factors(i, j, a, b):
@@ -350,7 +330,7 @@ def decay_hypothesis_report(dm: DiagonalMeasure, params: Params) -> DecayReport:
             .div(denom, w)
             .round(params.precision_bits)
         )
-    return DecayReport(p, center, lambda_in_range, c1_verdict, cell_checks, ratio)
+    return DecayReport(p, center, lambda_in_range, c1_lower_ok, cell_checks, ratio)
 
 
 @dataclass

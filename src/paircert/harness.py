@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from .arith import Rational, fraction_str, primes_upto
 from .compress import slice_system, verify_slice_identities
-from .diagonal import concentrate, peel, property_two_holds
+from .diagonal import concentrate, peel
 from .errors import DegenerateMeasure, InvalidParameter, PaircertError, ResourceLimit
 from .model import MultiplicativeFunction, PairSystem, WeightFunction, _rational, check_fields, fields_to_json
 from .quality import (
@@ -368,13 +368,15 @@ def certify_instance(
         try:
             conc = concentrate(system, system.edges, params)
             peeled = peel(system, conc.edges_star, params)
-            if not property_two_holds(system, peeled.edges, params):
-                outcome.peel_ok = False
             for st in peeled.trace:
                 if st.cert_verdict not in (HOLDS, VACUOUS):
                     outcome.peel_ok = False
+            # property two on the peeled set holds when it is empty and is
+            # otherwise resolution_check's "combinatorial" precondition
             if peeled.edges:
                 rep = resolution_check(system, peeled.edges, conc.N, params)
+                if not rep.preconditions["combinatorial"]:
+                    outcome.peel_ok = False
                 if rep.verdict != HOLDS:
                     outcome.resolution_ok = False
                     outcome.note = f"resolution: {rep.verdict}"

@@ -13,11 +13,13 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
-from .arith import Rational, factorize, fraction_str, prime_divisors
+from .arith import Rational, factorize, fraction_str, is_prime, prime_divisors
 from .errors import IncompleteDefinition, InvalidParameter
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+DEFAULT_PRECISION_CAP = 1 << 14
 
 
 def _rational(value) -> Fraction:
@@ -34,6 +36,15 @@ def _rational(value) -> Fraction:
     if isinstance(value, (bool, float)):
         raise InvalidParameter(f"{value!r} is not an exact rational")
     return Fraction(value)
+
+
+def _check_precision(bits, name: str) -> None:
+    """InvalidParameter, led by name, unless bits is an int (not a bool) in
+    [16, DEFAULT_PRECISION_CAP]."""
+    if type(bits) is not int:
+        raise InvalidParameter(f"{name} must be an integer, got {bits!r}")
+    if not 16 <= bits <= DEFAULT_PRECISION_CAP:
+        raise InvalidParameter(f"{name} outside [16, 2^14]: {bits}")
 
 
 def _numeral(text: str) -> int:
@@ -141,6 +152,8 @@ class MultiplicativeFunction:
                     raise InvalidParameter(f"prime power {p!r}^{a!r} is not of integers")
                 if a < 1:
                     raise InvalidParameter(f"prime-power exponent {a} < 1")
+                if not is_prime(p):
+                    raise InvalidParameter(f"prime-power base {p} is not prime")
                 v = _rational(val)
                 if v.numerator < 0:
                     raise InvalidParameter(f"negative value at {p}^{a}: {v}")

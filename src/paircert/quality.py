@@ -4,8 +4,10 @@ construction, neighborhoods, and certified evaluation of the main bound
     mu(E) <= (100 e^C)^P (Log t)^{(e^{40C}-1)/2} (mu(V) mu(W) e^{-CK})^{1/2+eps}.
 
 The left side is an exact rational; the right side is a certified interval.
-certify_le decides every such comparison in the package, doubling the
-precision until conclusive or DEFAULT_PRECISION_CAP = 2^14 bits is reached.
+certify_le decides every such comparison in the package; it is the one
+loop behind a verdict that doubles the precision, until conclusive or
+DEFAULT_PRECISION_CAP = 2^14 bits, the bound of every precision_bits, is
+reached.
 Every verdict string of the package is defined here.
 """
 
@@ -32,9 +34,10 @@ from .arith import (
     valuation,
 )
 from .errors import InvalidParameter
-from .model import PairSystem, WeightFunction, _rational, check_fields, fields_to_json, mu_pairs, prime_support
-
-DEFAULT_PRECISION_CAP = 1 << 14
+from .model import (
+    DEFAULT_PRECISION_CAP, PairSystem, WeightFunction, _check_precision, _rational, check_fields,
+    fields_to_json, mu_pairs, prime_support,
+)
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -89,8 +92,7 @@ class Params:
             raise InvalidParameter(f"t must be >= 1, got {self.t}")
         if self.p0 < 1:
             raise InvalidParameter(f"p0 must be >= 1, got {self.p0}")
-        if not 16 <= self.precision_bits <= DEFAULT_PRECISION_CAP:
-            raise InvalidParameter(f"precision_bits outside [16, 2^14]: {self.precision_bits}")
+        _check_precision(self.precision_bits, "precision_bits")
 
     @property
     def q(self) -> Fraction:

@@ -27,7 +27,7 @@ from .arith import (
     primes_upto,
 )
 from .errors import InvalidParameter, NotStructured
-from .model import PairSystem, _f_ratio
+from .model import PairSystem, _check_precision, _f_ratio
 from .quality import (
     DEGENERATE_EMPTY,
     HOLDS,
@@ -209,6 +209,7 @@ def s_majorant(
     Every one of S1..S4 is bounded by this for every rational gamma > 1
     (constant 1, exactly); exact when K/4 is an integer, else an interval.
     """
+    _check_precision(precision_bits, "precision_bits")
     gamma = Fraction(gamma)
     if gamma <= 1:
         raise InvalidParameter(f"gamma must exceed 1, got {gamma}")
@@ -223,6 +224,7 @@ def s_majorant_bridged(
     t: Rational, K: Rational, C: Rational, precision_bits: int = 256
 ) -> Interval:
     """The same majorant at gamma = e^(40C): e^(-10CK) prod(1 + (e^(40C)-1)/p)."""
+    _check_precision(precision_bits, "precision_bits")
     C = Fraction(C)
     K = Fraction(K)
     factors = [(exp_of(-10 * C * K), Fraction(1))]

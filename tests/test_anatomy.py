@@ -553,6 +553,22 @@ class TestAnatomyKernelReference:
         assert sevens >= 3  # the omega = 7 bucket is filled
 
 
+@pytest.mark.parametrize("bits", [True, 0, 15, 2**14 + 1, 1.5])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda bits: divisor_anatomy_bound(12, 10, F(1, 2), 2, precision_bits=bits),
+        lambda bits: ratio_to_log_power(30, 2, bits),
+    ],
+    ids=["divisor_anatomy_bound", "ratio_to_log_power"],
+)
+def test_precision_bits_outside_its_range_rejected(fn, bits):
+    """precision_bits is an int, not a bool, in [16, 2^14], as in Params."""
+    with pytest.raises(InvalidParameter, match="^precision_bits "):
+        fn(bits)
+    assert fn(16).precision_bits == 16
+
+
 def test_coprime_fraction():
     for n, d in ((0, 1), (1, 1), (-3, 4), (7, 2), (2**521 - 1, 3**300), (-(5**200), 2**700)):
         got = coprime_fraction(n, d)

@@ -339,6 +339,40 @@ class TestIntervalOps:
         assert not lo.certified_ge(hi)
 
 
+class TestDyadicAdd:
+    """_dy_add's zero operands and its far-apart branch, where the smaller
+    operand lies below one ulp of the larger, against exact Fractions."""
+
+    RNDS = (arith._FLOOR, arith._CEIL)
+
+    def test_zero_operand_is_the_other_rounded(self):
+        rng = random.Random(11)
+        for prec in (16, 53):
+            for _ in range(20):
+                b = _dyadic(rng, rng.randint(1, 3 * prec), rng.randint(-30, 30), rng.choice((1, -1)))
+                for rnd in self.RNDS:
+                    want = arith._dy_from_fraction(b.as_fraction(), prec, rnd)
+                    assert arith._dy_add(arith._DY_ZERO, b, prec, rnd) == want
+                    assert arith._dy_add(b, arith._DY_ZERO, prec, rnd) == want
+            assert arith._dy_add(arith._DY_ZERO, arith._DY_ZERO, prec, arith._CEIL) == arith._DY_ZERO
+
+    def test_far_apart_operands_enclose_the_exact_sum(self):
+        rng = random.Random(12)
+        for prec in (16, 53):
+            for _ in range(40):
+                a_sign, b_sign = rng.choice((1, -1)), rng.choice((1, -1))
+                a_bits = rng.choice((1, 3, prec, 2 * prec))
+                a = _dyadic(rng, a_bits, rng.randint(-20, 20), a_sign)
+                b = _dyadic(rng, rng.randint(1, 40), a.mag_bits - prec - 9 - rng.randint(0, 50), b_sign)
+                exact = a.as_fraction() + b.as_fraction()
+                lo, hi = (arith._dy_add(x, y, prec, rnd) for rnd in self.RNDS for x, y in [(a, b)])
+                assert lo.as_fraction() < exact < hi.as_fraction(), (a, b, prec)
+                assert (lo, hi) == tuple(arith._dy_add(b, a, prec, rnd) for rnd in self.RNDS)
+                if a_bits == prec:  # a is on the grid: the sum rounds exactly
+                    assert lo == arith._dy_from_fraction(exact, prec, arith._FLOOR)
+                    assert hi == arith._dy_from_fraction(exact, prec, arith._CEIL)
+
+
 class TestComparePower:
     def test_exact_cube(self):
         assert compare_power(F(8), F(1, 3), F(2)) == 0

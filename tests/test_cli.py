@@ -123,6 +123,32 @@ def test_compress_verify(instance_file, capsys):
     assert doc["identities"]["all_hold"]
 
 
+def test_compress_out_writes_the_slice_instance(tmp_path, instance_file, capsys):
+    out = tmp_path / "slice.json"
+    argv = ["compress", "--instance", str(instance_file), "--p", "3", "--i", "1", "--j", "0"]
+    assert main([*argv, "--out", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert out.read_text() == canonical_json(doc["instance"])
+    assert "identities" not in doc
+
+
+def test_compress_verify_failure_exits_2(monkeypatch, instance_file, capsys):
+    from paircert import cli
+    from paircert.quality import FAILED
+
+    real = cli.verify_slice_identities
+
+    def failing(*args):
+        rep = real(*args)
+        return replace(rep, checks=[replace(rep.checks[0], status=FAILED), *rep.checks[1:]])
+
+    monkeypatch.setattr(cli, "verify_slice_identities", failing)
+    argv = ["compress", "--instance", str(instance_file), "--p", "3", "--i", "1", "--j", "0"]
+    assert main([*argv, "--verify"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["identities"]["all_hold"] is False
+
+
 def test_diagonal_and_concentrate(instance_file, capsys):
     assert main(["diagonal", "--instance", str(instance_file), "--p", "3", "--decay"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -151,6 +177,28 @@ def test_resolve(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0 and doc["verdict"] == "holds"
     assert doc["S1"] == "1"
+
+
+def test_resolve_bridged_majorant(tmp_path, capsys):
+    from paircert.arith import interval_json
+    from paircert.resolution import s_majorant_bridged
+
+    psi = WeightFunction({1: F(1)})
+    params = Params(epsilon=F(1, 4), C=F(1), t=F(3), K=F(0))
+    path = tmp_path / "unit.json"
+    save_instance(path, PairSystem(psi, psi, TOTIENT, TOTIENT, {(1, 1)}), params)
+    assert main(["resolve", "--instance", str(path), "--N", "1", "--bridged"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["majorant"] == interval_json(s_majorant_bridged(F(3), F(0), F(1), 256))
+    assert doc["headline_ratio"] is None
+
+
+def test_anatomy_rankin(capsys):
+    from paircert.anatomy import rankin_sum
+
+    assert main(["anatomy", "rankin", "--x", "100", "--t", "10", "--gamma", "3/2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"x": "100", "t": "10", "gamma": "3/2", "rankin_sum": str(rankin_sum(100, 10, F(3, 2)))}
 
 
 def test_anatomy_commands(capsys):
@@ -200,6 +248,20 @@ def test_certify_campaign_peel_failure_exits_2(monkeypatch, config_file, capsys)
     assert rc == 2
 
 
+def test_certify_campaign_inconclusive_exits_3(monkeypatch, config_file, capsys):
+    from paircert import cli
+    from paircert.harness import CampaignReport
+
+    def fake_campaign(config, count, out_dir=None):
+        return CampaignReport(count, holds=count - 1, inconclusive=1)
+
+    monkeypatch.setattr(cli, "certify_campaign", fake_campaign)
+    rc = main(["certify", "--campaign", str(config_file), "--count", "3"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["inconclusive"] == 1 and doc["violated"] == 0
+    assert rc == 3
+
+
 def test_certify_requires_target():
     with pytest.raises(SystemExit):
         main(["certify"])
@@ -247,6 +309,8 @@ F_TABLE = {"2^1": "1", "2^2": "2", "3^1": "2", "3^2": "6"}
         lambda doc: doc.update(g={**F_TABLE, "3^2": True}),
         lambda doc: doc["params"].update(epsilon=0.25),
         lambda doc: doc["params"].update(t=True),
+        lambda doc: doc.update(f={**F_TABLE, "4^1": "2"}),
+        lambda doc: doc.update(g={**F_TABLE, "-3^1": "1"}),
     ],
     ids=[
         "bad-fraction",
@@ -263,6 +327,8 @@ F_TABLE = {"2^1": "1", "2^2": "2", "3^1": "2", "3^2": "6"}
         "bool-g-value",
         "float-epsilon",
         "bool-t",
+        "composite-f-base",
+        "negative-g-base",
     ],
 )
 def test_malformed_instance_exits_4_with_one_line(tmp_path, instance_file, capsys, breakage):

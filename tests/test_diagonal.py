@@ -592,6 +592,28 @@ def test_peel_step_guard_raises_a_typed_error(monkeypatch):
     assert pops == [2] * 10
 
 
+def test_peel_step_emptying_a_side_fails(monkeypatch):
+    """A step that takes the last mass off its side (ratio 0) leaves
+    mu(E) = 0 and fails, against the exact rhs 0.  _below_share never picks
+    such a vertex, since it holds all of its side's mass, so gamma own =
+    mu(E) > mu(E) / q'; the test makes every vertex with a neighbourhood of
+    positive mass a violator while mu(E) > 0.  v = 3 carries all of V's mass
+    (f(2) = 0) and ranks first."""
+    import paircert.diagonal as diagonal
+
+    monkeypatch.setattr(diagonal, "_below_share", lambda gamma, own, mu_e, inv_qp: gamma * mu_e > 0)
+    f = MultiplicativeFunction({(2, 1): 0, (3, 1): F(2), (5, 1): F(4), (7, 1): F(6)})
+    psi = WeightFunction({3: F(1, 3), 2: F(1, 2)})
+    theta = WeightFunction({5: F(1, 5000), 7: F(1, 7)})
+    system = PairSystem(psi, theta, f, TOTIENT, {(3, 5), (2, 7)})
+    res = peel(system, system.edges, small_params())
+    (st,) = res.trace
+    assert (st.side, st.vertex, st.mu_side_after, st.mu_edges_after) == ("v", 3, 0, 0)
+    assert st.mu_edges_before > 0 and st.cert_verdict == FAILED
+    assert st.cert_rhs.is_point() and st.cert_rhs.contains(0)
+    assert res.edges == {(2, 7)}
+
+
 class TestPropertyTwoBoundary:
     """v = 4 has neighbourhood mass exactly its threshold 1/2, and property
     two only fails strictly below it (_below_share's strict <)."""

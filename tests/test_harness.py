@@ -9,7 +9,8 @@ import pytest
 
 import paircert.harness as harness_mod
 from paircert import arith
-from paircert.errors import InvalidParameter, ResourceLimit
+from paircert.diagonal import PeelResult
+from paircert.errors import DegenerateMeasure, InvalidParameter, ResourceLimit
 from paircert.harness import (
     CampaignReport,
     GeneratorConfig,
@@ -26,14 +27,18 @@ from paircert.harness import (
 )
 from paircert.model import PairSystem, TOTIENT, WeightFunction, mu_pairs, mu_point
 from paircert.quality import (
+    FAILED,
     HOLDS,
+    INCONCLUSIVE,
+    PRECONDITION_FAILED,
+    VIOLATED,
     build_edge_set,
     d_value,
     main_bound_check,
     main_bound_factors,
     omega_t,
 )
-from conftest import small_params
+from conftest import make_corpus, small_params
 
 
 class TestGenerator:
@@ -259,6 +264,94 @@ class TestCampaign:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 6  # header + 5 rows
         assert "verdict" in lines[0]
+
+
+class TestCertifyInstanceFailures:
+    """Each failure branch of certify_instance, reached by replacing one
+    stage in harness.  The instance peels one vertex off E*, so E* itself
+    fails property two, and its peeled set resolves."""
+
+    system, params = make_corpus(7, 1)[0]
+
+    def _certify(self):
+        return certify_instance(self.system, self.params, rng=random.Random(5))
+
+    def test_unpatched_instance_is_clean(self):
+        out = self._certify()
+        assert out.clean and out.note == ""
+
+    def test_slice_error_counts_each_spot(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("no slice")
+
+        monkeypatch.setattr(harness_mod, "slice_system", broken)
+        out = self._certify()
+        assert out.slice_failures == 3 and out.peel_ok and out.resolution_ok
+
+    def test_slice_identity_failure_counts_each_spot(self, monkeypatch):
+        real = harness_mod.verify_slice_identities
+
+        def failing(*args):
+            rep = real(*args)
+            return replace(rep, checks=[replace(rep.checks[0], status=FAILED), *rep.checks[1:]])
+
+        monkeypatch.setattr(harness_mod, "verify_slice_identities", failing)
+        out = self._certify()
+        assert out.slice_failures == 3 and out.peel_ok and out.resolution_ok
+
+    @pytest.mark.parametrize("verdict", [FAILED, INCONCLUSIVE])
+    def test_peel_step_not_certified(self, monkeypatch, verdict):
+        real = harness_mod.peel
+
+        def uncertified(*args):
+            res = real(*args)
+            return PeelResult(res.edges, [replace(st, cert_verdict=verdict) for st in res.trace])
+
+        monkeypatch.setattr(harness_mod, "peel", uncertified)
+        out = self._certify()
+        assert not out.peel_ok and out.resolution_ok and out.note == ""
+
+    def test_property_two_failing_on_the_peeled_set(self, monkeypatch):
+        monkeypatch.setattr(harness_mod, "peel", lambda system, E, params: PeelResult(E, []))
+        out = self._certify()
+        assert not out.peel_ok and not out.resolution_ok
+        assert out.note == f"resolution: {PRECONDITION_FAILED}"
+
+    def test_resolution_verdict_other_than_holds(self, monkeypatch):
+        real = harness_mod.resolution_check
+        monkeypatch.setattr(
+            harness_mod, "resolution_check", lambda *a: replace(real(*a), verdict=VIOLATED)
+        )
+        out = self._certify()
+        assert out.peel_ok and not out.resolution_ok and out.note == f"resolution: {VIOLATED}"
+
+    def test_degenerate_measure_is_not_a_failure(self, monkeypatch):
+        def degenerate(*args):
+            raise DegenerateMeasure("mu(E) = 0")
+
+        monkeypatch.setattr(harness_mod, "concentrate", degenerate)
+        out = self._certify()
+        assert out.clean and out.note == ""
+
+
+def test_campaign_counts_inconclusive_peel_and_resolution_failures(tmp_path, monkeypatch):
+    real = certify_instance
+    change = {
+        0: dict(verdict=INCONCLUSIVE),
+        1: dict(peel_ok=False),
+        2: dict(resolution_ok=False),
+        3: dict(peel_ok=False, resolution_ok=False),
+    }
+
+    def fake(system, params, **kw):
+        return replace(real(system, params, **kw), **change.get(kw["index"], {}))
+
+    monkeypatch.setattr(harness_mod, "certify_instance", fake)
+    report = certify_campaign(GeneratorConfig(seed=3), 5, out_dir=tmp_path)
+    assert (report.holds, report.violated, report.inconclusive) == (4, 0, 1)
+    assert (report.peel_contract_failures, report.resolution_failures) == (2, 2)
+    assert [r["peel_ok"] for r in report.rows] == [True, False, True, False, True]
+    assert len(report.witness_paths) == 4 and not report.clean
 
 
 class TestGridMemo:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paircert.arith import factorize
-from paircert.errors import IncompleteDefinition, InvalidParameter
+from paircert.errors import IncompleteDefinition, InvalidParameter, ResourceLimit
 from paircert.model import (
     MultiplicativeFunction,
     PairSystem,
@@ -155,6 +155,22 @@ class TestMultiplicative:
     def test_malformed_table_rejected(self, table):
         with pytest.raises(InvalidParameter):
             MultiplicativeFunction(table)
+
+    @pytest.mark.parametrize("p", [4, -3, 1, 0, 91, 10**6])
+    def test_non_prime_base_rejected(self, p):
+        with pytest.raises(InvalidParameter, match=f"base {p} is not prime"):
+            MultiplicativeFunction({(2, 1): 1, (p, 1): 2})
+
+    @pytest.mark.parametrize("key", ["4^1", "-3^1", "1^2"])
+    def test_non_prime_json_base_rejected(self, key):
+        with pytest.raises(InvalidParameter, match="is not prime"):
+            MultiplicativeFunction.from_json({"2^1": "1", key: "1"})
+
+    def test_base_past_the_sieve_cap_is_a_resource_limit(self, monkeypatch):
+        # no cached prime reaches sqrt(2^127 - 1), a prime
+        monkeypatch.setenv("PAIRCERT_SIEVE_CAP", "100")
+        with pytest.raises(ResourceLimit):
+            MultiplicativeFunction({(2**127 - 1, 1): 1})
 
 
 class TestMeasures:

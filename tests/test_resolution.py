@@ -317,6 +317,18 @@ class TestMajorant:
                 # certified: the sum sits at or below the majorant's window
                 assert maj.hi_cmp(s) >= 0
 
+    @pytest.mark.parametrize("bits", [True, 0, 15, 2**14 + 1, 1.5])
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda bits: s_majorant(10, 1, 2, bits), lambda bits: s_majorant_bridged(10, 1, 1, bits)],
+        ids=["s_majorant", "s_majorant_bridged"],
+    )
+    def test_precision_bits_outside_its_range_rejected(self, fn, bits):
+        """precision_bits is an int, not a bool, in [16, 2^14], as in Params."""
+        with pytest.raises(InvalidParameter, match="^precision_bits "):
+            fn(bits)
+        assert fn(16).precision_bits == 16
+
     def test_bridged_majorant_oracle(self):
         iv = s_majorant_bridged(10, 4, F(1, 2), 192)
         # e^(-10 * 1/2 * 4) * prod_{p<=10} (1 + (e^20 - 1)/p)
