@@ -365,7 +365,7 @@ class TestDyadicAdd:
                 a = _dyadic(rng, a_bits, rng.randint(-20, 20), a_sign)
                 b = _dyadic(rng, rng.randint(1, 40), a.mag_bits - prec - 9 - rng.randint(0, 50), b_sign)
                 exact = a.as_fraction() + b.as_fraction()
-                lo, hi = (arith._dy_add(x, y, prec, rnd) for rnd in self.RNDS for x, y in [(a, b)])
+                lo, hi = (arith._dy_add(a, b, prec, rnd) for rnd in self.RNDS)
                 assert lo.as_fraction() < exact < hi.as_fraction(), (a, b, prec)
                 assert (lo, hi) == tuple(arith._dy_add(b, a, prec, rnd) for rnd in self.RNDS)
                 if a_bits == prec:  # a is on the grid: the sum rounds exactly
