@@ -1276,3 +1276,109 @@ class TestPowerEnclosureReference:
         # reaches zero at w bits only: the check skips it, the exp refuses
         tiny = exp_of(F(1, 10**30)) - 1
         assert self._same(tiny, F(2 ** (cap - 4)), 48) == "ResourceLimit"
+
+
+def _ref_interval_mul(a, b, prec=None):
+    """Interval.mul as it stood before its positive case, verbatim: the
+    extremes of the four exact end products, picked by _me_cmp."""
+    p = prec or max(a.precision_bits, b.precision_bits)
+    cands = []
+    for x in (a.lo, a.hi):
+        for y in (b.lo, b.hi):
+            cands.append((x.man * y.man, x.exp + y.exp))
+    lo = hi = cands[0]
+    for me in cands[1:]:
+        if arith._me_cmp(me, lo) < 0:
+            lo = me
+        if arith._me_cmp(me, hi) > 0:
+            hi = me
+    return Interval(
+        arith._dy_round(lo[0], lo[1], p, arith._FLOOR), arith._dy_round(hi[0], hi[1], p, arith._CEIL), p
+    )
+
+
+class TestIntervalMulReference:
+    """Interval.mul against the four-candidate reference, bit for bit, on
+    positive, negative, mixed and zero-touching intervals."""
+
+    PRECS = (16, 53, 256, 1056)
+
+    @staticmethod
+    def _intervals(rng, prec):
+        def dy(sign):
+            if sign == 0:
+                return arith._DY_ZERO
+            bits = rng.choice((1, 3, prec - 1, prec, prec + 5, 2 * prec))
+            return _dyadic(rng, bits, rng.randint(-40, 40), sign)
+
+        out = []
+        for lo_sign, hi_sign in ((1, 1), (-1, -1), (-1, 1), (0, 1), (-1, 0), (0, 0)):
+            for _ in range(3):
+                ends = sorted((dy(lo_sign), dy(hi_sign)), key=_BY_VALUE)
+                out.append(Interval(*ends, rng.choice((prec, prec + 8))))
+        for sign in (1, -1):  # points and one-ulp intervals
+            a = dy(sign)
+            out.append(Interval(a, a, prec))
+            up = arith._dy_nudge(arith._dy_round(a.man, a.exp, prec, arith._CEIL), prec, arith._CEIL)
+            out.append(Interval(a, up, prec))
+        return out
+
+    def test_bit_identical_to_four_candidates(self):
+        rng = random.Random(20261019)
+        for prec in self.PRECS:
+            ivs = self._intervals(rng, prec)
+            for a in ivs:
+                for b in ivs:
+                    for p in (None, prec + 8):
+                        got, want = a.mul(b, p), _ref_interval_mul(a, b, p)
+                        assert (got.lo, got.hi, got.precision_bits) == (want.lo, want.hi, want.precision_bits), (a, b, p)
+
+
+class TestBoundExprHash:
+    """A BoundExpr hashes as its key and equals an expression built alike;
+    interval_eval's memo hits and misses on a campaign corpus are pinned."""
+
+    @staticmethod
+    def _build():
+        C, t, K = F(1, 2), F(100), F(2)
+        decay = (exp_of(40 * C) - 1) / 2
+        return [
+            const(3),
+            const(F(-7, 3)),
+            exp_of(F(5, 4)),
+            log_of(t),
+            decay,
+            decay * log_of(t) + F(7, 3),
+            1 / (decay - log_of(t)),
+            K * exp_of(C) - const(F(1, 9)) * (log_of(10**6) + 1),
+        ]
+
+    def test_hash_is_the_key_hash(self):
+        exprs, again = self._build(), self._build()
+        for x, y in zip(exprs, again):
+            assert x is not y and x == y
+            assert hash(x) == hash(x.key) == hash(y)
+        assert len(set(exprs) | set(again)) == len(exprs)
+        assert {x: i for i, x in enumerate(exprs)}[again[5]] == 5
+
+    def test_memo_hits_on_the_campaign_streams(self, monkeypatch):
+        from paircert.harness import GeneratorConfig, generate_instance
+        from paircert.quality import main_bound_check
+
+        counts = {"get": 0, "compute": 0}
+
+        class Counting(arith._Memo):
+            def get(self, key, compute, *args):
+                counts["get"] += 1
+
+                def counted(*a):
+                    counts["compute"] += 1
+                    return compute(*a)
+
+                return super().get(key, counted, *args)
+
+        monkeypatch.setattr(arith, "_MEMO", Counting(256))
+        for config in (GeneratorConfig(seed=20250809), GeneratorConfig(seed=20250810, f_mode="random")):
+            for index in range(25):
+                main_bound_check(*generate_instance(config, index))
+        assert counts == {"get": 178, "compute": 38}

@@ -25,7 +25,7 @@ from paircert.harness import (
     rescale_kmy,
     save_instance,
 )
-from paircert.model import PairSystem, TOTIENT, WeightFunction, mu_pairs, mu_point
+from paircert.model import MultiplicativeFunction, PairSystem, TOTIENT, WeightFunction, mu_pairs, mu_point
 from paircert.quality import (
     FAILED,
     HOLDS,
@@ -104,6 +104,35 @@ class TestGenerator:
         GeneratorConfig(support_max=harness_mod.SUPPORT_CAP)
         with pytest.raises(ResourceLimit, match="support_max 1001 exceeds cap 1000"):
             GeneratorConfig(support_min=1001, support_max=harness_mod.SUPPORT_CAP + 1)
+
+
+CAMPAIGN_STREAMS = (GeneratorConfig(seed=20250809), GeneratorConfig(seed=20250810, f_mode="random"))
+
+
+class TestDrawnTables:
+    """The weights and f tables the generator draws on the two campaign
+    streams are what the public constructors build from their entries:
+    exact Fractions, a sorted support, nothing dropped or converted."""
+
+    def test_public_constructors_rebuild_each_table(self):
+        random_fs = 0
+        for config in CAMPAIGN_STREAMS:
+            for index in range(40):
+                system, _ = generate_instance(config, index)
+                for weight in (system.psi, system.theta):
+                    table = dict(weight.items())
+                    assert all(type(v) is F and v > 0 for v in table.values())
+                    rebuilt = WeightFunction(table)
+                    assert rebuilt == weight and rebuilt.support() == weight.support()
+                for f in (system.f, system.g):
+                    if f.is_totient():
+                        continue
+                    random_fs += 1
+                    table = {(p, a): f.prime_power(p, a) for p in arith.primes_upto(50) for a in range(1, 7)}
+                    assert all(type(v) is F for v in table.values())
+                    assert MultiplicativeFunction(table) == f
+                    assert f.to_json() == MultiplicativeFunction(table).to_json()
+        assert random_fs == 80
 
 
 class TestRescale:
