@@ -355,12 +355,14 @@ def _dy_cmp(a: Dyadic, b: Dyadic) -> int:
 
 
 def _dy_cmp_fraction(a: Dyadic, x: Rational) -> int:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return _me_cmp((a.man * x.denominator, a.exp), (x.numerator, 0))
 
 
 def _dy_from_fraction(x: Rational, prec: int, rnd: int) -> Dyadic:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return _quotient(x.numerator, x.denominator, 0, prec, rnd)
 
 
@@ -765,6 +767,14 @@ class Interval:
 
     def mul(self, other: "Interval", prec: Optional[int] = None) -> "Interval":
         p = prec or max(self.precision_bits, other.precision_bits)
+        a, b = self.lo, other.lo
+        if a.man > 0 and b.man > 0:  # both positive: lo * lo and hi * hi are the extremes
+            c, d = self.hi, other.hi
+            return Interval(
+                _dy_round(a.man * b.man, a.exp + b.exp, p, _FLOOR),
+                _dy_round(c.man * d.man, c.exp + d.exp, p, _CEIL),
+                p,
+            )
         cands = []
         for x in (self.lo, self.hi):
             for y in (other.lo, other.hi):
@@ -927,7 +937,9 @@ class BoundExpr:
     assemble bound factors such as (e^(40C) - 1)/2 without committing to a
     precision until evaluation time.  Nodes are immutable values: two
     expressions built from the same exact rationals compare and hash equal,
-    and integral_consts says whether every const leaf is an integer.
+    and integral_consts says whether every const leaf is an integer.  The
+    hash, hash(key), is computed on first use and kept: a nested key
+    rehashes every node below it, and most expressions are never hashed.
     """
 
     __slots__ = ("key", "integral_consts", "_hash")
@@ -935,7 +947,6 @@ class BoundExpr:
     def __init__(self, key: tuple, integral_consts: bool):
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "integral_consts", integral_consts)
-        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, *args):
         raise AttributeError("BoundExpr is immutable")
@@ -944,7 +955,11 @@ class BoundExpr:
         return isinstance(other, BoundExpr) and self.key == other.key
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:  # the first use
+            object.__setattr__(self, "_hash", hash(self.key))
+            return self._hash
 
     def enclosure(self, precision_bits: int) -> Interval:
         raise NotImplementedError
@@ -1007,7 +1022,8 @@ class _Const(BoundExpr):
     __slots__ = ("value",)
 
     def __init__(self, value: Rational):
-        value = Fraction(value)
+        if type(value) is not Fraction:
+            value = Fraction(value)
         object.__setattr__(self, "value", value)
         super().__init__(("const", value), value.denominator == 1)
 
@@ -1025,7 +1041,8 @@ class _ExpOf(BoundExpr):
     __slots__ = ("x",)
 
     def __init__(self, x: Rational):
-        x = Fraction(x)
+        if type(x) is not Fraction:
+            x = Fraction(x)
         object.__setattr__(self, "x", x)
         super().__init__(("exp", x), True)
 
@@ -1052,7 +1069,7 @@ class _LogOf(BoundExpr):
     __slots__ = ("t",)
 
     def __init__(self, t: Rational):
-        tf = Fraction(t)
+        tf = t if type(t) is Fraction else Fraction(t)
         if tf < 1:
             raise InvalidParameter(f"Log t requires t >= 1, got {t}")
         object.__setattr__(self, "t", tf)
@@ -1152,7 +1169,7 @@ def log_of(t: Rational) -> BoundExpr:
 def _coerce(x) -> BoundExpr:
     if isinstance(x, BoundExpr):
         return x
-    return _Const(Fraction(x))
+    return _Const(x)
 
 
 ExprLike = Union[Rational, BoundExpr]
@@ -1252,9 +1269,11 @@ def interval_eval(
     package's bound factors such keys carry only the parameter-grid values
     C, t, K, epsilon, P and small integer constants: a factor carrying a
     measure, such as const(mu(V) mu(W)), has a non-integer const leaf
-    (unless the measure is an integer) and is computed afresh.  A memoized
-    enclosure is the one the same function computes from the same exact
-    inputs, so results are bit-identical with or without the memo.
+    (unless the measure is an integer) and is computed afresh, and since an
+    expression computes its hash on first use, it is never hashed either.
+    A memoized enclosure is the one the same function computes from the
+    same exact inputs, so results are bit-identical with or without the
+    memo.
 
     The exact part (base times the rational integer powers) reaches the
     result through one step only: its point rounding Interval.from_fraction
@@ -1263,7 +1282,8 @@ def interval_eval(
     ratio_to_log_power decides it from a two-sided bracket of its base by a
     rounding test, and falls back to the exact base when the bracket cannot.
     """
-    base = Fraction(base)
+    if type(base) is not Fraction:
+        base = Fraction(base)
     if base < 0:
         raise InvalidParameter("interval_eval base must be nonnegative")
     return _interval_eval(base, factors, precision_bits, Interval.from_fraction)

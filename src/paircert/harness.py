@@ -119,25 +119,36 @@ def _instance_rng(config: GeneratorConfig, index: int) -> random.Random:
     return random.Random((config.seed << 32) + index)
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A draw in [0, n) for n >= 1, the draw of Random._randbelow made from
+    the same getrandbits calls: randint(a, b) is a + _below(rng, b - a + 1)
+    and choice(s) is s[_below(rng, len(s))], without their argument checks."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _draw_params(rng: random.Random) -> Params:
     return Params(
-        epsilon=rng.choice(DEFAULT_EPSILONS),
-        C=rng.choice(DEFAULT_CS),
-        t=rng.choice(DEFAULT_TS),
-        K=rng.choice(DEFAULT_KS),
+        epsilon=DEFAULT_EPSILONS[_below(rng, len(DEFAULT_EPSILONS))],
+        C=DEFAULT_CS[_below(rng, len(DEFAULT_CS))],
+        t=DEFAULT_TS[_below(rng, len(DEFAULT_TS))],
+        K=DEFAULT_KS[_below(rng, len(DEFAULT_KS))],
     )
 
 
 def _draw_support(rng: random.Random, config: GeneratorConfig, pool: list[int]) -> list[int]:
-    size = rng.randint(config.support_min, config.support_max)
+    size = config.support_min + _below(rng, config.support_max - config.support_min + 1)
     out: set[int] = set()
     attempts = 0
     while len(out) < size and attempts < 50 * (size + 1):
         attempts += 1
         n = 1
-        for _ in range(rng.randint(1, 3)):
-            p = rng.choice(pool)
-            e = rng.randint(1, config.max_exponent)
+        for _ in range(1 + _below(rng, 3)):
+            p = pool[_below(rng, len(pool))]
+            e = 1 + _below(rng, config.max_exponent)
             if n * p**e > config.element_bound:
                 continue
             n *= p**e
@@ -158,8 +169,8 @@ def _draw_multiplicative(
         for a in range(1, top + 1):
             # any value in (0, p^a - p^(a-1)] keeps (1*f)(p^a) <= p^a
             cap = p**a - p ** (a - 1)
-            table[(p, a)] = rng.randint(1, cap)
-    return MultiplicativeFunction(table)
+            table[(p, a)] = Fraction(1 + _below(rng, cap))
+    return MultiplicativeFunction._of_table(table)
 
 
 def generate_instance(
@@ -207,12 +218,11 @@ def generate_instance(
                 n, d = g, y
         if full:
             return Fraction(n, d)
-        return Fraction(n * rng.randint(1, bound), d * bound)
+        return Fraction(n * (1 + _below(rng, bound)), d * bound)
 
-    psi_table = {v: draw_weight(v, ws) for v, ws in v_targets.items()}
-    theta_table = {w: draw_weight(w, vs) for w, vs in w_targets.items()}
-    psi = WeightFunction(psi_table)
-    theta = WeightFunction(theta_table)
+    # every drawn weight is a positive Fraction on a positive int
+    psi = WeightFunction._scaled([(v, draw_weight(v, ws)) for v, ws in v_targets.items()], 1)
+    theta = WeightFunction._scaled([(w, draw_weight(w, vs)) for w, vs in w_targets.items()], 1)
     f = _draw_multiplicative(rng, config, pool)
     g = _draw_multiplicative(rng, config, pool)
     edges = build_edge_set(psi, theta, params.t, params.K)
@@ -352,9 +362,9 @@ def certify_instance(
     ps = system.primes
     if ps and slice_spots > 0:
         for _ in range(slice_spots):
-            p = rng.choice(ps)
-            i = rng.randint(0, 3)
-            j = rng.randint(0, 3)
+            p = ps[_below(rng, len(ps))]
+            i = _below(rng, 4)
+            j = _below(rng, 4)
             try:
                 s = slice_system(system, p, i, j)
             except Exception:

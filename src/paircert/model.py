@@ -82,8 +82,11 @@ class WeightFunction:
 
     @classmethod
     def _scaled(cls, items: Iterable[tuple[int, Fraction]], scale: int) -> "WeightFunction":
-        """x -> scale * value over the (x, value) items of a validated weight,
-        scale a positive integer: no entry is checked again."""
+        """x -> scale * value over (x, value) items, scale a positive integer,
+        with no entry checked. Only for callers whose items are valid by
+        construction, an int x >= 1 and a positive Fraction value: the items
+        of a validated weight (compress.slice_system) and the generator's
+        drawn weights (harness.generate_instance)."""
         tbl = {x: val * scale if scale != 1 else val for x, val in items}
         wf = object.__new__(cls)
         object.__setattr__(wf, "_table", tbl)
@@ -160,6 +163,17 @@ class MultiplicativeFunction:
                 table[(p, a)] = v
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_name", name)
+
+    @classmethod
+    def _of_table(cls, table: dict[tuple[int, int], Fraction]) -> "MultiplicativeFunction":
+        """The function of table, held as it is, with no entry checked. Only
+        for callers whose table is valid by construction, a prime p and an
+        int a >= 1 keying a nonnegative Fraction: the generator's random f
+        (harness._draw_multiplicative)."""
+        mf = object.__new__(cls)
+        object.__setattr__(mf, "_table", table)
+        object.__setattr__(mf, "_name", None)
+        return mf
 
     def __setattr__(self, *args):
         raise AttributeError("MultiplicativeFunction is immutable")

@@ -135,6 +135,55 @@ class TestDrawnTables:
         assert random_fs == 80
 
 
+class TestBelow:
+    """harness._below against Random.randint and Random.choice: the same
+    draws and the same generator state after them."""
+
+    WIDTHS = [1, 2, 3, 5, 47**6 - 47**5] + [2**k + d for k in (1, 2, 7, 31, 32, 53, 64, 100) for d in (-1, 0, 1)]
+
+    def test_randint(self):
+        for seed in range(30):
+            for n in self.WIDTHS:
+                ours, ref = random.Random(seed), random.Random(seed)
+                for a in (0, 1, -5, 10**20):
+                    assert a + harness_mod._below(ours, n) == ref.randint(a, a + n - 1), (seed, n, a)
+                assert ours.getstate() == ref.getstate()
+
+    def test_choice(self):
+        pool = arith.primes_upto(50)
+        for seed in range(30):
+            for seq in [pool, (3,), "ab", range(47**6 - 47**5), range(2**62 + 1)]:
+                ours, ref = random.Random(seed), random.Random(seed)
+                for _ in range(4):
+                    assert seq[harness_mod._below(ours, len(seq))] == ref.choice(seq), (seed, seq)
+                assert ours.getstate() == ref.getstate()
+
+
+def test_generator_private_constructors_match_the_public_ones(monkeypatch):
+    """generate_instance builds its weights and random f through the private
+    constructors; through the public ones it builds the same objects, with
+    the same support order and the same exact entry types."""
+
+    def tables(system):
+        return [
+            (w.support(), [(k, v, type(v)) for k, v in w.items()]) for w in (system.psi, system.theta)
+        ] + [sorted((k, v, type(v)) for k, v in (f._table or {}).items()) for f in (system.f, system.g)]
+
+    def corpus():
+        return [generate_instance(config, index) for config in CAMPAIGN_STREAMS for index in range(40)]
+
+    fast = corpus()
+    monkeypatch.setattr(
+        WeightFunction, "_scaled", classmethod(lambda cls, items, scale: cls({x: v * scale for x, v in items}))
+    )
+    monkeypatch.setattr(MultiplicativeFunction, "_of_table", classmethod(lambda cls, table: cls(table)))
+    public = corpus()
+    for (s1, p1), (s2, p2) in zip(fast, public):
+        assert s1 == s2 and p1 == p2
+        assert tables(s1) == tables(s2)
+        assert instance_document(s1, p1) == instance_document(s2, p2)
+
+
 class TestRescale:
     def test_identity(self):
         psi = WeightFunction({2: F(1, 2), 5: F(3)})
