@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import floor, isqrt
 from typing import Callable, Optional, Union
 
@@ -83,7 +84,8 @@ def _ensure_sieve(limit: int) -> None:
             sieve[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
     _is_prime = sieve
     _sieve_limit = limit
-    _primes = [i for i, flag in enumerate(sieve) if flag]
+    # limit >= 10, as the cap is: 2, then the odd flags
+    _primes = [2, *compress(range(3, limit + 1, 2), sieve[3::2])]
 
 
 def primes_upto(t: Rational) -> list[int]:

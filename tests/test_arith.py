@@ -88,6 +88,19 @@ class TestPrimes:
         assert not is_prime(1)
         assert not is_prime(91)
 
+    @pytest.mark.parametrize("cap", [10, 11, 12, 13, 14, 100, 101])
+    def test_listing_under_a_tiny_sieve_cap(self, cap, monkeypatch):
+        """The sieve and its prime list at the smallest caps, both parities
+        of limit, limits on and next to a prime."""
+        monkeypatch.setenv("PAIRCERT_SIEVE_CAP", str(cap))
+        for name, value in (("_sieve_limit", 0), ("_is_prime", bytearray()), ("_primes", [])):
+            monkeypatch.setattr(arith, name, value)
+        assert primes_upto(cap) == _trial_division_primes(cap)
+        assert arith._sieve_limit == cap
+        assert list(arith._is_prime) == [int(n in arith._primes) for n in range(cap + 1)]
+        with pytest.raises(ResourceLimit):
+            primes_upto(cap + 1)
+
 
 class TestFactorize:
     def test_one_gives_empty_product(self):
