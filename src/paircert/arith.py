@@ -295,15 +295,6 @@ def _dy_neg(a: Dyadic) -> Dyadic:
     return Dyadic(-a.man, a.exp)
 
 
-def _dy_nudge(a: Dyadic, prec: int, rnd: int) -> Dyadic:
-    """Move one unit in the last place outward (direction of rnd)."""
-    if a.man == 0:
-        return Dyadic(1 if rnd == _CEIL else -1, a.exp - prec)
-    bl = abs(a.man).bit_length()
-    step = 1 if rnd == _CEIL else -1
-    return _dy_round(a.man + step * (1 if bl <= prec else 1 << (bl - prec)), a.exp, prec, rnd)
-
-
 def _dy_add(a: Dyadic, b: Dyadic, prec: int, rnd: int) -> Dyadic:
     if a.man == 0:
         return _dy_round(b.man, b.exp, prec, rnd)
@@ -312,17 +303,20 @@ def _dy_add(a: Dyadic, b: Dyadic, prec: int, rnd: int) -> Dyadic:
     pa, pb = a.mag_bits, b.mag_bits
     if pa < pb:
         a, b, pa, pb = b, a, pb, pa
-    if pa - pb <= prec + 8:
+    if pa - pb <= prec + 8 or pb > a.exp:
+        # the exact sum; its alignment shift is under prec + 8 plus the
+        # mantissa lengths, as pb > a.exp bounds it by them alone
         shift = a.exp - b.exp
         if shift >= 0:
             return _dy_round((a.man << shift) + b.man, b.exp, prec, rnd)
         return _dy_round(a.man + (b.man << -shift), a.exp, prec, rnd)
-    # |b| is below one ulp of the rounded result: drop it, padding only when
-    # truncation is anti-conservative for the requested direction.
-    base = _dy_round(a.man, a.exp, prec, rnd)
-    if (b.man > 0 and rnd == _CEIL) or (b.man < 0 and rnd == _FLOOR):
-        return _dy_nudge(base, prec, rnd)
-    return base
+    # |b| < 2^e: a scaled to the exponent e has prec + 2 bits or more, the
+    # rounding's grid points are integers at that scale, and a + b lies
+    # strictly between two neighbouring integers, as does a plus half a unit
+    # in b's direction. So that sum rounds alike, to prec bits in either
+    # direction, and b's size does not matter.
+    e = min(a.exp, pa - prec - 2)
+    return _dy_round((a.man << (a.exp - e + 1)) + (1 if b.man > 0 else -1), e - 1, prec, rnd)
 
 
 def _dy_sub(a: Dyadic, b: Dyadic, prec: int, rnd: int) -> Dyadic:

@@ -385,6 +385,31 @@ class TestDyadicAdd:
                     assert lo == arith._dy_from_fraction(exact, prec, arith._FLOOR)
                     assert hi == arith._dy_from_fraction(exact, prec, arith._CEIL)
 
+    def test_far_apart_sums_round_exactly(self):
+        """The far-apart sum is the exact sum rounded once, for every
+        mantissa length of the larger operand up to prec (1 is a power of
+        two) and for longer ones, whose last bits may reach the smaller."""
+        rng = random.Random(13)
+        for prec in (16, 53):
+            for a_bits in [*range(1, prec + 1), prec + 1, prec + 3, 2 * prec, 5 * prec]:
+                for a_sign in (1, -1):
+                    a = _dyadic(rng, a_bits, rng.randint(-20, 20), a_sign)
+                    for b_sign in (1, -1):
+                        for gap in (prec + 9, prec + 10, prec + 60, 1000):
+                            b = _dyadic(rng, rng.randint(1, 40), a.mag_bits - gap, b_sign)
+                            exact = a.as_fraction() + b.as_fraction()
+                            for rnd in self.RNDS:
+                                want = arith._dy_from_fraction(exact, prec, rnd)
+                                assert arith._dy_add(a, b, prec, rnd) == want, (a, b, prec, rnd)
+                                assert arith._dy_add(b, a, prec, rnd) == want, (a, b, prec, rnd)
+
+    def test_short_mantissa_pads_one_ulp(self):
+        tiny = arith.Dyadic(1, -1000)
+        got = arith._dy_add(arith.Dyadic(3, 0), tiny, 53, arith._CEIL)
+        assert got.as_fraction() == 3 + F(1, 2**51)
+        got = arith._dy_add(arith._DY_ONE, arith._dy_neg(tiny), 53, arith._FLOOR)
+        assert got.as_fraction() == 1 - F(1, 2**53)
+
 
 class TestComparePower:
     def test_exact_cube(self):
@@ -838,7 +863,7 @@ class TestDyadicPrimitiveReference:
             for x in self._fractions(rng, prec):
                 # the roundings of x itself, one unit off them, and strangers
                 near = [_ref_dy_from_fraction(x, prec, rnd) for rnd in self.RNDS]
-                near += [arith._dy_nudge(d, prec, rnd) for d in near for rnd in self.RNDS]
+                near += [_nudge(d, prec, rnd) for d in near for rnd in self.RNDS]
                 near += [arith._dy_neg(d) for d in near[:2]] + [arith._DY_ZERO]
                 for a in near + rng.sample(ds, 3):
                     assert arith._dy_cmp_fraction(a, x) == _ref_dy_cmp_fraction(a, x), (a, x)
@@ -846,7 +871,7 @@ class TestDyadicPrimitiveReference:
             # dyadic rationals against themselves and their neighbours
             for d in ds:
                 x = d.as_fraction()
-                for a in (d, arith._dy_nudge(d, prec, arith._FLOOR), arith._dy_neg(d)):
+                for a in (d, _nudge(d, prec, arith._FLOOR), arith._dy_neg(d)):
                     assert arith._dy_cmp_fraction(a, x) == _ref_dy_cmp_fraction(a, x), (a, x)
                     compared += 1
         assert compared > 2500
@@ -940,6 +965,16 @@ def _dyadic(rng, bits, mag, sign=1):
 _BY_VALUE = functools.cmp_to_key(arith._dy_cmp)
 
 
+def _nudge(a, prec, rnd):
+    """a moved one unit of its last place outward (toward rnd), then rounded
+    to prec bits: a near value for the kernel references."""
+    if a.man == 0:
+        return arith.Dyadic(1 if rnd == arith._CEIL else -1, a.exp - prec)
+    bl = abs(a.man).bit_length()
+    step = 1 if rnd == arith._CEIL else -1
+    return arith._dy_round(a.man + step * (1 if bl <= prec else 1 << (bl - prec)), a.exp, prec, rnd)
+
+
 class TestIntervalKernelReference:
     """Interval.log and Interval.exp against the per-end series reference, bit
     for bit: point, one-ulp and wide intervals; arguments near 1 and near
@@ -950,7 +985,7 @@ class TestIntervalKernelReference:
     @staticmethod
     def _widen(ends, rng, prec):
         """Point, one-ulp and wide intervals over the sorted ends."""
-        up = [arith._dy_nudge(a, prec, arith._CEIL) for a in ends]
+        up = [_nudge(a, prec, arith._CEIL) for a in ends]
         out = [(a, a) for a in ends] + list(zip(ends, up))
         for _ in range(len(ends)):
             a, b = sorted(rng.sample(ends, 2), key=_BY_VALUE)
@@ -1131,7 +1166,7 @@ class TestReducedBrackets:
         for prec in (17, 53, 256):
             for _ in range(6):
                 a = _dyadic(rng, prec, rng.randint(-6, 6))
-                iv = Interval(a, arith._dy_nudge(a, prec, arith._CEIL), prec)
+                iv = Interval(a, _nudge(a, prec, arith._CEIL), prec)
                 for method, ref, calls in (
                     (Interval.log, _ref_interval_log, atanh),
                     (Interval.exp, _ref_interval_exp, expser),
@@ -1332,7 +1367,7 @@ class TestIntervalMulReference:
         for sign in (1, -1):  # points and one-ulp intervals
             a = dy(sign)
             out.append(Interval(a, a, prec))
-            up = arith._dy_nudge(arith._dy_round(a.man, a.exp, prec, arith._CEIL), prec, arith._CEIL)
+            up = _nudge(arith._dy_round(a.man, a.exp, prec, arith._CEIL), prec, arith._CEIL)
             out.append(Interval(a, up, prec))
         return out
 
