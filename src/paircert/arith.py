@@ -460,7 +460,17 @@ def _decided(lo: int, hi: int, exp: int, prec: int, rnd: int) -> Optional[Dyadic
 
 def _ln_fixed(man: int, w: int) -> tuple[int, int]:
     """(lo, hi) with lo <= 2^w ln m <= hi, m = man / 2^(bitlen(man)-1) in
-    [1, 2), at most a few units apart.
+    [1, 2), at most a few units apart: the bracket of _ln_bracket on the
+    scale 2^f, f = w + 2h + 16, rounded outward onto 2^w."""
+    h = max(3, isqrt(w) >> 2)  # more halvings, fewer terms, as w grows
+    g = 2 * h + 16
+    lo, hi = _ln_bracket(man, w + g, h)
+    return lo >> g, -((-hi) >> g)
+
+
+def _ln_bracket(man: int, f: int, h: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^f ln m <= hi, m = man / 2^(bitlen(man)-1) in
+    [1, 2), for h >= 3.
 
     On the scale 2^f, x <= X = 2^f m^(1/2^k) < x + 2 after k isqrt halvings
     (sqrt halves the error of its argument, and each isqrt adds under 1),
@@ -473,8 +483,6 @@ def _ln_fixed(man: int, w: int) -> tuple[int, int]:
     """
     if man & (man - 1) == 0:
         return 0, 0
-    h = max(3, isqrt(w) >> 2)  # more halvings, fewer terms, as w grows
-    f = w + 2 * h + 16
     one = 1 << f
     sh = f + 1 - man.bit_length()
     x = man << sh if sh >= 0 else man >> -sh
@@ -490,8 +498,7 @@ def _ln_fixed(man: int, w: int) -> tuple[int, int]:
         v = (v * z2) >> f
         s += v // (2 * j + 1)
         j += 1
-    g = f - w
-    return (s << (k + 1)) >> g, -((-(s + 2 * j + 1) << (k + 1)) >> g)
+    return s << (k + 1), (s + 2 * j + 1) << (k + 1)
 
 
 def _exp_fixed(r: Dyadic, w: int) -> tuple[int, int]:

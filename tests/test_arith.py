@@ -7,6 +7,7 @@ never touches floating point.
 
 import functools
 import random
+from math import isqrt
 from fractions import Fraction as F
 
 import mpmath
@@ -1104,6 +1105,76 @@ class TestReducedBrackets:
                     x = mpmath.mpf(r.man) * mpmath.mpf(2) ** r.exp
                     assert lo <= mpmath.exp(x) * mpmath.mpf(2) ** w <= hi, (r, prec)
                     assert hi - lo <= 4
+
+    def test_ln_bracket_on_its_own_scale(self):
+        """_ln_bracket against mpmath on the scale 2^f it sums on, where its
+        slack is not hidden under the guard bits that _ln_fixed rounds away:
+        small scales and the scales _ln_fixed takes; mantissas longer than
+        f + 1 bits whose x lands one or two units above 2^f, so that z = 0
+        and only the slack covers the value; m just below 2, which takes
+        the most halvings; and random mantissas of every shape."""
+        rng = random.Random(20261026)
+        scales = [(8, 3), (12, 3), (20, 3), (40, 4)]
+        for prec in self.PRECS:
+            w = prec + arith._GUARD
+            h = max(3, isqrt(w) >> 2)
+            scales.append((w + 2 * h + 16, h))
+        for f, h in scales:
+            mans = [(1 << (f + 1)) - 1, (1 << (f + 2)) - 3]
+            for t in (0, 1, 5, 40):
+                # x = 2^f + 1 and 2^f + 2, each with the largest c that gives it
+                mans += [(1 << (f + 1 + t)) + (1 << (t + 2)) - 1, (1 << (f + 1 + t)) + (3 << (t + 1)) - 1]
+            for bits in (2, 3, f, f + 1, f + 2, 2 * f + 5):
+                mans += [_dyadic(rng, bits, bits).man for _ in range(3)]
+            with mpmath.workprec(2 * f + 64):
+                for man in mans:
+                    lo, hi = arith._ln_bracket(man, f, h)
+                    m = mpmath.mpf(man) / mpmath.mpf(2) ** (man.bit_length() - 1)
+                    assert lo <= mpmath.log(m) * mpmath.mpf(2) ** f <= hi, (man, f, h)
+
+    def test_shared_upper_brackets_contain_the_value(self, monkeypatch):
+        """The bracket that _ln_ends and _exp_ends derive for the upper end
+        from the lower end's, checked on its own scale 2^w as it reaches
+        _ln_round or _exp_round, with the ends as far apart as the sharing
+        allows: (d/lo)^2 up to 2^-w for ln, d^2 up to 2^(-w-1) for exp."""
+        calls = []
+        for name in ("_ln_round", "_exp_round", "_ln_fixed", "_exp_fixed"):
+            real = getattr(arith, name)
+            monkeypatch.setattr(arith, name, lambda *a, real=real, name=name: calls.append((name, a)) or real(*a))
+        rng = random.Random(20261027)
+        shared = 0
+        for prec in self.PRECS:
+            w = prec + arith._GUARD
+            for _ in range(12):
+                # ln: one binade, lo's mantissa x near its bottom, the largest d
+                bits = w + rng.randint(8, 60)
+                x = (1 << (bits - 1)) + rng.getrandbits(bits - 12)
+                d_bits = bits - 1 - (w + 1) // 2  # 2 (bitlen d - bitlen x + 1) <= -w
+                d = rng.randint(1 << (d_bits - 1), (1 << d_bits) - 1)
+                exp = rng.randint(-bits - 5, -bits + 5)
+                calls.clear()
+                arith._ln_ends(arith.Dyadic(x, exp), arith.Dyadic(x + d, exp), prec)
+                assert [c[0] for c in calls] == ["_ln_fixed", "_ln_round", "_ln_round"]
+                a, _, rnd, lo, hi = calls[2][1]
+                assert rnd == arith._CEIL
+                with mpmath.workprec(2 * w + 2 * bits):
+                    m = mpmath.mpf(a.man) / mpmath.mpf(2) ** (a.man.bit_length() - 1)
+                    assert lo <= mpmath.log(m) * mpmath.mpf(2) ** w <= hi, (x, d, exp, prec)
+                # exp: hi - lo = delta with delta^2 <= 2^(-w-3), so the reduced
+                # arguments differ by d with d^2 <= 2^(-w-1) unless k moves
+                lo_ = _dyadic(rng, w, rng.randint(-6, 7))
+                delta = arith.Dyadic(rng.getrandbits(w) | 1, -w - (w + 3 + 1) // 2)
+                calls.clear()
+                arith._exp_ends(lo_, arith._dy_add(lo_, delta, 3 * w, arith._CEIL), prec)
+                if [c[0] for c in calls] != ["_exp_fixed", "_exp_round", "_exp_round"]:
+                    continue  # k differs between the ends: hi went on its own
+                shared += 1
+                r, k, _, rnd, lo, hi = calls[2][1]
+                assert rnd == arith._CEIL
+                with mpmath.workprec(2 * w + 2 * (w + 8)):
+                    e_r = mpmath.exp(mpmath.mpf(r.man) * mpmath.mpf(2) ** r.exp)
+                    assert lo <= e_r * mpmath.mpf(2) ** w <= hi, (lo_, delta, prec)
+        assert shared >= 60
 
     def test_values_just_above_an_integer(self):
         """Brackets of values 2^-64 above an integer N: the working scale's
