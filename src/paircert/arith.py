@@ -304,8 +304,9 @@ def _dy_add(a: Dyadic, b: Dyadic, prec: int, rnd: int) -> Dyadic:
     if pa < pb:
         a, b, pa, pb = b, a, pb, pa
     if pa - pb <= prec + 8 or pb > a.exp:
-        # the exact sum; its alignment shift is under prec + 8 plus the
-        # mantissa lengths, as pb > a.exp bounds it by them alone
+        # the exact sum: the alignment shift is under prec + 9 plus the
+        # mantissa lengths, or under them alone when b reaches below a's
+        # last bit (pb > a.exp)
         shift = a.exp - b.exp
         if shift >= 0:
             return _dy_round((a.man << shift) + b.man, b.exp, prec, rnd)
