@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from paircert import anatomy
+from paircert import anatomy, arith
 from paircert.anatomy import (
     AnatomyReport,
     _mertens_point,
@@ -531,6 +531,30 @@ class TestAnatomyKernelReference:
                 compared += 1
         assert compared >= len(ts) * len(self._GAMMAS)
 
+    def test_mertens_product_at_the_boundaries(self):
+        """Every t <= 300, and past it: floor(t) equal to some p b + c, floor(t)
+        a prime power, c >= floor(t), non-integer t, and b = 1..5 and 10^6."""
+        gammas = [F(3, 2), 2, F(5, 2), F(7, 3), F(13, 4), F(17, 5), F(10**6 + 3, 10**6)]
+        assert sorted(F(g).denominator for g in gammas) == [1, 2, 2, 3, 4, 5, 10**6]
+        cases = [(t, g) for t in range(1, 301) for g in gammas]
+        on_a_value = []
+        for g in map(F, gammas[:-1]):  # b <= 5: p b + c stays small
+            a, b = g.numerator, g.denominator
+            for p in (2, 3, 97, 1999, 4999):
+                value = p * b + a - b
+                on_a_value += [(value, g), (value + F(1, 3), g), (value - 1, g)]
+        powers = [2**10, 2**12, 3**6, 5**4, 7**4, 101**2]
+        cases += on_a_value
+        cases += [(q, g) for q in powers for g in gammas]
+        cases += [(F(2 * q + 1, 2), g) for q in powers[:3] for g in gammas]
+        # c >= floor(t): the cut below which p b + c stays within t is empty
+        cases += [(6, 11), (6, 7), (7, 8), (F(13, 2), F(15, 2)), (1000, F(10**9 + 1, 2))]
+        cases += [(1000, 1001), (1000, F(2003, 2))]
+        for t, g in cases:
+            got = mertens_product(t, g)
+            want = _ref_mertens_product(t, g)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (t, g)
+
     def test_tree_prod(self):
         rng = random.Random(20251020)
         lengths = [0, 1, 2, 3, 15, 16, 17, 31, 32, 33, 100, 257, 1000]
@@ -551,6 +575,24 @@ class TestAnatomyKernelReference:
             assert _omega_histogram.__wrapped__(x, t) == want, (x, t)
             sevens += len(want) == 8
         assert sevens >= 3  # the omega = 7 bucket is filled
+
+
+@pytest.mark.parametrize("gamma", [F(3, 2), F(5, 2), F(17, 4)])
+def test_mertens_product_under_a_tiny_sieve_cap(gamma, monkeypatch):
+    """The exact product sieves to floor(t) and no further: b t + c lies
+    past the cap of 100, and the product at t = 100 is still built."""
+    monkeypatch.setenv("PAIRCERT_SIEVE_CAP", "100")
+    for name, value in (("_sieve_limit", 0), ("_is_prime", bytearray()), ("_primes", [])):
+        monkeypatch.setattr(arith, name, value)
+    a, b = gamma.numerator, gamma.denominator
+    assert b * 100 + a - b > 100
+    want = F(1)
+    for p in primes_upto(100):
+        want *= 1 + (gamma - 1) / p
+    assert mertens_product(100, gamma) == want
+    assert arith._sieve_limit == 100
+    with pytest.raises(ResourceLimit):
+        mertens_product(101, gamma)
 
 
 @pytest.mark.parametrize("bits", [True, 0, 15, 2**14 + 1, 1.5])
