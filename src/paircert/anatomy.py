@@ -10,7 +10,7 @@ e^C itself happens only in interval arithmetic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -279,11 +279,29 @@ def _tree_prod(values: list[int]) -> int:
     return values[0]
 
 
+def _power_prod(powers: dict[int, list[int]]) -> int:
+    """prod over e of (prod powers[e])^e, for exponents e >= 0.
+
+    Horner over the bits of the exponents: from the top bit down, acc =
+    acc^2 * (the product of the groups whose exponent has that bit set). A
+    base enters once per set bit of its exponent, and squaring does the
+    rest, as in computing n! from its prime factorization (Borwein, "On the
+    complexity of calculating factorials", J. Algorithms 6, 1985).
+    """
+    groups = [(e, _tree_prod(qs)) for e, qs in powers.items()]
+    acc = 1
+    for j in reversed(range(max(powers, default=0).bit_length())):
+        acc = acc * acc * _tree_prod([g for e, g in groups if e >> j & 1])
+    return acc
+
+
 # The value sieve holds b bytes per integer up to t. Per exact product
-# (Python 3.11, 2 vCPUs), against the modular inverse scan, it was 0-37%
-# faster for every b <= 4 at t = 10^3 to 10^6; at t = 10^6 it was within 9%
-# either way for b = 5..12, and for b >= 16 at t >= 3 * 10^5 it was 8-32%
-# slower.
+# (Python 3.11, 2 vCPUs, medians of 7 alternating runs at gamma = (b + 1)/b
+# and (2b + 1)/b), against the modular inverse scan, it was 12-16% faster
+# for b = 4, 5 and 8 at t = 10^5, and 4% faster for b = 4 at t = 10^6. At
+# t = 10^6 it was within 5% either way for b = 5 and 8, and 14-16% slower
+# for b = 16. A larger bound would gain only below t = 10^6, for b times
+# the sieve's memory.
 _VALUE_SIEVE_MAX_B = 4
 
 
@@ -304,46 +322,72 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     (p b + c)/(p b), and the denominator is b^pi(t) prod p. A prime q | b
     divides no p b + c, since p b + c = a (mod q), so it never cancels. A
     prime q <= t with q not dividing b divides the denominator exactly once
-    (from p = q), so it cancels if and only if it divides some p b + c, that
-    is if some prime p <= t has p b = -c (mod q): then the factor of the
-    smallest such p is divided by q, and otherwise q is kept in the
-    denominator. The reduced numerator and b^pi(t) prod(kept q) are coprime;
-    both are balanced product trees, and the Fraction is built without a gcd.
+    (from p = q), so it cancels if and only if it divides some p b + c.
 
-    The smallest such p is found by one scan of a progression mod q. For
-    b <= _VALUE_SIEVE_MAX_B the scan runs over is_v, which marks p b at
-    index p b for every prime p <= t (the prime sieve laid out with stride
-    b): the marked indices j = -c (mod q) are the p b with q | p b + c, and
-    since p b grows with p, the first one found is the smallest p b, so
-    p = j / b is the smallest p. No modular inverse is needed. For a larger
-    b, is_v would be b times the sieve and slower to scan than one modular
-    inverse per prime, so the scan runs over the sieve itself, from
-    p = -c b^-1 (mod q).
+    The numerator is built from prime exponents. With T = floor(t), a value
+    p b + c <= T has only prime factors q <= T, none of them dividing b, so
+    the values up to T multiply to prod q^e_q, where e_q counts the pairs
+    (p, k) with q^k | p b + c; only q^k <= T can divide such a value. The
+    values above T are kept whole. The reduction is exponent arithmetic: if
+    e_q > 0, q cancels by taking 1 from e_q; otherwise it cancels against
+    the smallest value above T that it divides, which is divided by q; if
+    there is none, q is kept in the denominator. So the numerator loses one
+    factor q exactly when q divides it, and the reduced numerator, prod
+    q^e_q (by _power_prod) times the values above T, is coprime to
+    b^pi(t) prod(kept q): the Fraction is built without a gcd. Nothing is
+    sieved past T.
+
+    Each q scans one progression mod q, whose entries, in increasing p, are
+    the p with q | p b + c. Its first entry gives the smallest such value.
+    If that value is at most T, a count over the entries up to T is the
+    first term of e_q, and each q^k <= T with k >= 2 counts one more
+    progression. For b <= _VALUE_SIEVE_MAX_B the scan runs over is_v, which
+    marks p b at index p b for every prime p <= t (the prime sieve laid out
+    with stride b): the marked indices = -c (mod q^k) are the p b with
+    q^k | p b + c, and no modular inverse is needed. For a larger b, is_v
+    would be b times the sieve and slower to scan than one modular inverse
+    per prime, so the scan runs over the sieve itself, from
+    p = -c b^-1 (mod q^k).
     """
     t, gamma = _mertens_args(t, gamma)
     ps = primes_upto(t)
     a, b = gamma.numerator, gamma.denominator
     c = a - b
-    nums = [p * b + c for p in ps]  # indexed like ps
-    flags = prime_flags(t)
+    T = math.floor(t)
+    cut = bisect_right(ps, (T - c) // b)  # ps[:cut] have the small values
+    large = [p * b + c for p in ps[cut:]]
+    scan = prime_flags(t)
     by_value = b <= _VALUE_SIEVE_MAX_B
-    if by_value:
-        is_v = bytearray(b * (len(flags) - 1) + 1)
-        is_v[::b] = flags
+    if by_value:  # index p b; a small value has p b <= T - c
+        is_v = bytearray(b * (len(scan) - 1) + 1)
+        is_v[::b] = scan
+        scan, stride, top = is_v, b, T - c
+    else:  # index p; a small value has p <= (T - c) / b
+        stride, top = 1, (T - c) // b
+    powers: dict[int, list[int]] = {}
     kept = []
     for q in ps:
-        if b % q:
-            if by_value:
-                j = -c % q
-                p = (j + q * is_v[j::q].find(1)) // b
-            else:
-                r = -c * pow(b, -1, q) % q
-                p = r + q * flags[r::q].find(1)
-            if p > 0:  # find gave -1 when no p <= t fits, so p < 0
-                nums[bisect_left(ps, p)] //= q
-                continue
-        kept.append(q)
-    return coprime_fraction(_tree_prod(nums), b ** len(ps) * _tree_prod(kept))
+        if b % q == 0:
+            kept.append(q)
+            continue
+        r = -c % q if by_value else -c * pow(b, -1, q) % q
+        run = scan[r::q]  # entry i marks a prime, at index r + q i, whose value q divides
+        i = run.find(1)
+        if i < 0:
+            kept.append(q)
+        elif r + q * i > top:  # no small value: divide the smallest above T
+            large[bisect_left(ps, (r + q * i) // stride) - cut] //= q
+        else:  # take 1 from e_q
+            e = run.count(1, i, (top - r) // q + 1) - 1
+            qk = q * q
+            while qk <= T:
+                rk = -c % qk if by_value else -c * pow(b, -1, qk) % qk
+                e += scan[rk : top + 1 : qk].count(1)
+                qk *= q
+            if e:
+                powers.setdefault(e, []).append(q)
+    num = _power_prod(powers) * _tree_prod(large)
+    return coprime_fraction(num, b ** len(ps) * _tree_prod(kept))
 
 
 _BRACKET_MARGIN = 64  # bits of the Mertens bracket beyond the precision asked

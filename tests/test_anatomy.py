@@ -508,7 +508,8 @@ def _ref_omega_histogram(x: int, t: int) -> tuple[int, ...]:
 
 class TestAnatomyKernelReference:
     """mertens_product, _tree_prod and _omega_histogram against the
-    references above, integer for integer."""
+    references above, and _power_prod against math.prod, integer for
+    integer."""
 
     _TS = [1, 2, F(5, 2), 3, F(21, 2), 300, 10**4, 10**5]
     # c = 0 (gamma 1), b = 1, and primes dividing b (2, 3, 2 and 3)
@@ -561,6 +562,20 @@ class TestAnatomyKernelReference:
         for n in lengths:
             values = [rng.getrandbits(rng.randint(1, 80)) + 1 for _ in range(n)]
             assert anatomy._tree_prod(list(values)) == _ref_tree_prod(values), n
+
+    def test_power_prod(self):
+        rng = random.Random(20251022)
+        cases = [{}, {0: [2, 3]}, {1: [5]}, {0: [7], 1: [11, 13]}, {1: [], 3: [2]}, {2: [1]}]
+        for _ in range(30):
+            powers: dict = {}
+            for _ in range(rng.randint(1, 8)):
+                e = rng.choice([0, 1, 2, 3, 5, 8, 64, rng.randint(0, 1000)])
+                bases = [rng.getrandbits(rng.randint(1, 30)) + 1 for _ in range(rng.randint(0, 20))]
+                powers.setdefault(e, []).extend(bases)
+            cases.append(powers)
+        for powers in cases:
+            want = math.prod(q**e for e, qs in powers.items() for q in qs)
+            assert anatomy._power_prod(powers) == want, powers
 
     def test_omega_histogram(self):
         cap = anatomy.ENUMERATION_CAP
