@@ -283,15 +283,14 @@ def _power_prod(powers: dict[int, list[int]]) -> int:
     """prod over e of (prod powers[e])^e, for exponents e >= 0.
 
     Horner over the bits of the exponents: from the top bit down, acc =
-    acc^2 * (the product of the groups whose exponent has that bit set). A
+    acc^2 * (the product of the bases whose exponent has that bit set). A
     base enters once per set bit of its exponent, and squaring does the
     rest, as in computing n! from its prime factorization (Borwein, "On the
     complexity of calculating factorials", J. Algorithms 6, 1985).
     """
-    groups = [(e, _tree_prod(qs)) for e, qs in powers.items()]
     acc = 1
     for j in reversed(range(max(powers, default=0).bit_length())):
-        acc = acc * acc * _tree_prod([g for e, g in groups if e >> j & 1])
+        acc = acc * acc * _tree_prod([q for e, qs in powers.items() if e >> j & 1 for q in qs])
     return acc
 
 
