@@ -556,6 +556,76 @@ class TestAnatomyKernelReference:
             want = _ref_mertens_product(t, g)
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (t, g)
 
+    def test_mertens_product_at_the_band_edges(self):
+        """The band [q0, T] whose primes the value sieve decides in bulk, with
+        q0 = max(2, c + 1, ceil((b T + 1 + c)/(K + 1))), for b = 1..4: a prime
+        at q0 - 1, q0 and q0 + 1; q0 clamped to c + 1 or to 2; q0 > T; a prime
+        just below q0 whose one marked index m q - c is its (K + 1)-th, and a
+        prime in the band whose one marked index is its K-th.
+
+        m q - c = p b with p odd needs m q - c = b (mod 2): for K = 16 and q
+        odd, the (K + 1)-th index has no such prime when b and c are both
+        odd, and the K-th none when b and c differ in parity (so for every
+        even b). c = 0 (gamma = 1) marks every prime's first index."""
+        K = anatomy._BAND_K
+        assert K == 16  # the parities above
+        is_p = arith.prime_flags(10**5)  # T and p stay below 17 * 5000 / b
+        gammas = [1, 2, 3, 4, F(3, 2), F(7, 2), F(4, 3), F(5, 3), F(8, 3), F(5, 4), F(9, 4)]
+        lasts, kths = set(), set()
+        assert sorted({F(g).denominator for g in gammas}) == [1, 2, 3, 4]
+        for g in map(F, gammas):
+            a, b = g.numerator, g.denominator
+            c = a - b
+
+            def q0(T):
+                return max(2, c + 1, -(-(b * T + 1 + c) // (K + 1)))
+
+            def marks(q, T):  # the m whose index m q - c marks a prime p <= T
+                return [m for m in range(1, K + 2) if 0 <= m * q - c <= b * T
+                        and (m * q - c) % b == 0 and is_p[(m * q - c) // b]]
+
+            near = {d: [] for d in (-1, 0, 1)}
+            clamped, empty = [], []
+            for T in range(1, 3000):
+                q = q0(T)
+                if q > T:
+                    empty.append(T)
+                    continue
+                if q == max(2, c + 1):
+                    clamped.append(T)
+                for d in near:
+                    if 2 <= q + d <= T and is_p[q + d]:
+                        near[d].append(T)
+            cases = clamped[:3] + clamped[-2:] + empty[:1] + empty[-1:]
+            for Ts in near.values():
+                cases += Ts[:2] + Ts[-2:]
+            assert clamped and empty and all(near.values()), g
+            last = kth = None
+            for q in range(3, 5000):
+                if None not in (last, kth):
+                    break
+                if not is_p[q] or b % q == 0:
+                    continue
+                T = ((K + 1) * (q + 1) - c - 1) // b  # the largest T with q0 = q + 1
+                if last is None and q0(T) == q + 1 and marks(q, T) == [K + 1]:
+                    last = T
+                if kth is None and (K * q - c) % b == 0:
+                    T = (K * q - c) // b  # the p of the K-th index
+                    if q0(T) <= q and marks(q, T) == [K]:
+                        kth = T
+            if last is not None:
+                lasts.add(g)
+                cases.append(last)
+            if kth is not None:
+                kths.add(g)
+                cases.append(kth)
+            for T in cases:
+                got = mertens_product(T, g)
+                want = _ref_mertens_product(T, g)
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (T, g)
+        assert lasts == {3, F(3, 2), F(7, 2), F(5, 3), F(5, 4), F(9, 4)}
+        assert kths == {2, 4, F(4, 3), F(8, 3)}
+
     def test_tree_prod(self):
         rng = random.Random(20251020)
         lengths = [0, 1, 2, 3, 15, 16, 17, 31, 32, 33, 100, 257, 1000]
@@ -592,15 +662,16 @@ class TestAnatomyKernelReference:
         assert sevens >= 3  # the omega = 7 bucket is filled
 
 
-@pytest.mark.parametrize("gamma", [F(3, 2), F(5, 2), F(17, 4)])
+@pytest.mark.parametrize("gamma", [F(3, 2), F(5, 2), F(17, 4), F(1), F(2)])
 def test_mertens_product_under_a_tiny_sieve_cap(gamma, monkeypatch):
     """The exact product sieves to floor(t) and no further: b t + c lies
-    past the cap of 100, and the product at t = 100 is still built."""
+    past the cap of 100 (at it for gamma = 1), and the product at t = 100 is
+    still built."""
     monkeypatch.setenv("PAIRCERT_SIEVE_CAP", "100")
     for name, value in (("_sieve_limit", 0), ("_is_prime", bytearray()), ("_primes", [])):
         monkeypatch.setattr(arith, name, value)
     a, b = gamma.numerator, gamma.denominator
-    assert b * 100 + a - b > 100
+    assert b * 100 + a - b > 100 or gamma == 1
     want = F(1)
     for p in primes_upto(100):
         want *= 1 + (gamma - 1) / p
