@@ -602,8 +602,9 @@ def peel(
         if ratio == 1:
             verdict, rhs = VACUOUS, None
         elif ratio == 0:
-            verdict = HOLDS if mu_after > 0 else FAILED
-            rhs = Interval.exact_zero(params.precision_bits)
+            # the vertex held all of its side's mass, so gamma own = mu(E) >=
+            # mu(E)/q' and _below_share cannot have picked it
+            raise InvariantBroken("peel took the last mass off a side")
         else:
             drop, rhs, _ = certify_le(
                 mu_after, mu_before, [(const(ratio), inv_qp)], params.precision_bits

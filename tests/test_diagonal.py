@@ -593,12 +593,11 @@ def test_peel_step_guard_raises_a_typed_error(monkeypatch):
 
 
 def test_peel_step_emptying_a_side_fails(monkeypatch):
-    """A step that takes the last mass off its side (ratio 0) leaves
-    mu(E) = 0 and fails, against the exact rhs 0.  _below_share never picks
-    such a vertex, since it holds all of its side's mass, so gamma own =
-    mu(E) > mu(E) / q'; the test makes every vertex with a neighbourhood of
-    positive mass a violator while mu(E) > 0.  v = 3 carries all of V's mass
-    (f(2) = 0) and ranks first."""
+    """A step that takes the last mass off its side (ratio 0) breaks peel's
+    invariant.  _below_share never picks such a vertex, since it holds all
+    of its side's mass, so gamma own = mu(E) > mu(E) / q'; the test makes
+    every vertex with a neighbourhood of positive mass a violator while
+    mu(E) > 0.  v = 3 carries all of V's mass (f(2) = 0) and ranks first."""
     import paircert.diagonal as diagonal
 
     monkeypatch.setattr(diagonal, "_below_share", lambda gamma, own, mu_e, inv_qp: gamma * mu_e > 0)
@@ -606,12 +605,8 @@ def test_peel_step_emptying_a_side_fails(monkeypatch):
     psi = WeightFunction({3: F(1, 3), 2: F(1, 2)})
     theta = WeightFunction({5: F(1, 5000), 7: F(1, 7)})
     system = PairSystem(psi, theta, f, TOTIENT, {(3, 5), (2, 7)})
-    res = peel(system, system.edges, small_params())
-    (st,) = res.trace
-    assert (st.side, st.vertex, st.mu_side_after, st.mu_edges_after) == ("v", 3, 0, 0)
-    assert st.mu_edges_before > 0 and st.cert_verdict == FAILED
-    assert st.cert_rhs.is_point() and st.cert_rhs.contains(0)
-    assert res.edges == {(2, 7)}
+    with pytest.raises(InvariantBroken, match="last mass off a side"):
+        peel(system, system.edges, small_params())
 
 
 class TestPropertyTwoBoundary:
