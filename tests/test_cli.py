@@ -8,9 +8,18 @@ from pathlib import Path
 import pytest
 
 from paircert.cli import main
-from paircert.harness import GeneratorConfig, canonical_json, load_instance, save_instance
+from paircert.compress import slice_system, verify_slice_identities
+from paircert.diagonal import peel
+from paircert.harness import (
+    GeneratorConfig,
+    canonical_json,
+    instance_document,
+    load_instance,
+    save_instance,
+)
 from paircert.model import PairSystem, TOTIENT, WeightFunction
 from paircert.quality import HOLDS, INCONCLUSIVE, VIOLATED, Params
+from conftest import small_params
 
 
 @pytest.fixture
@@ -118,9 +127,17 @@ def test_compress_verify(instance_file, capsys):
     rc = main(
         ["compress", "--instance", str(instance_file), "--p", "3", "--i", "1", "--j", "0", "--verify"]
     )
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
     assert rc == 0
-    assert doc["identities"]["all_hold"]
+    assert json.loads(out)["identities"]["all_hold"]
+    system, params = load_instance(instance_file)
+    s = slice_system(system, 3, 1, 0)
+    payload = {
+        "slice": {"p": 3, "i": 1, "j": 0},
+        "instance": instance_document(s.tilde, params),
+        "identities": verify_slice_identities(system, s, params.t).to_json(),
+    }
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_compress_out_writes_the_slice_instance(tmp_path, instance_file, capsys):
@@ -158,13 +175,21 @@ def test_diagonal_and_concentrate(instance_file, capsys):
     assert "N" in doc and "edges_star" in doc
 
 
-def test_peel_trace(tmp_path, instance_file, capsys):
+def test_peel_trace(tmp_path, capsys):
+    """--trace writes the steps' documents, indented; v = 3 is peeled."""
+    psi = WeightFunction({2: F(1, 2), 3: F(1, 3)})
+    theta = WeightFunction({5: F(1, 5000), 7: F(1, 7)})
+    path = tmp_path / "peel.json"
+    system = PairSystem(psi, theta, TOTIENT, TOTIENT, {(2, 5), (2, 7), (3, 5)})
+    save_instance(path, system, small_params())
     trace = tmp_path / "trace.json"
-    assert main(["peel", "--instance", str(instance_file), "--trace", str(trace)]) == 0
+    assert main(["peel", "--instance", str(path), "--trace", str(trace)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert trace.exists()
-    assert isinstance(json.loads(trace.read_text()), list)
-    assert "edges" in doc
+    system, params = load_instance(path)
+    result = peel(system, system.edges, params)
+    assert result.steps >= 1 and doc["steps"] == result.steps
+    assert trace.read_text() == json.dumps([st.to_json() for st in result.trace], indent=2) + "\n"
+    assert doc["edges"] == sorted(list(e) for e in result.edges)
 
 
 def test_resolve(tmp_path, capsys):
