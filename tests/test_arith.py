@@ -1501,3 +1501,120 @@ class TestBoundExprHash:
             for index in range(25):
                 main_bound_check(*generate_instance(config, index))
         assert counts == {"get": 178, "compute": 38}
+
+
+# ---------------------------------------------------------------------------
+# One reader for every caller-supplied rational
+# ---------------------------------------------------------------------------
+
+
+def _reader_slots():
+    """(name, call, int value, Fraction value): call(x) hands x to one
+    rational argument of a public entry point, every other argument exact."""
+    from paircert.model import PairSystem, TOTIENT, WeightFunction
+    from paircert.quality import build_edge_set_bruteforce, certify_le
+    from paircert.resolution import s_majorant, s_majorant_bridged, s_sums
+
+    iv = Interval.from_fraction(F(1, 3), 64)
+    psi = WeightFunction({1: F(1)})
+    theta = WeightFunction({2: F(1, 4), 3: F(1, 9)})
+    system = PairSystem(psi, theta, TOTIENT, TOTIENT, {(1, 2), (1, 3)})
+    halves = WeightFunction({2: F(1, 2), 3: F(1, 3)})
+    ninths = WeightFunction({2: F(1, 2), 9: F(1, 9)})
+    e = [(exp_of(1), 1)]
+    return [
+        ("Interval.from_fraction", lambda x: Interval.from_fraction(x, 64), 3, F(1, 3)),
+        ("Interval.lo_cmp", iv.lo_cmp, 0, F(1, 3)),
+        ("Interval.hi_cmp", iv.hi_cmp, 1, F(1, 3)),
+        ("Interval.cmp_fraction", iv.cmp_fraction, 0, F(1, 3)),
+        ("Interval.contains", iv.contains, 0, F(1, 3)),
+        ("const", lambda x: const(x).key, 3, F(3, 2)),
+        ("exp_of", lambda x: exp_of(x).enclosure(64), 1, F(1, 2)),
+        ("log_of", lambda x: log_of(x).enclosure(64), 10, F(7, 2)),
+        ("interval_eval.base", lambda x: interval_eval(x, e, 64), 3, F(1, 3)),
+        ("compare_power.base", lambda x: compare_power(x, F(1, 2), 2), 4, F(9, 2)),
+        ("compare_power.expo", lambda x: compare_power(2, x, 3), 2, F(3, 2)),
+        ("compare_power.rhs", lambda x: compare_power(2, F(1, 2), x), 1, F(3, 2)),
+        ("primes_upto", primes_upto, 30, F(77, 2)),
+        ("prime_flags", lambda x: bytes(arith.prime_flags(x)), 30, F(77, 2)),
+        ("valuation", lambda x: valuation(2, x), 12, F(3, 8)),
+        ("certify_le.lhs", lambda x: certify_le(x, 1, e, 64), 3, F(5, 2)),
+        ("s_sums.K", lambda x: s_sums(system, system.edges, 1, 10, x), 0, F(9, 2)),
+        ("s_majorant.K", lambda x: s_majorant(10, x, 2), 4, F(1, 2)),
+        ("s_majorant.gamma", lambda x: s_majorant(10, 4, x), 2, F(11, 10)),
+        ("s_majorant_bridged.t", lambda x: s_majorant_bridged(x, 1, 1, 64), 10, F(23, 2)),
+        ("s_majorant_bridged.K", lambda x: s_majorant_bridged(10, x, 1, 64), 1, F(1, 2)),
+        ("s_majorant_bridged.C", lambda x: s_majorant_bridged(10, 1, x, 64), 1, F(1, 2)),
+        (
+            "build_edge_set_bruteforce.K",
+            lambda x: build_edge_set_bruteforce(halves, ninths, 10, x),
+            0,
+            F(1, 2),
+        ),
+    ]
+
+
+_READER_SLOTS = _reader_slots()
+
+
+def _reader_digest(value) -> str:
+    """The first 16 hex digits of the sha256 of value's exact form: an
+    interval by its dyadic ends, a frozenset sorted."""
+    import hashlib
+
+    if isinstance(value, Interval):
+        value = (value.lo.man, value.lo.exp, value.hi.man, value.hi.exp, value.precision_bits)
+    elif isinstance(value, tuple):
+        value = tuple(
+            (x.lo.man, x.lo.exp, x.hi.man, x.hi.exp) if isinstance(x, Interval) else x
+            for x in value
+        )
+    elif isinstance(value, frozenset):
+        value = sorted(value)
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+# name: (digest of the int's result, digest of the Fraction's result)
+_READER_DIGESTS = {
+    "Interval.from_fraction": ("f41772ee6dac53b9", "fd072273c12dc122"),
+    "Interval.lo_cmp": ("6b86b273ff34fce1", "1bad6b8cf97131fc"),
+    "Interval.hi_cmp": ("1bad6b8cf97131fc", "6b86b273ff34fce1"),
+    "Interval.cmp_fraction": ("6b86b273ff34fce1", "5feceb66ffc86f38"),
+    "Interval.contains": ("60a33e6cf5151f2d", "3cbc87c7681f34db"),
+    "const": ("85f6157bf134de59", "41ca10bfa64447ff"),
+    "exp_of": ("057b87ab97d1d8e8", "240c34d611027d47"),
+    "log_of": ("61351721dc3885d5", "daaa60023c231005"),
+    "interval_eval.base": ("c1b3f63c10a64e6a", "6071108338d49f71"),
+    "compare_power.base": ("5feceb66ffc86f38", "6b86b273ff34fce1"),
+    "compare_power.expo": ("6b86b273ff34fce1", "1bad6b8cf97131fc"),
+    "compare_power.rhs": ("6b86b273ff34fce1", "1bad6b8cf97131fc"),
+    "primes_upto": ("989050046826db9c", "b6ae808b78a95836"),
+    "prime_flags": ("f40263fedcb0e4bb", "e61fd5344625a72b"),
+    "valuation": ("d4735e3a265e16ee", "615bdd17c2556f82"),
+    "certify_le.lhs": ("85d4db2d6fb0a3b4", "9b6444ffa2140f12"),
+    "s_sums.K": ("a48cba59481b4d9e", "34d00f076940b876"),
+    "s_majorant.K": ("ff7320c9439e5b60", "796cb464aee7adf5"),
+    "s_majorant.gamma": ("ff7320c9439e5b60", "b3ee61ade6e7f443"),
+    "s_majorant_bridged.t": ("cdc5fff5a0a4137d", "e7a494efe5786ca0"),
+    "s_majorant_bridged.K": ("cdc5fff5a0a4137d", "88b21898b6966221"),
+    "s_majorant_bridged.C": ("cdc5fff5a0a4137d", "4c44e92fd98673b3"),
+    "build_edge_set_bruteforce.K": ("49393b6739a80f8b", "fcd3d887a5aeb093"),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "call", [slot[1] for slot in _READER_SLOTS], ids=[slot[0] for slot in _READER_SLOTS]
+)
+def test_a_float_or_a_bool_is_no_exact_rational(call, value):
+    """Every rational argument of a public entry point goes through one
+    reader, arith._rational, which takes neither a float nor a bool."""
+    with pytest.raises(InvalidParameter, match="not an exact rational"):
+        call(value)
+
+
+@pytest.mark.parametrize("name, call, n, q", _READER_SLOTS, ids=[s[0] for s in _READER_SLOTS])
+def test_an_int_or_a_fraction_keeps_its_value(name, call, n, q):
+    """The same slots still take an int and a Fraction, with the results
+    they had before the reader (pinned as digests)."""
+    assert (_reader_digest(call(n)), _reader_digest(call(q))) == _READER_DIGESTS[name]
