@@ -21,7 +21,8 @@ Ziv's test against a proved bound E_old on the series' error (_ln_round,
 _exp_round).  When it cannot, the series runs as the fallback, so every end
 is the series' own, bit for bit.  Outside those kernels every directed
 quotient goes through ``_quotient`` and every exact dyadic comparison
-through ``_me_cmp``.
+through ``_me_cmp``.  Every caller-supplied rational is read by
+``_rational``, and a float or a bool raises InvalidParameter.
 """
 
 from __future__ import annotations
@@ -41,6 +42,22 @@ from .errors import (
 )
 
 Rational = Union[int, Fraction]
+
+
+def _rational(value) -> Fraction:
+    """value as a Fraction; a float or a bool is no exact rational input.
+
+    An exact Fraction comes back as it is (it is immutable, so a copy would
+    gain nothing) and an exact int is converted directly, both before the
+    bool/float test; anything else goes through that test, then Fraction().
+    """
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    if isinstance(value, (bool, float)):
+        raise InvalidParameter(f"{value!r} is not an exact rational")
+    return Fraction(value)
 
 # ---------------------------------------------------------------------------
 # Prime sieve and factorization
@@ -90,6 +107,7 @@ def _ensure_sieve(limit: int) -> None:
 
 def primes_upto(t: Rational) -> list[int]:
     """Ascending list of primes p <= t.  Requires t >= 1."""
+    t = _rational(t)
     if t < 1:
         raise InvalidParameter(f"primes_upto requires t >= 1, got {t}")
     bound = floor(t)
@@ -104,6 +122,7 @@ def primes_upto(t: Rational) -> list[int]:
 def prime_flags(t: Rational) -> bytearray:
     """flags[n] = 1 if n is prime, else 0, for 0 <= n <= floor(t).  Requires
     t >= 1.  A copy of a prefix of the shared sieve."""
+    t = _rational(t)
     if t < 1:
         raise InvalidParameter(f"prime_flags requires t >= 1, got {t}")
     bound = floor(t)
@@ -177,10 +196,10 @@ def valuation(p: int, x: Rational) -> int:
     """p-adic valuation nu_p(x) of a nonzero rational."""
     if p < 2 or not is_prime(p):
         raise InvalidParameter(f"valuation base {p} is not prime")
+    if type(x) is not int:
+        x = _rational(x)
     if x == 0:
         raise UndefinedValuation("valuation of zero is undefined")
-    if isinstance(x, int):
-        return _int_valuation(p, abs(x))
     return _int_valuation(p, abs(x.numerator)) - _int_valuation(p, x.denominator)
 
 
@@ -352,14 +371,12 @@ def _dy_cmp(a: Dyadic, b: Dyadic) -> int:
 
 
 def _dy_cmp_fraction(a: Dyadic, x: Rational) -> int:
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    x = _rational(x)
     return _me_cmp((a.man * x.denominator, a.exp), (x.numerator, 0))
 
 
 def _dy_from_fraction(x: Rational, prec: int, rnd: int) -> Dyadic:
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    x = _rational(x)
     return _quotient(x.numerator, x.denominator, 0, prec, rnd)
 
 
@@ -1026,8 +1043,7 @@ class _Const(BoundExpr):
     __slots__ = ("value",)
 
     def __init__(self, value: Rational):
-        if type(value) is not Fraction:
-            value = Fraction(value)
+        value = _rational(value)
         object.__setattr__(self, "value", value)
         super().__init__(("const", value), value.denominator == 1)
 
@@ -1045,8 +1061,7 @@ class _ExpOf(BoundExpr):
     __slots__ = ("x",)
 
     def __init__(self, x: Rational):
-        if type(x) is not Fraction:
-            x = Fraction(x)
+        x = _rational(x)
         object.__setattr__(self, "x", x)
         super().__init__(("exp", x), True)
 
@@ -1073,11 +1088,11 @@ class _LogOf(BoundExpr):
     __slots__ = ("t",)
 
     def __init__(self, t: Rational):
-        tf = t if type(t) is Fraction else Fraction(t)
-        if tf < 1:
+        t = _rational(t)
+        if t < 1:
             raise InvalidParameter(f"Log t requires t >= 1, got {t}")
-        object.__setattr__(self, "t", tf)
-        super().__init__(("log", tf), True)
+        object.__setattr__(self, "t", t)
+        super().__init__(("log", t), True)
 
     def _below_e(self) -> bool:
         if self.t <= 2:
@@ -1286,8 +1301,7 @@ def interval_eval(
     ratio_to_log_power decides it from a two-sided bracket of its base by a
     rounding test, and falls back to the exact base when the bracket cannot.
     """
-    if type(base) is not Fraction:
-        base = Fraction(base)
+    base = _rational(base)
     if base < 0:
         raise InvalidParameter("interval_eval base must be nonnegative")
     return _interval_eval(base, factors, precision_bits, Interval.from_fraction)
@@ -1352,9 +1366,7 @@ def compare_power(base: Rational, expo: Rational, rhs: Rational) -> int:
     Uses base^(a/b) <=> rhs  iff  base^a <=> rhs^b, which stays in exact
     integer arithmetic.
     """
-    base = Fraction(base)
-    rhs = Fraction(rhs)
-    expo = Fraction(expo)
+    base, expo, rhs = _rational(base), _rational(expo), _rational(rhs)
     if base <= 0 or rhs <= 0:
         raise InvalidParameter("compare_power requires positive base and rhs")
     a, b = expo.numerator, expo.denominator

@@ -13,29 +13,13 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
-from .arith import Rational, factorize, fraction_str, is_prime, prime_divisors
+from .arith import Rational, _rational, factorize, fraction_str, is_prime, prime_divisors
 from .errors import IncompleteDefinition, InvalidParameter
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 DEFAULT_PRECISION_CAP = 1 << 14
-
-
-def _rational(value) -> Fraction:
-    """value as a Fraction; a float or a bool is no exact rational input.
-
-    An exact Fraction comes back as it is (it is immutable, so a copy would
-    gain nothing) and an exact int is converted directly, both before the
-    bool/float test; anything else goes through that test, then Fraction().
-    """
-    if type(value) is Fraction:
-        return value
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, (bool, float)):
-        raise InvalidParameter(f"{value!r} is not an exact rational")
-    return Fraction(value)
 
 
 def _check_precision(bits, name: str) -> None:

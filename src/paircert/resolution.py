@@ -17,6 +17,7 @@ from .anatomy import mertens_product, small_prime_bound, small_prime_divisor_cou
 from .arith import (
     Interval,
     Rational,
+    _rational,
     const,
     exp_of,
     factorize,
@@ -157,7 +158,7 @@ def _s_sums(
     """s_sums from a nonempty edge set's decomposition and w -> Gamma(w)
     map, in integers: f(v)/(v v-) over one common denominator, g(w)/(w w-
     v0+(w)) over another, and one Fraction per S_k at the end."""
-    bound, k4 = small_prime_bound(t), ceil(Fraction(K) / 4)
+    bound, k4 = small_prime_bound(t), ceil(_rational(K) / 4)
 
     def passes(part: int) -> bool:
         return small_prime_divisor_count(part, bound) >= k4
@@ -210,10 +211,10 @@ def s_majorant(
     (constant 1, exactly); exact when K/4 is an integer, else an interval.
     """
     _check_precision(precision_bits, "precision_bits")
-    gamma = Fraction(gamma)
+    gamma = _rational(gamma)
     if gamma <= 1:
         raise InvalidParameter(f"gamma must exceed 1, got {gamma}")
-    quarter = Fraction(K) / 4
+    quarter = _rational(K) / 4
     prod = mertens_product(t, gamma)
     if quarter.denominator == 1:
         return prod * gamma ** (-quarter.numerator)
@@ -225,8 +226,7 @@ def s_majorant_bridged(
 ) -> Interval:
     """The same majorant at gamma = e^(40C): e^(-10CK) prod(1 + (e^(40C)-1)/p)."""
     _check_precision(precision_bits, "precision_bits")
-    C = Fraction(C)
-    K = Fraction(K)
+    C, K = _rational(C), _rational(K)
     factors = [(exp_of(-10 * C * K), Fraction(1))]
     for p in primes_upto(t):
         factors.append(((exp_of(40 * C) - 1) / p + 1, Fraction(1)))
