@@ -747,17 +747,6 @@ class Interval:
     def hi_cmp(self, x: Rational) -> int:
         return _dy_cmp_fraction(self.hi, x)
 
-    def certified_ge(self, other: "Interval") -> bool:
-        """True when every point of self is >= every point of other."""
-        return _dy_cmp(self.lo, other.hi) >= 0
-
-    def certified_lt(self, other: "Interval") -> bool:
-        """True when every point of self is < every point of other."""
-        return _dy_cmp(self.hi, other.lo) < 0
-
-    def width(self) -> Fraction:
-        return self.hi.as_fraction() - self.lo.as_fraction()
-
     # -- arithmetic ---------------------------------------------------
 
     def round(self, precision_bits: int) -> "Interval":
@@ -782,9 +771,6 @@ class Interval:
             _dy_sub(self.hi, other.lo, p, _CEIL),
             p,
         )
-
-    def neg(self) -> "Interval":
-        return Interval(_dy_neg(self.hi), _dy_neg(self.lo), self.precision_bits)
 
     def mul(self, other: "Interval", prec: Optional[int] = None) -> "Interval":
         p = prec or max(self.precision_bits, other.precision_bits)

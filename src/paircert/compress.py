@@ -53,9 +53,6 @@ class SliceIdentityReport:
     def all_hold(self) -> bool:
         return all(c.status != FAILED for c in self.checks)
 
-    def failures(self) -> list[IdentityCheck]:
-        return [c for c in self.checks if c.status == FAILED]
-
     def to_json(self) -> dict:
         return {
             "p": self.p,

@@ -61,10 +61,6 @@ class DiagonalMeasure:
             if any(v < 0 for v in mapping.values()):
                 raise InvalidParameter(f"{name} has a negative entry")
 
-    def support_indices(self) -> list[int]:
-        idx = {i for i, _ in self.cells} | {j for _, j in self.cells}
-        return sorted(idx)
-
     def to_json(self) -> dict:
         return {
             "p": self.p,

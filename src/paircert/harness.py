@@ -409,10 +409,6 @@ class CampaignReport:
     elapsed_seconds: float = 0.0
 
     @property
-    def tallies_consistent(self) -> bool:
-        return self.holds + self.violated + self.inconclusive == self.count
-
-    @property
     def clean(self) -> bool:
         return (
             self.violated == 0

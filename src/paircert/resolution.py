@@ -255,10 +255,6 @@ class ResolutionReport:
     majorant: object = None  # Fraction | Interval | None
     headline_ratio: Optional[Interval] = None
 
-    @property
-    def inequality_holds(self) -> bool:
-        return self.lhs_squared <= self.rhs_exact
-
     def to_json(self) -> dict:
         def enc(x):
             if isinstance(x, Interval):

@@ -8,7 +8,7 @@ import pytest
 from paircert.compress import Slice, slice_k_shift, slice_system, verify_slice_identities
 from paircert.errors import IncompleteDefinition, InvalidParameter
 from paircert.model import MultiplicativeFunction, PairSystem, TOTIENT, WeightFunction, mu_set
-from paircert.quality import build_edge_set, omega_t
+from paircert.quality import FAILED, build_edge_set, omega_t
 from conftest import make_corpus
 
 
@@ -185,7 +185,7 @@ def test_edgewise_checks_report_the_mismatching_edge():
     source = PairSystem(half, half, TOTIENT, TOTIENT, {(2, 2)})
     tilde = PairSystem(half, WeightFunction({1: F(1)}), TOTIENT, TOTIENT, {(2, 1)})
     rep = verify_slice_identities(source, Slice(2, 0, 1, tilde, frozenset(), frozenset()), 10)
-    checks = {c.name: c for c in rep.failures()}
+    checks = {c.name: c for c in rep.checks if c.status == FAILED}
     assert (checks["d:quality"].lhs, checks["d:quality"].rhs) == (2, F(1, 2))
     # omega_10(2, 1) = 1, omega_10(2, 2) - 1 = -1
     assert (checks["e:omega-shift"].lhs, checks["e:omega-shift"].rhs) == (1, -1)
@@ -226,7 +226,8 @@ def test_an_extra_factor_p_in_the_slice_weights_fails_a_and_b():
             s.tilde.edges,
         )
         bad = Slice(s.p, s.i, s.j, tilde, s.v_cell, s.w_cell)
-        failed = {c.name for c in verify_slice_identities(system, bad, params.t).failures()}
+        rep = verify_slice_identities(system, bad, params.t)
+        failed = {c.name for c in rep.checks if c.status == FAILED}
         assert {"a:psi-measure", "b:theta-measure"} <= failed
         caught += 1
     assert caught >= 8

@@ -295,7 +295,7 @@ class TestCampaign:
     def test_tallies_and_cleanliness(self):
         report = certify_campaign(GeneratorConfig(seed=2), 25)
         assert report.count == 25
-        assert report.tallies_consistent
+        assert report.holds + report.violated + report.inconclusive == report.count
         assert report.clean, report.to_json()
 
     def test_determinism(self):

@@ -198,7 +198,7 @@ class TestResolutionCheck:
         rep = resolution_check(sys_, sys_.edges, 1, small_params(t=F(1)))
         assert rep.verdict == "holds"
         assert rep.lhs_squared == 1
-        assert rep.inequality_holds
+        assert rep.lhs_squared <= rep.rhs_exact
 
     def test_empty_is_degenerate(self):
         psi = WeightFunction({1: F(1)})
