@@ -145,7 +145,7 @@ def _cmd_compress(args) -> int:
         payload["identities"] = rep.to_json()
         if not rep.all_hold:
             rc = 2
-    sys.stdout.write(json.dumps(payload, indent=2, default=str) + "\n")
+    _emit(payload, None)
     return rc
 
 
@@ -194,9 +194,7 @@ def _cmd_peel(args) -> int:
         "steps": result.steps,
     }
     if args.trace:
-        Path(args.trace).write_text(
-            json.dumps([st.to_json() for st in result.trace], indent=2) + "\n"
-        )
+        _emit([st.to_json() for st in result.trace], args.trace)
         doc["trace"] = args.trace
     _emit(doc, args.out)
     return 0
