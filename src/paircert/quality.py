@@ -212,7 +212,7 @@ def build_edge_set_bruteforce(
     literal_lcm: bool = False,
 ) -> frozenset[tuple[int, int]]:
     """Unoptimized double-loop oracle: evaluates every definition literally."""
-    K = _rational(K)
+    K, t = _rational(K), _rational(t)
     small_primes = primes_upto(t) if t >= 1 else []
     out = []
     for v in psi.support():

@@ -1544,6 +1544,12 @@ def _reader_slots():
             0,
             F(1, 2),
         ),
+        (
+            "build_edge_set_bruteforce.t",
+            lambda x: build_edge_set_bruteforce(halves, ninths, x, 1),
+            2,
+            F(7, 2),
+        ),
     ]
 
 
@@ -1592,6 +1598,7 @@ _READER_DIGESTS = {
     "s_majorant_bridged.K": ("cdc5fff5a0a4137d", "88b21898b6966221"),
     "s_majorant_bridged.C": ("cdc5fff5a0a4137d", "4c44e92fd98673b3"),
     "build_edge_set_bruteforce.K": ("49393b6739a80f8b", "fcd3d887a5aeb093"),
+    "build_edge_set_bruteforce.t": ("4f53cda18c2baa0c", "fcd3d887a5aeb093"),
 }
 
 
