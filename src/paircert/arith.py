@@ -59,6 +59,7 @@ def _rational(value) -> Fraction:
         raise InvalidParameter(f"{value!r} is not an exact rational")
     return Fraction(value)
 
+
 # ---------------------------------------------------------------------------
 # Prime sieve and factorization
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ never touches floating point.
 """
 
 import functools
+import hashlib
 import random
 from math import isqrt
 from fractions import Fraction as F
@@ -1559,8 +1560,6 @@ _READER_SLOTS = _reader_slots()
 def _reader_digest(value) -> str:
     """The first 16 hex digits of the sha256 of value's exact form: an
     interval by its dyadic ends, a frozenset sorted."""
-    import hashlib
-
     if isinstance(value, Interval):
         value = (value.lo.man, value.lo.exp, value.hi.man, value.hi.exp, value.precision_bits)
     elif isinstance(value, tuple):

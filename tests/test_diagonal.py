@@ -194,7 +194,7 @@ class TestDecay:
 def _ref_c1_lower_ok(p, params):
     """c1 >= c2 / (1 + (2 C3 - 1) lambda) decided by precision doubling: the
     interval loop decay_hypothesis_report once ran, verbatim but for
-    Interval.scale written out."""
+    Interval.scale, certified_ge and certified_lt written out."""
     eps = params.epsilon
     below_p0 = p <= params.p0
     prec = params.precision_bits
