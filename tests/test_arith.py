@@ -1557,19 +1557,21 @@ def _reader_slots():
 _READER_SLOTS = _reader_slots()
 
 
-def _reader_digest(value) -> str:
-    """The first 16 hex digits of the sha256 of value's exact form: an
-    interval by its dyadic ends, a frozenset sorted."""
+def _exact_form(value):
+    """value with each interval as its dyadic ends and precision, and a
+    frozenset sorted, so that its repr is exact and stable."""
     if isinstance(value, Interval):
-        value = (value.lo.man, value.lo.exp, value.hi.man, value.hi.exp, value.precision_bits)
-    elif isinstance(value, tuple):
-        value = tuple(
-            (x.lo.man, x.lo.exp, x.hi.man, x.hi.exp) if isinstance(x, Interval) else x
-            for x in value
-        )
-    elif isinstance(value, frozenset):
-        value = sorted(value)
-    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+        return (value.lo.man, value.lo.exp, value.hi.man, value.hi.exp, value.precision_bits)
+    if isinstance(value, tuple):
+        return tuple(map(_exact_form, value))
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return value
+
+
+def _reader_digest(value) -> str:
+    """The first 16 hex digits of the sha256 of repr(_exact_form(value))."""
+    return hashlib.sha256(repr(_exact_form(value)).encode()).hexdigest()[:16]
 
 
 # name: (digest of the int's result, digest of the Fraction's result)
@@ -1589,7 +1591,7 @@ _READER_DIGESTS = {
     "primes_upto": ("989050046826db9c", "b6ae808b78a95836"),
     "prime_flags": ("f40263fedcb0e4bb", "e61fd5344625a72b"),
     "valuation": ("d4735e3a265e16ee", "615bdd17c2556f82"),
-    "certify_le.lhs": ("85d4db2d6fb0a3b4", "9b6444ffa2140f12"),
+    "certify_le.lhs": ("cc162969e1c447a1", "085ece7f6a2e010b"),
     "s_sums.K": ("a48cba59481b4d9e", "34d00f076940b876"),
     "s_majorant.K": ("ff7320c9439e5b60", "796cb464aee7adf5"),
     "s_majorant.gamma": ("ff7320c9439e5b60", "b3ee61ade6e7f443"),
