@@ -460,9 +460,11 @@ class TestMertensBracket:
 
 # The Mertens product as it stood with a prime indicator filled one prime at
 # a time, a modular inverse and a progression scan per prime, and a product
-# tree multiplied pair by pair; and the omega_t histogram as it stood with
-# one bytes.count pass per value. Kept verbatim (the histogram without its
-# cache) as the reference that the kernels must match integer for integer.
+# tree multiplied pair by pair; the omega_t histogram as it stood with one
+# bytes.count pass per value; and the divisor sum as it stood with a walk
+# over every divisor of M, ascending. Kept verbatim (the histogram without
+# its cache) as the reference that the kernels must match integer for
+# integer, and the divisor sum call for call of f.
 
 
 def _ref_tree_prod(values: list[int]) -> int:
@@ -504,6 +506,58 @@ def _ref_omega_histogram(x: int, t: int) -> tuple[int, ...]:
         hist.append(reps)
     hist[0] = x - sum(hist)
     return tuple(hist)
+
+
+def _ref_divisor_anatomy_sum(M, t, K, f):
+    anatomy._check_M(M)
+    need = math.ceil(arith._rational(K))  # an integer count is >= K iff >= ceil(K)
+    bound = math.floor(arith._rational(t))
+    fac = factorize(M)
+    divs = [(1, 0, ())]  # (m, omega_t(m), exponents of m along fac)
+    for p, e in fac:
+        small = p <= bound
+        divs = [
+            (m * p**k, c + (small and k > 0), ks + (k,))
+            for m, c, ks in divs
+            for k in range(e + 1)
+        ]
+    values: dict[tuple[int, int], F] = {}
+    sums: dict[int, int] = {}  # denominator -> sum of the numerators over it
+    for _, c, ks in sorted(divs):
+        if c < need:
+            continue
+        num = den = 1
+        for (p, e), k in zip(fac, ks):
+            if k < e:
+                v = values.get((p, e - k))
+                if v is None:
+                    v = values[p, e - k] = f.prime_power(p, e - k)
+                num *= v.numerator
+                den *= v.denominator
+        sums[den] = sums.get(den, 0) + num
+    return sum((F(n, d) for d, n in sums.items()), F(0))
+
+
+class _AskLog:
+    """f, with every prime_power asked of it logged, the failing ones too."""
+
+    def __init__(self, f: MultiplicativeFunction):
+        self.f, self.asked = f, []
+
+    def prime_power(self, p: int, a: int) -> F:
+        self.asked.append((p, a))
+        return self.f.prime_power(p, a)
+
+
+def _divisor_sum_outcome(fn, M, t, K, f):
+    """(reduced value or the IncompleteDefinition message, the asks of f)."""
+    log = _AskLog(f)
+    try:
+        v = fn(M, t, K, log)
+        out = (v.numerator, v.denominator)
+    except IncompleteDefinition as exc:
+        out = str(exc)
+    return out, log.asked
 
 
 class TestAnatomyKernelReference:
@@ -654,12 +708,45 @@ class TestAnatomyKernelReference:
         pairs += [(250000, 10**4), (510509, 17), (510510, 16), (510510, 17), (510510, 10**5)]
         pairs += [(cap, 17), (cap, 10**5)]
         pairs += [(rng.randint(1, cap), rng.choice([1, 2, 7, 17, 300, 10**4])) for _ in range(6)]
+        block = 1 << 15  # bytes per block of the tally
+        pairs += [(x, t) for x in (block - 1, block, block + 1, 3 * block + 5) for t in (13, 10**4)]
         sevens = 0
         for x, t in pairs:
             want = _ref_omega_histogram(x, t)
             assert _omega_histogram.__wrapped__(x, t) == want, (x, t)
             sevens += len(want) == 8
         assert sevens >= 3  # the omega = 7 bucket is filled
+
+    def test_divisor_anatomy_sum(self):
+        """The value, reduced, and the prime powers asked of f, in order, or
+        the IncompleteDefinition raised, against the divisor walk: the
+        anatomy grid's M, random M <= 5000, the totient and random tables
+        with entries deleted."""
+        rng = random.Random(20251024)
+        Ms = [720720, 8648640, 9699690, 1, 2, 30] + [rng.randint(1, 5000) for _ in range(50)]
+        ts = [1, F(5, 2), 3, 10, 100, 10**6]
+        Ks = [-1, 0, F(1, 2), 1, 2, F(5, 2), 3, 7]
+        outcomes = Counter()
+        for M in Ms:
+            fac = factorize(M)
+            fs = [TOTIENT]
+            for drop in (0, 0.1, 0.3):
+                table = {
+                    (p, a): F(rng.randint(0, 9), rng.randint(1, 6))
+                    for p, e in fac
+                    for a in range(1, e + 1)
+                    if rng.random() >= drop
+                }
+                fs.append(MultiplicativeFunction(table))
+            for f in fs:
+                for t in ts:
+                    for K in Ks:
+                        want = _divisor_sum_outcome(_ref_divisor_anatomy_sum, M, t, K, f)
+                        got = _divisor_sum_outcome(divisor_anatomy_sum, M, t, K, f)
+                        assert got == want, (M, t, K, f)
+                        outcomes[type(want[0]), bool(want[1])] += 1
+        # values and failures both, with and without asks of f
+        assert set(outcomes) == {(tuple, True), (tuple, False), (str, True)}
 
 
 @pytest.mark.parametrize("gamma", [F(3, 2), F(5, 2), F(17, 4), F(1), F(2)])
