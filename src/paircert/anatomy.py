@@ -395,7 +395,10 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     at position q - q0, so the OR of the slices for m = 1..K flags each q of
     the band with a marked index. Only an m prime to b can mark one, since
     m q - c = p b needs gcd(m, b) | c, and gcd(b, c) = gcd(b, a) = 1; the
-    other slices are skipped. A prime without a flag is exactly one
+    other slices are skipped. So is the slice of an odd m when b and c are
+    odd, q0 > 2 and 2 b + c < m q0: at every odd q, m q - c is even, and
+    so is p b only for p = 2, whose index 2 b = m q - c needs q < q0; and
+    an even q >= q0 > 2 is no prime. A prime without a flag is exactly one
     whose scan finds no mark (i < 0 below), and it is kept unscanned; the
     primes below q0 and the flagged ones are scanned as above. A q <= c lies
     below the band, so every slice starts at m (c + 1) - c >= 1. A q | b
@@ -422,7 +425,7 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
         if q0 <= T:  # per q in [q0, T]: 2 if q is prime, | 1 if some m q - c is marked
             marks = int.from_bytes(scan[b * q0 :: b], "little") << 1
             for m in range(1, _BAND_K + 1):
-                if math.gcd(m, b) == 1:
+                if math.gcd(m, b) == 1 and not (b & c & m & 1 and q0 > 2 and 2 * b + c < m * q0):
                     marks |= int.from_bytes(scan[m * q0 - c : m * (T + 1) - c : m], "little")
             marks = marks.to_bytes(T + 1 - q0, "little").translate(None, b"\0\1")
             lo = bisect_left(ps, q0)
