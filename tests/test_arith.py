@@ -414,6 +414,28 @@ class TestComparePower:
         assert compare_power(F(8), F(1, 3), F(3)) < 0
         assert compare_power(F(9), F(1, 2), F(2)) > 0
 
+    def test_power_bits_cap_on_both_sides(self):
+        """base^a and rhs^b are built up to _POWER_BITS_CAP bits, counting
+        numerator and denominator (4 and 1/4 have 3 + 1 bits), and refused
+        one exponent step past it."""
+        n = arith._POWER_BITS_CAP // 4
+        assert n * 4 == arith._POWER_BITS_CAP
+        for q in (F(4), F(1, 4)):
+            assert compare_power(q, n, 2) == (1 if q > 1 else -1)
+            assert compare_power(q, -n, 2) == (-1 if q > 1 else 1)
+            assert compare_power(2, F(1, n), q) == (1 if q < 2 else -1)
+            for args in ((q, n + 1, 2), (q, -n - 1, 2), (2, F(1, n + 1), q)):
+                with pytest.raises(ResourceLimit, match="compare_power"):
+                    compare_power(*args)
+
+    def test_power_bits_cap_fails_before_the_power(self):
+        """An exponent of 10^30 or of 5000 digits is refused at once, in one
+        line, whose message does not print the exponent."""
+        for expo in (5 - F(10, 10**30), F(10**5000 + 1, 3), F(1, 10**5000)):
+            with pytest.raises(ResourceLimit) as info:
+                compare_power(3, expo, 2)
+            assert "\n" not in str(info.value) and len(str(info.value)) < 100
+
     def test_matches_interval_route(self):
         rng = random.Random(5)
         for _ in range(200):

@@ -175,6 +175,21 @@ def test_diagonal_and_concentrate(instance_file, capsys):
     assert "N" in doc and "edges_star" in doc
 
 
+def test_diagonal_decay_past_the_power_cap(tmp_path, capsys):
+    """epsilon = 10^-30 asks compare_power for 3^(5 - 10 epsilon) against 2,
+    that is 3^(5 10^29 - 1) against 2^(10^29): refused by its cap, one line."""
+    psi = WeightFunction({2: F(1, 2), 3: F(1, 3)})
+    theta = WeightFunction({2: F(1, 2), 9: F(1, 9)})
+    params = Params(epsilon=F(1, 10**30), C=F(1), t=F(10), K=F(0))
+    path = tmp_path / "instance.json"
+    save_instance(path, PairSystem(psi, theta, TOTIENT, TOTIENT, {(2, 2), (3, 9)}), params)
+    assert main(["diagonal", "--instance", str(path), "--p", "3", "--decay"]) == 4
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("paircert: ResourceLimit: compare_power")
+
+
 def test_peel_trace(tmp_path, capsys):
     """--trace writes the steps' documents, indented; v = 3 is peeled."""
     psi = WeightFunction({2: F(1, 2), 3: F(1, 3)})
