@@ -213,7 +213,9 @@ def build_edge_set_bruteforce(
 ) -> frozenset[tuple[int, int]]:
     """Unoptimized double-loop oracle: evaluates every definition literally."""
     K, t = _rational(K), _rational(t)
-    small_primes = primes_upto(t) if t >= 1 else []
+    if t < 1:
+        raise InvalidParameter(f"t must be >= 1, got {t}")
+    small_primes = primes_upto(t)
     out = []
     for v in psi.support():
         for w in theta.support():

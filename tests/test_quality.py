@@ -209,6 +209,20 @@ class TestEdgeSets:
                 )
         assert calls == []
 
+    @pytest.mark.parametrize("literal_lcm", [False, True])
+    @pytest.mark.parametrize("K", [0, 1])
+    def test_oracle_rejects_t_below_one(self, K, literal_lcm):
+        """t < 1 is outside the domain of both edge sets; the oracle does not
+        answer {(2, 2), (3, 9)} for it."""
+        psi = WeightFunction({2: F(1, 2), 3: F(1, 3)})
+        theta = WeightFunction({2: F(1, 2), 9: F(1, 9)})
+        for build in (build_edge_set, build_edge_set_bruteforce):
+            with pytest.raises(InvalidParameter, match=r"t must be >= 1, got 1/2"):
+                build(psi, theta, F(1, 2), K, literal_lcm)
+        assert build_edge_set_bruteforce(psi, theta, 1, K, literal_lcm) == (
+            {(2, 2), (3, 9)} if K == 0 else frozenset()
+        )
+
     def test_stray_edges_are_those_outside_the_edge_set(self):
         """stray_edges tests the given pairs only, off the supports too, and
         agrees with the difference to the whole edge set."""
