@@ -95,12 +95,7 @@ def _omega_counts(x: int, t: int) -> bytes:
     return bytes(counts)
 
 
-# Bytes of the sieve per block of the histogram's tally. At t = 10^4 and
-# x = 1.5, 2 and 2.5 * 10^5 (Python 3.11, 2 vCPUs) the tally in blocks of
-# 2^15 took 1.64, 1.98 and 2.49 ms per histogram, against 1.78, 2.69 and
-# 3.55 ms for whole-sieve planes; blocks of 2^14 to 2^16 came within 5% of
-# that, and 2^17 lost half the gain or more.
-_TALLY_BLOCK = 1 << 15
+_TALLY_BLOCK = 1 << 15  # bytes of the sieve per block of the histogram's tally
 
 
 @lru_cache(maxsize=8)
@@ -126,8 +121,13 @@ def _omega_histogram(x: int, t: int) -> tuple[int, ...]:
     The planes are built one block of _TALLY_BLOCK bytes at a time, and the
     superset counts of the blocks added up: a count over the whole sieve is
     the sum of the counts over disjoint blocks that cover it. A block's
-    integer and its planes stay near the CPU's caches, where planes of the
-    whole sieve (1.2 to 2 Mbit at the anatomy grid's x) would not.
+    integer and its planes (32 KB each) stay in the CPU's caches, where
+    planes of the whole sieve (1.2 to 2 Mbit at the anatomy grid's x) do
+    not. At t = 10^4 and x = 1.5, 2 and 2.5 * 10^5 (Python 3.11, 2 vCPUs,
+    medians of 60 interleaved runs of the tally alone) blocks of 2^15 bytes
+    took 1.51, 2.02 and 2.37 ms against 2.23, 3.05 and 3.70 ms for whole-
+    sieve planes; blocks of 2^13 to 2^16 bytes came within 5% of 2^15, and
+    2^17 lost half the gain or more.
     """
     counts = _omega_counts(x, t)
     ones = int.from_bytes(b"\x01" * _TALLY_BLOCK, "little")
@@ -204,12 +204,11 @@ def divisor_anatomy_sum(
     the same order, so that a value f lacks raises the same
     IncompleteDefinition. With k = e - j, the first divisor to need f(p^j)
     is p^k times the r smallest other primes <= t of M, r = max(0, ceil(K)
-    - [p <= t and k > 0]): any other m with p^k || m and omega_t(m) >= K
-    has r other small primes of its own, and so is larger. Values first
-    needed at the same m are asked in the order of factorize(M). A value
-    that no m with omega_t(m) >= K needs (M has fewer than r other small
-    primes) feeds only the coefficients below ceil(K); it is never asked,
-    and taken as 0.
+    - [p <= t and k > 0]), since every m with p^k || m and omega_t(m) >= K
+    has at least r other prime factors <= t. Values first needed at the
+    same m are asked in the order of factorize(M). A value that no m with
+    omega_t(m) >= K needs (M has fewer than r other small primes) feeds
+    only the coefficients below ceil(K); it is never asked, and taken as 0.
     """
     _check_M(M)
     need = math.ceil(_rational(K))  # an integer count is >= K iff >= ceil(K)
@@ -230,12 +229,8 @@ def divisor_anatomy_sum(
         d = math.lcm(*(v.denominator for v in vs))
         ns = [d] + [v.numerator * (d // v.denominator) for v in vs]  # d f(p^0..p^e)
         den *= d
-        if p <= bound:
-            low, high = ns[e], sum(ns[:e])
-            poly = [a * low + b * high for a, b in zip(poly + [0], [0] + poly)]
-        else:
-            whole = sum(ns)
-            poly = [a * whole for a in poly]
+        low, high = (ns[e], sum(ns[:e])) if p <= bound else (sum(ns), 0)
+        poly = [a * low + b * high for a, b in zip(poly + [0], [0] + poly)]
     return Fraction(sum(poly[max(0, need) :]), den)
 
 
