@@ -429,8 +429,8 @@ class TestComparePower:
                     compare_power(*args)
 
     def test_power_bits_cap_fails_before_the_power(self):
-        """An exponent of 10^30 or of 5000 digits is refused at once, in one
-        line, whose message does not print the exponent."""
+        """An exponent whose numerator or denominator has 31 or 5000 digits
+        is refused at once, in one line that does not print it."""
         for expo in (5 - F(10, 10**30), F(10**5000 + 1, 3), F(1, 10**5000)):
             with pytest.raises(ResourceLimit) as info:
                 compare_power(3, expo, 2)
