@@ -13,6 +13,7 @@ from paircert.diagonal import peel
 from paircert.harness import (
     GeneratorConfig,
     canonical_json,
+    generate_instance,
     instance_document,
     load_instance,
     save_instance,
@@ -58,6 +59,16 @@ def test_gen_writes_the_precision_override(tmp_path, config_file):
     for argv, bits in ((["--precision", "512"], 512), ([], 256)):
         assert main([*argv, "gen", "--config", str(config_file), "--out", str(out)]) == 0
         assert load_instance(out)[1].precision_bits == bits
+
+
+def test_gen_out_is_the_canonical_instance_document(tmp_path, config_file):
+    out = tmp_path / "inst.json"
+    for argv, auto_edges in (([], False), (["--auto-edges"], True)):
+        assert main(["gen", "--config", str(config_file), "--out", str(out), "--index", "3", *argv]) == 0
+        system, params = generate_instance(GeneratorConfig(seed=21), 3)
+        assert out.read_bytes() == canonical_json(
+            instance_document(system, params, auto_edges=auto_edges)
+        ).encode()
 
 
 def test_certify_campaign_rejects_precision(tmp_path, config_file, capsys):
