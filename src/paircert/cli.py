@@ -48,7 +48,6 @@ from .diagonal import (
 )
 from .harness import (
     GeneratorConfig,
-    canonical_json,
     certify_campaign,
     generate_instance,
     instance_document,
@@ -56,7 +55,7 @@ from .harness import (
     read_json,
     write_campaign_csv,
 )
-from .model import _check_precision
+from .model import TOTIENT, _check_precision
 from .quality import (
     DEGENERATE_EMPTY,
     HOLDS,
@@ -112,7 +111,7 @@ def _cmd_gen(args) -> int:
     config = GeneratorConfig.from_json(read_json(args.config))
     system, params = generate_instance(config, args.index)
     doc = instance_document(system, _override(args, params), auto_edges=args.auto_edges)
-    Path(args.out).write_text(canonical_json(doc))
+    _emit(doc, args.out)
     return 0
 
 
@@ -137,7 +136,7 @@ def _cmd_compress(args) -> int:
     s = slice_system(system, args.p, args.i, args.j)
     slice_doc = instance_document(s.tilde, params)
     if args.out:
-        Path(args.out).write_text(canonical_json(slice_doc))
+        _emit(slice_doc, args.out)
     payload = {"slice": {"p": s.p, "i": s.i, "j": s.j}, "instance": slice_doc}
     rc = 0
     if args.verify:
@@ -217,9 +216,6 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_anatomy(args) -> int:
-    from .model import MultiplicativeFunction
-
-    f = MultiplicativeFunction.totient()
     gamma = _rational(args.gamma, "--gamma", Fraction(2))
     t = _rational(args.t, "--t", Fraction(10))
     K = _rational(args.K, "--K", Fraction(1))
@@ -236,7 +232,7 @@ def _cmd_anatomy(args) -> int:
         }
     elif args.operation == "divisor":
         M = 12 if args.M is None else args.M
-        doc = divisor_chain_report(M, t, K, gamma, f).to_json()
+        doc = divisor_chain_report(M, t, K, gamma, TOTIENT).to_json()
         doc.update({"M": M, "t": str(t), "K": str(K)})
     else:  # mertens
         bits = 256 if args.precision is None else args.precision
