@@ -512,8 +512,8 @@ def ratio_to_log_power(
     """
     _check_precision(precision_bits, "precision_bits")
     t, gamma = _mertens_args(t, gamma)
-    # Log t is the only factor, and one equal to 1 is skipped, so the scale
-    # that point is asked at stays 1
+    # Log t is the only factor, and it has an exact value only when it is
+    # 1, which is skipped, so the scale that point is asked at stays 1
     return _interval_eval(
         _ONE,
         [(log_of(t), 1 - gamma)],

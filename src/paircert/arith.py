@@ -4,7 +4,9 @@ Naturals are plain Python ints (arbitrary precision) with factorizations
 cached process-wide; rationals are ``fractions.Fraction`` (always stored in
 lowest terms with positive denominator).  Every measure-level quantity in
 this package stays exact; intervals enter only for transcendental bound
-factors (e^x, Log t, fractional powers).
+factors (e^x, Log t, fractional powers).  Log t = max(1, ln t) is the exact
+1 for t <= 2 and otherwise the enclosure of ln t with each end clipped at
+1 from below, so no separate test decides whether t < e.
 
 The interval engine represents endpoints as dyadic numbers man * 2**exp
 with directed (outward) rounding, so an :class:`Interval` is a guaranteed
@@ -719,11 +721,11 @@ class Interval:
         return Interval(lo, hi, precision_bits)
 
     @staticmethod
-    def exact_zero(precision_bits: int = 64) -> "Interval":
+    def exact_zero(precision_bits: int) -> "Interval":
         return Interval(_DY_ZERO, _DY_ZERO, precision_bits)
 
     @staticmethod
-    def exact_one(precision_bits: int = 64) -> "Interval":
+    def exact_one(precision_bits: int) -> "Interval":
         return Interval(_DY_ONE, _DY_ONE, precision_bits)
 
     # -- queries ------------------------------------------------------
@@ -733,14 +735,6 @@ class Interval:
 
     def contains(self, x: Rational) -> bool:
         return _dy_cmp_fraction(self.lo, x) <= 0 and _dy_cmp_fraction(self.hi, x) >= 0
-
-    def cmp_fraction(self, x: Rational) -> int:
-        """-1 if entirely below x, 1 if entirely above, else 0 (overlap)."""
-        if _dy_cmp_fraction(self.hi, x) < 0:
-            return -1
-        if _dy_cmp_fraction(self.lo, x) > 0:
-            return 1
-        return 0
 
     def lo_cmp(self, x: Rational) -> int:
         return _dy_cmp_fraction(self.lo, x)
@@ -757,31 +751,28 @@ class Interval:
             precision_bits,
         )
 
-    def add(self, other: "Interval", prec: Optional[int] = None) -> "Interval":
-        p = prec or max(self.precision_bits, other.precision_bits)
+    def add(self, other: "Interval", prec: int) -> "Interval":
         return Interval(
-            _dy_add(self.lo, other.lo, p, _FLOOR),
-            _dy_add(self.hi, other.hi, p, _CEIL),
-            p,
+            _dy_add(self.lo, other.lo, prec, _FLOOR),
+            _dy_add(self.hi, other.hi, prec, _CEIL),
+            prec,
         )
 
-    def sub(self, other: "Interval", prec: Optional[int] = None) -> "Interval":
-        p = prec or max(self.precision_bits, other.precision_bits)
+    def sub(self, other: "Interval", prec: int) -> "Interval":
         return Interval(
-            _dy_sub(self.lo, other.hi, p, _FLOOR),
-            _dy_sub(self.hi, other.lo, p, _CEIL),
-            p,
+            _dy_sub(self.lo, other.hi, prec, _FLOOR),
+            _dy_sub(self.hi, other.lo, prec, _CEIL),
+            prec,
         )
 
-    def mul(self, other: "Interval", prec: Optional[int] = None) -> "Interval":
-        p = prec or max(self.precision_bits, other.precision_bits)
+    def mul(self, other: "Interval", prec: int) -> "Interval":
         a, b = self.lo, other.lo
         if a.man > 0 and b.man > 0:  # both positive: lo * lo and hi * hi are the extremes
             c, d = self.hi, other.hi
             return Interval(
-                _dy_round(a.man * b.man, a.exp + b.exp, p, _FLOOR),
-                _dy_round(c.man * d.man, c.exp + d.exp, p, _CEIL),
-                p,
+                _dy_round(a.man * b.man, a.exp + b.exp, prec, _FLOOR),
+                _dy_round(c.man * d.man, c.exp + d.exp, prec, _CEIL),
+                prec,
             )
         cands = []
         for x in (self.lo, self.hi):
@@ -795,37 +786,36 @@ class Interval:
             if _me_cmp(me, hi) > 0:
                 hi = me
         return Interval(
-            _dy_round(lo[0], lo[1], p, _FLOOR), _dy_round(hi[0], hi[1], p, _CEIL), p
+            _dy_round(lo[0], lo[1], prec, _FLOOR), _dy_round(hi[0], hi[1], prec, _CEIL), prec
         )
 
-    def div(self, other: "Interval", prec: Optional[int] = None) -> "Interval":
-        p = prec or max(self.precision_bits, other.precision_bits)
+    def div(self, other: "Interval", prec: int) -> "Interval":
         slo, shi = other.lo.sign, other.hi.sign
         if slo <= 0 <= shi:
             raise DomainError("division by an interval containing zero")
-        inv_lo = _dy_div(_DY_ONE, other.hi, p + 4, _FLOOR)
-        inv_hi = _dy_div(_DY_ONE, other.lo, p + 4, _CEIL)
-        return self.mul(Interval(inv_lo, inv_hi, p + 4), p)
+        inv_lo = _dy_div(_DY_ONE, other.hi, prec + 4, _FLOOR)
+        inv_hi = _dy_div(_DY_ONE, other.lo, prec + 4, _CEIL)
+        return self.mul(Interval(inv_lo, inv_hi, prec + 4), prec)
 
     # -- transcendental -----------------------------------------------
 
-    def exp(self, prec: Optional[int] = None) -> "Interval":
-        p = prec or self.precision_bits
+    def exp(self, prec: int) -> "Interval":
         lo, hi = self.lo, self.hi
         mags = lo.mag_bits, hi.mag_bits
-        if lo.sign == hi.sign != 0 and -(p + _GUARD) < min(mags) and max(mags) <= _MAG_CAP:
+        if lo.sign == hi.sign != 0 and -(prec + _GUARD) < min(mags) and max(mags) <= _MAG_CAP:
             if lo.sign > 0:
-                return Interval(*_exp_ends(lo, hi, p), p)
-            # e^a = 1 / e^|a| at p + 4 bits, as _exp_dy takes a negative a
-            down, up = _exp_ends(_dy_neg(hi), _dy_neg(lo), p + 4)
-            return Interval(_dy_div(_DY_ONE, up, p, _FLOOR), _dy_div(_DY_ONE, down, p, _CEIL), p)
-        return Interval(_exp_dy(lo, p, _FLOOR), _exp_dy(hi, p, _CEIL), p)
+                return Interval(*_exp_ends(lo, hi, prec), prec)
+            # e^a = 1 / e^|a| at prec + 4 bits, as _exp_dy takes a negative a
+            down, up = _exp_ends(_dy_neg(hi), _dy_neg(lo), prec + 4)
+            return Interval(
+                _dy_div(_DY_ONE, up, prec, _FLOOR), _dy_div(_DY_ONE, down, prec, _CEIL), prec
+            )
+        return Interval(_exp_dy(lo, prec, _FLOOR), _exp_dy(hi, prec, _CEIL), prec)
 
-    def log(self, prec: Optional[int] = None) -> "Interval":
-        p = prec or self.precision_bits
+    def log(self, prec: int) -> "Interval":
         if self.lo.sign <= 0:
             raise DomainError("log of an interval reaching zero")
-        return Interval(*_ln_ends(self.lo, self.hi, p), p)
+        return Interval(*_ln_ends(self.lo, self.hi, prec), prec)
 
     def __repr__(self):
         return f"Interval[{dyadic_str(self.lo)}, {dyadic_str(self.hi)}]@{self.precision_bits}b"
@@ -1070,7 +1060,14 @@ class _ExpOf(BoundExpr):
 
 
 class _LogOf(BoundExpr):
-    """Log t := max(1, ln t) for rational t >= 1."""
+    """Log t := max(1, ln t) for rational t >= 1.
+
+    For t <= 2 it is exactly 1, since ln 2 < 1.  Otherwise its enclosure is
+    the enclosure of ln t with each end raised to 1 where it lies below:
+    max(1, .) is monotone, so the clipped ends enclose max(1, ln t).  For
+    2 < t < e that is the point 1 once the enclosure of ln t lies below 1,
+    and [1, hi] while it still reaches past 1.
+    """
 
     __slots__ = ("t",)
 
@@ -1081,24 +1078,8 @@ class _LogOf(BoundExpr):
         object.__setattr__(self, "t", t)
         super().__init__(("log", t), True)
 
-    def _below_e(self) -> bool:
-        if self.t <= 2:
-            return True
-        return _MEMO.get(("below_e", self.t), self._compare_e)
-
-    def _compare_e(self) -> bool:
-        prec = 64
-        while True:
-            e_iv = _ExpOf(1).enclosure(prec)
-            c = e_iv.cmp_fraction(self.t)
-            if c > 0:  # e > t
-                return True
-            if c < 0:
-                return False
-            prec *= 2  # t rational, e irrational: always separates
-
     def enclosure(self, precision_bits: int) -> Interval:
-        if self.t == 1 or self._below_e():
+        if self.t <= 2:
             return Interval.exact_one(precision_bits)
         return _MEMO.get((self, precision_bits), self._enclose, precision_bits)
 
@@ -1106,13 +1087,12 @@ class _LogOf(BoundExpr):
         iv = Interval.from_fraction(self.t, precision_bits + _GUARD).log(
             precision_bits
         )
-        # certified ln t > 1; clip rounding fuzz from below
-        if _dy_cmp_fraction(iv.lo, 1) < 0:
-            iv = Interval(_DY_ONE, iv.hi, precision_bits)
-        return iv
+        lo = _DY_ONE if _dy_cmp(iv.lo, _DY_ONE) < 0 else iv.lo
+        hi = _DY_ONE if _dy_cmp(iv.hi, _DY_ONE) < 0 else iv.hi
+        return Interval(lo, hi, precision_bits)
 
     def exact_rational(self):
-        return Fraction(1) if (self.t == 1 or self._below_e()) else None
+        return Fraction(1) if self.t <= 2 else None
 
     def __repr__(self):
         return f"log_of({self.t})"
@@ -1263,16 +1243,18 @@ def interval_eval(
 ) -> Interval:
     """Certified enclosure of base * prod(expr_i ^ expo_i).
 
-    Each expr is a rational constant, e^x (exp_of), or Log t (log_of);
-    exponents may be rationals or derived expressions.  Doubling
-    precision_bits never widens the result, and the true value is always
-    enclosed.  Nonpositive bases of fractional powers raise DomainError.
+    Each expr is a rational constant, e^x (exp_of), or Log t (log_of:
+    exactly 1 for t <= 2, else ln t's enclosure with both ends clipped at
+    1 from below); exponents may be rationals or derived expressions.
+    Doubling precision_bits never widens the result, and the true value is
+    always enclosed.  Nonpositive bases of fractional powers raise
+    DomainError.
 
     The enclosure of a factor whose expr and expo have only integer const
     leaves is memoized process-wide in one bounded memo, keyed on (expr,
     expo, working precision), as are the exp_of/log_of leaf enclosures
-    (keyed on the leaf and the precision) and the Log t < e test.  In the
-    package's bound factors such keys carry only the parameter-grid values
+    (keyed on the leaf and the precision).  In the package's bound factors
+    such keys carry only the parameter-grid values
     C, t, K, epsilon, P and small integer constants: a factor carrying a
     measure, such as const(mu(V) mu(W)), has a non-integer const leaf
     (unless the measure is an integer) and is computed afresh, and since an

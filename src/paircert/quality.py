@@ -4,10 +4,11 @@ construction, neighborhoods, and certified evaluation of the main bound
     mu(E) <= (100 e^C)^P (Log t)^{(e^{40C}-1)/2} (mu(V) mu(W) e^{-CK})^{1/2+eps}.
 
 The left side is an exact rational; the right side is a certified interval.
-certify_le decides every such comparison in the package; it is the one
-loop behind a verdict that doubles the precision, until conclusive or
-DEFAULT_PRECISION_CAP = 2^14 bits, the bound of every precision_bits, is
-reached.
+certify_le decides every such comparison in the package; it is the
+package's only loop that raises a precision. It starts at a precision_bits
+in [16, DEFAULT_PRECISION_CAP = 2^14], the domain of every precision_bits,
+and doubles it until conclusive or until the next doubling would pass the
+cap.
 Every verdict string of the package is defined here.
 """
 
@@ -36,7 +37,7 @@ from .arith import (
 from .errors import InvalidParameter
 from .model import (
     DEFAULT_PRECISION_CAP, PairSystem, WeightFunction, _check_precision, _rational, check_fields,
-    fields_to_json, mu_pairs, prime_support,
+    fields_to_json, mu_pairs, prime_support, validate_multiplicative,
 )
 
 HOLDS = "holds"
@@ -56,8 +57,10 @@ def certify_le(
     Returns (verdict, enclosure, bits): HOLDS iff lhs <= enclosure.lo,
     VIOLATED iff lhs > enclosure.hi, both at `bits`; otherwise the precision
     doubles while it stays within DEFAULT_PRECISION_CAP, and the verdict is
-    INCONCLUSIVE at the last precision tried.
+    INCONCLUSIVE at the last precision tried. InvalidParameter unless
+    precision_bits is an int in [16, DEFAULT_PRECISION_CAP].
     """
+    _check_precision(precision_bits, "precision_bits")
     prec = precision_bits
     while True:
         enclosure = interval_eval(base, factors, prec)
@@ -327,8 +330,6 @@ def main_bound_check(
             raise InvalidParameter(
                 f"{len(stray)} edges outside the (t, K) edge set, e.g. {sorted(stray)[0]}"
             )
-        from .model import validate_multiplicative
-
         needed = sorted(
             {
                 (p, e)

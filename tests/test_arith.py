@@ -210,6 +210,33 @@ class TestIntervalEval:
         iv = interval_eval(F(1), [(log_of(F(5, 2)), 3)], 64)
         assert iv.is_point() and iv.contains(1)
 
+    # t = 2, 5/2 and convergents of e below it; t = 3 and convergents above
+    BELOW_E = (F(2), F(5, 2), F(106, 39), F(2721, 1001))
+    ABOVE_E = (F(3), F(193, 71), F(1457, 536))
+
+    @pytest.mark.parametrize("bits", (16, 64, 256))
+    def test_log_around_e(self, bits):
+        """The enclosure holds max(1, ln t), and is the point 1 below e; the
+        exact value is 1 exactly for t <= 2."""
+        for t in self.BELOW_E + self.ABOVE_E:
+            iv = log_of(t).enclosure(bits)
+            assert _contains_ref(iv, max(1, mpmath.log(mpmath.mpf(t.numerator) / t.denominator))), t
+            if t in self.BELOW_E:
+                assert iv.lo == iv.hi == arith._DY_ONE, t
+            else:
+                assert iv.hi_cmp(1) > 0, t
+            assert log_of(t).exact_rational() == (1 if t <= 2 else None), t
+
+    def test_log_just_below_e_is_one_to_hi(self):
+        """A convergent of e about 2^-46 below it: at 16 bits ln t's enclosure
+        reaches past 1, so the clipped enclosure is [1, hi] with hi > 1; at
+        64 bits it is the point 1."""
+        t = F(14665106, 5394991)
+        assert mpmath.mpf(t.numerator) / t.denominator < mpmath.e
+        iv = log_of(t).enclosure(16)
+        assert iv.lo == arith._DY_ONE and iv.hi_cmp(1) > 0
+        assert log_of(t).enclosure(64).is_point()
+
     def test_inverse_e_tight(self):
         iv = interval_eval(F(1), [(exp_of(1), -1)], 128)
         ref = mpmath.exp(-1)
@@ -292,9 +319,9 @@ class TestIntervalEval:
 
     def test_division_by_zero_interval(self):
         a = Interval.from_fraction(F(1), 64)
-        b = Interval.from_fraction(F(-1), 64).add(Interval.from_fraction(F(1), 64))
+        b = Interval.from_fraction(F(-1), 64).add(Interval.from_fraction(F(1), 64), 64)
         with pytest.raises(DomainError):
-            a.div(b)
+            a.div(b, 64)
 
     def test_magnitude_cap(self):
         # (Log 10)^(e^12000) would exceed 2^(2^14) in the exponent
@@ -334,17 +361,27 @@ class TestIntervalOps:
         assert iv.lo_cmp(x) <= 0 <= iv.hi_cmp(x)
         assert not iv.is_point()
 
-    def test_cmp_fraction(self):
-        iv = Interval.from_fraction(F(1, 3), 64)
-        assert iv.cmp_fraction(F(1, 2)) == -1
-        assert iv.cmp_fraction(F(1, 4)) == 1
-        assert iv.cmp_fraction(F(1, 3)) == 0
-
     def test_mul_sign_handling(self):
         a = Interval.from_fraction(F(-3), 64)
         b = Interval.from_fraction(F(2), 64)
-        out = a.mul(b)
+        out = a.mul(b, 64)
         assert out.contains(-6) and out.is_point()
+
+    def test_inverted_ends_and_assignment_are_refused(self):
+        with pytest.raises(InvalidParameter, match="inverted"):
+            Interval(arith._DY_ONE, arith._DY_ZERO, 64)
+        iv = Interval.exact_one(64)
+        with pytest.raises(AttributeError, match="immutable"):
+            iv.lo = arith._DY_ZERO
+        assert iv.lo == arith._DY_ONE
+        assert repr(iv) == "Interval[1.00000000000e+0, 1.00000000000e+0]@64b"
+
+    def test_log_domain(self):
+        with pytest.raises(DomainError, match="reaching zero"):
+            Interval(arith._DY_ZERO, arith._DY_ONE, 64).log(64)
+        with pytest.raises(InvalidParameter, match="t >= 1"):
+            log_of(F(1, 2))
+        assert repr(log_of(F(5, 2))) == "log_of(5/2)"
 
 
 class TestDyadicAdd:
@@ -446,7 +483,7 @@ class TestComparePower:
             prec = 128
             while True:
                 iv = interval_eval(F(1), [(const(b), y)], prec)
-                c = iv.cmp_fraction(r)
+                c = 1 if iv.lo_cmp(r) > 0 else -1 if iv.hi_cmp(r) < 0 else 0
                 if c != 0:
                     assert c == sign
                     break
@@ -1464,7 +1501,7 @@ class TestIntervalMulReference:
             ivs = self._intervals(rng, prec)
             for a in ivs:
                 for b in ivs:
-                    for p in (None, prec + 8):
+                    for p in (prec, prec + 8):
                         got, want = a.mul(b, p), _ref_interval_mul(a, b, p)
                         assert (got.lo, got.hi, got.precision_bits) == (want.lo, want.hi, want.precision_bits), (a, b, p)
 
@@ -1516,7 +1553,7 @@ class TestBoundExprHash:
         for config in (GeneratorConfig(seed=20250809), GeneratorConfig(seed=20250810, f_mode="random")):
             for index in range(25):
                 main_bound_check(*generate_instance(config, index))
-        assert counts == {"get": 178, "compute": 38}
+        assert counts == {"get": 142, "compute": 35}
 
 
 # ---------------------------------------------------------------------------
@@ -1542,7 +1579,6 @@ def _reader_slots():
         ("Interval.from_fraction", lambda x: Interval.from_fraction(x, 64), 3, F(1, 3)),
         ("Interval.lo_cmp", iv.lo_cmp, 0, F(1, 3)),
         ("Interval.hi_cmp", iv.hi_cmp, 1, F(1, 3)),
-        ("Interval.cmp_fraction", iv.cmp_fraction, 0, F(1, 3)),
         ("Interval.contains", iv.contains, 0, F(1, 3)),
         ("const", lambda x: const(x).key, 3, F(3, 2)),
         ("exp_of", lambda x: exp_of(x).enclosure(64), 1, F(1, 2)),
@@ -1601,7 +1637,6 @@ _READER_DIGESTS = {
     "Interval.from_fraction": ("f41772ee6dac53b9", "fd072273c12dc122"),
     "Interval.lo_cmp": ("6b86b273ff34fce1", "1bad6b8cf97131fc"),
     "Interval.hi_cmp": ("1bad6b8cf97131fc", "6b86b273ff34fce1"),
-    "Interval.cmp_fraction": ("6b86b273ff34fce1", "5feceb66ffc86f38"),
     "Interval.contains": ("60a33e6cf5151f2d", "3cbc87c7681f34db"),
     "const": ("85f6157bf134de59", "41ca10bfa64447ff"),
     "exp_of": ("057b87ab97d1d8e8", "240c34d611027d47"),

@@ -448,8 +448,6 @@ class TestGridMemo:
 
     @staticmethod
     def _recompute(key):
-        if key[0] == "below_e":
-            return arith.log_of(key[1])._compare_e()
         if len(key) == 2:
             leaf, prec = key
             return leaf._enclose(prec)
@@ -478,7 +476,7 @@ class TestGridMemo:
         assert {w for *_, w in pieces} == {256 + 32, 1024 + 32}
         for key in entries:
             exprs = [part for part in key if isinstance(part, arith.BoundExpr)]
-            assert exprs or key[0] == "below_e"
+            assert exprs
             for expr in exprs:
                 leaves = self._const_leaves(expr.key)
                 assert expr.integral_consts

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from paircert.arith import Dyadic, Interval, const, interval_eval
+from paircert.arith import Dyadic, Interval, const, exp_of, interval_eval
 from paircert.errors import InvalidParameter
 from paircert.model import PairSystem, TOTIENT, WeightFunction, mu_pairs
 from paircert.quality import (
@@ -379,6 +379,13 @@ class TestCertifyLe:
         got, enclosure, bits = certify_le(F(2), 1, self.SQRT_FOUR, 256)
         assert (got, bits) == (INCONCLUSIVE, DEFAULT_PRECISION_CAP)
         assert enclosure.lo_cmp(2) < 0 < enclosure.hi_cmp(2)
+
+    @pytest.mark.parametrize("bits", [0, -5, 256.0, True, DEFAULT_PRECISION_CAP + 1])
+    def test_start_precision_outside_the_domain_is_rejected(self, bits):
+        """A start precision outside [16, 2^14], or not an int, raises at once;
+        doubling from 0 would never end."""
+        with pytest.raises(InvalidParameter):
+            certify_le(2, 1, [(exp_of(1), 1)], bits)
 
     def test_base_scales_the_product(self):
         assert certify_le(F(3), 2, self.SQRT_FOUR, 256)[0] == HOLDS
