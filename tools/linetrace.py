@@ -1,0 +1,112 @@
+"""Line trace: the executable lines of src/paircert that tier-1 never runs.
+
+Run from anywhere, with the interpreter that runs the tests:
+
+    python tools/linetrace.py --out FILE [-- PYTEST_ARGS...]
+
+It runs the tier-1 suite (tests/, or PYTEST_ARGS) in this process under
+sys.settrace and writes JSON {module: [executable lines never run]} for
+every module of src/paircert to FILE. A line is executable when some code
+object compiled from the file starts a line there. The
+package must not be imported before the trace starts, or its module-level
+lines count as unrun; this script imports it only through the tests.
+Tracing every line makes the suite several times slower, so this is a tool
+to run by hand, not a part of tier-1 (stdlib only, plus pytest).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import threading
+import types
+from pathlib import Path
+from typing import Callable, Iterable
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def executable_lines(path: Path) -> set[int]:
+    """The lines at which some code object compiled from path starts one."""
+    stack = [compile(path.read_text(), str(path), "exec")]
+    lines: set[int] = set()
+    while stack:
+        code = stack.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return lines
+
+
+def run_traced(run: Callable[[], object], files: Iterable[Path]) -> dict[Path, set[int]]:
+    """Runs run() under a line trace; returns the lines it executed in each
+    of files (keyed as given), in every thread that the run starts. The
+    trace functions in place before are put back afterwards, so a trace can
+    run inside another; the outer one misses only the inner run's lines."""
+    executed = {Path(os.path.realpath(f)): set() for f in files}
+    by_name: dict[str, set[int] | None] = {}  # co_filename -> its set, or None
+
+    def lines_of(code) -> set[int] | None:
+        name = code.co_filename
+        try:
+            return by_name[name]
+        except KeyError:
+            by_name[name] = executed.get(Path(os.path.realpath(name)))
+            return by_name[name]
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            lines_of(frame.f_code).add(frame.f_lineno)
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if lines_of(frame.f_code) is not None else None
+
+    outer = sys.gettrace(), threading.gettrace()
+    threading.settrace(on_call)
+    sys.settrace(on_call)
+    try:
+        run()
+    finally:
+        sys.settrace(outer[0])
+        threading.settrace(outer[1])
+    return {f: executed[Path(os.path.realpath(f))] for f in files}
+
+
+def unrun_lines(run: Callable[[], object], package: Path) -> dict[str, list[int]]:
+    """{module: executable lines that run() never executes} for each module
+    of the package directory, named as imported from its parent."""
+    files = sorted(package.rglob("*.py"))
+    executed = run_traced(run, files)
+    out = {}
+    for f in files:
+        parts = f.relative_to(package.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        out[module] = sorted(executable_lines(f) - executed[f])
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="write the JSON here")
+    parser.add_argument("pytest_args", nargs="*", help="arguments for pytest (default: tier-1)")
+    args = parser.parse_args(argv)
+
+    import pytest
+
+    sys.path.insert(0, str(ROOT / "src"))
+    pytest_args = args.pytest_args or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]
+    status = []
+    report = unrun_lines(lambda: status.append(pytest.main(pytest_args)), ROOT / "src" / "paircert")
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    total = sum(map(len, report.values()))
+    print(
+        f"linetrace: {total} unrun lines in {len(report)} modules; pytest exit {status[0]}",
+        file=sys.stderr,
+    )
+    return int(status[0])
+
+
+if __name__ == "__main__":
+    sys.exit(main())
