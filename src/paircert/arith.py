@@ -1188,16 +1188,24 @@ def _power_enclosure(
         mag = max(expo_iv.lo.mag_bits, expo_iv.hi.mag_bits, 0)
     # exp() refuses arguments of magnitude 2^_MAG_CAP; while |ln base| <
     # 2^64 that takes |expo| >= 2^(_MAG_CAP - 64), so only such exponents
-    # are checked before the work at precision w + mag
+    # are checked before the work at precision w + mag.  A base enclosed
+    # by the point 1 is exactly 1 (Log t for 2 < t < e), so its power is 1
+    # before any of that work; one enclosed by [1, hi] (Log t for t near e)
+    # is enclosed once more at w + _MAG_CAP, a cost the cap bounds, first
     if mag > _MAG_CAP - 64:
-        _check_exp_magnitude(base_at(w), expo_r if expo_iv is None else expo_iv, w)
-    if expo_iv is not None and mag > 0:
-        expo_iv = e_expo.enclosure(w + mag)
+        x = base_at(w)
+        if x.lo == _DY_ONE and x.hi != _DY_ONE:
+            x = base_at(w + _MAG_CAP)
+        if x.lo == _DY_ONE and x.hi == _DY_ONE:
+            return Interval.exact_one(w)
+        _check_exp_magnitude(x, expo_r if expo_iv is None else expo_iv, w)
     x = base_at(w + mag)
     if x.lo.sign <= 0:
         raise DomainError("nonpositive base of a fractional power")
     if x.lo == _DY_ONE and x.hi == _DY_ONE:
         return Interval.exact_one(w)
+    if expo_iv is not None and mag > 0:
+        expo_iv = e_expo.enclosure(w + mag)
     if expo_iv is None:
         if expo_r == 0:
             return Interval.exact_one(w)

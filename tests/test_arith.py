@@ -237,6 +237,19 @@ class TestIntervalEval:
         assert iv.lo == arith._DY_ONE and iv.hi_cmp(1) > 0
         assert log_of(t).enclosure(64).is_point()
 
+    @pytest.mark.parametrize("bits", (16, 256))
+    def test_log_below_e_to_a_huge_power_is_one(self, bits):
+        """Log t to the power (e^(40C) - 1)/2 with C = 10^5, an exponent of
+        about 2^(5.8*10^6): below e the factor is the point 1 at once, even
+        for a convergent 2^-76 below e whose enclosure at 16 + 32 bits is
+        [1, hi]; at t = 3 the exp argument's size is refused at once."""
+        expo = (exp_of(40 * 10**5) - 1) / 2
+        for t in (F(5, 2), F(534625820200, 196677847971)):
+            iv = interval_eval(F(1), [(log_of(t), expo)], bits)
+            assert iv.lo == iv.hi == arith._DY_ONE, t
+        with pytest.raises(ResourceLimit):
+            interval_eval(F(1), [(log_of(3), expo)], bits)
+
     def test_inverse_e_tight(self):
         iv = interval_eval(F(1), [(exp_of(1), -1)], 128)
         ref = mpmath.exp(-1)

@@ -308,6 +308,19 @@ class TestMainBound:
         assert rep1.verdict == HOLDS
         assert rep1.lhs == mu_pairs(sys_)
 
+    def test_log_factor_below_e_with_a_huge_c(self):
+        """For 2 < t < e the Log t factor is exactly 1, so with C = 10^5 the
+        right side is the one at t = 2 bit for bit, and it comes at once."""
+        psi = WeightFunction({3: F(1, 3)})
+        sys_ = PairSystem(psi, psi, TOTIENT, TOTIENT, {(3, 3)})
+        for bits in (16, 256):
+            params = dict(epsilon=F(1, 4), C=F(10**5), K=F(0), p0=2, precision_bits=bits)
+            at_two = main_bound_check(sys_, Params(t=F(2), **params))
+            for t in (F(5, 2), F(534625820200, 196677847971)):
+                rep = main_bound_check(sys_, Params(t=t, **params))
+                assert rep.verdict == at_two.verdict == HOLDS, t
+                assert (rep.rhs.lo, rep.rhs.hi) == (at_two.rhs.lo, at_two.rhs.hi), t
+
     def test_corpus_holds(self):
         for system, params in make_corpus(31, 20):
             rep = main_bound_check(system, params)
