@@ -24,12 +24,9 @@ from .quality import (
     certify_le,
     d_value,
     main_bound_check,
-    neighborhood,
     omega_t,
-    p_value,
     prime_support,
     restrict,
-    w_neighborhood,
 )
 from .compress import Slice, slice_system, verify_slice_identities
 from .diagonal import (
@@ -63,7 +60,6 @@ from .resolution import (
     SSums,
     build_decomposition,
     check_structured,
-    coprime_part,
     decompose,
     resolution_check,
     s_majorant,

@@ -148,6 +148,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if isqrt(n) <= _sieve_limit:  # every prime up to isqrt(n) was tried
+        return True
     raise ResourceLimit(f"primality of {n} needs primes beyond the sieve cap")
 
 
@@ -960,7 +962,8 @@ class BoundExpr:
             return self._hash
 
     def enclosure(self, precision_bits: int) -> Interval:
-        raise NotImplementedError
+        """A leaf's _enclose, memoized on (leaf, precision)."""
+        return _MEMO.get((self, precision_bits), self._enclose, precision_bits)
 
     def exact_rational(self) -> Optional[Fraction]:
         return None
@@ -1042,11 +1045,6 @@ class _ExpOf(BoundExpr):
         object.__setattr__(self, "x", x)
         super().__init__(("exp", x), True)
 
-    def enclosure(self, precision_bits: int) -> Interval:
-        if self.x == 0:
-            return Interval.exact_one(precision_bits)
-        return _MEMO.get((self, precision_bits), self._enclose, precision_bits)
-
     def _enclose(self, precision_bits: int) -> Interval:
         return Interval.from_fraction(self.x, precision_bits + _GUARD).exp(
             precision_bits
@@ -1062,11 +1060,13 @@ class _ExpOf(BoundExpr):
 class _LogOf(BoundExpr):
     """Log t := max(1, ln t) for rational t >= 1.
 
-    For t <= 2 it is exactly 1, since ln 2 < 1.  Otherwise its enclosure is
-    the enclosure of ln t with each end raised to 1 where it lies below:
-    max(1, .) is monotone, so the clipped ends enclose max(1, ln t).  For
-    2 < t < e that is the point 1 once the enclosure of ln t lies below 1,
-    and [1, hi] while it still reaches past 1.
+    Its enclosure always comes from the clip: the enclosure of ln t with
+    each end raised to 1 where it lies below.  max(1, .) is monotone, so
+    the clipped ends enclose max(1, ln t).  For t <= 2 that is the point 1
+    (ln 2 < 1), and Log t is exact there: exact_rational() answers 1 first,
+    so interval_eval takes it as the exact 1.  For 2 < t < e the enclosure
+    is the point 1 once that of ln t lies below 1, and [1, hi] while it
+    still reaches past 1.
     """
 
     __slots__ = ("t",)
@@ -1077,11 +1077,6 @@ class _LogOf(BoundExpr):
             raise InvalidParameter(f"Log t requires t >= 1, got {t}")
         object.__setattr__(self, "t", t)
         super().__init__(("log", t), True)
-
-    def enclosure(self, precision_bits: int) -> Interval:
-        if self.t <= 2:
-            return Interval.exact_one(precision_bits)
-        return _MEMO.get((self, precision_bits), self._enclose, precision_bits)
 
     def _enclose(self, precision_bits: int) -> Interval:
         iv = Interval.from_fraction(self.t, precision_bits + _GUARD).log(

@@ -95,9 +95,10 @@ class GeneratorConfig:
             raise InvalidParameter("bad support size bounds")
         if self.support_max > SUPPORT_CAP:
             raise ResourceLimit(f"support_max {self.support_max} exceeds cap {SUPPORT_CAP}")
-        for name in ("value_numerator_bound", "max_exponent", "element_bound"):
-            if getattr(self, name) < 1:
-                raise InvalidParameter(f"{name} {getattr(self, name)} is below 1")
+        least = {"value_numerator_bound": 1, "max_exponent": 1, "element_bound": 1, "prime_pool_bound": 2}
+        for name, bound in least.items():
+            if getattr(self, name) < bound:
+                raise InvalidParameter(f"{name} {getattr(self, name)} is below {bound}")
 
     def to_json(self) -> dict:
         return fields_to_json(self)
@@ -187,8 +188,6 @@ def generate_instance(
     rng = _instance_rng(config, index)
     params = config.params or _draw_params(rng)
     pool = primes_upto(config.prime_pool_bound)
-    if not pool:
-        raise InvalidParameter("prime pool is empty")
     v_support = _draw_support(rng, config, pool)
     w_support = _draw_support(rng, config, pool)
     if not v_support or not w_support:

@@ -239,16 +239,6 @@ def build_edge_set_bruteforce(
     return frozenset(out)
 
 
-def neighborhood(edges: Iterable[tuple[int, int]], v: int) -> frozenset[int]:
-    """Gamma_E(v) = {w : (v,w) in E}."""
-    return frozenset(w for a, w in edges if a == v)
-
-
-def w_neighborhood(edges: Iterable[tuple[int, int]], w: int) -> frozenset[int]:
-    """Gamma_E(w) = {v : (v,w) in E}."""
-    return frozenset(v for v, b in edges if b == w)
-
-
 def restrict(edges: Iterable[tuple[int, int]]) -> tuple[frozenset[int], frozenset[int]]:
     """Projections (E|_V, E|_W): vertices with nonempty neighborhoods."""
     vs, ws = set(), set()
@@ -256,13 +246,6 @@ def restrict(edges: Iterable[tuple[int, int]]) -> tuple[frozenset[int], frozense
         vs.add(v)
         ws.add(w)
     return frozenset(vs), frozenset(ws)
-
-
-def p_value(psi: WeightFunction, theta: WeightFunction, p0: int) -> int:
-    """P = p0 + #(prime support inside [1, p0])."""
-    if p0 < 1:
-        raise InvalidParameter(f"p0 must be >= 1, got {p0}")
-    return _p_exponent(prime_support(psi, theta), p0)
 
 
 def _p_exponent(primes: Iterable[int], p0: int) -> int:

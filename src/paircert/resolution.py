@@ -69,15 +69,6 @@ def _parts(x: int, N: int, off: dict[int, int]) -> tuple[int, int]:
     return minus, prod(p for p, d in off.items() if d > 0)
 
 
-def coprime_part(N: int, x: int) -> int:
-    """N_x = prod over p | N with p coprime to x of p^(nu_p(N))."""
-    out = 1
-    for p, e in factorize(N):
-        if x % p != 0:
-            out *= p**e
-    return out
-
-
 def check_structured(
     edges: Iterable[tuple[int, int]], N: int
 ) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -376,23 +367,13 @@ def resolution_check(
         if vm * vp * wm * wp != (v * w) // (g * g):
             four_factor_ok = False
             witnesses.setdefault("four_factor", (v, w))
+        # psi(v) <= 1/(v- w+), theta(w) <= 1/(v+ w-); on the edges (v, w0)
+        # and (v0(w), w) these are the extremal bounds the sums rest on
         if _exceeds_one(psi(v), vm * wp) or _exceeds_one(theta(w), vp * wm):
             pointwise_ok = False
             witnesses.setdefault("pointwise", (v, w))
 
     sums = _s_sums(system, dec, w_adj, params.t, params.K)
-    # extremal pointwise bounds: psi(v) <= 1/(v- w0+) on Gamma(w0),
-    # theta(w) <= 1/(v0+(w) w-) on all of W'
-    w0 = sums.w0
-    w0_plus = dec.w_parts[w0][1]
-    for v in sorted(w_adj[w0]):
-        if _exceeds_one(psi(v), dec.v_parts[v][0] * w0_plus):
-            pointwise_ok = False
-            witnesses.setdefault("pointwise_extremal", ("v", v))
-    for w in sorted(w_adj):
-        if _exceeds_one(theta(w), dec.v_parts[sums.v0[w]][1] * dec.w_parts[w][0]):
-            pointwise_ok = False
-            witnesses.setdefault("pointwise_extremal", ("w", w))
 
     mu_e = Fraction(mu_e_num, V.den * W.den)
     mu_v, mu_w = Fraction(own[0], V.den), Fraction(own[1], W.den)

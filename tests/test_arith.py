@@ -103,6 +103,42 @@ class TestPrimes:
         with pytest.raises(ResourceLimit):
             primes_upto(cap + 1)
 
+    def test_is_prime_under_a_tiny_sieve_cap(self, monkeypatch):
+        """Under a cap of 100 with the sieve reset: n above the sieve but
+        within the cap grows the sieve to the cap; n past the cap is decided
+        by trial division while isqrt(n) is within the cap, the primes
+        between 97^2 and 101^2 included, and raises ResourceLimit past it."""
+        monkeypatch.setenv("PAIRCERT_SIEVE_CAP", "100")
+        for name, value in (("_sieve_limit", 0), ("_is_prime", bytearray()), ("_primes", [])):
+            monkeypatch.setattr(arith, name, value)
+        assert is_prime(89)
+        assert arith._sieve_limit == 100
+        below = _trial_division_primes(100)
+        assert [n for n in range(101) if is_prime(n)] == below
+
+        def trial_division(n):
+            return all(n % p for p in below if p * p <= n)
+
+        for n in range(101, 101**2):
+            assert is_prime(n) == trial_division(n), n
+        assert arith._sieve_limit == 100
+        assert not is_prime(101**2 + 1)
+        with pytest.raises(ResourceLimit, match=f"primality of {101**2} needs primes"):
+            is_prime(101**2)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [("ten", "PAIRCERT_SIEVE_CAP not an integer: 'ten'"), ("9", "sieve cap must be at least 10")],
+    )
+    def test_malformed_sieve_cap_rejected(self, raw, message, monkeypatch):
+        monkeypatch.setenv("PAIRCERT_SIEVE_CAP", raw)
+        for name, value in (("_sieve_limit", 0), ("_is_prime", bytearray()), ("_primes", [])):
+            monkeypatch.setattr(arith, name, value)
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
+            arith.sieve_cap()
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
+            is_prime(89)
+
 
 class TestFactorize:
     def test_one_gives_empty_product(self):

@@ -415,6 +415,9 @@ PARAMS_DOC = {"epsilon": "1/4", "C": "1", "t": "10", "K": "0"}
         {"max_exponent": 0},
         {"value_numerator_bound": 0},
         {"element_bound": 0},
+        {"prime_pool_bound": 0},
+        {"prime_pool_bound": 1},
+        {"prime_pool_bound": -5},
         {"support_min": 10**6, "support_max": 10**6},
         {"params": {**PARAMS_DOC, "epsilon": 0.1}},
         {"params": {**PARAMS_DOC, "K": True}},
@@ -435,6 +438,9 @@ PARAMS_DOC = {"epsilon": "1/4", "C": "1", "t": "10", "K": "0"}
         "zero-max-exponent",
         "zero-value-numerator-bound",
         "zero-element-bound",
+        "zero-prime-pool-bound",
+        "one-prime-pool-bound",
+        "negative-prime-pool-bound",
         "support-max-past-cap",
         "float-epsilon",
         "bool-k",

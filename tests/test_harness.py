@@ -95,6 +95,21 @@ class TestGenerator:
         with pytest.raises(InvalidParameter, match=f"{name} 0 is below 1"):
             GeneratorConfig(**{name: 0})
 
+    @pytest.mark.parametrize("value", [0, 1, -5])
+    def test_prime_pool_bound_below_two_rejected(self, value):
+        """A pool bound below 2 holds no prime; it is refused when the
+        config is built, not later in generate_instance."""
+        with pytest.raises(InvalidParameter, match=rf"^prime_pool_bound {value} is below 2$"):
+            GeneratorConfig(prime_pool_bound=value)
+
+    def test_round_trip_with_params(self):
+        """A config that carries Params writes them through their own
+        to_json and reads them back."""
+        cfg = GeneratorConfig(seed=5, params=small_params(t=F(7, 2), K=F(3)))
+        doc = cfg.to_json()
+        assert doc["params"] == cfg.params.to_json()
+        assert GeneratorConfig.from_json(json.loads(json.dumps(doc))) == cfg
+
     @pytest.mark.parametrize("value", [0.5, True])
     def test_float_or_bool_density_rejected(self, value):
         with pytest.raises(InvalidParameter, match="is not an exact rational"):

@@ -61,3 +61,27 @@ def test_a_trace_inside_another_puts_the_outer_one_back(tmp_path):
 
     assert linetrace.run_traced(run, [module]) == {module: {1}}
     assert inner == [{module: {1}}]
+
+
+def test_newly_unrun_lines_match_on_module_and_text(tmp_path):
+    package = tmp_path / "tracedpkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("x = 1\n")
+    (package / "sample.py").write_text(SAMPLE)
+    known = {"tracedpkg.sample": [{"text": 'return "other"', "reason": "pick(x) is run with x > 0 only"}]}
+    report = {"tracedpkg": [], "tracedpkg.sample": [7]}
+    assert linetrace.newly_unrun(report, package, known) == []
+
+    # lines added above move the listed line; it still matches on its text
+    (package / "sample.py").write_text("# a comment\n\n" + SAMPLE)
+    assert linetrace.newly_unrun({"tracedpkg.sample": [9]}, package, known) == []
+
+    # a second unrun copy of a listed text, and a line not listed at all
+    report = {"tracedpkg": [1], "tracedpkg.sample": [8, 9]}
+    assert linetrace.newly_unrun(report, package, known) == [
+        "tracedpkg:1: x = 1",
+        'tracedpkg.sample:8: return "positive"',
+    ]
+    assert linetrace.newly_unrun({"tracedpkg.sample": [9, 9]}, package, known) == [
+        'tracedpkg.sample:9: return "other"'
+    ]

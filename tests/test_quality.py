@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from paircert.arith import Dyadic, Interval, const, exp_of, interval_eval
+from paircert.diagonal import adjacency
 from paircert.errors import InvalidParameter
-from paircert.model import PairSystem, TOTIENT, WeightFunction, mu_pairs
+from paircert.model import MultiplicativeFunction, PairSystem, TOTIENT, WeightFunction, mu_pairs
 from paircert.quality import (
     BoundReport,
     DEFAULT_PRECISION_CAP,
@@ -16,18 +17,16 @@ from paircert.quality import (
     INCONCLUSIVE,
     VIOLATED,
     Params,
+    _p_exponent,
     build_edge_set,
     build_edge_set_bruteforce,
     certify_le,
     d_value,
     main_bound_check,
-    neighborhood,
     omega_t,
-    p_value,
     prime_support,
     restrict,
     stray_edges,
-    w_neighborhood,
 )
 from conftest import make_corpus, small_params
 
@@ -237,13 +236,14 @@ class TestEdgeSets:
 
 class TestNeighborhoods:
     def test_empty(self):
-        assert neighborhood(frozenset(), 3) == frozenset()
+        assert adjacency(frozenset()) == ({}, {})
         assert restrict(frozenset()) == (frozenset(), frozenset())
 
     def test_lookup_and_projection(self):
         E = {(2, 2), (3, 9)}
-        assert neighborhood(E, 3) == {9}
-        assert w_neighborhood(E, 9) == {3}
+        v_adj, w_adj = adjacency(E)
+        assert v_adj[3] == {9}
+        assert w_adj[9] == {3}
         assert restrict(E) == ({2, 3}, {2, 9})
 
     def test_projection_reads_a_one_shot_iterator_once(self):
@@ -252,27 +252,28 @@ class TestNeighborhoods:
     def test_projection_consistency(self):
         for system, _ in make_corpus(55, 10):
             vs, ws = restrict(system.edges)
+            v_adj, w_adj = adjacency(system.edges)
             for v, w in system.edges:
                 assert v in vs and w in ws
-                assert w in neighborhood(system.edges, v)
-                assert v in w_neighborhood(system.edges, w)
+                assert w in v_adj[v]
+                assert v in w_adj[w]
 
 
 class TestPValue:
     def test_empty_supports(self):
         psi = WeightFunction({})
-        assert p_value(psi, psi, 100) == 100
+        assert _p_exponent(prime_support(psi, psi), 100) == 100
 
     def test_counting(self):
         psi = WeightFunction({2: F(1, 2), 101: F(1, 101)})
         theta = WeightFunction({3: F(1, 3)})
         assert prime_support(psi, theta) == (2, 3, 101)
-        assert p_value(psi, theta, 100) == 102
+        assert _p_exponent(prime_support(psi, theta), 100) == 102
 
     def test_none_below(self):
         psi = WeightFunction({101: F(1, 101)})
         theta = WeightFunction({101: F(1, 101)})
-        assert p_value(psi, theta, 100) == 100
+        assert _p_exponent(prime_support(psi, theta), 100) == 100
 
 
 class TestMainBound:
@@ -331,6 +332,20 @@ class TestMainBound:
         theta = WeightFunction({2: F(1, 2)})
         sys_ = PairSystem(psi, theta, TOTIENT, TOTIENT, {(3, 2)})
         with pytest.raises(InvalidParameter):
+            main_bound_check(sys_, small_params(), verify_preconditions=True)
+
+    @pytest.mark.parametrize("side", ["f", "g"])
+    def test_precondition_rejects_f_or_g_above_the_divisor_bound(self, side):
+        """f(2) = 2 gives (1*f)(2) = 3 > 2 on an edge inside the edge set."""
+        psi = WeightFunction({2: F(1, 2)})
+        bad = MultiplicativeFunction({(2, 1): 2})
+        f, g = (bad, TOTIENT) if side == "f" else (TOTIENT, bad)
+        sys_ = PairSystem(psi, psi, f, g, {(2, 2)})
+        assert main_bound_check(sys_, small_params()).verdict == HOLDS
+        with pytest.raises(
+            InvalidParameter,
+            match=rf"^{side} violates \(1\*f\)\(p\^a\) <= p\^a: \(\(2, 1, Fraction\(3, 1\)\),\)$",
+        ):
             main_bound_check(sys_, small_params(), verify_preconditions=True)
 
     def test_verdict_matches_endpoints(self):

@@ -12,12 +12,13 @@ from paircert.arith import Interval
 from paircert.diagonal import concentrate, peel
 from paircert.errors import InvalidParameter, NotStructured
 from paircert.model import PairSystem, TOTIENT, WeightFunction, mu_pairs
-from paircert.quality import build_edge_set, main_bound_check, omega_t, restrict
+from paircert.quality import build_edge_set, d_value, main_bound_check, omega_t, restrict
+from paircert import resolution
 from paircert.resolution import (
+    Decomposition,
     SSums,
     build_decomposition,
     check_structured,
-    coprime_part,
     decompose,
     resolution_check,
     s_majorant,
@@ -63,11 +64,6 @@ class TestDecompose:
                 continue
             assert v * minus == N * plus
             assert gcd(minus, plus) == 1
-
-    def test_coprime_part(self):
-        assert coprime_part(12, 2) == 3
-        assert coprime_part(12, 5) == 12
-        assert coprime_part(1, 7) == 1
 
 
 class TestCheckStructured:
@@ -282,6 +278,74 @@ class TestResolutionCheck:
             assert rep.verdict == "holds", rep.to_json()
             checked += 1
         assert checked >= 10
+
+
+class TestResolutionFailureBranches:
+    """Each structural check of resolution_check fails on its own witness.
+    The edge (2, 1) (or (1, 2)) with N = 1 and weights 1/8 passes every
+    precondition and holds; build_decomposition is then patched to return
+    parts that are wrong at one vertex, leaving mu(E)^2 <= rhs, so only the
+    broken check can make the verdict VIOLATED."""
+
+    @staticmethod
+    def _check(monkeypatch, edge, v_parts, w_parts):
+        (v, w), weight = edge, F(1, 8)
+        sys_ = PairSystem(WeightFunction({v: weight}), WeightFunction({w: weight}), TOTIENT, TOTIENT, {edge})
+        params = small_params(t=F(1))
+        assert resolution_check(sys_, sys_.edges, 1, params).verdict == "holds"
+        monkeypatch.setattr(
+            resolution, "build_decomposition", lambda E, N: Decomposition(N, v_parts, w_parts)
+        )
+        rep = resolution_check(sys_, sys_.edges, 1, params)
+        assert rep.preconditions == {"structured": True, "combinatorial": True, "containment": True}
+        assert rep.lhs_squared <= rep.rhs_exact
+        assert rep.verdict == "violated"
+        return rep
+
+    @pytest.mark.parametrize(
+        "edge, v_parts, w_parts, witness",
+        [((2, 1), {2: (2, 1)}, {1: (1, 1)}, ("v", 2)), ((1, 2), {1: (1, 1)}, {2: (2, 1)}, ("w", 2))],
+        ids=["v", "w"],
+    )
+    def test_reconstruction(self, monkeypatch, edge, v_parts, w_parts, witness):
+        """x- and x+ swapped: x x- = N x+ fails, the parts stay coprime and
+        their product stays vw/gcd^2."""
+        rep = self._check(monkeypatch, edge, v_parts, w_parts)
+        assert not rep.reconstruction_ok
+        assert rep.coprime_ok and rep.four_factor_ok and rep.pointwise_ok
+        assert rep.witnesses == {"reconstruction": witness}
+
+    def test_coprime(self, monkeypatch):
+        """Both parts of v times 3: the reconstruction still holds, and the
+        shared 3 also breaks the product, since vw/gcd^2 is squarefree."""
+        rep = self._check(monkeypatch, (2, 1), {2: (3, 6)}, {1: (1, 1)})
+        assert not rep.coprime_ok and not rep.four_factor_ok
+        assert rep.reconstruction_ok and rep.pointwise_ok
+        assert rep.witnesses == {"coprime": (2, 1, 3, 6), "four_factor": (2, 1)}
+
+    def test_four_factor(self, monkeypatch):
+        """v+ times 3: the product is 6, not vw/gcd^2 = 2."""
+        rep = self._check(monkeypatch, (2, 1), {2: (1, 6)}, {1: (1, 1)})
+        assert not rep.four_factor_ok and not rep.reconstruction_ok
+        assert rep.coprime_ok and rep.pointwise_ok
+        assert rep.witnesses == {"reconstruction": ("v", 2), "four_factor": (2, 1)}
+
+    def test_pointwise(self, monkeypatch):
+        """theta(1) = 1 puts (2, 1) at D = 2 > 1, so theta(w) v+ w- = 2 > 1;
+        containment would refuse the edge, so stray_edges is patched to
+        report none."""
+        sys_ = PairSystem(WeightFunction({2: F(1, 2)}), WeightFunction({1: F(1)}), TOTIENT, TOTIENT, {(2, 1)})
+        params = small_params(t=F(1))
+        assert d_value(2, 1, sys_.psi, sys_.theta) == 2
+        assert resolution_check(sys_, sys_.edges, 1, params).verdict == "precondition-failed"
+        monkeypatch.setattr(resolution, "stray_edges", lambda *args: frozenset())
+        rep = resolution_check(sys_, sys_.edges, 1, params)
+        assert rep.preconditions == {"structured": True, "combinatorial": True, "containment": True}
+        assert rep.lhs_squared <= rep.rhs_exact
+        assert rep.verdict == "violated"
+        assert not rep.pointwise_ok
+        assert rep.reconstruction_ok and rep.coprime_ok and rep.four_factor_ok
+        assert rep.witnesses == {"pointwise": (2, 1)}
 
 
 class TestMajorant:

@@ -2,7 +2,7 @@
 
 Run from anywhere, with the interpreter that runs the tests:
 
-    python tools/linetrace.py --out FILE [-- PYTEST_ARGS...]
+    python tools/linetrace.py [--out FILE] [--against tools/unrun.json] [-- PYTEST_ARGS...]
 
 It runs the tier-1 suite (tests/, or PYTEST_ARGS) in this process under
 sys.settrace and writes JSON {module: [executable lines never run]} for
@@ -12,6 +12,12 @@ package must not be imported before the trace starts, or its module-level
 lines count as unrun; this script imports it only through the tests.
 Tracing every line makes the suite several times slower, so this is a tool
 to run by hand, not a part of tier-1 (stdlib only, plus pytest).
+
+With --against, the unrun lines are compared with a list of the lines
+known to stay unrun, {module: [{"text": stripped line, "reason": why}]},
+and the exit status is 1 when some line is newly unrun; each such line is
+named on stderr. Lines match on their module and stripped text, counted,
+so an edit above a listed line does not move it off the list.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import os
 import sys
 import threading
 import types
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -74,22 +81,46 @@ def run_traced(run: Callable[[], object], files: Iterable[Path]) -> dict[Path, s
     return {f: executed[Path(os.path.realpath(f))] for f in files}
 
 
+def modules(package: Path) -> dict[str, Path]:
+    """{module: its file} for each module of the package directory, named
+    as imported from its parent."""
+    out = {}
+    for f in sorted(package.rglob("*.py")):
+        parts = f.relative_to(package.parent).with_suffix("").parts
+        out[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = f
+    return out
+
+
 def unrun_lines(run: Callable[[], object], package: Path) -> dict[str, list[int]]:
     """{module: executable lines that run() never executes} for each module
-    of the package directory, named as imported from its parent."""
-    files = sorted(package.rglob("*.py"))
-    executed = run_traced(run, files)
-    out = {}
-    for f in files:
-        parts = f.relative_to(package.parent).with_suffix("").parts
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        out[module] = sorted(executable_lines(f) - executed[f])
+    of the package directory (see modules)."""
+    files = modules(package)
+    executed = run_traced(run, files.values())
+    return {module: sorted(executable_lines(f) - executed[f]) for module, f in files.items()}
+
+
+def newly_unrun(report: dict[str, list[int]], package: Path, known: dict[str, list[dict]]) -> list[str]:
+    """"module:line: text" for each unrun line of report (as unrun_lines
+    gives it for package) past the count of its (module, stripped text) in
+    known."""
+    budget = Counter((module, entry["text"]) for module, entries in known.items() for entry in entries)
+    files = modules(package)
+    out = []
+    for module, lines in report.items():
+        texts = files[module].read_text().splitlines()
+        for line in lines:
+            text = texts[line - 1].strip()
+            if budget[module, text] > 0:
+                budget[module, text] -= 1
+            else:
+                out.append(f"{module}:{line}: {text}")
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="write the JSON here")
+    parser.add_argument("--out", help="write the JSON here")
+    parser.add_argument("--against", help="fail on a line not listed in this JSON (tools/unrun.json)")
     parser.add_argument("pytest_args", nargs="*", help="arguments for pytest (default: tier-1)")
     args = parser.parse_args(argv)
 
@@ -98,13 +129,21 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     pytest_args = args.pytest_args or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]
     status = []
-    report = unrun_lines(lambda: status.append(pytest.main(pytest_args)), ROOT / "src" / "paircert")
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    package = ROOT / "src" / "paircert"
+    report = unrun_lines(lambda: status.append(pytest.main(pytest_args)), package)
+    if args.out:
+        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     total = sum(map(len, report.values()))
     print(
         f"linetrace: {total} unrun lines in {len(report)} modules; pytest exit {status[0]}",
         file=sys.stderr,
     )
+    if args.against:
+        new = newly_unrun(report, package, json.loads(Path(args.against).read_text()))
+        for entry in new:
+            print(f"linetrace: newly unrun {entry}", file=sys.stderr)
+        if new:
+            return 1
     return int(status[0])
 
 
