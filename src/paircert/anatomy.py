@@ -22,6 +22,8 @@ from .arith import (
     Rational,
     _bracket_point,
     _interval_eval,
+    _rational,
+    _t_floor,
     const,
     coprime_fraction,
     divisors,
@@ -33,7 +35,7 @@ from .arith import (
     primes_upto,
 )
 from .errors import InvalidParameter, ResourceLimit
-from .model import MultiplicativeFunction, _check_precision, _rational
+from .model import MultiplicativeFunction, _check_precision
 
 ENUMERATION_CAP = 2_000_000
 # omega_t(n) <= 7 below 2*3*5*7*11*13*17*19: the sieve's bytes and the
@@ -42,14 +44,6 @@ assert ENUMERATION_CAP < 9_699_690
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def small_prime_bound(t: Rational) -> int:
-    """floor(t), for a caller that counts omega_t of many integers to floor t
-    once. No Fraction is made of t: a float or bool t raises InvalidParameter."""
-    if isinstance(t, (bool, float)):
-        raise InvalidParameter(f"{t!r} is not an exact rational")
-    return math.floor(t)
 
 
 def _check_M(M) -> None:
@@ -61,9 +55,8 @@ def _check_M(M) -> None:
 
 
 def small_prime_divisor_count(n: int, t: Rational) -> int:
-    """omega_t(n) = #{p <= t : p | n} (the single-integer anatomy count),
-    with t read through small_prime_bound."""
-    bound = small_prime_bound(t)
+    """omega_t(n) = #{p <= t : p | n} (the single-integer anatomy count)."""
+    bound = _t_floor(t)
     if bound < 2:
         return 0
     return sum(1 for p, _ in factorize(n) if p <= bound)
@@ -149,35 +142,32 @@ def _omega_histogram(x: int, t: int) -> tuple[int, ...]:
     return tuple(hist)
 
 
-def count_many_small_primes(x: Rational, t: Rational, K: Rational) -> int:
-    """#{n <= x : omega_t(n) >= K}, by exact enumeration."""
-    x, t, K = _rational(x), _rational(t), _rational(K)
-    if x < 1:
-        raise InvalidParameter(f"count requires x >= 1, got {x}")
-    if t < 1:
-        raise InvalidParameter(f"count requires t >= 1, got {t}")
-    xi = math.floor(x)
+def _enumeration_bound(x: Rational) -> int:
+    """floor(x) for the bound x >= 1 of an enumeration of n <= x, x read by
+    _rational; InvalidParameter below 1, ResourceLimit past ENUMERATION_CAP."""
+    xi = math.floor(_rational(x))
+    if xi < 1:
+        raise InvalidParameter(f"x must be >= 1, got {_rational(x)}")
     if xi > ENUMERATION_CAP:
         raise ResourceLimit(f"enumeration bound {xi} exceeds cap {ENUMERATION_CAP}")
+    return xi
+
+
+def count_many_small_primes(x: Rational, t: Rational, K: Rational) -> int:
+    """#{n <= x : omega_t(n) >= K}, by exact enumeration."""
+    xi, bound, K = _enumeration_bound(x), _t_floor(t), _rational(K)
     if K <= 0:
         return xi
-    return sum(_omega_histogram(xi, math.floor(t))[math.ceil(K) :])
+    return sum(_omega_histogram(xi, bound)[math.ceil(K) :])
 
 
 def rankin_sum(x: Rational, t: Rational, gamma: Rational) -> Fraction:
     """sum_{n <= x} gamma^(omega_t(n)), exactly."""
-    x, t, gamma = _rational(x), _rational(t), _rational(gamma)
-    if x < 1:
-        raise InvalidParameter(f"rankin_sum requires x >= 1, got {x}")
-    if t < 1:
-        raise InvalidParameter(f"rankin_sum requires t >= 1, got {t}")
+    xi, bound, gamma = _enumeration_bound(x), _t_floor(t), _rational(gamma)
     if gamma <= 0:
         raise InvalidParameter(f"gamma must be positive, got {gamma}")
-    xi = math.floor(x)
-    if xi > ENUMERATION_CAP:
-        raise ResourceLimit(f"enumeration bound {xi} exceeds cap {ENUMERATION_CAP}")
     total = _ZERO
-    for c, reps in enumerate(_omega_histogram(xi, math.floor(t))):
+    for c, reps in enumerate(_omega_histogram(xi, bound)):
         total += reps * gamma**c
     return total
 
@@ -212,7 +202,7 @@ def divisor_anatomy_sum(
     """
     _check_M(M)
     need = math.ceil(_rational(K))  # an integer count is >= K iff >= ceil(K)
-    bound = math.floor(_rational(t))
+    bound = _t_floor(t)
     fac = factorize(M)
     small = [p for p, _ in fac if p <= bound]
     asks = []  # (the first m that needs f(p^j), the index of p in fac, p, j)
@@ -239,10 +229,10 @@ def rankin_divisor_sum(
 ) -> Fraction:
     """sum over mn = M of gamma^(omega_t(m)) f(n), by divisor enumeration."""
     _check_M(M)
-    t, gamma = _rational(t), _rational(gamma)
+    bound, gamma = _t_floor(t), _rational(gamma)
     total = _ZERO
     for m in divisors(M):
-        total += gamma ** small_prime_divisor_count(m, t) * f(M // m)
+        total += gamma ** small_prime_divisor_count(m, bound) * f(M // m)
     return total
 
 
@@ -255,8 +245,7 @@ def rankin_divisor_product(
         p >  t:  (1*f)(p^v)
     """
     _check_M(M)
-    gamma = _rational(gamma)
-    bound = math.floor(_rational(t))
+    bound, gamma = _t_floor(t), _rational(gamma)
     out = _ONE
     for p, e in factorize(M):
         full = f.one_star_prime_power(p, e)
@@ -281,7 +270,7 @@ def divisor_anatomy_bound(
     if gamma <= 1:
         raise InvalidParameter(f"gamma must exceed 1, got {gamma}")
     K = _rational(K)
-    bound = math.floor(_rational(t))
+    bound = _t_floor(t)
     a, b = gamma.numerator, gamma.denominator
     num, den = M, 1  # 1 + (gamma - 1)/p = (p b + a - b)/(p b)
     for p, _ in factorize(M):
@@ -337,14 +326,12 @@ _BAND_MISS = bytes.maketrans(b"\2\3", b"\1\0")
 _BAND_HIT = bytes.maketrans(b"\2\3", b"\0\1")
 
 
-def _mertens_args(t: Rational, gamma: Rational) -> tuple[Fraction, Fraction]:
-    """Check the arguments of a Mertens product; both as Fractions."""
-    t, gamma = _rational(t), _rational(gamma)
-    if t < 1:
-        raise InvalidParameter(f"mertens_product requires t >= 1, got {t}")
+def _mertens_args(t: Rational, gamma: Rational) -> tuple[int, Fraction]:
+    """Check the arguments of a Mertens product: floor(t) and gamma >= 1."""
+    T, gamma = _t_floor(t), _rational(gamma)
     if gamma < 1:
         raise InvalidParameter(f"gamma must be >= 1, got {gamma}")
-    return t, gamma
+    return T, gamma
 
 
 def mertens_product(t: Rational, gamma: Rational) -> Fraction:
@@ -402,11 +389,10 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     kept either way. kept then comes out in another order, which does not
     change its product. For b > _VALUE_SIEVE_MAX_B every prime is scanned.
     """
-    t, gamma = _mertens_args(t, gamma)
-    ps = primes_upto(t)
+    T, gamma = _mertens_args(t, gamma)
+    ps = primes_upto(T)
     a, b = gamma.numerator, gamma.denominator
     c = a - b
-    T = math.floor(t)
     cut = bisect_right(ps, (T - c) // b)  # ps[:cut] have the small values
     large = [p * b + c for p in ps[cut:]]
     by_value = b <= _VALUE_SIEVE_MAX_B
@@ -414,7 +400,7 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     decide = ps  # the primes whose progression is scanned one by one
     if by_value:  # index p b; a small value has p b <= T - c
         scan = bytearray(b * T + 1)
-        scan[::b] = prime_flags(t)
+        scan[::b] = prime_flags(T)
         stride, top = b, T - c
         q0 = max(2, c + 1, -(-(len(scan) + c) // (_BAND_K + 1)))
         if q0 <= T:  # per q in [q0, T]: 2 if q is prime, | 1 if some m q - c is marked
@@ -427,7 +413,7 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
             kept += compress(ps[lo:], marks.translate(_BAND_MISS))
             decide = [*ps[:lo], *compress(ps[lo:], marks.translate(_BAND_HIT))]
     else:  # index p; a small value has p <= (T - c) / b
-        scan, stride, top = prime_flags(t), 1, (T - c) // b
+        scan, stride, top = prime_flags(T), 1, (T - c) // b
     powers: dict[int, list[int]] = {}
     for q in decide:
         if b % q == 0:
@@ -511,14 +497,14 @@ def ratio_to_log_power(
     product is built and rounded instead.
     """
     _check_precision(precision_bits, "precision_bits")
-    t, gamma = _mertens_args(t, gamma)
+    T, gamma = _mertens_args(t, gamma)
     # Log t is the only factor, and it has an exact value only when it is
     # 1, which is skipped, so the scale that point is asked at stays 1
     return _interval_eval(
         _ONE,
         [(log_of(t), 1 - gamma)],
         precision_bits,
-        lambda _, bits: _mertens_point(t, gamma, bits),
+        lambda _, bits: _mertens_point(T, gamma, bits),
     )
 
 
@@ -549,15 +535,15 @@ def count_chain_report(
     x: Rational, t: Rational, K: Rational, gamma: Rational
 ) -> AnatomyReport:
     """Rankin chain for the unweighted count (integer K for exactness)."""
-    K, gamma = _rational(K), _rational(gamma)
+    K = _rational(K)
     if K.denominator != 1:
         raise InvalidParameter("exact chain reports need integer K")
-    if gamma < 1:
-        raise InvalidParameter(f"gamma must be >= 1, got {gamma}")
-    exact = Fraction(count_many_small_primes(x, t, K))
+    T, gamma = _mertens_args(t, gamma)
+    xi = _enumeration_bound(x)
+    exact = Fraction(count_many_small_primes(xi, T, K))
     scale = gamma ** (-K.numerator)
-    rank = scale * rankin_sum(x, t, gamma)
-    mert = scale * math.floor(x) * mertens_product(t, gamma)
+    rank = scale * rankin_sum(xi, T, gamma)
+    mert = scale * xi * mertens_product(T, gamma)
     return AnatomyReport(exact, rank, mert, gamma)
 
 
@@ -565,13 +551,11 @@ def divisor_chain_report(
     M: int, t: Rational, K: Rational, gamma: Rational, f: MultiplicativeFunction
 ) -> AnatomyReport:
     """Divisor chain sum <= gamma^-K (factorized product) <= pre-Mertens bound."""
-    K, gamma = _rational(K), _rational(gamma)
+    K = _rational(K)
     if K.denominator != 1:
         raise InvalidParameter("exact chain reports need integer K")
-    if gamma <= 1:
-        raise InvalidParameter(f"gamma must exceed 1, got {gamma}")
+    mert = divisor_anatomy_bound(M, t, K, gamma)  # M, t and gamma > 1 checked there
+    gamma = _rational(gamma)
     exact = divisor_anatomy_sum(M, t, K, f)
-    scale = gamma ** (-K.numerator)
-    rank = scale * rankin_divisor_product(M, t, gamma, f)
-    mert = divisor_anatomy_bound(M, t, K, gamma)
+    rank = gamma ** (-K.numerator) * rankin_divisor_product(M, t, gamma, f)
     return AnatomyReport(exact, rank, mert, gamma)

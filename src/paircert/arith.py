@@ -24,7 +24,14 @@ _exp_round).  When it cannot, the series runs as the fallback, so every end
 is the series' own, bit for bit.  Outside those kernels every directed
 quotient goes through ``_quotient`` and every exact dyadic comparison
 through ``_me_cmp``.  Every caller-supplied rational is read by
-``_rational``, and a float or a bool raises InvalidParameter.
+``_rational``, and a float or a bool raises InvalidParameter; every prime
+bound t by ``_t_floor``, which also refuses t < 1.
+
+A power whose exponent is past the magnitude cap and whose base is still
+[1, hi] at w + _MAG_CAP bits (Log t for t within about 2^-(w + 2^14) of e)
+raises ResourceLimit after that one enclosure. Its worst case is the ln
+series fallback near 1, where Ziv's test cannot decide: 4.4 s at t =
+floor(e 2^17000)/2^17000, C = 10^5, 16 bits (Python 3.11, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -60,6 +67,16 @@ def _rational(value) -> Fraction:
     if isinstance(value, (bool, float)):
         raise InvalidParameter(f"{value!r} is not an exact rational")
     return Fraction(value)
+
+
+def _t_floor(t) -> int:
+    """floor(t) for the bound t >= 1 of the primes p <= t, t read as
+    _rational reads it; InvalidParameter below 1. An int t makes no
+    Fraction: small_prime_divisor_count reads t once per integer."""
+    bound = t if type(t) is int else floor(_rational(t))
+    if bound < 1:
+        raise InvalidParameter(f"t must be >= 1, got {_rational(t)}")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +127,7 @@ def _ensure_sieve(limit: int) -> None:
 
 def primes_upto(t: Rational) -> list[int]:
     """Ascending list of primes p <= t.  Requires t >= 1."""
-    t = _rational(t)
-    if t < 1:
-        raise InvalidParameter(f"primes_upto requires t >= 1, got {t}")
-    bound = floor(t)
+    bound = _t_floor(t)
     if bound < 2:
         return []
     _ensure_sieve(bound)
@@ -125,15 +139,14 @@ def primes_upto(t: Rational) -> list[int]:
 def prime_flags(t: Rational) -> bytearray:
     """flags[n] = 1 if n is prime, else 0, for 0 <= n <= floor(t).  Requires
     t >= 1.  A copy of a prefix of the shared sieve."""
-    t = _rational(t)
-    if t < 1:
-        raise InvalidParameter(f"prime_flags requires t >= 1, got {t}")
-    bound = floor(t)
+    bound = _t_floor(t)
     _ensure_sieve(bound)
     return _is_prime[: bound + 1]
 
 
 def is_prime(n: int) -> bool:
+    if type(n) is not int:
+        raise InvalidParameter(f"is_prime requires an int, got {n!r}")
     if n < 2:
         return False
     if n <= _sieve_limit:
@@ -159,8 +172,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
     Trial division by the sieved primes up to isqrt(n), so the sieve cap
     bounds sqrt(n), not n; ResourceLimit, before any sieving, when
-    isqrt(n) is beyond the cap.
+    isqrt(n) is beyond the cap. InvalidParameter for an n that is no int
+    (a bool is none here); the cache keys such an n apart from every int.
     """
+    if type(n) is not int:
+        raise InvalidParameter(f"factorize requires an int, got {n!r}")
     if n < 1:
         raise InvalidParameter(f"factorize requires n >= 1, got {n}")
     if n == 1:
@@ -1073,8 +1089,7 @@ class _LogOf(BoundExpr):
 
     def __init__(self, t: Rational):
         t = _rational(t)
-        if t < 1:
-            raise InvalidParameter(f"Log t requires t >= 1, got {t}")
+        _t_floor(t)
         object.__setattr__(self, "t", t)
         super().__init__(("log", t), True)
 
@@ -1186,11 +1201,18 @@ def _power_enclosure(
     # are checked before the work at precision w + mag.  A base enclosed
     # by the point 1 is exactly 1 (Log t for 2 < t < e), so its power is 1
     # before any of that work; one enclosed by [1, hi] (Log t for t near e)
-    # is enclosed once more at w + _MAG_CAP, a cost the cap bounds, first
+    # is enclosed once more at w + _MAG_CAP, a cost the cap bounds, first;
+    # if still [1, hi], ln 1 = 0 gives the magnitude check nothing to
+    # refuse, so an exponent past 2^_MAG_CAP, whose work at w + mag the cap
+    # would not bound, is refused
     if mag > _MAG_CAP - 64:
         x = base_at(w)
         if x.lo == _DY_ONE and x.hi != _DY_ONE:
             x = base_at(w + _MAG_CAP)
+            if x.lo == _DY_ONE and x.hi != _DY_ONE and mag > _MAG_CAP:
+                raise ResourceLimit(
+                    f"a base within 2^-{w + _MAG_CAP} of 1 under an exponent of {mag} bits"
+                )
         if x.lo == _DY_ONE and x.hi == _DY_ONE:
             return Interval.exact_one(w)
         _check_exp_magnitude(x, expo_r if expo_iv is None else expo_iv, w)

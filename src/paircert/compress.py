@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .anatomy import small_prime_bound
-from .arith import Rational, _int_valuation, fraction_str, is_prime
+from .arith import Rational, _int_valuation, _t_floor, fraction_str, is_prime
 from .errors import InvalidParameter
 from .model import PairSystem, WeightFunction, edge_mass, mu_pairs
 from .quality import FAILED, HOLDS, VACUOUS, _d_ratio, omega_t
@@ -143,6 +142,7 @@ def verify_slice_identities(
     report of a mismatch; (e) floors t once.  (f) compares the two systems'
     PairSystem.primes.
     """
+    t_floor = _t_floor(t)
     p, i, j = s.p, s.i, s.j
     m = min(i, j)
     pi, pj = p**i, p**j
@@ -196,8 +196,7 @@ def verify_slice_identities(
     report.checks.append(_edgewise("d:quality", s.tilde.edges, d_mismatch))
 
     # (e) omega bookkeeping: drop of exactly [i != j and p <= t]
-    drop = slice_k_shift(s, t)
-    t_floor = small_prime_bound(t)
+    drop = slice_k_shift(s, t_floor)
 
     def e_mismatch(v, w):
         lhs, rhs = omega_t(v, w, t_floor), omega_t(pi * v, pj * w, t_floor) - drop
@@ -220,4 +219,4 @@ def verify_slice_identities(
 
 def slice_k_shift(s: Slice, t: Rational) -> int:
     """The K decrement carried by this slice: 1 iff i != j and p <= t."""
-    return 1 if (s.i != s.j and s.p <= t) else 0
+    return 1 if (s.p <= _t_floor(t) and s.i != s.j) else 0

@@ -121,32 +121,25 @@ class MultiplicativeFunction:
     Evaluation at n multiplies the table entries along factorize(n); a
     consulted prime power missing from the table raises
     IncompleteDefinition.  The Euler totient is available as a closed-form
-    preset.
+    preset, totient(), the one function without a table.
     """
 
-    __slots__ = ("_table", "_name")
+    __slots__ = ("_table",)
 
-    def __init__(
-        self,
-        prime_power_table: Optional[Mapping[tuple[int, int], Rational]] = None,
-        name: Optional[str] = None,
-    ):
-        table = None
-        if prime_power_table is not None:
-            table = {}
-            for (p, a), val in prime_power_table.items():
-                if type(p) is not int or type(a) is not int:
-                    raise InvalidParameter(f"prime power {p!r}^{a!r} is not of integers")
-                if a < 1:
-                    raise InvalidParameter(f"prime-power exponent {a} < 1")
-                if not is_prime(p):
-                    raise InvalidParameter(f"prime-power base {p} is not prime")
-                v = _rational(val)
-                if v.numerator < 0:
-                    raise InvalidParameter(f"negative value at {p}^{a}: {v}")
-                table[(p, a)] = v
+    def __init__(self, prime_power_table: Mapping[tuple[int, int], Rational]):
+        table = {}
+        for (p, a), val in prime_power_table.items():
+            if type(p) is not int or type(a) is not int:
+                raise InvalidParameter(f"prime power {p!r}^{a!r} is not of integers")
+            if a < 1:
+                raise InvalidParameter(f"prime-power exponent {a} < 1")
+            if not is_prime(p):
+                raise InvalidParameter(f"prime-power base {p} is not prime")
+            v = _rational(val)
+            if v.numerator < 0:
+                raise InvalidParameter(f"negative value at {p}^{a}: {v}")
+            table[(p, a)] = v
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_name", name)
 
     @classmethod
     def _of_table(cls, table: dict[tuple[int, int], Fraction]) -> "MultiplicativeFunction":
@@ -156,7 +149,6 @@ class MultiplicativeFunction:
         (harness._draw_multiplicative)."""
         mf = object.__new__(cls)
         object.__setattr__(mf, "_table", table)
-        object.__setattr__(mf, "_name", None)
         return mf
 
     def __setattr__(self, *args):
@@ -164,14 +156,12 @@ class MultiplicativeFunction:
 
     @classmethod
     def totient(cls) -> "MultiplicativeFunction":
-        return cls(None, name="totient")
-
-    @property
-    def name(self) -> Optional[str]:
-        return self._name
+        mf = object.__new__(cls)
+        object.__setattr__(mf, "_table", None)
+        return mf
 
     def is_totient(self) -> bool:
-        return self._name == "totient"
+        return self._table is None
 
     def prime_power(self, p: int, a: int) -> Fraction:
         if a == 0:
@@ -180,7 +170,7 @@ class MultiplicativeFunction:
             return Fraction(p**a - p ** (a - 1))
         try:
             return self._table[(p, a)]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise IncompleteDefinition(
                 f"{self!r} is undefined at {p}^{a}"
             ) from exc
@@ -201,22 +191,20 @@ class MultiplicativeFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiplicativeFunction):
             return NotImplemented
-        return self._name == other._name and self._table == other._table
+        return self._table == other._table
 
     def __hash__(self):
-        tbl = None if self._table is None else tuple(sorted(self._table.items()))
-        return hash((self._name, tbl))
+        return hash(None if self._table is None else tuple(sorted(self._table.items())))
 
     def __repr__(self):
         if self.is_totient():
             return "MultiplicativeFunction.totient()"
-        n = len(self._table or {})
-        return f"MultiplicativeFunction(<{n} prime powers>)"
+        return f"MultiplicativeFunction(<{len(self._table)} prime powers>)"
 
     def to_json(self):
         if self.is_totient():
             return "totient"
-        return {f"{p}^{a}": str(v) for (p, a), v in sorted((self._table or {}).items())}
+        return {f"{p}^{a}": str(v) for (p, a), v in sorted(self._table.items())}
 
     @classmethod
     def from_json(cls, doc) -> "MultiplicativeFunction":

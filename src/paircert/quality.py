@@ -19,10 +19,11 @@ from fractions import Fraction
 from math import ceil, gcd
 from typing import Iterable, Optional
 
-from .anatomy import small_prime_bound, small_prime_divisor_count
+from .anatomy import small_prime_divisor_count
 from .arith import (
     Interval,
     Rational,
+    _t_floor,
     const,
     exp_of,
     factorize,
@@ -91,8 +92,7 @@ class Params:
             raise InvalidParameter(f"epsilon {self.epsilon} outside (0, 2/5]")
         if self.C <= 0:
             raise InvalidParameter(f"C must be positive, got {self.C}")
-        if self.t < 1:
-            raise InvalidParameter(f"t must be >= 1, got {self.t}")
+        _t_floor(self.t)
         if self.p0 < 1:
             raise InvalidParameter(f"p0 must be >= 1, got {self.p0}")
         _check_precision(self.precision_bits, "precision_bits")
@@ -139,15 +139,14 @@ def omega_t(v: int, w: int, t: Rational, literal_lcm: bool = False) -> int:
     displayed-definition variant p | vw/gcd(v,w) (= p | lcm(v,w)) instead;
     the two differ exactly at primes dividing both v and w to equal order.
     """
-    if t < 1:
-        raise InvalidParameter(f"omega_t requires t >= 1, got {t}")
+    bound = _t_floor(t)
     g = gcd(v, w)
     count = small_prime_divisor_count
     if literal_lcm:
         # the primes of lcm(v, w) are those of v or of w, and those of both
         # divide g; lcm itself can be past what factorize accepts
-        return count(v, t) + count(w, t) - count(g, t)
-    return count(v // g, t) + count(w // g, t)
+        return count(v, bound) + count(w, bound) - count(g, bound)
+    return count(v // g, bound) + count(w // g, bound)
 
 
 def build_edge_set(
@@ -184,13 +183,11 @@ def _quality_pairs(rows, t: Rational, K: Rational, literal_lcm: bool = False):
     D is rejected early by integer cross-multiplication (w psi(v) <=
     gcd(v,w) and v theta(w) <= gcd(v,w)); omega is only computed for pairs
     passing it, and only when K > 0 (omega >= 0 always), with t floored once
-    per call (small_prime_bound); when K > 0 and t < 2 omega_t is 0, so no
-    pair is tested. t < 1, or a float or bool t or K, raises
-    InvalidParameter for every K, as omega_t does.
+    per call (_t_floor); when K > 0 and t < 2 omega_t is 0, so no pair is
+    tested. t < 1, or a float or bool t or K, raises InvalidParameter for
+    every K, as omega_t does.
     """
-    t_floor = small_prime_bound(t)
-    if t_floor < 1:
-        raise InvalidParameter(f"t must be >= 1, got {t}")
+    t_floor = _t_floor(t)
     k_min = ceil(_rational(K))  # omega is an integer: omega >= K iff omega >= ceil(K)
     if k_min > 0 and t_floor < 2:
         return []
@@ -215,9 +212,7 @@ def build_edge_set_bruteforce(
     literal_lcm: bool = False,
 ) -> frozenset[tuple[int, int]]:
     """Unoptimized double-loop oracle: evaluates every definition literally."""
-    K, t = _rational(K), _rational(t)
-    if t < 1:
-        raise InvalidParameter(f"t must be >= 1, got {t}")
+    K = _rational(K)
     small_primes = primes_upto(t)
     out = []
     for v in psi.support():

@@ -13,11 +13,12 @@ from fractions import Fraction
 from math import ceil, gcd, lcm, prod
 from typing import Iterable, Optional, Union
 
-from .anatomy import mertens_product, small_prime_bound, small_prime_divisor_count
+from .anatomy import mertens_product, small_prime_divisor_count
 from .arith import (
     Interval,
     Rational,
     _rational,
+    _t_floor,
     const,
     exp_of,
     factorize,
@@ -138,18 +139,16 @@ def s_sums(
     v-, v+, w-, w+ respectively (inner v-sum for S1/S2, outer w-sum for
     S3/S4)."""
     E = frozenset(edges)
+    bound, k4 = _t_floor(t), ceil(_rational(K) / 4)
     if not E:
         return SSums(_ZERO, _ZERO, _ZERO, _ZERO, None)
-    return _s_sums(system, build_decomposition(E, N), adjacency(E)[1], t, K)
+    return _s_sums(system, build_decomposition(E, N), adjacency(E)[1], bound, k4)
 
 
-def _s_sums(
-    system: PairSystem, dec: Decomposition, w_adj: dict, t: Rational, K: Rational
-) -> SSums:
-    """s_sums from a nonempty edge set's decomposition and w -> Gamma(w)
-    map, in integers: f(v)/(v v-) over one common denominator, g(w)/(w w-
-    v0+(w)) over another, and one Fraction per S_k at the end."""
-    bound, k4 = small_prime_bound(t), ceil(_rational(K) / 4)
+def _s_sums(system: PairSystem, dec: Decomposition, w_adj: dict, bound: int, k4: int) -> SSums:
+    """s_sums from a nonempty edge set's decomposition, w -> Gamma(w) map,
+    floor(t) and ceil(K/4), in integers: f(v)/(v v-) over one common
+    denominator, g(w)/(w w- v0+(w)) over another, one Fraction per S_k."""
 
     def passes(part: int) -> bool:
         return small_prime_divisor_count(part, bound) >= k4
@@ -303,7 +302,13 @@ def resolution_check(
     One _neighborhood_masses call gives the adjacency, property two
     (decided by _below_share, as in peel) and mu(E), mu(V'), mu(W') as
     integers; containment tests each edge of E by build_edge_set's own
-    test (stray_edges); the pointwise bounds are cross-multiplied.
+    test (stray_edges); the pointwise bounds are cross-multiplied. Each
+    witness is the first failure: v side first, vertices and edges sorted.
+
+    Four-factor follows from the structured precondition with reconstruction
+    and coprime (x x- = N x+ with coprime parts fixes (x-, x+) = (N/g, x/g),
+    g = gcd(x, N), so a structured edge's parts multiply to vw/gcd(v, w)^2);
+    it is kept as an independent check, whose key the report documents carry.
     """
     E = frozenset(edges)
     pre: dict[str, object] = {}
@@ -345,10 +350,11 @@ def resolution_check(
 
     reconstruction_ok = True
     for parts, side in ((dec.v_parts, "v"), (dec.w_parts, "w")):
-        for x, (minus, plus) in parts.items():
+        for x in sorted(parts):
+            minus, plus = parts[x]
             if x * minus != N * plus:
                 reconstruction_ok = False
-                witnesses["reconstruction"] = (side, x)
+                witnesses.setdefault("reconstruction", (side, x))
                 break
 
     coprime_ok = True
@@ -373,7 +379,7 @@ def resolution_check(
             pointwise_ok = False
             witnesses.setdefault("pointwise", (v, w))
 
-    sums = _s_sums(system, dec, w_adj, params.t, params.K)
+    sums = _s_sums(system, dec, w_adj, _t_floor(params.t), ceil(params.K / 4))
 
     mu_e = Fraction(mu_e_num, V.den * W.den)
     mu_v, mu_w = Fraction(own[0], V.den), Fraction(own[1], W.den)

@@ -446,7 +446,7 @@ class TestMertensBracket:
         assert len(calls) == 2
 
     def test_invalid_arguments(self):
-        with pytest.raises(InvalidParameter, match="t >= 1"):
+        with pytest.raises(InvalidParameter, match="t must be >= 1"):
             ratio_to_log_power(F(1, 2), 2)
         with pytest.raises(InvalidParameter, match="gamma must be >= 1"):
             ratio_to_log_power(100, F(1, 2))

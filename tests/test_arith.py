@@ -428,7 +428,7 @@ class TestIntervalOps:
     def test_log_domain(self):
         with pytest.raises(DomainError, match="reaching zero"):
             Interval(arith._DY_ZERO, arith._DY_ONE, 64).log(64)
-        with pytest.raises(InvalidParameter, match="t >= 1"):
+        with pytest.raises(InvalidParameter, match="t must be >= 1"):
             log_of(F(1, 2))
         assert repr(log_of(F(5, 2))) == "log_of(5/2)"
 
@@ -1498,6 +1498,17 @@ class TestPowerEnclosureReference:
         tiny = exp_of(F(1, 10**30)) - 1
         assert self._same(tiny, F(2 ** (cap - 4)), 48) == "ResourceLimit"
 
+    def test_a_base_still_one_past_the_cap_is_refused(self):
+        """A base enclosed by [1, hi] even at w + _MAG_CAP bits gives the
+        magnitude check nothing to refuse (ln 1 = 0): under an exponent of
+        _MAG_CAP bits it is computed as before, one bit more is refused."""
+        cap = arith._MAG_CAP
+        near_one = const(1 + F(1, 2 ** (2 * cap)))
+        assert not isinstance(self._same(near_one, F(2 ** (cap - 1)), 48), str)
+        message = f"within 2\\^-{48 + cap} of 1 under an exponent of {cap + 1} bits"
+        with pytest.raises(ResourceLimit, match=message):
+            arith._power_enclosure(near_one, near_one.exact_rational(), const(2**cap), F(2**cap), 48)
+
 
 def _ref_interval_mul(a, b, prec=None):
     """Interval.mul as it stood before its positive case, verbatim: the
@@ -1725,3 +1736,253 @@ def test_an_int_or_a_fraction_keeps_its_value(name, call, n, q):
     """The same slots still take an int and a Fraction, with the results
     they had before the reader (pinned as digests)."""
     assert (_reader_digest(call(n)), _reader_digest(call(q))) == _READER_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# One reader for the prime bound t
+# ---------------------------------------------------------------------------
+
+
+def _t_slots():
+    """(name, call): call(t) hands t to the prime bound t of the public
+    entry point module.name, every other argument valid."""
+    from paircert import anatomy, compress, harness, quality, resolution
+    from paircert.model import PairSystem, TOTIENT, WeightFunction
+
+    halves = WeightFunction({2: F(1, 2), 3: F(1, 3)})
+    ninths = WeightFunction({2: F(1, 2), 9: F(1, 9)})
+    system = PairSystem(halves, ninths, TOTIENT, TOTIENT, {(2, 2), (3, 9)})
+    cell = compress.slice_system(system, 3, 1, 2)  # the slice edge (1, 1), i != j
+    structured = PairSystem(
+        WeightFunction({1: F(1)}), WeightFunction({2: F(1, 4), 3: F(1, 9)}), TOTIENT, TOTIENT, {(1, 2), (1, 3)}
+    )
+    return [
+        ("arith.primes_upto", primes_upto),
+        ("arith.prime_flags", arith.prime_flags),
+        ("arith.log_of", log_of),
+        ("quality.Params", lambda t: quality.Params(epsilon=F(1, 4), C=F(1), t=t, K=F(0))),
+        ("quality.omega_t", lambda t: quality.omega_t(2, 3, t)),
+        ("quality.build_edge_set", lambda t: quality.build_edge_set(halves, ninths, t, 1)),
+        ("quality.stray_edges", lambda t: quality.stray_edges(halves, ninths, system.edges, t, 1)),
+        ("quality.build_edge_set_bruteforce", lambda t: quality.build_edge_set_bruteforce(halves, ninths, t, 1)),
+        ("anatomy.small_prime_divisor_count", lambda t: anatomy.small_prime_divisor_count(30, t)),
+        ("anatomy.count_many_small_primes", lambda t: anatomy.count_many_small_primes(100, t, 2)),
+        ("anatomy.rankin_sum", lambda t: anatomy.rankin_sum(100, t, 2)),
+        ("anatomy.divisor_anatomy_sum", lambda t: anatomy.divisor_anatomy_sum(12, t, 1, TOTIENT)),
+        ("anatomy.rankin_divisor_sum", lambda t: anatomy.rankin_divisor_sum(12, t, 2, TOTIENT)),
+        ("anatomy.rankin_divisor_product", lambda t: anatomy.rankin_divisor_product(12, t, 2, TOTIENT)),
+        ("anatomy.divisor_anatomy_bound", lambda t: anatomy.divisor_anatomy_bound(12, t, 1, 2)),
+        ("anatomy.mertens_product", lambda t: anatomy.mertens_product(t, 2)),
+        ("anatomy.ratio_to_log_power", lambda t: anatomy.ratio_to_log_power(t, 2)),
+        ("anatomy.count_chain_report", lambda t: anatomy.count_chain_report(100, t, 1, 2)),
+        ("anatomy.divisor_chain_report", lambda t: anatomy.divisor_chain_report(12, t, 1, 2, TOTIENT)),
+        ("compress.slice_k_shift", lambda t: compress.slice_k_shift(cell, t)),
+        ("compress.verify_slice_identities", lambda t: compress.verify_slice_identities(system, cell, t)),
+        ("resolution.s_sums", lambda t: resolution.s_sums(structured, structured.edges, 1, t, 0)),
+        ("resolution.s_majorant", lambda t: resolution.s_majorant(t, 4, 2)),
+        ("resolution.s_majorant_bridged", lambda t: resolution.s_majorant_bridged(t, 1, 1, 64)),
+        ("harness.corollary_bound_check", lambda t: harness.corollary_bound_check(halves, F(1, 2), 1, t, 0)),
+    ]
+
+
+_T_SLOTS = _t_slots()
+
+
+@pytest.mark.parametrize("call", [slot[1] for slot in _T_SLOTS], ids=[slot[0] for slot in _T_SLOTS])
+def test_every_prime_bound_is_read_by_one_reader(call):
+    """Each public t goes through arith._t_floor: t >= 1 is taken, t < 1
+    raises its one message, and a float or a bool is no exact rational."""
+    call(1)
+    call(F(7, 2))
+    for t in (F(1, 2), 0, -5):
+        with pytest.raises(InvalidParameter, match="t must be >= 1, got"):
+            call(t)
+    for t in (1.5, True):
+        with pytest.raises(InvalidParameter, match="not an exact rational"):
+            call(t)
+
+
+def test_t_slots_name_every_public_parameter_t():
+    """Every public function or class of the package that takes a t has a
+    row in _T_SLOTS, and every row names one."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import paircert
+
+    def takes_t(obj) -> bool:
+        try:
+            return "t" in inspect.signature(obj).parameters
+        except ValueError:  # a builtin base, such as an exception's
+            return False
+
+    found = set()
+    for info in pkgutil.iter_modules(paircert.__path__):
+        module = importlib.import_module(f"paircert.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and takes_t(obj):
+                found.add(f"{info.name}.{name}")
+    assert found == {slot[0] for slot in _T_SLOTS}
+
+
+# ---------------------------------------------------------------------------
+# Input-domain raises that a public entry point reaches
+# ---------------------------------------------------------------------------
+
+
+def _domain_raises():
+    """(name, call, exception type, message regex) per input-domain raise."""
+    from paircert.anatomy import (
+        ENUMERATION_CAP, count_chain_report, count_many_small_primes, divisor_anatomy_bound,
+        divisor_chain_report, rankin_sum,
+    )
+    from paircert.compress import slice_system
+    from paircert.diagonal import DiagonalMeasure, diagonal_measure
+    from paircert.errors import DegenerateMeasure
+    from paircert.harness import GeneratorConfig
+    from paircert.model import MultiplicativeFunction, PairSystem, TOTIENT, WeightFunction
+    from paircert.quality import Params
+    from paircert.resolution import decompose, resolution_check, s_majorant
+
+    psi = WeightFunction({1: F(1, 8)})
+    theta = WeightFunction({2: F(1, 8)})
+    system = PairSystem(psi, theta, TOTIENT, TOTIENT, {(1, 2)})
+    params = Params(epsilon=F(1, 4), C=F(1), t=F(10), K=F(0))
+    one = {0: F(1)}
+    cap = ENUMERATION_CAP
+    return [
+        ("rankin_sum.gamma", lambda: rankin_sum(100, 10, 0), InvalidParameter, "gamma must be positive, got 0"),
+        (
+            "divisor_anatomy_bound.gamma",
+            lambda: divisor_anatomy_bound(12, 10, 1, 1),
+            InvalidParameter,
+            "gamma must exceed 1, got 1",
+        ),
+        ("s_majorant.gamma", lambda: s_majorant(10, 4, 1), InvalidParameter, "gamma must exceed 1, got 1"),
+        (
+            "count_chain_report.K",
+            lambda: count_chain_report(100, 10, F(1, 2), 2),
+            InvalidParameter,
+            "exact chain reports need integer K",
+        ),
+        (
+            "divisor_chain_report.K",
+            lambda: divisor_chain_report(12, 10, F(1, 2), 2, TOTIENT),
+            InvalidParameter,
+            "exact chain reports need integer K",
+        ),
+        (
+            "_enumeration_bound.x",
+            lambda: count_many_small_primes(F(1, 2), 10, 1),
+            InvalidParameter,
+            "x must be >= 1, got 1/2",
+        ),
+        (
+            "_enumeration_bound.cap",
+            lambda: rankin_sum(cap + 1, 10, 2),
+            ResourceLimit,
+            f"enumeration bound {cap + 1} exceeds cap {cap}",
+        ),
+        (
+            "compare_power.base",
+            lambda: compare_power(0, 1, 1),
+            InvalidParameter,
+            "compare_power requires positive base and rhs",
+        ),
+        (
+            "compare_power.rhs",
+            lambda: compare_power(2, 1, -1),
+            InvalidParameter,
+            "compare_power requires positive base and rhs",
+        ),
+        (
+            "slice_system.exponents",
+            lambda: slice_system(system, 2, 0, -1),
+            InvalidParameter,
+            "slice exponents must be nonnegative",
+        ),
+        (
+            "DiagonalMeasure.total",
+            lambda: DiagonalMeasure(2, {(0, 0): F(1)}, one, one, F(0)),
+            DegenerateMeasure,
+            r"diagonal measure needs mu\(E\) > 0",
+        ),
+        (
+            "DiagonalMeasure.negative",
+            lambda: DiagonalMeasure(2, {(0, 0): F(2), (1, 1): F(-1)}, one, one, F(1)),
+            InvalidParameter,
+            "cells has a negative entry",
+        ),
+        (
+            "diagonal_measure.p",
+            lambda: diagonal_measure(system, system.edges, 4),
+            InvalidParameter,
+            "valuation base 4 is not prime",
+        ),
+        ("GeneratorConfig.f_mode", lambda: GeneratorConfig(f_mode="zeta"), InvalidParameter, "unknown f_mode 'zeta'"),
+        (
+            "GeneratorConfig.support_order",
+            lambda: GeneratorConfig(support_min=5, support_max=4),
+            InvalidParameter,
+            "bad support size bounds",
+        ),
+        (
+            "GeneratorConfig.support_min",
+            lambda: GeneratorConfig(support_min=-1),
+            InvalidParameter,
+            "bad support size bounds",
+        ),
+        (
+            "MultiplicativeFunction.exponent",
+            lambda: MultiplicativeFunction({(2, 0): 1}),
+            InvalidParameter,
+            "prime-power exponent 0 < 1",
+        ),
+        (
+            "Params.p0",
+            lambda: Params(epsilon=F(1, 4), C=F(1), t=F(10), K=F(0), p0=0),
+            InvalidParameter,
+            "p0 must be >= 1, got 0",
+        ),
+        ("decompose", lambda: decompose(0, 1), InvalidParameter, "decompose needs positive integers"),
+        # is_prime and factorize take only an int, so no float or bool reaches them as a TypeError
+        (
+            "slice_system.p",
+            lambda: slice_system(system, 2.0, 0, 0),
+            InvalidParameter,
+            "is_prime requires an int, got 2.0",
+        ),
+        (
+            "diagonal_measure.p_float",
+            lambda: diagonal_measure(system, system.edges, 2.0),
+            InvalidParameter,
+            "is_prime requires an int, got 2.0",
+        ),
+        ("valuation.p", lambda: valuation(2.0, 4), InvalidParameter, "is_prime requires an int, got 2.0"),
+        (
+            "resolution_check.N_float",
+            lambda: resolution_check(system, system.edges, 2.0, params),
+            InvalidParameter,
+            "factorize requires an int, got 2.0",
+        ),
+        (
+            "resolution_check.N_bool",
+            lambda: resolution_check(system, system.edges, True, params),
+            InvalidParameter,
+            "factorize requires an int, got True",
+        ),
+    ]
+
+
+_DOMAIN_RAISES = _domain_raises()
+
+
+@pytest.mark.parametrize(
+    "call, exc, message", [row[1:] for row in _DOMAIN_RAISES], ids=[row[0] for row in _DOMAIN_RAISES]
+)
+def test_input_domain_raise(call, exc, message):
+    with pytest.raises(exc, match=message):
+        call()

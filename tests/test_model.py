@@ -144,6 +144,20 @@ class TestMultiplicative:
         f = MultiplicativeFunction({(2, 1): F(1, 3), (3, 2): F(5)})
         assert MultiplicativeFunction.from_json(f.to_json()) == f
 
+    def test_equality_and_hash_read_the_table_alone(self):
+        """Equal tables make equal functions with equal hashes; only
+        totient() has no table, so no table makes a function equal to it."""
+        table = {(2, 1): F(1, 3), (3, 2): F(5)}
+        f, g = MultiplicativeFunction(table), MultiplicativeFunction(dict(reversed(table.items())))
+        assert f == g and hash(f) == hash(g)
+        assert MultiplicativeFunction.totient() == TOTIENT and hash(MultiplicativeFunction.totient()) == hash(TOTIENT)
+        for h in (MultiplicativeFunction({(2, 1): F(1)}), MultiplicativeFunction({})):
+            assert h != TOTIENT and not h.is_totient()
+            assert h.to_json() != "totient"
+        assert f != MultiplicativeFunction({(2, 1): F(1, 3)})
+        with pytest.raises(TypeError):
+            MultiplicativeFunction({(2, 1): F(1, 3)}, name="totient")
+
     @pytest.mark.parametrize("key", ["2^1_0", "2^ 1", "+2^1", "02^1", "2^x"])
     def test_non_canonical_json_key_rejected(self, key):
         with pytest.raises(InvalidParameter, match="is not an integer numeral"):

@@ -2,9 +2,14 @@
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+
+import paircert
 
 from paircert.arith import Dyadic, Interval, const, exp_of, interval_eval
 from paircert.diagonal import adjacency
@@ -29,6 +34,27 @@ from paircert.quality import (
     stray_edges,
 )
 from conftest import make_corpus, small_params
+
+
+_NEAR_E_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from fractions import Fraction as F
+import mpmath
+from paircert.errors import ResourceLimit
+from paircert.model import PairSystem, TOTIENT, WeightFunction
+from paircert.quality import Params, main_bound_check
+k = int(sys.argv[2])
+mpmath.mp.prec = k + 64
+t = F(int(mpmath.floor(mpmath.e * 2**k)), 2**k)
+psi = WeightFunction({3: F(1, 3)})
+system = PairSystem(psi, psi, TOTIENT, TOTIENT, {(3, 3)})
+params = Params(epsilon=F(1, 4), C=F(10**5), t=t, K=F(0), p0=2, precision_bits=16)
+try:
+    print(main_bound_check(system, params).verdict)
+except ResourceLimit:
+    print("ResourceLimit")
+"""
 
 
 class TestParams:
@@ -321,6 +347,22 @@ class TestMainBound:
                 rep = main_bound_check(sys_, Params(t=t, **params))
                 assert rep.verdict == at_two.verdict == HOLDS, t
                 assert (rep.rhs.lo, rep.rhs.hi) == (at_two.rhs.lo, at_two.rhs.hi), t
+
+    @pytest.mark.parametrize("k, outcome", [(16000, "holds"), (17000, "ResourceLimit")])
+    def test_log_factor_within_the_magnitude_cap_of_e(self, k, outcome):
+        """t = floor(e 2^k)/2^k, C = 10^5, 16 bits: Log t encloses as [1, hi]
+        even past the magnitude cap's extra bits for k = 17000, which is
+        refused, while k = 16000 decides. Run in a subprocess under a timeout,
+        so that a regression fails rather than hangs."""
+        src = Path(paircert.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-I", "-B", "-c", _NEAR_E_SCRIPT, str(src), str(k)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == [outcome]
 
     def test_corpus_holds(self):
         for system, params in make_corpus(31, 20):

@@ -315,6 +315,14 @@ class TestResolutionFailureBranches:
         assert rep.coprime_ok and rep.four_factor_ok and rep.pointwise_ok
         assert rep.witnesses == {"reconstruction": witness}
 
+    def test_reconstruction_on_both_sides(self, monkeypatch):
+        """Both vertices' parts swapped: the witness is the first failing
+        vertex, v side first."""
+        rep = self._check(monkeypatch, (2, 3), {2: (2, 1)}, {3: (3, 1)})
+        assert not rep.reconstruction_ok
+        assert rep.coprime_ok and rep.four_factor_ok and rep.pointwise_ok
+        assert rep.witnesses == {"reconstruction": ("v", 2)}
+
     def test_coprime(self, monkeypatch):
         """Both parts of v times 3: the reconstruction still holds, and the
         shared 3 also breaks the product, since vw/gcd^2 is squarefree."""
