@@ -18,10 +18,12 @@ from itertools import compress
 from typing import Union
 
 from .arith import (
+    DEFAULT_PRECISION,
     Interval,
     Rational,
     _bracket_point,
     _interval_eval,
+    _precision,
     _rational,
     _t_floor,
     const,
@@ -35,7 +37,7 @@ from .arith import (
     primes_upto,
 )
 from .errors import InvalidParameter, ResourceLimit
-from .model import MultiplicativeFunction, _check_precision
+from .model import MultiplicativeFunction
 
 ENUMERATION_CAP = 2_000_000
 # omega_t(n) <= 7 below 2*3*5*7*11*13*17*19: the sieve's bytes and the
@@ -257,14 +259,14 @@ def rankin_divisor_product(
 
 
 def divisor_anatomy_bound(
-    M: int, t: Rational, K: Rational, gamma: Rational, precision_bits: int = 256
+    M: int, t: Rational, K: Rational, gamma: Rational, precision_bits: int = DEFAULT_PRECISION
 ) -> Union[Fraction, Interval]:
     """The pre-Mertens majorant M gamma^(-K) prod_{p<=t, p|M} (1 + (gamma-1)/p).
 
     Exact rational for integer K; non-integer K falls back to a certified
     interval (flagged by the return type).
     """
-    _check_precision(precision_bits, "precision_bits")
+    _precision(precision_bits)
     _check_M(M)
     gamma = _rational(gamma)
     if gamma <= 1:
@@ -484,7 +486,7 @@ def _mertens_point(t: Rational, gamma: Fraction, bits: int) -> Interval:
 
 
 def ratio_to_log_power(
-    t: Rational, gamma: Rational, precision_bits: int = 256
+    t: Rational, gamma: Rational, precision_bits: int = DEFAULT_PRECISION
 ) -> Interval:
     """Diagnostic ratio prod_{p<=t}(1 + (gamma-1)/p) / (Log t)^(gamma-1).
 
@@ -496,7 +498,7 @@ def ratio_to_log_power(
     round alike, the product rounds as they do. When they do not, the exact
     product is built and rounded instead.
     """
-    _check_precision(precision_bits, "precision_bits")
+    _precision(precision_bits)
     T, gamma = _mertens_args(t, gamma)
     # Log t is the only factor, and it has an exact value only when it is
     # 1, which is skipped, so the scale that point is asked at stays 1

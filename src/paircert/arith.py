@@ -25,18 +25,34 @@ is the series' own, bit for bit.  Outside those kernels every directed
 quotient goes through ``_quotient`` and every exact dyadic comparison
 through ``_me_cmp``.  Every caller-supplied rational is read by
 ``_rational``, and a float or a bool raises InvalidParameter; every prime
-bound t by ``_t_floor``, which also refuses t < 1.
+bound t by ``_t_floor``, which also refuses t < 1; and every declared
+precision by ``_precision``.
 
-A power whose exponent is past the magnitude cap and whose base is still
-[1, hi] at w + _MAG_CAP bits (Log t for t within about 2^-(w + 2^14) of e)
-raises ResourceLimit after that one enclosure. Its worst case is the ln
-series fallback near 1, where Ziv's test cannot decide: 4.4 s at t =
-floor(e 2^17000)/2^17000, C = 10^5, 16 bits (Python 3.11, 2 vCPUs).
+Caps: each is checked before the work it bounds, and an input past it
+raises ResourceLimit (InvalidParameter past the precision cap). Worst case:
+the slowest input measured within the cap (Python 3.11, 2 vCPUs).
+
+cap                    bounds (checked in): worst case
+_MAG_CAP 2^14          bits of an exp() argument (Interval.exp,
+                       _power_enclosure): 4.4 s, Log t's ln series near 1
+                       for t = floor(e 2^17000)/2^17000, C = 10^5, 16 bits
+_MATERIALIZE_CAP 2^22  |exp| of a Dyadic made a Fraction (as_fraction): 2 ms
+_POWER_BITS_CAP 2^22   bits of a power (compare_power): 0.53 s, a power of 3
+DEFAULT_PRECISION_CAP  2^14 bits of a declared precision (_precision,
+                       certify_le): 1.0 s, a campaign main bound at 2^14
+_NUMERAL_CAP 10^5      characters of a numeral (_read_numeral): 0.03 s
+sieve cap 10^7         primes sieved (_ensure_sieve; PAIRCERT_SIEVE_CAP
+                       overrides it): 0.19 s
+ENUMERATION_CAP 2e6    anatomy's bound x (_enumeration_bound): 0.80 s,
+                       count_chain_report at x = t = 2*10^6
+SUPPORT_CAP 1000       a generated support (GeneratorConfig): about 4 s
+                       an instance, as generation tests every pair
 """
 
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -58,15 +74,33 @@ def _rational(value) -> Fraction:
 
     An exact Fraction comes back as it is (it is immutable, so a copy would
     gain nothing) and an exact int is converted directly, both before the
-    bool/float test; anything else goes through that test, then Fraction().
+    bool/float test; so is a numeral that fraction_str writes, at any
+    length (_read_numeral); anything else goes through that test, then
+    Fraction().
     """
     if type(value) is Fraction:
         return value
     if type(value) is int:
         return Fraction(value)
+    if type(value) is str and _NUMERAL.fullmatch(value):
+        return _read_numeral(value)
     if isinstance(value, (bool, float)):
         raise InvalidParameter(f"{value!r} is not an exact rational")
     return Fraction(value)
+
+
+DEFAULT_PRECISION = 256
+DEFAULT_PRECISION_CAP = 1 << 14
+
+
+def _precision(bits, name: str = "precision_bits") -> int:
+    """bits, a declared precision: InvalidParameter, led by name, unless it
+    is an int (not a bool) in [16, DEFAULT_PRECISION_CAP]."""
+    if type(bits) is not int:
+        raise InvalidParameter(f"{name} must be an integer, got {bits!r}")
+    if not 16 <= bits <= DEFAULT_PRECISION_CAP:
+        raise InvalidParameter(f"{name} outside [16, 2^14]: {bits}")
+    return bits
 
 
 def _t_floor(t) -> int:
@@ -716,7 +750,10 @@ def _ln_ends(lo: Dyadic, hi: Dyadic, prec: int) -> tuple[Dyadic, Dyadic]:
 
 
 class Interval:
-    """A certified enclosure [lo, hi] with dyadic endpoints."""
+    """A certified enclosure [lo, hi] with dyadic endpoints.  Its methods
+    take a working precision unchecked, since the package works past
+    DEFAULT_PRECISION_CAP inside an enclosure (_power_enclosure at w + mag).
+    """
 
     __slots__ = ("lo", "hi", "precision_bits")
 
@@ -941,6 +978,29 @@ def fraction_str(x: Rational) -> str:
     return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
+_NUMERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_NUMERAL_CAP = 100_000  # characters
+
+
+def _read_numeral(text: str) -> Fraction:
+    """The Fraction an "n" or "n/d" numeral (_NUMERAL) spells, the inverse
+    of fraction_str; ResourceLimit past _NUMERAL_CAP characters."""
+    if len(text) > _NUMERAL_CAP:
+        raise ResourceLimit(f"a numeral of {len(text)} characters exceeds the cap of {_NUMERAL_CAP}")
+    num, _, den = text.partition("/")
+    n = _read_digits(num.lstrip("-"))
+    return Fraction(-n if num[0] == "-" else n, _read_digits(den or "1"))
+
+
+def _read_digits(digits: str) -> int:
+    """int(digits) from pieces of at most _STR_DIGITS digits, so within
+    Python's str -> int limit at any setting."""
+    if len(digits) <= _STR_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _read_digits(digits[:-k]) * 10**k + _read_digits(digits[-k:])
+
+
 # ---------------------------------------------------------------------------
 # Bound-factor expressions and interval_eval
 # ---------------------------------------------------------------------------
@@ -978,7 +1038,8 @@ class BoundExpr:
             return self._hash
 
     def enclosure(self, precision_bits: int) -> Interval:
-        """A leaf's _enclose, memoized on (leaf, precision)."""
+        """A leaf's _enclose, memoized on (leaf, working precision), which
+        is unchecked, as for Interval's methods."""
         return _MEMO.get((self, precision_bits), self._enclose, precision_bits)
 
     def exact_rational(self) -> Optional[Fraction]:
@@ -1273,7 +1334,7 @@ def interval_eval(
     1 from below); exponents may be rationals or derived expressions.
     Doubling precision_bits never widens the result, and the true value is
     always enclosed.  Nonpositive bases of fractional powers raise
-    DomainError.
+    DomainError.  precision_bits is read by _precision before any work.
 
     The enclosure of a factor whose expr and expo have only integer const
     leaves is memoized process-wide in one bounded memo, keyed on (expr,
@@ -1294,7 +1355,10 @@ def interval_eval(
     way gets the same bits through the private core _interval_eval;
     ratio_to_log_power decides it from a two-sided bracket of its base by a
     rounding test, and falls back to the exact base when the bracket cannot.
+    A caller working past the declared precision (at precision_bits + 16)
+    calls the core, which reads none, with Interval.from_fraction.
     """
+    _precision(precision_bits)
     base = _rational(base)
     if base < 0:
         raise InvalidParameter("interval_eval base must be nonnegative")
@@ -1354,9 +1418,7 @@ def _interval_eval(
 # ---------------------------------------------------------------------------
 
 
-# Bits of the largest power compare_power builds: a power of 3 of 2^22 bits
-# took 0.53 s (Python 3.11, 2 vCPUs), one of 2^24 bits 4.7 s
-_POWER_BITS_CAP = 1 << 22
+_POWER_BITS_CAP = 1 << 22  # bits of the largest power compare_power builds
 
 
 def compare_power(base: Rational, expo: Rational, rhs: Rational) -> int:

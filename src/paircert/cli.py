@@ -3,7 +3,7 @@
 Exit codes: 0 = no violations, 2 = a violation was found (for a campaign
 also a slice-identity, peel-contract or resolution failure), 3 = an
 inconclusive verdict remained at the precision cap
-(quality.DEFAULT_PRECISION_CAP, 2^14 bits), 4 = an input or resource error
+(arith.DEFAULT_PRECISION_CAP, 2^14 bits), 4 = an input or resource error
 (a malformed instance or generator config, a parameter outside its domain
 such as --precision outside [16, 2^14], --precision given to certify
 --campaign, a cap exceeded, any PaircertError; an unwritable output path,
@@ -35,7 +35,7 @@ from .anatomy import (
     rankin_sum,
     ratio_to_log_power,
 )
-from .arith import Interval, fraction_str, interval_json
+from .arith import DEFAULT_PRECISION, Interval, _precision, _rational as _read_rational, fraction_str, interval_json
 from .errors import InvalidParameter, PaircertError
 from .compress import slice_system, verify_slice_identities
 from .diagonal import (
@@ -55,7 +55,7 @@ from .harness import (
     read_json,
     write_campaign_csv,
 )
-from .model import TOTIENT, _check_precision
+from .model import TOTIENT
 from .quality import (
     DEGENERATE_EMPTY,
     HOLDS,
@@ -92,7 +92,7 @@ def _rational(text: str | None, option: str, default=None):
     if text is None:
         return default
     try:
-        return Fraction(text)
+        return _read_rational(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidParameter(f"{option} is not a rational number: {text!r}") from None
 
@@ -235,7 +235,7 @@ def _cmd_anatomy(args) -> int:
         doc = divisor_chain_report(M, t, K, gamma, TOTIENT).to_json()
         doc.update({"M": M, "t": str(t), "K": str(K)})
     else:  # mertens
-        bits = 256 if args.precision is None else args.precision
+        bits = DEFAULT_PRECISION if args.precision is None else args.precision
         iv = ratio_to_log_power(t, gamma, bits)
         doc = {
             "t": str(t),
@@ -379,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("certify needs --instance or --campaign")
     try:
         if args.precision is not None:
-            _check_precision(args.precision, "--precision")
+            _precision(args.precision, "--precision")
         return args.func(args)
     except (PaircertError, OSError) as exc:
         message = " ".join(str(exc).split())

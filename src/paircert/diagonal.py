@@ -13,11 +13,11 @@ from typing import Iterable, Optional
 
 from .arith import (
     Interval,
+    _interval_eval,
     compare_power,
     const,
     exp_of,
     fraction_str,
-    interval_eval,
     interval_json,
     is_prime,
 )
@@ -124,36 +124,6 @@ def _shares(masses: dict, total: int) -> dict:
     return {key: Fraction(mass, total) for key, mass in masses.items()}
 
 
-class _MassTable:
-    """The cell and marginal masses of E at every prime, from one pass, as
-    integers: cells over V.den * W.den, alpha over V.den, beta over W.den."""
-
-    def __init__(self, system: PairSystem, E: frozenset[tuple[int, int]]):
-        self.V, self.W = system.masses
-        self.total, self.cells = _edge_cells(self.V, self.W, E)
-        self.mu_v, self.alpha = _marginal_cells(self.V)
-        self.mu_w, self.beta = _marginal_cells(self.W)
-
-    def masses(self, p: int):
-        """The cells, alpha and beta at p with their (0, 0) / 0 entries,
-        checked nonnegative."""
-        return (
-            _with_origin(self.cells.get(p, {}), self.total, (0, 0)),
-            _with_origin(self.alpha.get(p, {}), self.mu_v, 0),
-            _with_origin(self.beta.get(p, {}), self.mu_w, 0),
-        )
-
-    def measure(self, p: int) -> DiagonalMeasure:
-        cells, alpha, beta = self.masses(p)
-        return DiagonalMeasure(
-            p,
-            _shares(cells, self.total),
-            _shares(alpha, self.mu_v),
-            _shares(beta, self.mu_w),
-            Fraction(self.total, self.V.den * self.W.den),
-        )
-
-
 def diagonal_measure(
     system: PairSystem, edges: Iterable[tuple[int, int]], p: int
 ) -> DiagonalMeasure:
@@ -164,12 +134,21 @@ def diagonal_measure(
     then mu(E) minus the other cells.  alpha and beta come the same way
     from the vertex masses.
     """
-    table = _MassTable(system, frozenset(edges))
-    if table.total == 0:
+    V, W = system.masses
+    total, cells = _edge_cells(V, W, frozenset(edges))
+    if total == 0:
         raise DegenerateMeasure("mu(E) = 0: m(i,j) is undefined")
     if p < 2 or not is_prime(p):
         raise InvalidParameter(f"valuation base {p} is not prime")
-    return table.measure(p)
+    mu_v, alpha = _marginal_cells(V)
+    mu_w, beta = _marginal_cells(W)
+    return DiagonalMeasure(
+        p,
+        _shares(_with_origin(cells.get(p, {}), total, (0, 0)), total),
+        _shares(_with_origin(alpha.get(p, {}), mu_v, 0), mu_v),
+        _shares(_with_origin(beta.get(p, {}), mu_w, 0), mu_w),
+        Fraction(total, V.den * W.den),
+    )
 
 
 def find_center(dm: DiagonalMeasure) -> CenterResult:
@@ -316,10 +295,9 @@ def decay_hypothesis_report(dm: DiagonalMeasure, params: Params) -> DecayReport:
         ratio = Interval.exact_zero(params.precision_bits)
     else:
         w = params.precision_bits + 16
-        denom = interval_eval(
-            Fraction(1), [(const(p), -1 - 2 * eps)], w
-        ).add(
-            interval_eval(Fraction(1), [(const(p), -(3 - 2 * eps) / 2)], w), w
+        point = Interval.from_fraction
+        denom = _interval_eval(Fraction(1), [(const(p), -1 - 2 * eps)], w, point).add(
+            _interval_eval(Fraction(1), [(const(p), -(3 - 2 * eps) / 2)], w, point), w
         )
         ratio = (
             Interval.from_fraction(center.tail_mass, w)
@@ -353,13 +331,13 @@ def concentrate(
     One pass over E fills the valuation cells of every prime at once (see
     diagonal_measure: the (0, 0) cell is mu(E) minus the other cells), as
     integers over the vertex-mass denominators.  At each prime of the
-    support, the cells and marginals are checked nonnegative in those
-    integers, and the center is find_center's exhaustive tail scan run on
-    the integer cells themselves, with no DiagonalMeasure built; a tied
-    k = -1 is clamped to 0 (same tail, keeps N integral).  E* keeps the
-    edges with |nu_p(v/N)| + |nu_p(w/N)| <= 1 at every prime, off the
-    support too, read off the vertex factorizations, and removed_fraction
-    is (mu(E) - mu(E*)) / mu(E) in exact integers.
+    support, the cells are checked nonnegative in those integers, and the
+    center is find_center's exhaustive tail scan run on the integer cells
+    themselves, with no DiagonalMeasure built; a tied k = -1 is clamped to
+    0 (same tail, keeps N integral).  E* keeps the edges with |nu_p(v/N)| +
+    |nu_p(w/N)| <= 1 at every prime, off the support too, read off the
+    vertex factorizations, and removed_fraction is (mu(E) - mu(E*)) / mu(E)
+    in exact integers.
 
     That shape test is _shape_violation(off_v, off_w) is None, decided from
     one summary per vertex (_unit_primes).  For integers a and b,
@@ -369,17 +347,16 @@ def concentrate(
     offsets are disjoint (isdisjoint).
     """
     E = frozenset(edges)
-    table = _MassTable(system, E)
-    if table.total == 0:
+    V, W = system.masses
+    total, cells = _edge_cells(V, W, E)
+    if total == 0:
         raise DegenerateMeasure("mu(E) = 0: nothing to concentrate")
     centers: dict[int, int] = {}
     N = 1
     for p in system.primes:
-        cells, _, _ = table.masses(p)
-        k = max(0, _center_scan(cells)[0])
+        k = max(0, _center_scan(_with_origin(cells.get(p, {}), total, (0, 0)))[0])
         centers[p] = k
         N *= p**k
-    V, W = table.V, table.W
     nu_n = {p: k for p, k in centers.items() if k}
     vs, ws = restrict(E)
     unit_v, unit_w = _unit_primes(V, vs, nu_n), _unit_primes(W, ws, nu_n)
@@ -388,7 +365,7 @@ def concentrate(
         for v, w in E
         if v in unit_v and w in unit_w and unit_v[v].isdisjoint(unit_w[w])
     )
-    removed = Fraction(table.total - edge_mass(V, W, star), table.total)
+    removed = Fraction(total - edge_mass(V, W, star), total)
     return ConcentrateResult(N, star, removed, centers)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .arith import Rational, fraction_str, primes_upto
+from .arith import DEFAULT_PRECISION, Rational, fraction_str, primes_upto
 from .compress import slice_system, verify_slice_identities
 from .diagonal import concentrate, peel
 from .errors import DegenerateMeasure, InvalidParameter, PaircertError, ResourceLimit
@@ -40,11 +40,8 @@ DEFAULT_CS = (Fraction(1, 2), Fraction(1))
 DEFAULT_TS = (Fraction(1), Fraction(10), Fraction(100))
 DEFAULT_KS = (Fraction(0), Fraction(1), Fraction(2), Fraction(4))
 
-# Largest support_max a GeneratorConfig takes. Generation tests every pair of
-# support elements, so its time grows as the square of the support size:
-# about 4 s for one instance with 1000 elements on each side (Python 3.11,
-# 2 vCPUs). The default pool and element_bound hold only a few thousand
-# distinct elements anyway.
+# Largest support_max a GeneratorConfig takes (arith's cap table). The default
+# pool and element_bound hold only a few thousand distinct elements anyway.
 SUPPORT_CAP = 1000
 
 
@@ -246,7 +243,7 @@ def corollary_bound_check(
     t: Rational,
     K: Rational,
     p0: int = 100,
-    precision_bits: int = 256,
+    precision_bits: int = DEFAULT_PRECISION,
 ) -> BoundReport:
     """The symmetric totient preset: psi = theta, f = g = totient, with
     epsilon/2 substituted so epsilon may range over (0, 4/5]; epsilon is
@@ -366,7 +363,7 @@ def certify_instance(
             j = _below(rng, 4)
             try:
                 s = slice_system(system, p, i, j)
-            except Exception:
+            except PaircertError:
                 outcome.slice_failures += 1
                 continue
             rep = verify_slice_identities(system, s, params.t)

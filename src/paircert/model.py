@@ -19,18 +19,6 @@ from .errors import IncompleteDefinition, InvalidParameter
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-DEFAULT_PRECISION_CAP = 1 << 14
-
-
-def _check_precision(bits, name: str) -> None:
-    """InvalidParameter, led by name, unless bits is an int (not a bool) in
-    [16, DEFAULT_PRECISION_CAP]."""
-    if type(bits) is not int:
-        raise InvalidParameter(f"{name} must be an integer, got {bits!r}")
-    if not 16 <= bits <= DEFAULT_PRECISION_CAP:
-        raise InvalidParameter(f"{name} outside [16, 2^14]: {bits}")
-
-
 def _numeral(text: str) -> int:
     """The int that text spells as str(n); InvalidParameter for any other
     spelling, such as "1_0", " 3 ", "+4" or "03"."""
@@ -108,7 +96,7 @@ class WeightFunction:
         return f"WeightFunction({{{entries}{more}}})"
 
     def to_json(self) -> dict[str, str]:
-        return {str(k): str(v) for k, v in self.items()}
+        return {str(k): fraction_str(v) for k, v in self.items()}
 
     @classmethod
     def from_json(cls, doc: Mapping[str, str]) -> "WeightFunction":
@@ -204,7 +192,7 @@ class MultiplicativeFunction:
     def to_json(self):
         if self.is_totient():
             return "totient"
-        return {f"{p}^{a}": str(v) for (p, a), v in sorted(self._table.items())}
+        return {f"{p}^{a}": fraction_str(v) for (p, a), v in sorted(self._table.items())}
 
     @classmethod
     def from_json(cls, doc) -> "MultiplicativeFunction":

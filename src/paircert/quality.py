@@ -6,9 +6,9 @@ construction, neighborhoods, and certified evaluation of the main bound
 The left side is an exact rational; the right side is a certified interval.
 certify_le decides every such comparison in the package; it is the
 package's only loop that raises a precision. It starts at a precision_bits
-in [16, DEFAULT_PRECISION_CAP = 2^14], the domain of every precision_bits,
-and doubles it until conclusive or until the next doubling would pass the
-cap.
+in [16, DEFAULT_PRECISION_CAP = 2^14], the domain of every precision_bits
+(arith._precision), and doubles it until conclusive or until the next
+doubling would pass the cap.
 Every verdict string of the package is defined here.
 """
 
@@ -21,8 +21,11 @@ from typing import Iterable, Optional
 
 from .anatomy import small_prime_divisor_count
 from .arith import (
+    DEFAULT_PRECISION,
+    DEFAULT_PRECISION_CAP,
     Interval,
     Rational,
+    _precision,
     _t_floor,
     const,
     exp_of,
@@ -37,7 +40,7 @@ from .arith import (
 )
 from .errors import InvalidParameter
 from .model import (
-    DEFAULT_PRECISION_CAP, PairSystem, WeightFunction, _check_precision, _rational, check_fields,
+    PairSystem, WeightFunction, _rational, check_fields,
     fields_to_json, mu_pairs, prime_support, validate_multiplicative,
 )
 
@@ -58,10 +61,9 @@ def certify_le(
     Returns (verdict, enclosure, bits): HOLDS iff lhs <= enclosure.lo,
     VIOLATED iff lhs > enclosure.hi, both at `bits`; otherwise the precision
     doubles while it stays within DEFAULT_PRECISION_CAP, and the verdict is
-    INCONCLUSIVE at the last precision tried. InvalidParameter unless
-    precision_bits is an int in [16, DEFAULT_PRECISION_CAP].
+    INCONCLUSIVE at the last precision tried. InvalidParameter (from
+    interval_eval) unless precision_bits is in [16, DEFAULT_PRECISION_CAP].
     """
-    _check_precision(precision_bits, "precision_bits")
     prec = precision_bits
     while True:
         enclosure = interval_eval(base, factors, prec)
@@ -84,7 +86,7 @@ class Params:
     t: Fraction
     K: Fraction
     p0: int = 100
-    precision_bits: int = 256
+    precision_bits: int = DEFAULT_PRECISION
 
     def __post_init__(self):
         check_fields(self)
@@ -95,7 +97,7 @@ class Params:
         _t_floor(self.t)
         if self.p0 < 1:
             raise InvalidParameter(f"p0 must be >= 1, got {self.p0}")
-        _check_precision(self.precision_bits, "precision_bits")
+        _precision(self.precision_bits)
 
     @property
     def q(self) -> Fraction:

@@ -15,8 +15,11 @@ from typing import Iterable, Optional, Union
 
 from .anatomy import mertens_product, small_prime_divisor_count
 from .arith import (
+    DEFAULT_PRECISION,
     Interval,
     Rational,
+    _interval_eval,
+    _precision,
     _rational,
     _t_floor,
     const,
@@ -29,7 +32,7 @@ from .arith import (
     primes_upto,
 )
 from .errors import InvalidParameter, NotStructured
-from .model import PairSystem, _check_precision, _f_ratio
+from .model import PairSystem, _f_ratio
 from .quality import (
     DEGENERATE_EMPTY,
     HOLDS,
@@ -193,14 +196,14 @@ def _exceeds_one(x: Fraction, m: int) -> bool:
 
 
 def s_majorant(
-    t: Rational, K: Rational, gamma: Rational, precision_bits: int = 256
+    t: Rational, K: Rational, gamma: Rational, precision_bits: int = DEFAULT_PRECISION
 ) -> Union[Fraction, Interval]:
     """Shared pre-Mertens majorant gamma^(-K/4) prod_{p<=t}(1 + (gamma-1)/p).
 
     Every one of S1..S4 is bounded by this for every rational gamma > 1
     (constant 1, exactly); exact when K/4 is an integer, else an interval.
     """
-    _check_precision(precision_bits, "precision_bits")
+    _precision(precision_bits)
     gamma = _rational(gamma)
     if gamma <= 1:
         raise InvalidParameter(f"gamma must exceed 1, got {gamma}")
@@ -212,10 +215,10 @@ def s_majorant(
 
 
 def s_majorant_bridged(
-    t: Rational, K: Rational, C: Rational, precision_bits: int = 256
+    t: Rational, K: Rational, C: Rational, precision_bits: int = DEFAULT_PRECISION
 ) -> Interval:
     """The same majorant at gamma = e^(40C): e^(-10CK) prod(1 + (e^(40C)-1)/p)."""
-    _check_precision(precision_bits, "precision_bits")
+    _precision(precision_bits)
     C, K = _rational(C), _rational(K)
     factors = [(exp_of(-10 * C * K), Fraction(1))]
     for p in primes_upto(t):
@@ -397,7 +400,7 @@ def resolution_check(
     ratio = None
     if compute_ratio and mu_v * mu_w > 0 and mu_e > 0:
         w = params.precision_bits + 16
-        denom = interval_eval(
+        denom = _interval_eval(
             Fraction(1),
             [
                 (log_of(params.t), (exp_of(40 * params.C) - 1) / 2),
@@ -407,6 +410,7 @@ def resolution_check(
                 ),
             ],
             w,
+            Interval.from_fraction,
         )
         ratio = (
             Interval.from_fraction(mu_e, w).div(denom, w).round(params.precision_bits)

@@ -1986,3 +1986,170 @@ _DOMAIN_RAISES = _domain_raises()
 def test_input_domain_raise(call, exc, message):
     with pytest.raises(exc, match=message):
         call()
+
+
+# ---------------------------------------------------------------------------
+# One reader for the declared precision
+# ---------------------------------------------------------------------------
+
+
+def _cli_precision(bits) -> None:
+    """paircert --precision bits anatomy mertens, with its exit 4 raised as
+    the InvalidParameter that its one stderr line reports (an argparse
+    usage error for a value that is not an int)."""
+    import contextlib
+    import io
+
+    from paircert.cli import main
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--precision", str(bits), "anatomy", "mertens", "--t", "10"])
+        except SystemExit as exc:
+            code = exc.code
+    if code == 4:
+        raise InvalidParameter(err.getvalue().strip())
+    assert code == 0
+
+
+def _precision_slots():
+    """(name, call): call(bits) hands bits to the declared precision of the
+    public entry point module.name, every other argument valid."""
+    from paircert import anatomy, harness, quality, resolution
+    from paircert.model import WeightFunction
+
+    one = WeightFunction({3: F(1, 3)})
+    return [
+        ("arith.interval_eval", lambda bits: interval_eval(1, [(exp_of(1), 1)], bits)),
+        ("quality.certify_le", lambda bits: quality.certify_le(2, 1, [(exp_of(1), 1)], bits)),
+        (
+            "quality.Params",
+            lambda bits: quality.Params(epsilon=F(1, 4), C=F(1), t=F(10), K=F(0), precision_bits=bits),
+        ),
+        ("resolution.s_majorant", lambda bits: resolution.s_majorant(10, 1, 2, bits)),
+        ("resolution.s_majorant_bridged", lambda bits: resolution.s_majorant_bridged(10, 1, 1, bits)),
+        ("anatomy.divisor_anatomy_bound", lambda bits: anatomy.divisor_anatomy_bound(12, 10, F(1, 2), 2, bits)),
+        ("anatomy.ratio_to_log_power", lambda bits: anatomy.ratio_to_log_power(10, 2, bits)),
+        (
+            "harness.corollary_bound_check",
+            lambda bits: harness.corollary_bound_check(one, F(1, 2), 1, 1, 0, precision_bits=bits),
+        ),
+        ("cli.--precision", _cli_precision),
+    ]
+
+
+_PRECISION_SLOTS = _precision_slots()
+
+# public precision_bits parameters with no row, each with its reason
+_PRECISION_EXEMPT = {
+    "arith.Interval": "a working precision: the package runs Interval past the cap (_power_enclosure at w + mag)",
+    "arith.BoundExpr.enclosure": "a working precision, as for Interval's methods",
+    "quality.BoundReport": "a report field: the precision at which a verdict settled, not an input",
+}
+
+
+@pytest.mark.parametrize("call", [slot[1] for slot in _PRECISION_SLOTS], ids=[slot[0] for slot in _PRECISION_SLOTS])
+def test_every_precision_is_read_by_one_reader(call):
+    """Each public precision goes through arith._precision: an int in [16,
+    2^14] is taken; any other int, a bool or a float raises its message."""
+    call(16)
+    call(1 << 14)
+    for bits in (0, 15, (1 << 14) + 1):
+        with pytest.raises(InvalidParameter, match=rf"outside \[16, 2\^14\]: {bits}$"):
+            call(bits)
+    for bits in (True, 256.0):
+        with pytest.raises(InvalidParameter, match=r"must be an integer, got|invalid int value"):
+            call(bits)
+
+
+def test_precision_slots_name_every_public_precision_bits():
+    """Every public function, class or method of the package that takes a
+    precision_bits has a row in _PRECISION_SLOTS or a reason in
+    _PRECISION_EXEMPT, and a default precision is DEFAULT_PRECISION."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import paircert
+
+    def precision_of(obj):
+        try:
+            return inspect.signature(obj).parameters.get("precision_bits")
+        except ValueError:  # a builtin base, such as an exception's
+            return None
+
+    found = {}
+    for info in pkgutil.iter_modules(paircert.__path__):
+        module = importlib.import_module(f"paircert.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            callables = {f"{info.name}.{name}": obj}
+            if inspect.isclass(obj):
+                callables.update(
+                    (f"{info.name}.{name}.{attr}", getattr(obj, attr))
+                    for attr, member in vars(obj).items()
+                    if not attr.startswith("_")
+                    and (inspect.isfunction(member) or isinstance(member, (staticmethod, classmethod)))
+                )
+            for key, member in callables.items():
+                parameter = precision_of(member)
+                if parameter is not None:
+                    found[key] = parameter
+    exempt = {key for key in found if key in _PRECISION_EXEMPT or key.rsplit(".", 1)[0] in _PRECISION_EXEMPT}
+    assert set(_PRECISION_EXEMPT) <= exempt
+    assert set(found) - exempt == {slot[0] for slot in _PRECISION_SLOTS} - {"cli.--precision"}
+    for key in set(found) - exempt:
+        assert found[key].default in (inspect.Parameter.empty, arith.DEFAULT_PRECISION), key
+
+
+def test_a_precision_past_the_cap_is_refused_before_any_work():
+    """2^17 bits raise before any enclosure is built (e at 200,000 bits
+    takes about 14 s)."""
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameter, match=r"outside \[16, 2\^14\]: 131072"):
+        interval_eval(1, [(exp_of(1), 1)], 1 << 17)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_materialize_cap(sign):
+    """Dyadic.as_fraction converts an exponent of magnitude up to 2^22 and
+    refuses one past it."""
+    assert arith.Dyadic(1, sign * (1 << 22)).as_fraction() == F(2) ** (sign * (1 << 22))
+    with pytest.raises(ResourceLimit, match="dyadic exponent too large to materialize"):
+        arith.Dyadic(1, sign * ((1 << 22) + 1)).as_fraction()
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("3/4", F(3, 4)),
+        ("-6/8", F(-3, 4)),
+        ("-0", F(0)),
+        (" 3/4 ", F(3, 4)),
+        ("1.5", F(3, 2)),
+        ("5" * 5000 + "/3", F(int("5" * 1000) * 10**4000 + int("5" * 4000), 3)),
+        ("-" + "7" * 99_999, -F(10**99_999 - 1) * 7 / 9),
+        ("1/" + "9" * 99_998, F(1, 10**99_998 - 1)),
+    ],
+    ids=["fraction", "reduced", "negative-zero", "spaces", "decimal", "past-the-str-limit", "cap", "cap-den"],
+)
+def test_a_numeral_is_read_at_any_length_up_to_its_cap(text, value):
+    """_rational reads an "n" or "n/d" numeral as Fraction() does, past
+    Python's 4,300-digit str -> int limit too, up to _NUMERAL_CAP = 10^5
+    characters; other spellings still go through Fraction()."""
+    assert arith._rational(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 100_001, "1/" + "1" * 99_999, "-" + "1" * 100_000], ids=["integer", "fraction", "negative"]
+)
+def test_a_numeral_past_its_cap_is_refused(text):
+    with pytest.raises(ResourceLimit, match="a numeral of 100001 characters exceeds the cap of 100000"):
+        arith._rational(text)

@@ -201,6 +201,51 @@ def test_diagonal_decay_past_the_power_cap(tmp_path, capsys):
     assert lines[0].startswith("paircert: ResourceLimit: compare_power")
 
 
+def test_check_near_e_past_the_magnitude_cap_exits_4(tmp_path):
+    """t = floor(e 2^17000)/2^17000 (5,118 digits), C = 10^5, 16 bits: the
+    instance loads, and check refuses its main bound with one ResourceLimit
+    line. Run in a subprocess under a timeout, so that a regression fails
+    rather than hangs."""
+    import subprocess
+    import sys
+
+    import mpmath
+
+    import paircert
+
+    k = 17000
+    with mpmath.workprec(k + 64):
+        t = F(int(mpmath.floor(mpmath.e * 2**k)), 2**k)
+    psi = WeightFunction({3: F(1, 3)})
+    params = Params(epsilon=F(1, 4), C=F(10**5), t=t, K=F(0), p0=2, precision_bits=16)
+    path = tmp_path / "near_e.json"
+    save_instance(path, PairSystem(psi, psi, TOTIENT, TOTIENT, {(3, 3)}), params)
+    src = Path(paircert.__file__).resolve().parents[1]
+    script = "import sys; sys.path.insert(0, sys.argv[1]); from paircert.cli import main; sys.exit(main(sys.argv[2:]))"
+    run = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", script, str(src), "check", "--instance", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    lines = run.stderr.splitlines()
+    assert (run.returncode, run.stdout, len(lines)) == (4, "", 1), run.stderr
+    assert lines[0].startswith("paircert: ResourceLimit: a base within 2^-")
+
+
+def test_rational_option_past_the_numeral_cap_exits_4(capsys):
+    """A rational option is read by arith._rational: a numeral past its
+    cap is a ResourceLimit, one line, before any work."""
+    from paircert.arith import _NUMERAL_CAP
+
+    t = "1" * (_NUMERAL_CAP + 1)
+    assert main(["anatomy", "mertens", "--t", t]) == 4
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith(f"paircert: ResourceLimit: a numeral of {_NUMERAL_CAP + 1} characters")
+
+
 def test_peel_trace(tmp_path, capsys):
     """--trace writes the steps' documents, indented; v = 3 is peeled."""
     psi = WeightFunction({2: F(1, 2), 3: F(1, 3)})

@@ -10,7 +10,8 @@ from paircert.diagonal import (
     CenterResult,
     DiagonalMeasure,
     _center_scan,
-    _MassTable,
+    _edge_cells,
+    _with_origin,
     bilinear_check,
     concentrate,
     decay_hypothesis_report,
@@ -451,8 +452,11 @@ class TestConcentrateReference:
                 continue
             E = system.edges
             res = concentrate(system, E, params)
-            table = _MassTable(system, E)
-            want = {p: max(0, _ref_center_scan(table.masses(p)[0])[0]) for p in system.primes}
+            total, cells = _edge_cells(*system.masses, E)
+            want = {
+                p: max(0, _ref_center_scan(_with_origin(cells.get(p, {}), total, (0, 0)))[0])
+                for p in system.primes
+            }
             assert res.centers == want
             assert res.edges_star == _ref_star(system, E, res.centers)
             compared += 1

@@ -10,7 +10,7 @@ import pytest
 import paircert.harness as harness_mod
 from paircert import arith
 from paircert.diagonal import PeelResult
-from paircert.errors import DegenerateMeasure, InvalidParameter, ResourceLimit
+from paircert.errors import DegenerateMeasure, IncompleteDefinition, InvalidParameter, ResourceLimit
 from paircert.harness import (
     CampaignReport,
     GeneratorConfig,
@@ -32,6 +32,7 @@ from paircert.quality import (
     INCONCLUSIVE,
     PRECONDITION_FAILED,
     VIOLATED,
+    Params,
     build_edge_set,
     d_value,
     main_bound_check,
@@ -299,6 +300,37 @@ class TestPersistence:
         system2, _ = load_instance(path)
         assert system2.edges == system.edges
 
+    def test_round_trip_past_the_int_str_digit_limit(self, tmp_path):
+        """A t of 5,001 digits and a weight and an f value of 4,401 digits
+        (Python's str <-> int limit is 4,300) save and load back equal."""
+        huge = F(10**4400 + 1, 3)
+        psi = WeightFunction({3: huge, 5: F(1, 5)})
+        f = MultiplicativeFunction({(3, 1): huge, (5, 1): 4})
+        system = PairSystem(psi, psi, f, TOTIENT, {(3, 5)})
+        params = Params(epsilon=F(1, 4), C=F(1), t=F(10**5000 + 7), K=F(-(10**4400)))
+        path = tmp_path / "huge.json"
+        save_instance(path, system, params)
+        system2, params2 = load_instance(path)
+        assert params2 == params
+        assert (system2.psi, system2.f, system2.g, system2.edges) == (psi, f, TOTIENT, system.edges)
+
+    @pytest.mark.parametrize("extra, loads", [(0, True), (1, False)], ids=["at-cap", "past-cap"])
+    def test_numeral_cap_on_load(self, tmp_path, extra, loads):
+        """A t written in _NUMERAL_CAP characters loads back; one more saves,
+        but loading it raises ResourceLimit before the numeral is read."""
+        length = arith._NUMERAL_CAP + extra
+        psi = WeightFunction({3: F(1, 3)})
+        system = PairSystem(psi, psi, TOTIENT, TOTIENT, {(3, 3)})
+        params = Params(epsilon=F(1, 4), C=F(1), t=F(10 ** (length - 2) - 1, 2), K=F(0))
+        assert len(instance_document(system, params)["params"]["t"]) == length
+        path = tmp_path / "cap.json"
+        save_instance(path, system, params)
+        if loads:
+            assert load_instance(path)[1] == params
+        else:
+            with pytest.raises(ResourceLimit, match=f"a numeral of {length} characters exceeds the cap"):
+                load_instance(path)
+
     def test_rationals_as_strings(self):
         system, params = generate_instance(GeneratorConfig(seed=15), 0)
         doc = instance_document(system, params)
@@ -374,12 +406,26 @@ class TestCertifyInstanceFailures:
         assert out.clean and out.note == ""
 
     def test_slice_error_counts_each_spot(self, monkeypatch):
+        """A PaircertError from slice_system, here one that is a KeyError
+        and no ValueError, is a failed spot."""
+
         def broken(*args):
-            raise ValueError("no slice")
+            raise IncompleteDefinition("no slice")
 
         monkeypatch.setattr(harness_mod, "slice_system", broken)
         out = self._certify()
         assert out.slice_failures == 3 and out.peel_ok and out.resolution_ok
+
+    def test_slice_programming_error_propagates(self, monkeypatch):
+        """Any other exception from slice_system is a fault, not a failed
+        identity, and propagates as it does from every other stage."""
+
+        def broken(*args):
+            raise TypeError("no slice")
+
+        monkeypatch.setattr(harness_mod, "slice_system", broken)
+        with pytest.raises(TypeError, match="no slice"):
+            self._certify()
 
     def test_slice_identity_failure_counts_each_spot(self, monkeypatch):
         real = harness_mod.verify_slice_identities
