@@ -40,8 +40,8 @@ from .errors import InvalidParameter, ResourceLimit
 from .model import MultiplicativeFunction
 
 ENUMERATION_CAP = 2_000_000
-# omega_t(n) <= 7 below 2*3*5*7*11*13*17*19: the sieve's bytes and the
-# histogram's three bit planes rely on it
+# omega_t(n) <= 7 below 2*3*5*7*11*13*17*19: the sieve's bytes, the band's
+# carry-free additions and the histogram's three bit planes rely on it
 assert ENUMERATION_CAP < 9_699_690
 
 _ZERO = Fraction(0)
@@ -65,32 +65,66 @@ def small_prime_divisor_count(n: int, t: Rational) -> int:
 
 
 _INC = bytes(range(1, 256)) + b"\x00"  # byte n -> n + 1
-_WHEEL = (2, 3, 5, 7, 11, 13)  # period 30030
+_WHEEL = (3, 5, 7, 11, 13)  # period 15015 on the odd numbers
+_SIEVE_BAND_K = 16  # the odd multiples (2 j + 1) p, j < K, of a large prime p
 
 
 def _omega_counts(x: int, t: int) -> bytes:
-    """counts[n] = #{p <= t : p | n} for 0 <= n <= x, by a sieve pass.
+    """counts[i] = #{odd p <= t : p | 2 i + 1} for the odd 2 i + 1 <= x.
 
-    The counts of the wheel primes 2..13 that are <= min(t, x) repeat with
-    their product as period (at most 30030 bytes). So one period is sieved
-    and repeated to length x + 1, counts[0] is reset to 0, and only the
-    primes above 13 are sieved over the whole range. A byte cannot
-    overflow: omega_t(n) <= 7 for n <= ENUMERATION_CAP.
+    The (x + 1) // 2 bytes stand for the odd m <= x, index i for m = 2 i + 1,
+    so an odd prime p marks the indices = (p - 1)/2 (mod p), the slice
+    [(p - 1) // 2 :: p]. The counts of the wheel primes 3..13 that are <=
+    min(t, x) repeat with their product as period (at most 15015 bytes). So
+    one period is sieved and repeated to length (x + 1) // 2.
+
+    A prime p > x/(2 K + 1), K = _SIEVE_BAND_K, has its odd multiples <= x
+    among p (2 j + 1), j < K. With p = 2 u + 1, p (2 j + 1) sits at index
+    (2 j + 1) u + j, so for the primes of the band, u >= u0, these indices
+    form the one slice [(2 j + 1) u0 + j :: 2 j + 1], whose k-th byte stands
+    for u = u0 + k. Adding the flags "2 u + 1 is a prime <= t" there, as
+    integers of one byte per number, adds 1 at exactly the multiples of the
+    band's primes: no byte carries into the next, since every count ends
+    <= 7 (omega_t(n) <= 7 for n <= ENUMERATION_CAP). So K slices replace
+    one slice per prime of the band; the primes from 17 to the band are
+    sieved one by one.
     """
     bound = min(t, x)
+    size = (x + 1) // 2
     wheel = [p for p in _WHEEL if p <= bound]
     period = bytearray(math.prod(wheel))
     for p in wheel:
-        period[::p] = period[::p].translate(_INC)
-    counts = period * (x // len(period) + 1)
-    del counts[x + 1 :]
-    counts[0] = 0
-    for p in primes_upto(max(1, bound))[len(wheel) :]:
-        counts[p::p] = counts[p::p].translate(_INC)
+        period[p // 2 :: p] = period[p // 2 :: p].translate(_INC)
+    counts = period * (size // len(period) + 1)
+    del counts[size:]
+    p0 = max(_WHEEL[-1] + 1, x // (2 * _SIEVE_BAND_K + 1) + 1)  # the band's first
+    ps = primes_upto(max(1, bound))
+    for p in ps[bisect_right(ps, _WHEEL[-1]) : bisect_left(ps, p0)]:
+        counts[p // 2 :: p] = counts[p // 2 :: p].translate(_INC)
+    if p0 <= bound:
+        u0 = p0 // 2  # 2 u0 + 1 is the first odd number >= p0
+        flags = prime_flags(bound)[2 * u0 + 1 :: 2]
+        for j in range(_SIEVE_BAND_K):
+            band = slice((2 * j + 1) * u0 + j, (2 * j + 1) * (u0 + len(flags)) + j, 2 * j + 1)
+            run = counts[band]
+            if not run:
+                break
+            total = int.from_bytes(run, "little") + int.from_bytes(flags[: len(run)], "little")
+            counts[band] = total.to_bytes(len(run), "little")
     return bytes(counts)
 
 
 _TALLY_BLOCK = 1 << 15  # bytes of the sieve per block of the histogram's tally
+
+
+def _from_supersets(superset: list[int]) -> list[int]:
+    """The count of each value v in 0..7 from the counts superset[s] of the
+    bytes with every bit of s set, by inclusion-exclusion over the bits
+    outside v."""
+    return [
+        sum((-1) ** (s ^ v).bit_count() * superset[s] for s in range(v, 8) if s & v == v)
+        for v in range(8)
+    ]
 
 
 @lru_cache(maxsize=8)
@@ -99,48 +133,59 @@ def _omega_histogram(x: int, t: int) -> tuple[int, ...]:
 
     The c taken are 0, 1, ..., max: c of the small primes of n multiply to
     at most n. So the histogram ends at its last nonempty bucket. It is
-    cached on (x, t) rather than the x + 1 byte sieve behind it, so the
-    count and the Rankin sum of one chain share a single sieve and a single
-    tally, and the cache holds a few ints per entry.
+    cached on (x, t) rather than the sieve behind it, so the count and the
+    Rankin sum of one chain share a single sieve and a single tally, and
+    the cache holds a few ints per entry.
 
-    The tally reads the sieve as integers, one byte per n. Every byte is
-    at most 7 (omega_t(n) <= 7 for n <= ENUMERATION_CAP), so its bits 0, 1
-    and 2 hold it, and three bit planes, each masked to one bit per byte,
-    describe the sieve. The popcount of the AND of the planes of the
-    bits in s counts the n whose byte has every bit of s set; inclusion-
-    exclusion over the bits outside a value v turns these superset counts
-    into the exact count of v. Seven popcounts of big integers replace one
-    bytes.count pass per value, whose per-byte compare loop branches on the
-    data, and these data make that branch unpredictable.
+    Every n <= x is 2^j m for exactly one odd m and one j >= 0, and
+    omega_t(2^j m) is omega_t(m), plus 1 when j >= 1 and t >= 2. An odd m
+    in (x/2^(k+1), x/2^k] stands for the n = 2^j m with j = 0..k. So the
+    tally of the odd sieve (_omega_counts) counts each odd m once for j = 0
+    and k times for j >= 1, and the j >= 1 histogram moves up by one when
+    t >= 2. The odd m <= x/2^k are the indices below ((x >> k) + 1) // 2,
+    and the blocks of the tally are split at these cuts, so that each block
+    has one k.
 
-    The planes are built one block of _TALLY_BLOCK bytes at a time, and the
-    superset counts of the blocks added up: a count over the whole sieve is
-    the sum of the counts over disjoint blocks that cover it. A block's
-    integer and its planes (32 KB each) stay in the CPU's caches, where
-    planes of the whole sieve (1.2 to 2 Mbit at the anatomy grid's x) do
-    not. At t = 10^4 and x = 1.5, 2 and 2.5 * 10^5 (Python 3.11, 2 vCPUs,
-    medians of 60 interleaved runs of the tally alone) blocks of 2^15 bytes
-    took 1.51, 2.02 and 2.37 ms against 2.23, 3.05 and 3.70 ms for whole-
-    sieve planes; blocks of 2^13 to 2^16 bytes came within 5% of 2^15, and
-    2^17 lost half the gain or more.
+    The tally reads the sieve as integers, one byte per m. Every byte is
+    at most 7, so its bits 0, 1 and 2 hold it, and three bit planes, each
+    masked to one bit per byte, describe the sieve. The popcount of the AND
+    of the planes of the bits in s counts the m whose byte has every bit of
+    s set (_from_supersets turns these counts into the count of each
+    value). Seven popcounts of big integers replace one bytes.count pass
+    per value, whose per-byte compare loop branches on the data, and these
+    data make that branch unpredictable. The planes are built one block of
+    at most _TALLY_BLOCK bytes at a time, and the superset counts of the
+    blocks added up, weighted by k for j >= 1. A block's integer and its
+    planes (32 KB each) stay in the CPU's caches; blocks of 2^13 to 2^16
+    bytes came within 5% of 2^15 on the whole n <= x sieve, and 2^17 lost
+    half the gain over whole-sieve planes or more.
+
+    Against a sieve of every n <= x, wheel 2..13 and no band (Python 3.11,
+    2 vCPUs, medians of 60 interleaved runs, two rounds), the histogram
+    took 0.61-0.67 of its time at t = 10^4 and x = 1.5, 2 and 2.5 * 10^5
+    (1.3-1.8 ms against 2.1-2.8 ms at 2 * 10^5), and at x = 2 * 10^5 0.54
+    at t = 300, 0.62 at t = 3 * 10^4 and 0.42 at t = 10^6.
     """
     counts = _omega_counts(x, t)
     ones = int.from_bytes(b"\x01" * _TALLY_BLOCK, "little")
-    # superset[s] = #{0 <= n <= x : every bit of s is set in counts[n]}
-    superset = [len(counts)] + [0] * 7
-    for i in range(0, len(counts), _TALLY_BLOCK):
-        block = int.from_bytes(counts[i : i + _TALLY_BLOCK], "little")
-        p0, p1, p2 = (block >> bit & ones for bit in range(3))
-        p01 = p0 & p1
-        for s, m in enumerate((p0, p1, p01, p2, p0 & p2, p1 & p2, p01 & p2), 1):
-            superset[s] += m.bit_count()
-    hist = [
-        sum((-1) ** (s ^ v).bit_count() * superset[s] for s in range(v, 8) if s & v == v)
-        for v in range(8)
-    ]
+    # once[s], more[s]: the n with j = 0, j >= 1 whose byte has every bit of s
+    once, more = [0] * 8, [0] * 8
+    cuts = [((x >> k) + 1) // 2 for k in range(x.bit_length() + 1)]
+    for k in range(x.bit_length()):  # the odd m in (x/2^(k+1), x/2^k]
+        for i in range(cuts[k + 1], cuts[k], _TALLY_BLOCK):
+            chunk = counts[i : min(i + _TALLY_BLOCK, cuts[k])]
+            block = int.from_bytes(chunk, "little")
+            p0, p1, p2 = (block >> bit & ones for bit in range(3))
+            p01 = p0 & p1
+            planes = (p0, p1, p01, p2, p0 & p2, p1 & p2, p01 & p2)
+            for s, reps in enumerate([len(chunk)] + [m.bit_count() for m in planes]):
+                once[s] += reps
+                more[s] += k * reps
+    hist = _from_supersets(once) + [0]
+    for c, reps in enumerate(_from_supersets(more), 1 if t >= 2 else 0):
+        hist[c] += reps
     while hist[-1] == 0:
         hist.pop()
-    hist[0] -= 1  # n = 0
     return tuple(hist)
 
 

@@ -40,11 +40,14 @@ _MATERIALIZE_CAP 2^22  |exp| of a Dyadic made a Fraction (as_fraction): 2 ms
 _POWER_BITS_CAP 2^22   bits of a power (compare_power): 0.53 s, a power of 3
 DEFAULT_PRECISION_CAP  2^14 bits of a declared precision (_precision,
                        certify_le): 1.0 s, a campaign main bound at 2^14
-_NUMERAL_CAP 10^5      characters of a numeral (_read_numeral): 0.03 s
+_NUMERAL_CAP 10^5      characters of a numeral (_read_numeral; from bit
+                       lengths, _check_numeral in harness.instance_document):
+                       0.03 s to read, 0.13 s to write, 0.015 s to check
 sieve cap 10^7         primes sieved (_ensure_sieve; PAIRCERT_SIEVE_CAP
                        overrides it): 0.19 s
-ENUMERATION_CAP 2e6    anatomy's bound x (_enumeration_bound): 0.80 s,
-                       count_chain_report at x = t = 2*10^6
+ENUMERATION_CAP 2e6    anatomy's bound x (_enumeration_bound): 0.8-1.0 s,
+                       count_chain_report at x = t = 2*10^6, gamma = 3/2,
+                       nearly all in Mertens products; its histogram 0.02 s
 SUPPORT_CAP 1000       a generated support (GeneratorConfig): about 4 s
                        an instance, as generation tests every pair
 """
@@ -990,6 +993,26 @@ def _read_numeral(text: str) -> Fraction:
     num, _, den = text.partition("/")
     n = _read_digits(num.lstrip("-"))
     return Fraction(-n if num[0] == "-" else n, _read_digits(den or "1"))
+
+
+def _check_numeral(x: Fraction) -> None:
+    """ResourceLimit when fraction_str(x) would pass _NUMERAL_CAP characters,
+    decided before a digit is written. An int of b bits has at most
+    floor(b log10 2) + 1 digits (30103/10^5 > log10 2) and more than
+    (b - 1)/4, so past 4 _NUMERAL_CAP bits the numeral is too long; below,
+    each part's bound is lowered by one per power of ten above it, to its
+    exact length."""
+    parts = [abs(x.numerator)] + [x.denominator] * (x.denominator != 1)
+    if sum(n.bit_length() for n in parts) <= 4 * _NUMERAL_CAP:
+        chars = (x < 0) + len(parts) - 1  # the sign and the slash
+        for n in parts:
+            digits = n.bit_length() * 30103 // 100_000 + 1
+            while digits > 1 and n < 10 ** (digits - 1):
+                digits -= 1
+            chars += digits
+        if chars <= _NUMERAL_CAP:
+            return
+    raise ResourceLimit(f"a numeral of more than {_NUMERAL_CAP} characters would not read back")
 
 
 def _read_digits(digits: str) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .arith import DEFAULT_PRECISION, Rational, fraction_str, primes_upto
+from .arith import DEFAULT_PRECISION, Rational, _check_numeral, fraction_str, primes_upto
 from .compress import slice_system, verify_slice_identities
 from .diagonal import concentrate, peel
 from .errors import DegenerateMeasure, InvalidParameter, PaircertError, ResourceLimit
@@ -268,6 +268,15 @@ def corollary_bound_check(
 def instance_document(
     system: PairSystem, params: Params, auto_edges: bool = False
 ) -> dict:
+    """The instance as a JSON document. ResourceLimit, before a digit is
+    written, when one of its rationals would be a numeral past _NUMERAL_CAP
+    characters, which document_to_instance refuses: every document made
+    here loads again."""
+    values = [params.epsilon, params.C, params.t, params.K]
+    values += [v for w in (system.psi, system.theta) for _, v in w.items()]
+    values += [v for f in (system.f, system.g) if not f.is_totient() for v in f._table.values()]
+    for v in values:
+        _check_numeral(v)
     return {
         "psi": system.psi.to_json(),
         "theta": system.theta.to_json(),
@@ -308,6 +317,7 @@ def save_instance(
     params: Params,
     auto_edges: bool = False,
 ) -> None:
+    """Write instance_document to path; nothing is written when it raises."""
     Path(path).write_text(canonical_json(instance_document(system, params, auto_edges)))
 
 
@@ -401,6 +411,7 @@ class CampaignReport:
     peel_contract_failures: int = 0
     resolution_failures: int = 0
     witness_paths: list[str] = field(default_factory=list)
+    witnesses_refused: int = 0  # non-clean instances save_instance could not write
     rows: list[dict] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
@@ -424,6 +435,7 @@ class CampaignReport:
             "peel_contract_failures": self.peel_contract_failures,
             "resolution_failures": self.resolution_failures,
             "witnesses": self.witness_paths,
+            "witnesses_refused": self.witnesses_refused,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
         }
 
@@ -434,7 +446,8 @@ def certify_campaign(
     out_dir: Optional[Union[str, Path]] = None,
 ) -> CampaignReport:
     """Generate `count` instances and certify each; any non-clean outcome
-    dumps a replayable witness instance file into out_dir."""
+    dumps a replayable witness instance file into out_dir, or is counted in
+    witnesses_refused when save_instance refuses it."""
     if count < 1:
         raise InvalidParameter("campaign count must be >= 1")
     t0 = time.monotonic()
@@ -474,8 +487,12 @@ def certify_campaign(
         )
         if not outcome.clean and out_path is not None:
             witness_file = out_path / f"witness_{index:06d}.json"
-            save_instance(witness_file, system, params)
-            report.witness_paths.append(str(witness_file))
+            try:
+                save_instance(witness_file, system, params)
+            except ResourceLimit:
+                report.witnesses_refused += 1
+            else:
+                report.witness_paths.append(str(witness_file))
     report.elapsed_seconds = time.monotonic() - t0
     return report
 

@@ -113,12 +113,12 @@ class TestCount:
 
     @pytest.mark.parametrize("x, t", [(1, 1), (2, 2), (30, 5), (510510, 17), (3000, 10**4)])
     def test_omega_counts_sieve(self, x, t):
+        """One byte per odd n <= x, index i for n = 2 i + 1."""
         counts = _omega_counts(x, t)
-        assert len(counts) == x + 1 and counts[0] == 0
-        for n in sorted({1, x, *range(1, x + 1, max(1, x // 997))}):
-            assert counts[n] == small_prime_divisor_count(n, t), n
+        assert len(counts) == (x + 1) // 2
+        assert list(counts) == [small_prime_divisor_count(n, t) for n in range(1, x + 1, 2)]
         if x == 510510:
-            assert counts[x] == 7  # 2*3*5*7*11*13*17
+            assert counts[255255 // 2] == 6  # 3*5*7*11*13*17
 
     @pytest.mark.parametrize(
         "x, t",
@@ -126,11 +126,11 @@ class TestCount:
         + [(30031, t) for t in (1, 2, 3, 12, 13, 14)],
     )
     def test_wheel_sieve_matches_every_n(self, x, t):
-        """x below, at and above the 30030 wheel period; t giving an empty,
-        a partial and a full wheel of the primes 2..13."""
+        """x below, at and above the wheel's period, 15015 odd numbers (the
+        odd n <= 30029); t giving an empty, a partial and a full wheel of the
+        primes 3..13."""
         counts = _omega_counts(x, t)
-        assert counts[0] == 0
-        assert list(counts[1:]) == [small_prime_divisor_count(n, t) for n in range(1, x + 1)]
+        assert list(counts) == [small_prime_divisor_count(n, t) for n in range(1, x + 1, 2)]
 
     @pytest.mark.parametrize("x, t", [(1, 1), (2000, 7), (4001, 30), (3000, 10**4)])
     def test_omega_histogram_matches_per_n_loop(self, x, t):
@@ -144,14 +144,15 @@ class TestCount:
         sieve = anatomy._omega_counts
 
         def counted(x, t):
-            calls.append((x, t))
-            return sieve(x, t)
+            counts = sieve(x, t)
+            calls.append((x, t, len(counts)))
+            return counts
 
         monkeypatch.setattr(anatomy, "_omega_counts", counted)
         _omega_histogram.cache_clear()
         report = count_chain_report(F(25001, 2), 1000, 3, F(5, 2))
         assert report.chain_holds
-        assert calls == [(12500, 1000)]
+        assert calls == [(12500, 1000, 6250)]  # one byte per odd n <= x
 
 
 class TestRankinSum:
@@ -500,7 +501,11 @@ def _ref_mertens_product(t, gamma):
 
 
 def _ref_omega_histogram(x: int, t: int) -> tuple[int, ...]:
-    counts = _omega_counts(x, t)
+    """By a plain sieve of every n <= x: one slice per prime p <= t."""
+    counts = bytearray(x + 1)
+    inc = bytes(range(1, 256)) + b"\x00"
+    for p in primes_upto(min(t, x)):
+        counts[p::p] = counts[p::p].translate(inc)
     hist = [0]
     while reps := counts.count(len(hist)):
         hist.append(reps)
@@ -710,6 +715,15 @@ class TestAnatomyKernelReference:
         pairs += [(rng.randint(1, cap), rng.choice([1, 2, 7, 17, 300, 10**4])) for _ in range(6)]
         block = 1 << 15  # bytes per block of the tally
         pairs += [(x, t) for x in (block - 1, block, block + 1, 3 * block + 5) for t in (13, 10**4)]
+        # the tally's cuts ((x >> k) + 1) // 2 between the odd m <= x/2^k and the rest
+        pairs += [(x, t) for k in (2, 10, 17) for x in (2**k - 1, 2**k, 2**k + 1) for t in (2, 10**4)]
+        # the band's first prime x // (2 K + 1) + 1 at a prime p and either side of it, and t
+        # either side of p
+        band = 2 * anatomy._SIEVE_BAND_K + 1
+        pairs += [
+            (band * p + d, t) for p in (211, 6053) for d in (-1, 0, 1) for t in (p - 1, p, p + 1, 10**4)
+        ]
+        pairs += [(2, 1), (1, 2), (2, 3), (30031, 1)]  # t < 2, and x = 1 or 2
         sevens = 0
         for x, t in pairs:
             want = _ref_omega_histogram(x, t)

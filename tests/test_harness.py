@@ -316,20 +316,78 @@ class TestPersistence:
 
     @pytest.mark.parametrize("extra, loads", [(0, True), (1, False)], ids=["at-cap", "past-cap"])
     def test_numeral_cap_on_load(self, tmp_path, extra, loads):
-        """A t written in _NUMERAL_CAP characters loads back; one more saves,
-        but loading it raises ResourceLimit before the numeral is read."""
+        """A t written in _NUMERAL_CAP characters saves and loads back; one
+        more is refused by save_instance, and a document holding it, written
+        by hand, raises ResourceLimit on load before the numeral is read."""
         length = arith._NUMERAL_CAP + extra
         psi = WeightFunction({3: F(1, 3)})
         system = PairSystem(psi, psi, TOTIENT, TOTIENT, {(3, 3)})
         params = Params(epsilon=F(1, 4), C=F(1), t=F(10 ** (length - 2) - 1, 2), K=F(0))
-        assert len(instance_document(system, params)["params"]["t"]) == length
         path = tmp_path / "cap.json"
-        save_instance(path, system, params)
         if loads:
+            assert len(instance_document(system, params)["params"]["t"]) == length
+            save_instance(path, system, params)
             assert load_instance(path)[1] == params
         else:
+            with pytest.raises(ResourceLimit, match="a numeral of more than"):
+                save_instance(path, system, params)
+            assert not path.exists()
+            doc = instance_document(system, replace(params, t=F(1)))
+            doc["params"]["t"] = arith.fraction_str(params.t)
+            assert len(doc["params"]["t"]) == length
+            path.write_text(json.dumps(doc))
             with pytest.raises(ResourceLimit, match=f"a numeral of {length} characters exceeds the cap"):
                 load_instance(path)
+
+    @pytest.mark.parametrize("slot", ["t", "K", "psi", "f"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-cap", "past-cap"])
+    def test_numeral_cap_on_save(self, tmp_path, slot, extra):
+        """A rational whose numeral has _NUMERAL_CAP characters (an int for t,
+        -n/d for K, n/d for a weight and an f value) round-trips; at one
+        more, save_instance raises ResourceLimit and writes nothing."""
+        length = arith._NUMERAL_CAP + extra
+        if slot == "t":
+            value = F(10**length - 1)
+        else:  # [-]n/d, n of half the digits and d of the rest
+            sign = -1 if slot == "K" else 1
+            digits = (length - 1 - (sign < 0)) // 2
+            value = sign * F(10**digits - 1, 10 ** (length - 2 - (sign < 0) - digits))
+        assert len(arith.fraction_str(value)) == length
+        psi = WeightFunction({3: value if slot == "psi" else F(1, 3)})
+        f = MultiplicativeFunction({(3, 1): value}) if slot == "f" else TOTIENT
+        system = PairSystem(psi, psi, f, TOTIENT, {(3, 3)})
+        params = Params(
+            epsilon=F(1, 4), C=F(1), t=value if slot == "t" else F(10), K=value if slot == "K" else F(0)
+        )
+        path = tmp_path / "slot.json"
+        if extra == 0:
+            save_instance(path, system, params)
+            system2, params2 = load_instance(path)
+            assert (params2, system2.psi, system2.f) == (params, psi, f)
+        else:
+            with pytest.raises(ResourceLimit, match="a numeral of more than"):
+                save_instance(path, system, params)
+            assert not path.exists()
+
+    def test_near_e_past_the_numeral_cap_fails_fast_at_save(self, tmp_path):
+        """t = floor(e 2^k)/2^k, the near-e instance of the magnitude cap's
+        test at k = 2^18 (157,827 characters): save_instance refuses it in
+        well under a second, without writing its digits."""
+        import time
+
+        import mpmath
+
+        k = 1 << 18
+        with mpmath.workprec(k + 64):
+            t = F(int(mpmath.floor(mpmath.e * 2**k)), 2**k)
+        psi = WeightFunction({3: F(1, 3)})
+        params = Params(epsilon=F(1, 4), C=F(10**5), t=t, K=F(0), p0=2, precision_bits=16)
+        path = tmp_path / "near_e.json"
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="a numeral of more than"):
+            save_instance(path, PairSystem(psi, psi, TOTIENT, TOTIENT, {(3, 3)}), params)
+        assert time.perf_counter() - start < 1
+        assert not path.exists()
 
     def test_rationals_as_strings(self):
         system, params = generate_instance(GeneratorConfig(seed=15), 0)
@@ -377,6 +435,25 @@ class TestCampaign:
         system, params = load_instance(report.witness_paths[0])
         regen, rparams = generate_instance(GeneratorConfig(seed=3), 1)
         assert system.edges == regen.edges and params == rparams
+
+    def test_refused_witness_is_counted(self, tmp_path, monkeypatch):
+        """A non-clean instance whose K is a numeral past the cap cannot be
+        saved: the campaign counts it in witnesses_refused and goes on."""
+        from paircert.quality import VIOLATED
+
+        real = certify_instance
+
+        def fake(system, params, **kw):
+            out = real(system, params, **kw)
+            out.verdict = VIOLATED
+            return out
+
+        monkeypatch.setattr(harness_mod, "certify_instance", fake)
+        params = Params(epsilon=F(1, 4), C=F(1), t=F(10), K=F(1, 3 * 10**arith._NUMERAL_CAP))
+        report = harness_mod.certify_campaign(GeneratorConfig(seed=3, params=params), 2, out_dir=tmp_path)
+        assert (report.violated, report.witnesses_refused, report.witness_paths) == (2, 2, [])
+        assert report.to_json()["witnesses_refused"] == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_count_validation(self):
         with pytest.raises(InvalidParameter):
