@@ -122,13 +122,13 @@ class TestCount:
 
     @pytest.mark.parametrize(
         "x, t",
-        [(30029, 10**4), (30030, 10**4), (30031, 10**4), (70001, 10**4)]
+        [(30027, 10**4), (30029, 10**4), (30030, 10**4), (30031, 10**4), (70001, 10**4)]
         + [(30031, t) for t in (1, 2, 3, 12, 13, 14)],
     )
     def test_wheel_sieve_matches_every_n(self, x, t):
-        """x below, at and above the wheel's period, 15015 odd numbers (the
-        odd n <= 30029); t giving an empty, a partial and a full wheel of the
-        primes 3..13."""
+        """x below, at and above the wheel's period of 15015 odd numbers (the
+        odd n <= 30029 or 30030); t giving an empty, a partial and a full
+        wheel of the primes 3..13."""
         counts = _omega_counts(x, t)
         assert list(counts) == [small_prime_divisor_count(n, t) for n in range(1, x + 1, 2)]
 
