@@ -44,10 +44,15 @@ _NUMERAL_CAP 10^5      characters of a numeral (_read_numeral; from bit
                        lengths, _check_numeral in harness.instance_document):
                        0.03 s to read, 0.13 s to write, 0.015 s to check
 sieve cap 10^7         primes sieved (_ensure_sieve; PAIRCERT_SIEVE_CAP
-                       overrides it): 0.19 s
-ENUMERATION_CAP 2e6    anatomy's bound x (_enumeration_bound): 0.8-1.0 s,
+                       overrides it): 0.19 s. It also bounds the largest
+                       product handed to GMP: mertens_product at t = 10^7,
+                       12.5 Mbit from 12.1 Mbit operands, 1.0-1.7 s and a
+                       166 MB peak; GMP aborts the process only if malloc
+                       fails
+ENUMERATION_CAP 2e6    anatomy's bound x (_enumeration_bound): 0.33 s,
                        count_chain_report at x = t = 2*10^6, gamma = 3/2,
-                       nearly all in Mertens products; its histogram 0.02 s
+                       with libgmp (0.8-0.9 s in int alone), nearly all in
+                       Mertens products; its histogram 0.02 s
 SUPPORT_CAP 1000       a generated support (GeneratorConfig): about 4 s
                        an instance, as generation tests every pair
 """
@@ -102,7 +107,7 @@ def _precision(bits, name: str = "precision_bits") -> int:
     if type(bits) is not int:
         raise InvalidParameter(f"{name} must be an integer, got {bits!r}")
     if not 16 <= bits <= DEFAULT_PRECISION_CAP:
-        raise InvalidParameter(f"{name} outside [16, 2^14]: {bits}")
+        raise InvalidParameter(f"{name} outside [16, 2^14]: {fraction_str(bits)}")
     return bits
 
 
@@ -112,7 +117,7 @@ def _t_floor(t) -> int:
     Fraction: small_prime_divisor_count reads t once per integer."""
     bound = t if type(t) is int else floor(_rational(t))
     if bound < 1:
-        raise InvalidParameter(f"t must be >= 1, got {_rational(t)}")
+        raise InvalidParameter(f"t must be >= 1, got {fraction_str(_rational(t))}")
     return bound
 
 
@@ -148,7 +153,7 @@ def _ensure_sieve(limit: int) -> None:
         return
     cap = sieve_cap()
     if limit > cap:
-        raise ResourceLimit(f"sieve request {limit} exceeds cap {cap}")
+        raise ResourceLimit(f"sieve request {fraction_str(limit)} exceeds cap {cap}")
     limit = min(cap, max(limit, 2 * _sieve_limit, 1 << 14))
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[0:2] = b"\x00\x00"
@@ -200,7 +205,7 @@ def is_prime(n: int) -> bool:
             return False
     if isqrt(n) <= _sieve_limit:  # every prime up to isqrt(n) was tried
         return True
-    raise ResourceLimit(f"primality of {n} needs primes beyond the sieve cap")
+    raise ResourceLimit(f"primality of {fraction_str(n)} needs primes beyond the sieve cap")
 
 
 @lru_cache(maxsize=1 << 20)
@@ -215,12 +220,12 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if type(n) is not int:
         raise InvalidParameter(f"factorize requires an int, got {n!r}")
     if n < 1:
-        raise InvalidParameter(f"factorize requires n >= 1, got {n}")
+        raise InvalidParameter(f"factorize requires n >= 1, got {fraction_str(n)}")
     if n == 1:
         return ()
     root = isqrt(n)
     if root > sieve_cap():
-        raise ResourceLimit(f"factorizing {n} needs primes up to {root}, beyond cap {sieve_cap()}")
+        raise ResourceLimit(f"factorizing {fraction_str(n)} needs primes up to {fraction_str(root)}, beyond cap {sieve_cap()}")
     _ensure_sieve(root)
     out = []
     m = n
@@ -253,7 +258,7 @@ def divisors(n: int) -> list[int]:
 def valuation(p: int, x: Rational) -> int:
     """p-adic valuation nu_p(x) of a nonzero rational."""
     if p < 2 or not is_prime(p):
-        raise InvalidParameter(f"valuation base {p} is not prime")
+        raise InvalidParameter(f"valuation base {fraction_str(p)} is not prime")
     if type(x) is not int:
         x = _rational(x)
     if x == 0:

@@ -81,7 +81,7 @@ def _side_str(x) -> str | None:
 def slice_system(system: PairSystem, p: int, i: int, j: int) -> Slice:
     """Build the (p, i, j) slice; empty cells yield an empty slice."""
     if not is_prime(p):
-        raise InvalidParameter(f"slice prime {p} is not prime")
+        raise InvalidParameter(f"slice prime {fraction_str(p)} is not prime")
     if i < 0 or j < 0:
         raise InvalidParameter("slice exponents must be nonnegative")
     # the measure identities consult f(p^i), g(p^j); fail fast if undefined

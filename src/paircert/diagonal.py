@@ -57,7 +57,7 @@ class DiagonalMeasure:
         for name, mapping in (("cells", self.cells), ("alpha", self.alpha), ("beta", self.beta)):
             s = sum(mapping.values(), _ZERO)
             if s != 1:
-                raise InvalidParameter(f"{name} sums to {s}, not 1")
+                raise InvalidParameter(f"{name} sums to {fraction_str(s)}, not 1")
             if any(v < 0 for v in mapping.values()):
                 raise InvalidParameter(f"{name} has a negative entry")
 
@@ -139,7 +139,7 @@ def diagonal_measure(
     if total == 0:
         raise DegenerateMeasure("mu(E) = 0: m(i,j) is undefined")
     if p < 2 or not is_prime(p):
-        raise InvalidParameter(f"valuation base {p} is not prime")
+        raise InvalidParameter(f"valuation base {fraction_str(p)} is not prime")
     mu_v, alpha = _marginal_cells(V)
     mu_w, beta = _marginal_cells(W)
     return DiagonalMeasure(

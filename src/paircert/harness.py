@@ -85,17 +85,17 @@ class GeneratorConfig:
     def __post_init__(self):
         check_fields(self)
         if not 0 <= self.density <= 1:
-            raise InvalidParameter(f"density {self.density} outside [0, 1]")
+            raise InvalidParameter(f"density {fraction_str(self.density)} outside [0, 1]")
         if self.f_mode not in ("totient", "random"):
             raise InvalidParameter(f"unknown f_mode {self.f_mode!r}")
         if self.support_min > self.support_max or self.support_min < 0:
             raise InvalidParameter("bad support size bounds")
         if self.support_max > SUPPORT_CAP:
-            raise ResourceLimit(f"support_max {self.support_max} exceeds cap {SUPPORT_CAP}")
+            raise ResourceLimit(f"support_max {fraction_str(self.support_max)} exceeds cap {SUPPORT_CAP}")
         least = {"value_numerator_bound": 1, "max_exponent": 1, "element_bound": 1, "prime_pool_bound": 2}
         for name, bound in least.items():
             if getattr(self, name) < bound:
-                raise InvalidParameter(f"{name} {getattr(self, name)} is below {bound}")
+                raise InvalidParameter(f"{name} {fraction_str(getattr(self, name))} is below {bound}")
 
     def to_json(self) -> dict:
         return fields_to_json(self)
@@ -232,7 +232,7 @@ def rescale_kmy(psi: WeightFunction, y: Rational, Q: int) -> WeightFunction:
     if type(Q) is not int:
         raise InvalidParameter(f"truncation bound Q must be an integer, got {Q!r}")
     if y <= 0:
-        raise InvalidParameter(f"rescale factor must be positive, got {y}")
+        raise InvalidParameter(f"rescale factor must be positive, got {fraction_str(y)}")
     return WeightFunction({n: val / y for n, val in psi.items() if n <= Q})
 
 
@@ -250,7 +250,7 @@ def corollary_bound_check(
     read through _rational."""
     epsilon = _rational(epsilon)
     if not 0 < epsilon <= Fraction(4, 5):
-        raise InvalidParameter(f"corollary epsilon {epsilon} outside (0, 4/5]")
+        raise InvalidParameter(f"corollary epsilon {fraction_str(epsilon)} outside (0, 4/5]")
     params = Params(
         epsilon=epsilon / 2, C=C, t=t, K=K, p0=p0, precision_bits=precision_bits
     )

@@ -42,10 +42,10 @@ class WeightFunction:
             if type(k) is not int:
                 raise InvalidParameter(f"weight support element {k!r} is not an integer")
             if k < 1:
-                raise InvalidParameter(f"weight support element {k} < 1")
+                raise InvalidParameter(f"weight support element {fraction_str(k)} < 1")
             v = _rational(val)
             if v.numerator < 0:
-                raise InvalidParameter(f"negative weight at {k}: {v}")
+                raise InvalidParameter(f"negative weight at {k}: {fraction_str(v)}")
             if not v.numerator:
                 continue  # zero means "not in support"
             tbl[k] = v
@@ -120,12 +120,12 @@ class MultiplicativeFunction:
             if type(p) is not int or type(a) is not int:
                 raise InvalidParameter(f"prime power {p!r}^{a!r} is not of integers")
             if a < 1:
-                raise InvalidParameter(f"prime-power exponent {a} < 1")
+                raise InvalidParameter(f"prime-power exponent {fraction_str(a)} < 1")
             if not is_prime(p):
                 raise InvalidParameter(f"prime-power base {p} is not prime")
             v = _rational(val)
             if v.numerator < 0:
-                raise InvalidParameter(f"negative value at {p}^{a}: {v}")
+                raise InvalidParameter(f"negative value at {p}^{a}: {fraction_str(v)}")
             table[(p, a)] = v
         object.__setattr__(self, "_table", table)
 
@@ -280,7 +280,7 @@ class PairSystem:
             if type(v) is not int or type(w) is not int:
                 raise InvalidParameter(f"edge ({v!r}, {w!r}) has a non-integer vertex")
             if v not in self.psi or w not in self.theta:
-                raise InvalidParameter(f"edge ({v},{w}) leaves the supports")
+                raise InvalidParameter(f"edge ({fraction_str(v)},{fraction_str(w)}) leaves the supports")
 
     def canonical_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

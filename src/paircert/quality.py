@@ -91,12 +91,12 @@ class Params:
     def __post_init__(self):
         check_fields(self)
         if not 0 < self.epsilon <= Fraction(2, 5):
-            raise InvalidParameter(f"epsilon {self.epsilon} outside (0, 2/5]")
+            raise InvalidParameter(f"epsilon {fraction_str(self.epsilon)} outside (0, 2/5]")
         if self.C <= 0:
-            raise InvalidParameter(f"C must be positive, got {self.C}")
+            raise InvalidParameter(f"C must be positive, got {fraction_str(self.C)}")
         _t_floor(self.t)
         if self.p0 < 1:
-            raise InvalidParameter(f"p0 must be >= 1, got {self.p0}")
+            raise InvalidParameter(f"p0 must be >= 1, got {fraction_str(self.p0)}")
         _precision(self.precision_bits)
 
     @property

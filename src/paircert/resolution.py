@@ -206,7 +206,7 @@ def s_majorant(
     _precision(precision_bits)
     gamma = _rational(gamma)
     if gamma <= 1:
-        raise InvalidParameter(f"gamma must exceed 1, got {gamma}")
+        raise InvalidParameter(f"gamma must exceed 1, got {fraction_str(gamma)}")
     quarter = _rational(K) / 4
     prod = mertens_product(t, gamma)
     if quarter.denominator == 1:

@@ -565,10 +565,22 @@ def _divisor_sum_outcome(fn, M, t, K, f):
     return out, log.asked
 
 
-class TestAnatomyKernelReference:
-    """mertens_product, _tree_prod and _omega_histogram against the
-    references above, and _power_prod against math.prod, integer for
-    integer."""
+class _ProductKernel:
+    """mertens_product and _tree_prod against the references above, and
+    _power_prod against math.prod, integer for integer, on the product path
+    that in_gmp names."""
+
+    in_gmp = False  # GMP off, or GMP for every product the kernel routes
+
+    @pytest.fixture(autouse=True)
+    def _product_path(self, monkeypatch):
+        if not self.in_gmp:
+            monkeypatch.setattr(anatomy, "_gmp", False)
+            return
+        monkeypatch.setattr(anatomy, "_gmp", anatomy._gmp)  # restored after the test
+        if not anatomy._load_gmp():
+            pytest.skip("libgmp.so.10 does not load")
+        monkeypatch.setattr(anatomy, "_GMP_CUT", 0)
 
     _TS = [1, 2, F(5, 2), 3, F(21, 2), 300, 10**4, 10**5]
     # c = 0 (gamma 1), b = 1, and primes dividing b (2, 3, 2 and 3)
@@ -705,6 +717,110 @@ class TestAnatomyKernelReference:
         for powers in cases:
             want = math.prod(q**e for e, qs in powers.items() for q in qs)
             assert anatomy._power_prod(powers) == want, powers
+
+
+class TestProductKernelInGmp(_ProductKernel):
+    in_gmp = True
+
+
+class _CountedGmp:
+    """A libgmp handle that counts __gmpz_init against __gmpz_clear, and
+    whose __gmpz_mul raises on its call number fail_at."""
+
+    def __init__(self, lib, fail_at=None):
+        self._lib, self.fail_at = lib, fail_at
+        self.inits = self.clears = self.muls = 0
+
+    def __getattr__(self, name):
+        fn = getattr(self._lib, name)
+
+        def counted(*args):
+            if name == "__gmpz_init":
+                self.inits += 1
+            elif name == "__gmpz_clear":
+                self.clears += 1
+            elif name == "__gmpz_mul":
+                self.muls += 1
+                if self.muls == self.fail_at:
+                    raise RuntimeError("mpz_mul failed")
+            return fn(*args)
+
+        return counted
+
+
+class TestGmpLoading:
+    """When and how the product kernel reaches libgmp."""
+
+    _POWERS = {1: list(range(2, 400)), 3: [5, 7], 70: [11]}
+
+    def test_falls_back_when_libgmp_does_not_load(self, monkeypatch):
+        import ctypes
+
+        tries = []
+
+        def refuse(name, *args, **kwargs):
+            tries.append(name)
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        monkeypatch.setattr(anatomy, "_gmp", None)
+        monkeypatch.setattr(anatomy, "_GMP_CUT", 0)
+        want = math.prod(q**e for e, qs in self._POWERS.items() for q in qs)
+        assert anatomy._power_prod(self._POWERS) == want
+        for t, gamma in ((2, F(3, 2)), (10**4, F(5, 2))):
+            got, ref = mertens_product(t, gamma), _ref_mertens_product(t, gamma)
+            assert (got.numerator, got.denominator) == (ref.numerator, ref.denominator)
+        assert tries == ["libgmp.so.10"] and anatomy._gmp is False
+
+    def test_import_leaves_ctypes_unloaded(self):
+        src = Path(anatomy.__file__).resolve().parents[1]
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import paircert, paircert.cli; "
+            "print('ctypes' in sys.modules)"
+        )
+        run = subprocess.run(
+            [sys.executable, "-I", "-B", "-c", script, str(src)], capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False"]
+
+    def test_a_small_grid_point_never_loads_libgmp(self, monkeypatch):
+        """The four reports of an anatomy grid point at t = 10^4: no operand
+        reaches the cut."""
+        monkeypatch.setattr(anatomy, "_gmp", None)
+        t = 10**4
+        for gamma in (F(3, 2), F(2), F(5, 2)):
+            mertens_product(t, gamma)
+            ratio_to_log_power(t, gamma)
+            count_chain_report(int(10**5 * gamma), t, 3, gamma)
+            divisor_chain_report(720720, t, 2, gamma, TOTIENT)
+        assert anatomy._gmp is None
+
+    @pytest.mark.parametrize("fail_at", [None, 1, 4])
+    def test_every_mpz_is_cleared(self, monkeypatch, fail_at):
+        """As many __gmpz_clear as __gmpz_init, after a normal return and
+        after a __gmpz_mul that raises partway through."""
+        monkeypatch.setattr(anatomy, "_gmp", anatomy._gmp)
+        gmp = anatomy._load_gmp()
+        if not gmp:
+            pytest.skip("libgmp.so.10 does not load")
+        counted = _CountedGmp(gmp[0], fail_at)
+        monkeypatch.setattr(anatomy, "_gmp", (counted, gmp[1]))
+        monkeypatch.setattr(anatomy, "_GMP_CUT", 0)
+        want = math.prod(q**e for e, qs in self._POWERS.items() for q in qs)
+        if fail_at is None:
+            assert anatomy._power_prod(self._POWERS) == want
+            assert counted.muls > 4
+        else:
+            with pytest.raises(RuntimeError, match="mpz_mul failed"):
+                anatomy._power_prod(self._POWERS)
+            assert counted.muls == fail_at
+        assert counted.inits == counted.clears == 2 * counted.muls
+
+
+class TestAnatomyKernelReference(_ProductKernel):
+    """The product kernel with GMP off, and _omega_histogram and
+    divisor_anatomy_sum against the references above."""
 
     def test_omega_histogram(self):
         cap = anatomy.ENUMERATION_CAP

@@ -125,6 +125,9 @@ class TestPrimes:
         assert not is_prime(101**2 + 1)
         with pytest.raises(ResourceLimit, match=f"primality of {101**2} needs primes"):
             is_prime(101**2)
+        # past Python's 4,300-digit int -> str limit, which str() would raise ValueError at
+        with pytest.raises(ResourceLimit, match=f"primality of {int_str(101**2500)} needs primes"):
+            is_prime(101**2500)
 
     @pytest.mark.parametrize(
         "raw, message",
@@ -1974,7 +1977,107 @@ def _domain_raises():
             InvalidParameter,
             "factorize requires an int, got True",
         ),
+    ] + _past_the_digit_limit()
+
+
+def _past_the_digit_limit():
+    """(name, call, exception type, message regex) per raise whose message
+    prints a number, with a 5,001-digit number there: past Python's
+    4,300-digit int -> str limit, which str() would raise ValueError at."""
+    from paircert.anatomy import (
+        count_many_small_primes, divisor_anatomy_bound, divisor_anatomy_sum, mertens_product,
+        rankin_sum, small_prime_divisor_count,
+    )
+    from paircert.compress import slice_system
+    from paircert.diagonal import DiagonalMeasure, diagonal_measure
+    from paircert.harness import GeneratorConfig, corollary_bound_check, rescale_kmy
+    from paircert.model import MultiplicativeFunction, PairSystem, TOTIENT, WeightFunction
+    from paircert.quality import Params
+    from paircert.resolution import s_majorant
+
+    big = 10**5000
+    B = "1" + "0" * 5000  # big's digits
+    psi = WeightFunction({1: F(1, 8)})
+    system = PairSystem(psi, WeightFunction({2: F(1, 8)}), TOTIENT, TOTIENT, {(1, 2)})
+    one = {0: F(1)}
+
+    def params(**fields):
+        return Params(**{"epsilon": F(1, 4), "C": F(1), "t": F(10), "K": F(0), **fields})
+
+    rows = [
+        ("WeightFunction.value", lambda: WeightFunction({3: -F(big)}), f"negative weight at 3: -{B}$"),
+        (
+            "MultiplicativeFunction.value",
+            lambda: MultiplicativeFunction({(2, 1): -F(big)}),
+            rf"negative value at 2\^1: -{B}$",
+        ),
+        ("Params.epsilon", lambda: params(epsilon=F(big)), rf"epsilon {B} outside \(0, 2/5\]$"),
+        ("Params.C", lambda: params(C=-F(big)), f"C must be positive, got -{B}$"),
+        ("Params.p0", lambda: params(p0=-big), f"p0 must be >= 1, got -{B}$"),
+        ("_t_floor.t", lambda: small_prime_divisor_count(6, -big), f"t must be >= 1, got -{B}$"),
+        ("factorize.n", lambda: factorize(-big), f"factorize requires n >= 1, got -{B}$"),
+        ("_check_M.M", lambda: divisor_anatomy_sum(-big, 10, 1, TOTIENT), f"M must be >= 1, got -{B}$"),
+        ("_enumeration_bound.x", lambda: count_many_small_primes(-big, 10, 1), f"x must be >= 1, got -{B}$"),
+        ("rankin_sum.gamma", lambda: rankin_sum(10, 10, -big), f"gamma must be positive, got -{B}$"),
+        (
+            "divisor_anatomy_bound.gamma",
+            lambda: divisor_anatomy_bound(12, 10, 1, -big),
+            f"gamma must exceed 1, got -{B}$",
+        ),
+        ("_mertens_args.gamma", lambda: mertens_product(10, -big), f"gamma must be >= 1, got -{B}$"),
+        ("rescale_kmy.y", lambda: rescale_kmy(psi, -big, 10), f"rescale factor must be positive, got -{B}$"),
+        ("s_majorant.gamma", lambda: s_majorant(10, 4, -big), f"gamma must exceed 1, got -{B}$"),
+        (
+            "_precision.bits",
+            lambda: interval_eval(1, [(exp_of(1), 1)], big),
+            rf"precision_bits outside \[16, 2\^14\]: {B}$",
+        ),
+        ("valuation.p", lambda: valuation(-big, 4), f"valuation base -{B} is not prime$"),
+        ("WeightFunction.key", lambda: WeightFunction({-big: F(1)}), f"weight support element -{B} < 1$"),
+        (
+            "MultiplicativeFunction.exponent",
+            lambda: MultiplicativeFunction({(2, -big): 1}),
+            f"prime-power exponent -{B} < 1$",
+        ),
+        (
+            "PairSystem.edge",
+            lambda: PairSystem(psi, psi, TOTIENT, TOTIENT, {(big, 1)}),
+            rf"edge \({B},1\) leaves the supports$",
+        ),
+        ("GeneratorConfig.density", lambda: GeneratorConfig(density=F(big)), rf"density {B} outside \[0, 1\]$"),
+        (
+            "GeneratorConfig.element_bound",
+            lambda: GeneratorConfig(element_bound=-big),
+            f"element_bound -{B} is below 1$",
+        ),
+        (
+            "corollary_bound_check.epsilon",
+            lambda: corollary_bound_check(psi, F(big), 1, 1, 0),
+            rf"corollary epsilon {B} outside \(0, 4/5\]$",
+        ),
+        ("slice_system.p", lambda: slice_system(system, -big, 0, 0), f"slice prime -{B} is not prime$"),
+        (
+            "DiagonalMeasure.cells",
+            lambda: DiagonalMeasure(2, {(0, 0): F(big)}, one, one, F(1)),
+            f"cells sums to {B}, not 1$",
+        ),
+        (
+            "diagonal_measure.p",
+            lambda: diagonal_measure(system, system.edges, -big),
+            f"valuation base -{B} is not prime$",
+        ),
     ]
+    out = [(f"{name}_5001_digits", call, InvalidParameter, message) for name, call, message in rows]
+    limits = [
+        ("sieve_request", lambda: primes_upto(big), f"sieve request {B} exceeds cap"),
+        (
+            "factorize.cap",
+            lambda: factorize(big),
+            f"factorizing {B} needs primes up to 1{'0' * 2500}, beyond cap",
+        ),
+        ("GeneratorConfig.support_max", lambda: GeneratorConfig(support_max=big), f"support_max {B} exceeds cap"),
+    ]
+    return out + [(f"{name}_5001_digits", call, ResourceLimit, message) for name, call, message in limits]
 
 
 _DOMAIN_RAISES = _domain_raises()
