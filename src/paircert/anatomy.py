@@ -14,7 +14,6 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress
 from typing import Union
 
@@ -24,6 +23,7 @@ from .arith import (
     Rational,
     _bracket_point,
     _interval_eval,
+    _power,
     _precision,
     _rational,
     _t_floor,
@@ -128,15 +128,11 @@ def _from_supersets(superset: list[int]) -> list[int]:
     ]
 
 
-@lru_cache(maxsize=8)
 def _omega_histogram(x: int, t: int) -> tuple[int, ...]:
     """hist[c] = #{1 <= n <= x : omega_t(n) = c}, up to the largest c taken.
 
     The c taken are 0, 1, ..., max: c of the small primes of n multiply to
-    at most n. So the histogram ends at its last nonempty bucket. It is
-    cached on (x, t) rather than the sieve behind it, so the count and the
-    Rankin sum of one chain share a single sieve and a single tally, and
-    the cache holds a few ints per entry.
+    at most n. So the histogram ends at its last nonempty bucket.
 
     Every n <= x is 2^j m for exactly one odd m and one j >= 0, and
     omega_t(2^j m) is omega_t(m), plus 1 when j >= 1 and t >= 2. An odd m
@@ -214,10 +210,12 @@ def rankin_sum(x: Rational, t: Rational, gamma: Rational) -> Fraction:
     xi, bound, gamma = _enumeration_bound(x), _t_floor(t), _rational(gamma)
     if gamma <= 0:
         raise InvalidParameter(f"gamma must be positive, got {fraction_str(gamma)}")
-    total = _ZERO
-    for c, reps in enumerate(_omega_histogram(xi, bound)):
-        total += reps * gamma**c
-    return total
+    return _rankin_total(_omega_histogram(xi, bound), gamma)
+
+
+def _rankin_total(hist: tuple[int, ...], gamma: Fraction) -> Fraction:
+    """sum_c hist[c] gamma^c, the Rankin sum read off an omega histogram."""
+    return sum((reps * gamma**c for c, reps in enumerate(hist)), _ZERO)
 
 
 def divisor_anatomy_sum(
@@ -326,10 +324,7 @@ def divisor_anatomy_bound(
             num *= p * b + a - b
             den *= p * b
     if K.denominator == 1:
-        k = K.numerator
-        if k >= 0:
-            return Fraction(num * b**k, den * a**k)
-        return Fraction(num * a**-k, den * b**-k)
+        return Fraction(num, den) * _power(gamma, -K.numerator, "divisor_anatomy_bound")
     return interval_eval(Fraction(num, den), [(const(gamma), -K)], precision_bits)
 
 
@@ -692,9 +687,10 @@ def count_chain_report(
         raise InvalidParameter("exact chain reports need integer K")
     T, gamma = _mertens_args(t, gamma)
     xi = _enumeration_bound(x)
-    exact = Fraction(count_many_small_primes(xi, T, K))
-    scale = gamma ** (-K.numerator)
-    rank = scale * rankin_sum(xi, T, gamma)
+    scale = _power(gamma, -K.numerator, "count_chain_report")
+    hist = _omega_histogram(xi, T)
+    exact = Fraction(sum(hist[max(0, K.numerator) :]))
+    rank = scale * _rankin_total(hist, gamma)
     mert = scale * xi * mertens_product(T, gamma)
     return AnatomyReport(exact, rank, mert, gamma)
 
@@ -709,5 +705,5 @@ def divisor_chain_report(
     mert = divisor_anatomy_bound(M, t, K, gamma)  # M, t and gamma > 1 checked there
     gamma = _rational(gamma)
     exact = divisor_anatomy_sum(M, t, K, f)
-    rank = gamma ** (-K.numerator) * rankin_divisor_product(M, t, gamma, f)
+    rank = _power(gamma, -K.numerator, "divisor_chain_report") * rankin_divisor_product(M, t, gamma, f)
     return AnatomyReport(exact, rank, mert, gamma)

@@ -74,11 +74,16 @@ _EXIT_CODES = {
 
 
 def _emit(doc, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, default=str) + "\n"
+    text = json.dumps(doc, indent=2) + "\n"
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _echo(**values) -> dict:
+    """The rational options a command read, as fraction_str writes them."""
+    return {name: fraction_str(value) for name, value in values.items()}
 
 
 def _override(args, params):
@@ -120,7 +125,7 @@ def _cmd_edges(args) -> int:
     t = _rational(args.t, "--t", params.t)
     K = _rational(args.K, "--K", params.K)
     edges = build_edge_set(system.psi, system.theta, t, K, literal_lcm=args.literal_lcm)
-    _emit({"t": str(t), "K": str(K), "edges": sorted(list(e) for e in edges)}, args.out)
+    _emit({**_echo(t=t, K=K), "edges": sorted(list(e) for e in edges)}, args.out)
     return 0
 
 
@@ -222,24 +227,18 @@ def _cmd_anatomy(args) -> int:
     x = _rational(args.x, "--x", Fraction(100))
     if args.operation == "count":
         doc = count_chain_report(x, t, K, gamma).to_json()
-        doc.update({"x": str(x), "t": str(t), "K": str(K)})
+        doc.update(_echo(x=x, t=t, K=K))
     elif args.operation == "rankin":
-        doc = {
-            "x": str(x),
-            "t": str(t),
-            "gamma": str(gamma),
-            "rankin_sum": fraction_str(rankin_sum(x, t, gamma)),
-        }
+        doc = {**_echo(x=x, t=t, gamma=gamma), "rankin_sum": fraction_str(rankin_sum(x, t, gamma))}
     elif args.operation == "divisor":
         M = 12 if args.M is None else args.M
         doc = divisor_chain_report(M, t, K, gamma, TOTIENT).to_json()
-        doc.update({"M": M, "t": str(t), "K": str(K)})
+        doc.update({"M": M, **_echo(t=t, K=K)})
     else:  # mertens
         bits = DEFAULT_PRECISION if args.precision is None else args.precision
         iv = ratio_to_log_power(t, gamma, bits)
         doc = {
-            "t": str(t),
-            "gamma": str(gamma),
+            **_echo(t=t, gamma=gamma),
             "product": fraction_str(mertens_product(t, gamma)),
             "ratio_to_log_power": _interval_json(iv),
         }

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import Rational, _int_valuation, _t_floor, fraction_str, is_prime
+from .arith import Rational, _int_valuation, _power, _t_floor, fraction_str, is_prime
 from .errors import InvalidParameter
 from .model import PairSystem, WeightFunction, edge_mass, mu_pairs
 from .quality import FAILED, HOLDS, VACUOUS, _d_ratio, omega_t
@@ -84,20 +84,20 @@ def slice_system(system: PairSystem, p: int, i: int, j: int) -> Slice:
         raise InvalidParameter(f"slice prime {fraction_str(p)} is not prime")
     if i < 0 or j < 0:
         raise InvalidParameter("slice exponents must be nonnegative")
+    pi, pj = _power(p, i, "slice_system"), _power(p, j, "slice_system")
     # the measure identities consult f(p^i), g(p^j); fail fast if undefined
     system.f.prime_power(p, i)
     system.g.prime_power(p, j)
-    m = min(i, j)
-    pi, pj = p**i, p**j
+    pm = min(pi, pj)  # p^min(i, j)
     # p was checked above; supports hold positive integers
     v_cell = frozenset(v for v in system.psi.support() if _int_valuation(p, v) == i)
     w_cell = frozenset(w for w in system.theta.support() if _int_valuation(p, w) == j)
     # the source validated its weights: rescaled by p^k they stay positive
     psi_t = WeightFunction._scaled(
-        ((v // pi, a) for v, a in system.psi.items() if v in v_cell), p ** (j - m)
+        ((v // pi, a) for v, a in system.psi.items() if v in v_cell), pj // pm
     )
     theta_t = WeightFunction._scaled(
-        ((w // pj, b) for w, b in system.theta.items() if w in w_cell), p ** (i - m)
+        ((w // pj, b) for w, b in system.theta.items() if w in w_cell), pi // pm
     )
     edges = frozenset(
         (v // pi, w // pj)
@@ -144,8 +144,8 @@ def verify_slice_identities(
     """
     t_floor = _t_floor(t)
     p, i, j = s.p, s.i, s.j
-    m = min(i, j)
-    pi, pj = p**i, p**j
+    pi, pj = _power(p, i, "verify_slice_identities"), _power(p, j, "verify_slice_identities")
+    pm = min(pi, pj)  # p^min(i, j)
     fpi = source.f.prime_power(p, i)
     gpj = source.g.prime_power(p, j)
     report = SliceIdentityReport(p, i, j)
@@ -155,8 +155,8 @@ def verify_slice_identities(
     V_t, W_t = s.tilde.masses
     V, W = source.masses
     sides = (
-        ("a:psi-measure", V_t, fpi, p ** (j - m) * pi, V, s.v_cell, "zero multiplier f(p^i)"),
-        ("b:theta-measure", W_t, gpj, p ** (i - m) * pj, W, s.w_cell, "zero multiplier g(p^j)"),
+        ("a:psi-measure", V_t, fpi, pj // pm * pi, V, s.v_cell, "zero multiplier f(p^i)"),
+        ("b:theta-measure", W_t, gpj, pi // pm * pj, W, s.w_cell, "zero multiplier g(p^j)"),
     )
     for name, tilde_side, mult, scale, side, cell, why in sides:
         lhs = tilde_side.measure()
@@ -178,7 +178,7 @@ def verify_slice_identities(
             (v, w) for v, w in source.edges if v in s.v_cell and w in s.w_cell
         )
         rhs_c = Fraction(
-            pi * pj * p ** abs(i - j) * fpi.denominator * gpj.denominator
+            pi * pj * (max(pi, pj) // pm) * fpi.denominator * gpj.denominator
             * edge_mass(V, W, cell_edges),
             fpi.numerator * gpj.numerator * V.den * W.den,
         )

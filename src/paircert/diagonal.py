@@ -116,7 +116,8 @@ def _with_origin(others: dict[object, int], total: int, origin) -> dict[object, 
     positive; InvalidParameter when a mass or that remainder is negative."""
     rest = total - sum(others.values())
     if rest < 0 or any(m < 0 for m in others.values()):
-        raise InvalidParameter(f"cell masses {others} do not fit in the total {total}")
+        masses = ", ".join(f"{key}: {fraction_str(m)}" for key, m in others.items())
+        raise InvalidParameter(f"cell masses {{{masses}}} do not fit in the total {fraction_str(total)}")
     return {**others, origin: rest} if rest else dict(others)
 
 

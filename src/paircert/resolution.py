@@ -19,6 +19,7 @@ from .arith import (
     Interval,
     Rational,
     _interval_eval,
+    _power,
     _precision,
     _rational,
     _t_floor,
@@ -208,10 +209,9 @@ def s_majorant(
     if gamma <= 1:
         raise InvalidParameter(f"gamma must exceed 1, got {fraction_str(gamma)}")
     quarter = _rational(K) / 4
-    prod = mertens_product(t, gamma)
-    if quarter.denominator == 1:
-        return prod * gamma ** (-quarter.numerator)
-    return interval_eval(prod, [(const(gamma), -quarter)], precision_bits)
+    if quarter.denominator == 1:  # the power first, so that one past its cap is refused at once
+        return _power(gamma, -quarter.numerator, "s_majorant") * mertens_product(t, gamma)
+    return interval_eval(mertens_product(t, gamma), [(const(gamma), -quarter)], precision_bits)
 
 
 def s_majorant_bridged(

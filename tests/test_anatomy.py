@@ -136,7 +136,7 @@ class TestCount:
     def test_omega_histogram_matches_per_n_loop(self, x, t):
         hist = _omega_histogram(x, t)
         tally = Counter(small_prime_divisor_count(n, t) for n in range(1, x + 1))
-        assert isinstance(hist, tuple)  # the cached value is shared by every caller
+        assert isinstance(hist, tuple)
         assert hist == tuple(tally[c] for c in range(max(tally) + 1))
 
     def test_one_sieve_per_count_chain(self, monkeypatch):
@@ -149,10 +149,26 @@ class TestCount:
             return counts
 
         monkeypatch.setattr(anatomy, "_omega_counts", counted)
-        _omega_histogram.cache_clear()
         report = count_chain_report(F(25001, 2), 1000, 3, F(5, 2))
         assert report.chain_holds
         assert calls == [(12500, 1000, 6250)]  # one byte per odd n <= x
+
+    def test_one_histogram_per_count_chain(self, monkeypatch):
+        """The exact count and the Rankin sum of one chain are read off one
+        _omega_histogram call, and agree with the standalone functions."""
+        calls = []
+        histogram = anatomy._omega_histogram
+
+        def counted(x, t):
+            calls.append((x, t))
+            return histogram(x, t)
+
+        monkeypatch.setattr(anatomy, "_omega_histogram", counted)
+        report = count_chain_report(F(25001, 2), F(1001, 1), 3, F(5, 2))
+        assert calls == [(12500, 1001)]
+        monkeypatch.undo()
+        assert report.exact_value == count_many_small_primes(12500, 1001, 3)
+        assert report.rankin_bound == rankin_sum(12500, 1001, F(5, 2)) / F(5, 2) ** 3
 
 
 class TestRankinSum:
@@ -843,7 +859,7 @@ class TestAnatomyKernelReference(_ProductKernel):
         sevens = 0
         for x, t in pairs:
             want = _ref_omega_histogram(x, t)
-            assert _omega_histogram.__wrapped__(x, t) == want, (x, t)
+            assert _omega_histogram(x, t) == want, (x, t)
             sevens += len(want) == 8
         assert sevens >= 3  # the omega = 7 bucket is filled
 

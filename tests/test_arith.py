@@ -545,6 +545,85 @@ class TestComparePower:
                 assert prec <= 8192
 
 
+def _power_sites():
+    """(site, who, bits, call) per caller of arith._power: call(n) asks it
+    for a power of a base of `bits` bits (numerator and denominator) to the
+    exponent n or -n, and who is the name its ResourceLimit gives."""
+    from paircert.anatomy import count_chain_report, divisor_anatomy_bound, divisor_chain_report
+    from paircert.compress import Slice, slice_system, verify_slice_identities
+    from paircert.model import PairSystem, TOTIENT, WeightFunction
+    from paircert.resolution import s_majorant
+
+    psi = WeightFunction({3: F(1, 3)})
+    system = PairSystem(psi, psi, TOTIENT, TOTIENT, {(3, 3)})
+    empty = slice_system(system, 2, 1, 0).tilde  # no v with nu_2(v) = 1
+
+    def hand_slice(i, j):
+        return Slice(2, i, j, empty, frozenset(), frozenset())
+
+    # 4 and 1/4 have 3 + 1 bits, 2 has 2 + 1
+    return [
+        ("count_chain_report.K", "count_chain_report", 4, lambda n: count_chain_report(100, 10, n, 4)),
+        ("count_chain_report.-K", "count_chain_report", 4, lambda n: count_chain_report(100, 10, -n, 4)),
+        (
+            "divisor_chain_report.K",
+            "divisor_anatomy_bound",  # its own bound comes first, with the same power
+            4,
+            lambda n: divisor_chain_report(12, 10, n, 4, TOTIENT),
+        ),
+        ("divisor_anatomy_bound.K", "divisor_anatomy_bound", 4, lambda n: divisor_anatomy_bound(12, 10, n, 4)),
+        ("divisor_anatomy_bound.-K", "divisor_anatomy_bound", 4, lambda n: divisor_anatomy_bound(12, 10, -n, 4)),
+        ("s_majorant.K", "s_majorant", 4, lambda n: s_majorant(10, 4 * n, 4)),
+        ("s_majorant.-K", "s_majorant", 4, lambda n: s_majorant(10, -4 * n, 4)),
+        ("interval_eval.q^n", "interval_eval", 4, lambda n: interval_eval(1, [(4, n)], 64)),
+        ("interval_eval.q^-n", "interval_eval", 4, lambda n: interval_eval(1, [(F(1, 4), -n)], 64)),
+        ("interval_eval.0^n", "interval_eval", 1, lambda n: interval_eval(1, [(0, n)], 64)),  # 0 + 1 bits
+        ("slice_system.i", "slice_system", 3, lambda n: slice_system(system, 2, n, 0)),
+        ("slice_system.j", "slice_system", 3, lambda n: slice_system(system, 2, 0, n)),
+        (
+            "verify_slice_identities.i",
+            "verify_slice_identities",
+            3,
+            lambda n: verify_slice_identities(system, hand_slice(n, 0), 10),
+        ),
+        (
+            "verify_slice_identities.j",
+            "verify_slice_identities",
+            3,
+            lambda n: verify_slice_identities(system, hand_slice(0, n), 10),
+        ),
+    ]
+
+
+_POWER_SITES = _power_sites()
+
+
+@pytest.mark.parametrize(
+    "who, bits, call", [row[1:] for row in _POWER_SITES], ids=[row[0] for row in _POWER_SITES]
+)
+def test_power_bits_cap_at_every_site(who, bits, call):
+    """Each caller of _power builds a power up to _POWER_BITS_CAP bits and
+    refuses one exponent step past it, before building it."""
+    cap = arith._POWER_BITS_CAP
+    n = cap // bits
+    call(n)
+    with pytest.raises(ResourceLimit, match=f"^{who} needs a power past the cap of {cap} bits$"):
+        call(n + 1)
+
+
+def test_an_empty_slice_cell_at_the_power_cap():
+    """p^i at the cap is built, and a cell that no v reaches still gives an
+    empty slice."""
+    from paircert.compress import slice_system
+    from paircert.model import PairSystem, TOTIENT, WeightFunction
+
+    psi = WeightFunction({3: F(1, 3)})
+    i = arith._POWER_BITS_CAP // 3  # 2 has 2 + 1 bits
+    s = slice_system(PairSystem(psi, psi, TOTIENT, TOTIENT, {(3, 3)}), 2, i, 0)
+    assert (s.i, s.v_cell, s.w_cell, s.tilde.edges) == (i, frozenset(), frozenset({3}), frozenset())
+    assert not s.tilde.psi.support()
+
+
 class TestFractionStr:
     def test_matches_str_under_the_limit(self, rng):
         for digits in (1, 5, 599, 600, 601, 1500, 4000):
@@ -1856,6 +1935,8 @@ def _domain_raises():
     params = Params(epsilon=F(1, 4), C=F(1), t=F(10), K=F(0))
     one = {0: F(1)}
     cap = ENUMERATION_CAP
+    power_cap = arith._POWER_BITS_CAP
+    power_n = power_cap // 3 + 1
     return [
         ("rankin_sum.gamma", lambda: rankin_sum(100, 10, 0), InvalidParameter, "gamma must be positive, got 0"),
         (
@@ -1907,6 +1988,17 @@ def _domain_raises():
             InvalidParameter,
             "slice exponents must be nonnegative",
         ),
+    ] + [
+        # one exponent step past _POWER_BITS_CAP: 2 has 2 + 1 bits
+        (f"{who}.power_cap", call, ResourceLimit, f"{who} needs a power past the cap of {power_cap} bits")
+        for who, call in [
+            ("count_chain_report", lambda: count_chain_report(100, 10, power_n, 2)),
+            ("divisor_anatomy_bound", lambda: divisor_anatomy_bound(12, 10, power_n, 2)),
+            ("s_majorant", lambda: s_majorant(10, 4 * power_n, 2)),
+            ("interval_eval", lambda: interval_eval(1, [(2, power_n)], 64)),
+            ("slice_system", lambda: slice_system(system, 2, power_n, 0)),
+        ]
+    ] + [
         (
             "DiagonalMeasure.total",
             lambda: DiagonalMeasure(2, {(0, 0): F(1)}, one, one, F(0)),
@@ -1989,7 +2081,7 @@ def _past_the_digit_limit():
         rankin_sum, small_prime_divisor_count,
     )
     from paircert.compress import slice_system
-    from paircert.diagonal import DiagonalMeasure, diagonal_measure
+    from paircert.diagonal import DiagonalMeasure, _with_origin, diagonal_measure
     from paircert.harness import GeneratorConfig, corollary_bound_check, rescale_kmy
     from paircert.model import MultiplicativeFunction, PairSystem, TOTIENT, WeightFunction
     from paircert.quality import Params
@@ -2065,6 +2157,11 @@ def _past_the_digit_limit():
             "diagonal_measure.p",
             lambda: diagonal_measure(system, system.edges, -big),
             f"valuation base -{B} is not prime$",
+        ),
+        (
+            "_with_origin.masses",
+            lambda: _with_origin({(1, 1): big}, 1, (0, 0)),
+            rf"cell masses {{\(1, 1\): {B}}} do not fit in the total 1$",
         ),
     ]
     out = [(f"{name}_5001_digits", call, InvalidParameter, message) for name, call, message in rows]

@@ -297,6 +297,25 @@ def test_anatomy_rankin(capsys):
     assert doc == {"x": "100", "t": "10", "gamma": "3/2", "rankin_sum": str(rankin_sum(100, 10, F(3, 2)))}
 
 
+def test_anatomy_rankin_writes_a_long_gamma_in_full(capsys):
+    """gamma past Python's 4,300-digit int -> str limit is echoed through
+    fraction_str, in full."""
+    gamma = "3" * 5000
+    assert main(["anatomy", "rankin", "--x", "2", "--t", "2", "--gamma", gamma]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"x": "2", "t": "2", "gamma": gamma, "rankin_sum": "3" * 4999 + "4"}  # 1 + gamma
+
+
+def test_anatomy_count_past_the_power_cap_exits_4(capsys):
+    """gamma^K for gamma = 2 (2 + 1 bits) passes _POWER_BITS_CAP = 2^22 at
+    K = floor(2^22 / 3) + 1: refused before it is built, in one line."""
+    assert main(["anatomy", "count", "--gamma", "2", "--K", "1398102"]) == 4
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0] == "paircert: ResourceLimit: count_chain_report needs a power past the cap of 4194304 bits"
+
+
 def test_anatomy_commands(capsys):
     assert main(["anatomy", "count", "--x", "10", "--t", "10", "--K", "2", "--gamma", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
