@@ -22,10 +22,12 @@ from .arith import (
     Interval,
     Rational,
     _bracket_point,
+    _integer,
     _interval_eval,
     _power,
     _precision,
     _rational,
+    _rational_above,
     _t_floor,
     const,
     coprime_fraction,
@@ -47,14 +49,6 @@ assert ENUMERATION_CAP < 9_699_690
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _check_M(M) -> None:
-    """InvalidParameter unless M is an int >= 1 (a bool is no int here)."""
-    if type(M) is not int:
-        raise InvalidParameter(f"M must be an integer, got {M!r}")
-    if M < 1:
-        raise InvalidParameter(f"M must be >= 1, got {fraction_str(M)}")
 
 
 def small_prime_divisor_count(n: int, t: Rational) -> int:
@@ -188,10 +182,8 @@ def _omega_histogram(x: int, t: int) -> tuple[int, ...]:
 
 def _enumeration_bound(x: Rational) -> int:
     """floor(x) for the bound x >= 1 of an enumeration of n <= x, x read by
-    _rational; InvalidParameter below 1, ResourceLimit past ENUMERATION_CAP."""
-    xi = math.floor(_rational(x))
-    if xi < 1:
-        raise InvalidParameter(f"x must be >= 1, got {fraction_str(_rational(x))}")
+    _rational_above; ResourceLimit past ENUMERATION_CAP."""
+    xi = math.floor(_rational_above(x, "x", 1, or_equal=True))
     if xi > ENUMERATION_CAP:
         raise ResourceLimit(f"enumeration bound {xi} exceeds cap {ENUMERATION_CAP}")
     return xi
@@ -207,9 +199,7 @@ def count_many_small_primes(x: Rational, t: Rational, K: Rational) -> int:
 
 def rankin_sum(x: Rational, t: Rational, gamma: Rational) -> Fraction:
     """sum_{n <= x} gamma^(omega_t(n)), exactly."""
-    xi, bound, gamma = _enumeration_bound(x), _t_floor(t), _rational(gamma)
-    if gamma <= 0:
-        raise InvalidParameter(f"gamma must be positive, got {fraction_str(gamma)}")
+    xi, bound, gamma = _enumeration_bound(x), _t_floor(t), _rational_above(gamma, "gamma", 0)
     return _rankin_total(_omega_histogram(xi, bound), gamma)
 
 
@@ -246,7 +236,7 @@ def divisor_anatomy_sum(
     omega_t(m) >= K needs (M has fewer than r other small primes) feeds
     only the coefficients below ceil(K); it is never asked, and taken as 0.
     """
-    _check_M(M)
+    _integer(M, "M", 1)
     need = math.ceil(_rational(K))  # an integer count is >= K iff >= ceil(K)
     bound = _t_floor(t)
     fac = factorize(M)
@@ -274,7 +264,7 @@ def rankin_divisor_sum(
     M: int, t: Rational, gamma: Rational, f: MultiplicativeFunction
 ) -> Fraction:
     """sum over mn = M of gamma^(omega_t(m)) f(n), by divisor enumeration."""
-    _check_M(M)
+    _integer(M, "M", 1)
     bound, gamma = _t_floor(t), _rational(gamma)
     total = _ZERO
     for m in divisors(M):
@@ -290,7 +280,7 @@ def rankin_divisor_product(
         p <= t:  (1*f)(p^v) + (gamma - 1) (1*f)(p^(v-1))
         p >  t:  (1*f)(p^v)
     """
-    _check_M(M)
+    _integer(M, "M", 1)
     bound, gamma = _t_floor(t), _rational(gamma)
     out = _ONE
     for p, e in factorize(M):
@@ -311,10 +301,8 @@ def divisor_anatomy_bound(
     interval (flagged by the return type).
     """
     _precision(precision_bits)
-    _check_M(M)
-    gamma = _rational(gamma)
-    if gamma <= 1:
-        raise InvalidParameter(f"gamma must exceed 1, got {fraction_str(gamma)}")
+    _integer(M, "M", 1)
+    gamma = _rational_above(gamma, "gamma", 1)
     K = _rational(K)
     bound = _t_floor(t)
     a, b = gamma.numerator, gamma.denominator
@@ -464,14 +452,6 @@ _BAND_MISS = bytes.maketrans(b"\2\3", b"\1\0")
 _BAND_HIT = bytes.maketrans(b"\2\3", b"\0\1")
 
 
-def _mertens_args(t: Rational, gamma: Rational) -> tuple[int, Fraction]:
-    """Check the arguments of a Mertens product: floor(t) and gamma >= 1."""
-    T, gamma = _t_floor(t), _rational(gamma)
-    if gamma < 1:
-        raise InvalidParameter(f"gamma must be >= 1, got {fraction_str(gamma)}")
-    return T, gamma
-
-
 def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     """prod_{p <= t} (1 + (gamma - 1)/p), exactly, reduced by construction.
 
@@ -534,7 +514,7 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     multiplications were most of a build in int: t = 10^6 at gamma = 2
     took 211 ms in int and 60 ms with GMP (medians of 7).
     """
-    T, gamma = _mertens_args(t, gamma)
+    T, gamma = _t_floor(t), _rational_above(gamma, "gamma", 1, or_equal=True)
     ps = primes_upto(T)
     a, b = gamma.numerator, gamma.denominator
     c = a - b
@@ -644,7 +624,7 @@ def ratio_to_log_power(
     product is built and rounded instead.
     """
     _precision(precision_bits)
-    T, gamma = _mertens_args(t, gamma)
+    T, gamma = _t_floor(t), _rational_above(gamma, "gamma", 1, or_equal=True)
     # Log t is the only factor, and it has an exact value only when it is
     # 1, which is skipped, so the scale that point is asked at stays 1
     return _interval_eval(
@@ -678,18 +658,24 @@ class AnatomyReport:
         }
 
 
+def _chain_K(K: Rational) -> int:
+    """K read by _rational, as the int that an exact chain report needs."""
+    K = _rational(K)
+    if K.denominator != 1:
+        raise InvalidParameter("exact chain reports need integer K")
+    return K.numerator
+
+
 def count_chain_report(
     x: Rational, t: Rational, K: Rational, gamma: Rational
 ) -> AnatomyReport:
     """Rankin chain for the unweighted count (integer K for exactness)."""
-    K = _rational(K)
-    if K.denominator != 1:
-        raise InvalidParameter("exact chain reports need integer K")
-    T, gamma = _mertens_args(t, gamma)
+    K = _chain_K(K)
+    T, gamma = _t_floor(t), _rational_above(gamma, "gamma", 1, or_equal=True)
     xi = _enumeration_bound(x)
-    scale = _power(gamma, -K.numerator, "count_chain_report")
+    scale = _power(gamma, -K, "count_chain_report")
     hist = _omega_histogram(xi, T)
-    exact = Fraction(sum(hist[max(0, K.numerator) :]))
+    exact = Fraction(sum(hist[max(0, K) :]))
     rank = scale * _rankin_total(hist, gamma)
     mert = scale * xi * mertens_product(T, gamma)
     return AnatomyReport(exact, rank, mert, gamma)
@@ -699,11 +685,9 @@ def divisor_chain_report(
     M: int, t: Rational, K: Rational, gamma: Rational, f: MultiplicativeFunction
 ) -> AnatomyReport:
     """Divisor chain sum <= gamma^-K (factorized product) <= pre-Mertens bound."""
-    K = _rational(K)
-    if K.denominator != 1:
-        raise InvalidParameter("exact chain reports need integer K")
+    K = _chain_K(K)
     mert = divisor_anatomy_bound(M, t, K, gamma)  # M, t and gamma > 1 checked there
     gamma = _rational(gamma)
     exact = divisor_anatomy_sum(M, t, K, f)
-    rank = _power(gamma, -K.numerator, "divisor_chain_report") * rankin_divisor_product(M, t, gamma, f)
+    rank = _power(gamma, -K, "divisor_chain_report") * rankin_divisor_product(M, t, gamma, f)
     return AnatomyReport(exact, rank, mert, gamma)

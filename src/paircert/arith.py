@@ -24,9 +24,11 @@ _exp_round).  When it cannot, the series runs as the fallback, so every end
 is the series' own, bit for bit.  Outside those kernels every directed
 quotient goes through ``_quotient`` and every exact dyadic comparison
 through ``_me_cmp``.  Every caller-supplied rational is read by
-``_rational``, and a float or a bool raises InvalidParameter; every prime
-bound t by ``_t_floor``, which also refuses t < 1; and every declared
-precision by ``_precision``.
+``_rational``, and a float or a bool raises InvalidParameter; one with a
+lower bound (gamma, C, y, a base, t and x >= 1) by ``_rational_above``;
+every prime bound t by ``_t_floor`` through it; every declared precision
+by ``_precision``; and every int slot (M, N, a count, an index, an
+exponent) by ``_integer``, which takes an int, not a bool, within bounds.
 
 Caps: each is checked before the work it bounds, and an input past it
 raises ResourceLimit (InvalidParameter past the precision cap). Worst case:
@@ -40,20 +42,21 @@ _MATERIALIZE_CAP 2^22  |exp| of a Dyadic made a Fraction (as_fraction): 2 ms
 _POWER_BITS_CAP 2^22   |n| (bits of q's numerator + denominator) for q^n
                        (_power; in compare_power, interval_eval, s_majorant,
                        count_chain_report, divisor_chain_report, slice_system,
-                       divisor_anatomy_bound, verify_slice_identities): 0.35 s
-                       a 10^5-bit q to the 41st, 0.62 s compare_power's two;
-                       count_chain_report 4.7 s at that gamma, 85% in gcds
+                       divisor_anatomy_bound, verify_slice_identities, the
+                       totient's prime_power and one_star_prime_power, and
+                       validate_multiplicative): 0.35 s a 10^5-bit q to the
+                       41st, 0.62 s compare_power's two; count_chain_report
+                       4.7 s at that gamma, 85% in gcds
 DEFAULT_PRECISION_CAP  2^14 bits of a declared precision (_precision,
                        certify_le): 1.0 s, a campaign main bound at 2^14
 _NUMERAL_CAP 10^5      characters of a numeral (_read_numeral; from bit
                        lengths, _check_numeral in harness.instance_document):
                        0.03 s to read, 0.13 s to write, 0.015 s to check
-sieve cap 10^7         primes sieved (_ensure_sieve; PAIRCERT_SIEVE_CAP
-                       overrides it): 0.19 s. It also bounds the largest
-                       product handed to GMP: mertens_product at t = 10^7,
-                       12.5 Mbit from 12.1 Mbit operands, 1.0-1.7 s and a
-                       166 MB peak; GMP aborts the process only if malloc
-                       fails
+_SIEVE_CAP 10^7        primes sieved (_ensure_sieve): 0.19 s. It also bounds
+                       the largest product handed to GMP: mertens_product at
+                       t = 10^7, 12.5 Mbit from 12.1 Mbit operands, 1.0-1.7 s
+                       and a 166 MB peak; GMP aborts the process only if
+                       malloc fails
 ENUMERATION_CAP 2e6    anatomy's bound x (_enumeration_bound): 0.33 s,
                        count_chain_report at x = t = 2*10^6, gamma = 3/2,
                        with libgmp (0.8-0.9 s in int alone), nearly all in
@@ -64,7 +67,6 @@ SUPPORT_CAP 1000       a generated support (GeneratorConfig): about 4 s
 
 from __future__ import annotations
 
-import os
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -106,45 +108,54 @@ DEFAULT_PRECISION = 256
 DEFAULT_PRECISION_CAP = 1 << 14
 
 
+def _integer(value, name: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
+    """value, an int slot: InvalidParameter, led by name, unless it is an
+    int (not a bool) in [least, most], an end None being open."""
+    if type(value) is not int:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidParameter(f"{name} must be >= {least}, got {fraction_str(value)}")
+    if most is not None and value > most:
+        raise InvalidParameter(f"{name} must be <= {most}, got {fraction_str(value)}")
+    return value
+
+
+def _rational_above(value, name: str, bound: int, or_equal: bool = False) -> Fraction:
+    """value read by _rational: InvalidParameter, led by name, unless it
+    exceeds bound (or equals it, when or_equal)."""
+    q = _rational(value)
+    if q < bound or (q == bound and not or_equal):
+        raise InvalidParameter(f"{name} must be {'>=' if or_equal else '>'} {bound}, got {fraction_str(q)}")
+    return q
+
+
 def _precision(bits, name: str = "precision_bits") -> int:
     """bits, a declared precision: InvalidParameter, led by name, unless it
-    is an int (not a bool) in [16, DEFAULT_PRECISION_CAP]."""
-    if type(bits) is not int:
-        raise InvalidParameter(f"{name} must be an integer, got {bits!r}")
-    if not 16 <= bits <= DEFAULT_PRECISION_CAP:
+    is an int slot (_integer) in [16, DEFAULT_PRECISION_CAP]."""
+    if not 16 <= _integer(bits, name) <= DEFAULT_PRECISION_CAP:
         raise InvalidParameter(f"{name} outside [16, 2^14]: {fraction_str(bits)}")
     return bits
 
 
 def _t_floor(t) -> int:
-    """floor(t) for the bound t >= 1 of the primes p <= t, t read as
-    _rational reads it; InvalidParameter below 1. An int t makes no
-    Fraction: small_prime_divisor_count reads t once per integer."""
-    bound = t if type(t) is int else floor(_rational(t))
-    if bound < 1:
-        raise InvalidParameter(f"t must be >= 1, got {fraction_str(_rational(t))}")
-    return bound
+    """floor(t) for the bound t >= 1 of the primes p <= t, t read by
+    _rational_above. An int t >= 1 makes no Fraction: small_prime_divisor_count
+    reads t once per integer."""
+    if type(t) is int and t >= 1:
+        return t
+    return floor(_rational_above(t, "t", 1, or_equal=True))
 
 
 # ---------------------------------------------------------------------------
 # Prime sieve and factorization
 # ---------------------------------------------------------------------------
 
-_DEFAULT_SIEVE_CAP = 10**7
+_SIEVE_CAP = 10**7
 
 
 def sieve_cap() -> int:
-    """Upper limit for sieving/factorization (env PAIRCERT_SIEVE_CAP overrides)."""
-    raw = os.environ.get("PAIRCERT_SIEVE_CAP")
-    if raw is None:
-        return _DEFAULT_SIEVE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InvalidParameter(f"PAIRCERT_SIEVE_CAP not an integer: {raw!r}") from exc
-    if cap < 10:
-        raise InvalidParameter("sieve cap must be at least 10")
-    return cap
+    """_SIEVE_CAP, the largest n sieved; factorize and is_prime reach its square."""
+    return _SIEVE_CAP
 
 
 _sieve_limit = 0
@@ -156,10 +167,9 @@ def _ensure_sieve(limit: int) -> None:
     global _sieve_limit, _is_prime, _primes
     if limit <= _sieve_limit:
         return
-    cap = sieve_cap()
-    if limit > cap:
-        raise ResourceLimit(f"sieve request {fraction_str(limit)} exceeds cap {cap}")
-    limit = min(cap, max(limit, 2 * _sieve_limit, 1 << 14))
+    if limit > _SIEVE_CAP:
+        raise ResourceLimit(f"sieve request {fraction_str(limit)} exceeds cap {_SIEVE_CAP}")
+    limit = min(_SIEVE_CAP, max(limit, 2 * _sieve_limit, 1 << 14))
     sieve = bytearray(b"\x01") * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):
@@ -198,11 +208,11 @@ def is_prime(n: int) -> bool:
         return False
     if n <= _sieve_limit:
         return bool(_is_prime[n])
-    if n <= sieve_cap():
+    if n <= _SIEVE_CAP:
         _ensure_sieve(n)
         return bool(_is_prime[n])
     # beyond the sieve cap: trial division by cached primes
-    _ensure_sieve(min(sieve_cap(), isqrt(n) + 1))
+    _ensure_sieve(min(_SIEVE_CAP, isqrt(n) + 1))
     for p in _primes:
         if p * p > n:
             return True
@@ -229,8 +239,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n == 1:
         return ()
     root = isqrt(n)
-    if root > sieve_cap():
-        raise ResourceLimit(f"factorizing {fraction_str(n)} needs primes up to {fraction_str(root)}, beyond cap {sieve_cap()}")
+    if root > _SIEVE_CAP:
+        raise ResourceLimit(f"factorizing {fraction_str(n)} needs primes up to {fraction_str(root)}, beyond cap {_SIEVE_CAP}")
     _ensure_sieve(root)
     out = []
     m = n
@@ -1392,9 +1402,7 @@ def interval_eval(
     calls the core, which reads none, with Interval.from_fraction.
     """
     _precision(precision_bits)
-    base = _rational(base)
-    if base < 0:
-        raise InvalidParameter("interval_eval base must be nonnegative")
+    base = _rational_above(base, "base", 0, or_equal=True)
     return _interval_eval(base, factors, precision_bits, Interval.from_fraction)
 
 
@@ -1469,9 +1477,7 @@ def compare_power(base: Rational, expo: Rational, rhs: Rational) -> int:
     Uses base^(a/b) <=> rhs  iff  base^a <=> rhs^b, which stays in exact
     integer arithmetic. Neither power is built when either passes the cap.
     """
-    base, expo, rhs = _rational(base), _rational(expo), _rational(rhs)
-    if base <= 0 or rhs <= 0:
-        raise InvalidParameter("compare_power requires positive base and rhs")
+    base, expo, rhs = _rational_above(base, "base", 0), _rational(expo), _rational_above(rhs, "rhs", 0)
     a, b = expo.numerator, expo.denominator
     _check_power(rhs, b, "compare_power")  # before base^a is built
     lhs_pow, rhs_pow = _power(base, a, "compare_power"), _power(rhs, b, "compare_power")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import Rational, _int_valuation, _power, _t_floor, fraction_str, is_prime
+from .arith import Rational, _int_valuation, _integer, _power, _t_floor, fraction_str, is_prime
 from .errors import InvalidParameter
 from .model import PairSystem, WeightFunction, edge_mass, mu_pairs
 from .quality import FAILED, HOLDS, VACUOUS, _d_ratio, omega_t
@@ -82,8 +82,8 @@ def slice_system(system: PairSystem, p: int, i: int, j: int) -> Slice:
     """Build the (p, i, j) slice; empty cells yield an empty slice."""
     if not is_prime(p):
         raise InvalidParameter(f"slice prime {fraction_str(p)} is not prime")
-    if i < 0 or j < 0:
-        raise InvalidParameter("slice exponents must be nonnegative")
+    _integer(i, "i", 0)
+    _integer(j, "j", 0)
     pi, pj = _power(p, i, "slice_system"), _power(p, j, "slice_system")
     # the measure identities consult f(p^i), g(p^j); fail fast if undefined
     system.f.prime_power(p, i)

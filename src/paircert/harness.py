@@ -10,17 +10,16 @@ from __future__ import annotations
 import json
 import random
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .arith import DEFAULT_PRECISION, Rational, _check_numeral, fraction_str, primes_upto
+from .arith import DEFAULT_PRECISION, Rational, _check_numeral, _integer, _rational_above, fraction_str, primes_upto
 from .compress import slice_system, verify_slice_identities
 from .diagonal import concentrate, peel
 from .errors import DegenerateMeasure, InvalidParameter, PaircertError, ResourceLimit
-from .model import MultiplicativeFunction, PairSystem, WeightFunction, _rational, check_fields, fields_to_json
+from .model import MultiplicativeFunction, PairSystem, WeightFunction, _malformed, _rational, check_fields, fields_to_json
 from .quality import (
     HOLDS,
     INCONCLUSIVE,
@@ -45,18 +44,6 @@ DEFAULT_KS = (Fraction(0), Fraction(1), Fraction(2), Fraction(4))
 SUPPORT_CAP = 1000
 
 
-@contextmanager
-def _malformed(what: str):
-    """Report a malformed document (a missing key, a bad number literal, a
-    value of the wrong type) as InvalidParameter; PaircertErrors pass."""
-    try:
-        yield
-    except PaircertError:
-        raise
-    except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
-        raise InvalidParameter(f"malformed {what}: {exc!r}") from exc
-
-
 def read_json(path: Union[str, Path]):
     """The JSON document in path; InvalidParameter when the file cannot be
     read (missing, a directory, no permission, not UTF-8) or is not JSON."""
@@ -71,13 +58,13 @@ class GeneratorConfig:
     """Deterministic instance generator settings (same config + seed =>
     byte-identical instances)."""
 
-    seed: int = 0
-    support_min: int = 3
+    seed: int = field(default=0, metadata={"least": 0})  # Random(-s) is Random(s)
+    support_min: int = field(default=3, metadata={"least": 0})
     support_max: int = 12
-    value_numerator_bound: int = 8
-    prime_pool_bound: int = 50
-    max_exponent: int = 2
-    element_bound: int = 100_000
+    value_numerator_bound: int = field(default=8, metadata={"least": 1})
+    prime_pool_bound: int = field(default=50, metadata={"least": 2})
+    max_exponent: int = field(default=2, metadata={"least": 1})
+    element_bound: int = field(default=100_000, metadata={"least": 1})
     density: Fraction = Fraction(1, 2)
     f_mode: str = "totient"  # "totient" | "random"
     params: Optional[Params] = None  # None: draw from the default grid
@@ -88,14 +75,10 @@ class GeneratorConfig:
             raise InvalidParameter(f"density {fraction_str(self.density)} outside [0, 1]")
         if self.f_mode not in ("totient", "random"):
             raise InvalidParameter(f"unknown f_mode {self.f_mode!r}")
-        if self.support_min > self.support_max or self.support_min < 0:
+        if self.support_min > self.support_max:
             raise InvalidParameter("bad support size bounds")
         if self.support_max > SUPPORT_CAP:
             raise ResourceLimit(f"support_max {fraction_str(self.support_max)} exceeds cap {SUPPORT_CAP}")
-        least = {"value_numerator_bound": 1, "max_exponent": 1, "element_bound": 1, "prime_pool_bound": 2}
-        for name, bound in least.items():
-            if getattr(self, name) < bound:
-                raise InvalidParameter(f"{name} {fraction_str(getattr(self, name))} is below {bound}")
 
     def to_json(self) -> dict:
         return fields_to_json(self)
@@ -111,10 +94,6 @@ class GeneratorConfig:
             if "params" in doc:
                 doc = {**doc, "params": Params.from_json(doc["params"])}
             return cls(**doc)
-
-
-def _instance_rng(config: GeneratorConfig, index: int) -> random.Random:
-    return random.Random((config.seed << 32) + index)
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -180,9 +159,10 @@ def generate_instance(
     For each targeted pair, psi(v) is set at or below min over sampled w of
     gcd(v,w)/w (and symmetrically for theta), which forces D(v,w) <= 1 on
     the target; at density 1 the caps are hit exactly so every pair
-    qualifies.
+    qualifies. index is an int slot in [0, 2^32), where no two (seed, index)
+    pairs share the rng seed (seed << 32) + index.
     """
-    rng = _instance_rng(config, index)
+    rng = random.Random((config.seed << 32) + _integer(index, "index", 0, (1 << 32) - 1))
     params = config.params or _draw_params(rng)
     pool = primes_upto(config.prime_pool_bound)
     v_support = _draw_support(rng, config, pool)
@@ -226,13 +206,10 @@ def generate_instance(
 
 
 def rescale_kmy(psi: WeightFunction, y: Rational, Q: int) -> WeightFunction:
-    """Pointwise division by y with the support truncated to [1, Q]; y is
-    read through _rational and Q must be an int, not a bool."""
-    y = _rational(y)
-    if type(Q) is not int:
-        raise InvalidParameter(f"truncation bound Q must be an integer, got {Q!r}")
-    if y <= 0:
-        raise InvalidParameter(f"rescale factor must be positive, got {fraction_str(y)}")
+    """Pointwise division by y > 0 with the support truncated to [1, Q]; y
+    is read by _rational_above and Q by _integer."""
+    y = _rational_above(y, "y", 0)
+    _integer(Q, "Q")
     return WeightFunction({n: val / y for n, val in psi.items() if n <= Q})
 
 
@@ -361,6 +338,8 @@ def certify_instance(
     """Full pipeline on one instance: the certified main bound, slice
     identity spot checks, concentration + peeling, and the resolution
     inequality on the peeled structured set."""
+    _integer(slice_spots, "slice_spots", 0)
+    _integer(index, "index", 0)
     bound = main_bound_check(system, params)
     outcome = InstanceOutcome(index, bound.verdict, bound)
     rng = rng or random.Random(index)
@@ -448,8 +427,7 @@ def certify_campaign(
     """Generate `count` instances and certify each; any non-clean outcome
     dumps a replayable witness instance file into out_dir, or is counted in
     witnesses_refused when save_instance refuses it."""
-    if count < 1:
-        raise InvalidParameter("campaign count must be >= 1")
+    _integer(count, "count", 1)
     t0 = time.monotonic()
     report = CampaignReport(count)
     out_path = Path(out_dir) if out_dir is not None else None

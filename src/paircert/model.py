@@ -7,14 +7,15 @@ All values are exact rationals; a weight's support is exactly its key set
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
-from .arith import Rational, _rational, factorize, fraction_str, is_prime, prime_divisors
-from .errors import IncompleteDefinition, InvalidParameter
+from .arith import Rational, _check_power, _integer, _power, _rational, factorize, fraction_str, is_prime, prime_divisors
+from .errors import IncompleteDefinition, InvalidParameter, PaircertError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -100,7 +101,8 @@ class WeightFunction:
 
     @classmethod
     def from_json(cls, doc: Mapping[str, str]) -> "WeightFunction":
-        return cls({_numeral(k): v for k, v in doc.items()})
+        with _malformed("weight function"):
+            return cls({_numeral(k): v for k, v in doc.items()})
 
 
 class MultiplicativeFunction:
@@ -152,9 +154,16 @@ class MultiplicativeFunction:
         return self._table is None
 
     def prime_power(self, p: int, a: int) -> Fraction:
+        """f(p^a), with p >= 2 and a >= 0 read as int slots."""
+        return self._at(_integer(p, "p", 2), _integer(a, "a", 0))
+
+    def _at(self, p: int, a: int) -> Fraction:
+        """f(p^a) for an int a >= 0, read by no reader (factorize's exponents);
+        a totient's p^a past _POWER_BITS_CAP raises ResourceLimit, unbuilt."""
         if a == 0:
             return _ONE
         if self.is_totient():
+            _check_power(p, a, "prime_power")
             return Fraction(p**a - p ** (a - 1))
         try:
             return self._table[(p, a)]
@@ -166,14 +175,19 @@ class MultiplicativeFunction:
     def __call__(self, n: int) -> Fraction:
         out = _ONE
         for p, e in factorize(n):
-            out *= self.prime_power(p, e)
+            out *= self._at(p, e)
         return out
 
     def one_star_prime_power(self, p: int, a: int) -> Fraction:
-        """(1*f)(p^a) = sum_{b<=a} f(p^b)."""
+        """(1*f)(p^a) = sum_{b<=a} f(p^b), p and a read as prime_power reads
+        them; the totient's sum is p^a, built by arith._power."""
+        _integer(p, "p", 2)
+        _integer(a, "a", 0)
+        if self.is_totient():
+            return Fraction(_power(p, a, "one_star_prime_power"))
         total = _ONE
         for b in range(1, a + 1):
-            total += self.prime_power(p, b)
+            total += self._at(p, b)
         return total
 
     def __eq__(self, other) -> bool:
@@ -198,24 +212,37 @@ class MultiplicativeFunction:
     def from_json(cls, doc) -> "MultiplicativeFunction":
         if doc == "totient":
             return cls.totient()
-        table = {}
-        for key, v in doc.items():
-            p_str, a_str = key.split("^")
-            table[(_numeral(p_str), _numeral(a_str))] = v
-        return cls(table)
+        with _malformed("multiplicative function"):
+            table = {}
+            for key, v in doc.items():
+                p_str, a_str = key.split("^")
+                table[(_numeral(p_str), _numeral(a_str))] = v
+            return cls(table)
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report a malformed document (a missing key, a bad number literal, a
+    value of the wrong type) as InvalidParameter; PaircertErrors pass."""
+    try:
+        yield
+    except PaircertError:
+        raise
+    except (KeyError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise InvalidParameter(f"malformed {what}: {exc!r}") from exc
 
 
 def check_fields(config) -> None:
     """Validate a frozen config dataclass in place by its (string) field
     annotations: a Fraction field goes through _rational, so a float or a
-    bool raises InvalidParameter, as does an int field holding a non-int (a
-    bool, a float, a numeral string)."""
+    bool raises InvalidParameter, and an int field through _integer, with
+    the lower bound its metadata names "least", if any."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "Fraction":
             object.__setattr__(config, f.name, _rational(value))
-        elif f.type == "int" and type(value) is not int:
-            raise InvalidParameter(f"{f.name} must be an integer, got {value!r}")
+        elif f.type == "int":
+            _integer(value, f.name, f.metadata.get("least"))
 
 
 def fields_to_json(config) -> dict:
@@ -249,8 +276,9 @@ def validate_multiplicative(
     """
     failures = []
     for p, a in prime_powers:
+        pa = _power(p, a, "validate_multiplicative")
         val = f.one_star_prime_power(p, a)
-        if val > p**a:
+        if val > pa:
             failures.append((p, a, val))
     return MultiplicativeValidation(not failures, tuple(failures))
 
@@ -370,7 +398,7 @@ def _f_ratio(f: MultiplicativeFunction, fac: Iterable[tuple[int, int]]) -> tuple
         return n, 1
     n = d = 1
     for p, e in fac:
-        val = f.prime_power(p, e)
+        val = f._at(p, e)
         n *= val.numerator
         d *= val.denominator
     return n, d

@@ -14,7 +14,7 @@ Every verdict string of the package is defined here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd
 from typing import Iterable, Optional
@@ -26,6 +26,7 @@ from .arith import (
     Interval,
     Rational,
     _precision,
+    _rational_above,
     _t_floor,
     const,
     exp_of,
@@ -40,7 +41,7 @@ from .arith import (
 )
 from .errors import InvalidParameter
 from .model import (
-    PairSystem, WeightFunction, _rational, check_fields,
+    PairSystem, WeightFunction, _malformed, _rational, check_fields,
     fields_to_json, mu_pairs, prime_support, validate_multiplicative,
 )
 
@@ -85,18 +86,15 @@ class Params:
     C: Fraction
     t: Fraction
     K: Fraction
-    p0: int = 100
+    p0: int = field(default=100, metadata={"least": 1})
     precision_bits: int = DEFAULT_PRECISION
 
     def __post_init__(self):
         check_fields(self)
         if not 0 < self.epsilon <= Fraction(2, 5):
             raise InvalidParameter(f"epsilon {fraction_str(self.epsilon)} outside (0, 2/5]")
-        if self.C <= 0:
-            raise InvalidParameter(f"C must be positive, got {fraction_str(self.C)}")
+        _rational_above(self.C, "C", 0)
         _t_floor(self.t)
-        if self.p0 < 1:
-            raise InvalidParameter(f"p0 must be >= 1, got {fraction_str(self.p0)}")
         _precision(self.precision_bits)
 
     @property
@@ -112,11 +110,12 @@ class Params:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Params":
-        """The params a document describes. TypeError for one that is not an
-        object, lacks epsilon, C, t or K, or has another key; ValueError for a
-        bad rational; InvalidParameter for a float or bool rational, a non-int
-        p0 or precision_bits, or a value outside its domain."""
-        return cls(**doc)
+        """The params a document describes; InvalidParameter for a malformed
+        one (not an object, a missing or unknown key, a bad rational, a float
+        or bool rational, a non-int p0 or precision_bits) or a value outside
+        its domain."""
+        with _malformed("params"):
+            return cls(**doc)
 
 
 def _d_ratio(v: int, w: int, psi: WeightFunction, theta: WeightFunction) -> tuple[int, int]:

@@ -18,10 +18,12 @@ from .arith import (
     DEFAULT_PRECISION,
     Interval,
     Rational,
+    _integer,
     _interval_eval,
     _power,
     _precision,
     _rational,
+    _rational_above,
     _t_floor,
     const,
     exp_of,
@@ -32,7 +34,7 @@ from .arith import (
     log_of,
     primes_upto,
 )
-from .errors import InvalidParameter, NotStructured
+from .errors import NotStructured
 from .model import PairSystem, _f_ratio
 from .quality import (
     DEGENERATE_EMPTY,
@@ -54,8 +56,8 @@ def decompose(v: int, N: int) -> tuple[int, int]:
     Requires |nu_p(v/N)| <= 1 at every prime; the reconstruction
     v = N v_plus / v_minus then holds exactly.
     """
-    if v < 1 or N < 1:
-        raise InvalidParameter("decompose needs positive integers")
+    _integer(v, "v", 1)
+    _integer(N, "N", 1)
     return _parts(v, N, _offset_map([v], N)[v])
 
 
@@ -81,6 +83,7 @@ def check_structured(
 
     Returns (ok, witness) with witness = (v, w, p) on the first failure.
     """
+    _integer(N, "N", 1)
     E = sorted(edges)
     off = _offset_map({x for e in E for x in e}, N)
     for v, w in E:
@@ -98,6 +101,7 @@ class Decomposition:
 
 
 def build_decomposition(edges: Iterable[tuple[int, int]], N: int) -> Decomposition:
+    _integer(N, "N", 1)
     vs, ws = restrict(edges)
     off = _offset_map(vs | ws, N)
     return Decomposition(
@@ -205,9 +209,7 @@ def s_majorant(
     (constant 1, exactly); exact when K/4 is an integer, else an interval.
     """
     _precision(precision_bits)
-    gamma = _rational(gamma)
-    if gamma <= 1:
-        raise InvalidParameter(f"gamma must exceed 1, got {fraction_str(gamma)}")
+    gamma = _rational_above(gamma, "gamma", 1)
     quarter = _rational(K) / 4
     if quarter.denominator == 1:  # the power first, so that one past its cap is refused at once
         return _power(gamma, -quarter.numerator, "s_majorant") * mertens_product(t, gamma)

@@ -1,11 +1,12 @@
 """Exact anatomy chains: Rankin step, divisor chains, Mertens products."""
 
+import functools
 import math
 import random
 import shutil
 import subprocess
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -530,7 +531,7 @@ def _ref_omega_histogram(x: int, t: int) -> tuple[int, ...]:
 
 
 def _ref_divisor_anatomy_sum(M, t, K, f):
-    anatomy._check_M(M)
+    arith._integer(M, "M", 1)
     need = math.ceil(arith._rational(K))  # an integer count is >= K iff >= ceil(K)
     bound = math.floor(arith._rational(t))
     fac = factorize(M)
@@ -895,12 +896,92 @@ class TestAnatomyKernelReference(_ProductKernel):
         assert set(outcomes) == {(tuple, True), (tuple, False), (str, True)}
 
 
+# ---------------------------------------------------------------------------
+# Algebraic checks of the exact kernels at the anatomy grid's scale
+# ---------------------------------------------------------------------------
+
+# the anatomy benchmark's 21 points (t, gamma), each counting n <= 10^5 gamma
+_GRID = [(t, g) for t in (300, 10**3, 3 * 10**3, 10**4, 3 * 10**4, 10**5) for g in (F(3, 2), F(2), F(5, 2))]
+_GRID += [(3 * 10**5, F(3, 2)), (3 * 10**5, F(2)), (10**6, F(2))]
+
+
+def _omega_moments(x: int, t: int) -> tuple[int, int, int]:
+    """(x, sum_{p <= t} floor(x/p), sum_{p < q <= t} floor(x/(p q))) over
+    primes p, q: the number of n <= x, of pairs (n, p) with p | n, and of
+    (n, {p, q}) with p q | n."""
+    ps = primes_upto(max(1, min(t, x)))
+    pairs = 0
+    for i, p in enumerate(ps):
+        m = x // p  # floor(x/(p q)) = floor(m/q)
+        if m <= p:
+            break
+        pairs += sum(m // q for q in ps[i + 1 : bisect_right(ps, m)])
+    return x, sum(x // p for p in ps), pairs
+
+
+def test_omega_histogram_moments():
+    """sum hist[c] = x, sum c hist[c] = sum floor(x/p) and sum C(c, 2)
+    hist[c] = sum floor(x/(p q)), the moments behind Turan's proof of
+    Hardy-Ramanujan, at every grid (x, t), at x = ENUMERATION_CAP and at
+    x = 2^k +- 1."""
+    cap = anatomy.ENUMERATION_CAP
+    cases = [(int(10**5 * g), t) for t, g in _GRID] + [(cap, 2), (cap, cap)]
+    cases += [(2**k + d, t) for k in range(1, 21) for d in (-1, 1) for t in (2, 2**k + d)]
+    for x, t in cases:
+        hist = _omega_histogram(x, t)
+        moments = [sum(math.comb(c, j) * n for c, n in enumerate(hist)) for j in range(3)]
+        assert tuple(moments) == _omega_moments(x, t), (x, t)
+
+
+_FINGERPRINT_PRIMES = (2**61 - 1, 2**89 - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _mertens_fingerprint(t: int, gamma: F) -> tuple[int, int]:
+    """(prod p b, prod (p b + c)) over the primes p <= t, gamma = a/b and
+    c = a - b, mod the product of _FINGERPRINT_PRIMES (so mod each)."""
+    q = math.prod(_FINGERPRINT_PRIMES)
+    a, b = gamma.numerator, gamma.denominator
+    ps = primes_upto(t)
+    num = 1
+    for p in ps:
+        num = num * (p * b + a - b) % q
+    return pow(b, len(ps), q) * _primorial(t, q) % q, num
+
+
+@functools.lru_cache(maxsize=None)
+def _primorial(t: int, q: int) -> int:
+    """prod_{p <= t} p mod q."""
+    out = 1
+    for p in primes_upto(t):
+        out = out * p % q
+    return out
+
+
+@pytest.mark.parametrize("in_gmp", [False, True], ids=["int", "gmp"])
+def test_mertens_product_fingerprints(in_gmp, monkeypatch):
+    """mertens_product(t, gamma) = N/D has N prod p b = D prod (p b + c),
+    checked mod the primes 2^61 - 1 and 2^89 - 1 (a Karp-Rabin
+    fingerprint) at every grid point, with GMP off and with every product
+    in GMP."""
+    monkeypatch.setattr(anatomy, "_gmp", anatomy._gmp if in_gmp else False)  # restored after the test
+    if in_gmp:
+        if not anatomy._load_gmp():
+            pytest.skip("libgmp.so.10 does not load")
+        monkeypatch.setattr(anatomy, "_GMP_CUT", 0)
+    for t, gamma in _GRID:
+        got = mertens_product(t, gamma)
+        den, num = _mertens_fingerprint(t, gamma)
+        for q in _FINGERPRINT_PRIMES:
+            assert got.numerator % q * den % q == got.denominator % q * num % q, (t, gamma, q)
+
+
 @pytest.mark.parametrize("gamma", [F(3, 2), F(5, 2), F(17, 4), F(1), F(2)])
 def test_mertens_product_under_a_tiny_sieve_cap(gamma, monkeypatch):
     """The exact product sieves to floor(t) and no further: b t + c lies
     past the cap of 100 (at it for gamma = 1), and the product at t = 100 is
     still built."""
-    monkeypatch.setenv("PAIRCERT_SIEVE_CAP", "100")
+    monkeypatch.setattr(arith, "_SIEVE_CAP", 100)
     for name, value in (("_sieve_limit", 0), ("_is_prime", bytearray()), ("_primes", [])):
         monkeypatch.setattr(arith, name, value)
     a, b = gamma.numerator, gamma.denominator

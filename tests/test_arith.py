@@ -8,6 +8,7 @@ never touches floating point.
 import functools
 import hashlib
 import random
+import re
 from math import isqrt
 from fractions import Fraction as F
 
@@ -94,9 +95,10 @@ class TestPrimes:
     def test_listing_under_a_tiny_sieve_cap(self, cap, monkeypatch):
         """The sieve and its prime list at the smallest caps, both parities
         of limit, limits on and next to a prime."""
-        monkeypatch.setenv("PAIRCERT_SIEVE_CAP", str(cap))
+        monkeypatch.setattr(arith, "_SIEVE_CAP", cap)
         for name, value in (("_sieve_limit", 0), ("_is_prime", bytearray()), ("_primes", [])):
             monkeypatch.setattr(arith, name, value)
+        assert arith.sieve_cap() == cap
         assert primes_upto(cap) == _trial_division_primes(cap)
         assert arith._sieve_limit == cap
         assert list(arith._is_prime) == [int(n in arith._primes) for n in range(cap + 1)]
@@ -108,7 +110,7 @@ class TestPrimes:
         within the cap grows the sieve to the cap; n past the cap is decided
         by trial division while isqrt(n) is within the cap, the primes
         between 97^2 and 101^2 included, and raises ResourceLimit past it."""
-        monkeypatch.setenv("PAIRCERT_SIEVE_CAP", "100")
+        monkeypatch.setattr(arith, "_SIEVE_CAP", 100)
         for name, value in (("_sieve_limit", 0), ("_is_prime", bytearray()), ("_primes", [])):
             monkeypatch.setattr(arith, name, value)
         assert is_prime(89)
@@ -128,19 +130,6 @@ class TestPrimes:
         # past Python's 4,300-digit int -> str limit, which str() would raise ValueError at
         with pytest.raises(ResourceLimit, match=f"primality of {int_str(101**2500)} needs primes"):
             is_prime(101**2500)
-
-    @pytest.mark.parametrize(
-        "raw, message",
-        [("ten", "PAIRCERT_SIEVE_CAP not an integer: 'ten'"), ("9", "sieve cap must be at least 10")],
-    )
-    def test_malformed_sieve_cap_rejected(self, raw, message, monkeypatch):
-        monkeypatch.setenv("PAIRCERT_SIEVE_CAP", raw)
-        for name, value in (("_sieve_limit", 0), ("_is_prime", bytearray()), ("_primes", [])):
-            monkeypatch.setattr(arith, name, value)
-        with pytest.raises(InvalidParameter, match=f"^{message}$"):
-            arith.sieve_cap()
-        with pytest.raises(InvalidParameter, match=f"^{message}$"):
-            is_prime(89)
 
 
 class TestFactorize:
@@ -164,7 +153,7 @@ class TestFactorize:
     def test_cap_under_small_sieve_cap(self, monkeypatch):
         from paircert import arith
 
-        monkeypatch.setenv("PAIRCERT_SIEVE_CAP", "100")
+        monkeypatch.setattr(arith, "_SIEVE_CAP", 100)
         factorize.cache_clear()
         assert factorize(101**2 - 1) == ((2, 3), (3, 1), (5, 2), (17, 1))
         sieved = []
@@ -551,7 +540,7 @@ def _power_sites():
     exponent n or -n, and who is the name its ResourceLimit gives."""
     from paircert.anatomy import count_chain_report, divisor_anatomy_bound, divisor_chain_report
     from paircert.compress import Slice, slice_system, verify_slice_identities
-    from paircert.model import PairSystem, TOTIENT, WeightFunction
+    from paircert.model import PairSystem, TOTIENT, WeightFunction, validate_multiplicative
     from paircert.resolution import s_majorant
 
     psi = WeightFunction({3: F(1, 3)})
@@ -591,6 +580,14 @@ def _power_sites():
             "verify_slice_identities",
             3,
             lambda n: verify_slice_identities(system, hand_slice(0, n), 10),
+        ),
+        ("prime_power.a", "prime_power", 3, lambda n: TOTIENT.prime_power(2, n)),
+        ("one_star_prime_power.a", "one_star_prime_power", 3, lambda n: TOTIENT.one_star_prime_power(2, n)),
+        (
+            "validate_multiplicative.a",
+            "validate_multiplicative",
+            3,
+            lambda n: validate_multiplicative(TOTIENT, [(2, n)]),
         ),
     ]
 
@@ -1821,13 +1818,37 @@ def test_an_int_or_a_fraction_keeps_its_value(name, call, n, q):
 
 
 # ---------------------------------------------------------------------------
-# One reader for the prime bound t
+# One registry of the public numeric slots, one guard
 # ---------------------------------------------------------------------------
 
 
-def _t_slots():
-    """(name, call): call(t) hands t to the prime bound t of the public
-    entry point module.name, every other argument valid."""
+def _cli_precision(bits) -> None:
+    """paircert --precision bits anatomy mertens, with its exit 4 raised as
+    the InvalidParameter that its one stderr line reports (an argparse
+    usage error for a value that is not an int)."""
+    import contextlib
+    import io
+
+    from paircert.cli import main
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--precision", str(bits), "anatomy", "mertens", "--t", "10"])
+        except SystemExit as exc:
+            code = exc.code
+    if code == 4:
+        raise InvalidParameter(err.getvalue().strip())
+    assert code == 0
+
+
+def _slot_registry():
+    """(callable, parameter, domain, call) per public numeric slot: call(x)
+    hands x to that parameter of the public entry point module.name, every
+    other argument valid. domain names the one reader of the slot and its
+    bounds: ("t",) for arith._t_floor, ("precision",) for arith._precision,
+    ("int", least, most) for arith._integer (None: an open end) and
+    ("above", bound, or_equal) for arith._rational_above."""
     from paircert import anatomy, compress, harness, quality, resolution
     from paircert.model import PairSystem, TOTIENT, WeightFunction
 
@@ -1838,11 +1859,17 @@ def _t_slots():
     structured = PairSystem(
         WeightFunction({1: F(1)}), WeightFunction({2: F(1, 4), 3: F(1, 9)}), TOTIENT, TOTIENT, {(1, 2), (1, 3)}
     )
-    return [
+    one = WeightFunction({3: F(1, 3)})
+    config = harness.GeneratorConfig()
+
+    def params(**fields):
+        return quality.Params(**{"epsilon": F(1, 4), "C": F(1), "t": F(10), "K": F(0), **fields})
+
+    t_slots = [
         ("arith.primes_upto", primes_upto),
         ("arith.prime_flags", arith.prime_flags),
         ("arith.log_of", log_of),
-        ("quality.Params", lambda t: quality.Params(epsilon=F(1, 4), C=F(1), t=t, K=F(0))),
+        ("quality.Params", lambda t: params(t=t)),
         ("quality.omega_t", lambda t: quality.omega_t(2, 3, t)),
         ("quality.build_edge_set", lambda t: quality.build_edge_set(halves, ninths, t, 1)),
         ("quality.stray_edges", lambda t: quality.stray_edges(halves, ninths, system.edges, t, 1)),
@@ -1865,13 +1892,200 @@ def _t_slots():
         ("resolution.s_majorant_bridged", lambda t: resolution.s_majorant_bridged(t, 1, 1, 64)),
         ("harness.corollary_bound_check", lambda t: harness.corollary_bound_check(halves, F(1, 2), 1, t, 0)),
     ]
+    precision_slots = [
+        ("arith.interval_eval", lambda bits: interval_eval(1, [(exp_of(1), 1)], bits)),
+        ("quality.certify_le", lambda bits: quality.certify_le(2, 1, [(exp_of(1), 1)], bits)),
+        ("quality.Params", lambda bits: params(precision_bits=bits)),
+        ("resolution.s_majorant", lambda bits: resolution.s_majorant(10, 1, 2, bits)),
+        ("resolution.s_majorant_bridged", lambda bits: resolution.s_majorant_bridged(10, 1, 1, bits)),
+        ("anatomy.divisor_anatomy_bound", lambda bits: anatomy.divisor_anatomy_bound(12, 10, F(1, 2), 2, bits)),
+        ("anatomy.ratio_to_log_power", lambda bits: anatomy.ratio_to_log_power(10, 2, bits)),
+        (
+            "harness.corollary_bound_check",
+            lambda bits: harness.corollary_bound_check(one, F(1, 2), 1, 1, 0, precision_bits=bits),
+        ),
+        ("cli.--precision", _cli_precision),
+    ]
+    int_slots = [
+        ("anatomy.divisor_anatomy_sum", "M", 1, None, lambda M: anatomy.divisor_anatomy_sum(M, 10, 1, TOTIENT)),
+        ("anatomy.rankin_divisor_sum", "M", 1, None, lambda M: anatomy.rankin_divisor_sum(M, 10, 2, TOTIENT)),
+        ("anatomy.rankin_divisor_product", "M", 1, None, lambda M: anatomy.rankin_divisor_product(M, 10, 2, TOTIENT)),
+        ("anatomy.divisor_anatomy_bound", "M", 1, None, lambda M: anatomy.divisor_anatomy_bound(M, 10, 1, 2)),
+        ("anatomy.divisor_chain_report", "M", 1, None, lambda M: anatomy.divisor_chain_report(M, 10, 1, 2, TOTIENT)),
+        ("compress.slice_system", "i", 0, None, lambda i: compress.slice_system(system, 3, i, 0)),
+        ("compress.slice_system", "j", 0, None, lambda j: compress.slice_system(system, 3, 0, j)),
+        ("harness.GeneratorConfig", "seed", 0, None, lambda n: harness.GeneratorConfig(seed=n)),
+        ("harness.GeneratorConfig", "support_min", 0, None, lambda n: harness.GeneratorConfig(support_min=n)),
+        (
+            "harness.GeneratorConfig",
+            "support_max",
+            None,
+            None,
+            lambda n: harness.GeneratorConfig(support_min=0, support_max=n),
+        ),
+        (
+            "harness.GeneratorConfig",
+            "value_numerator_bound",
+            1,
+            None,
+            lambda n: harness.GeneratorConfig(value_numerator_bound=n),
+        ),
+        ("harness.GeneratorConfig", "prime_pool_bound", 2, None, lambda n: harness.GeneratorConfig(prime_pool_bound=n)),
+        ("harness.GeneratorConfig", "max_exponent", 1, None, lambda n: harness.GeneratorConfig(max_exponent=n)),
+        ("harness.GeneratorConfig", "element_bound", 1, None, lambda n: harness.GeneratorConfig(element_bound=n)),
+        ("harness.generate_instance", "index", 0, (1 << 32) - 1, lambda n: harness.generate_instance(config, n)),
+        ("harness.certify_instance", "index", 0, None, lambda n: harness.certify_instance(system, params(), index=n)),
+        (
+            "harness.certify_instance",
+            "slice_spots",
+            0,
+            None,
+            lambda n: harness.certify_instance(system, params(), slice_spots=n),
+        ),
+        ("harness.certify_campaign", "count", 1, None, lambda n: harness.certify_campaign(config, n)),
+        ("harness.rescale_kmy", "Q", None, None, lambda n: harness.rescale_kmy(halves, 2, n)),
+        (
+            "harness.corollary_bound_check",
+            "p0",
+            1,
+            None,
+            lambda n: harness.corollary_bound_check(one, F(1, 2), 1, 1, 0, p0=n),
+        ),
+        ("quality.Params", "p0", 1, None, lambda n: params(p0=n)),
+        ("model.MultiplicativeFunction.prime_power", "p", 2, None, lambda p: TOTIENT.prime_power(p, 1)),
+        ("model.MultiplicativeFunction.prime_power", "a", 0, None, lambda a: TOTIENT.prime_power(3, a)),
+        (
+            "model.MultiplicativeFunction.one_star_prime_power",
+            "p",
+            2,
+            None,
+            lambda p: TOTIENT.one_star_prime_power(p, 1),
+        ),
+        (
+            "model.MultiplicativeFunction.one_star_prime_power",
+            "a",
+            0,
+            None,
+            lambda a: TOTIENT.one_star_prime_power(3, a),
+        ),
+        ("resolution.decompose", "v", 1, None, lambda v: resolution.decompose(v, 1)),
+        ("resolution.decompose", "N", 1, None, lambda N: resolution.decompose(1, N)),
+        ("resolution.check_structured", "N", 1, None, lambda N: resolution.check_structured(structured.edges, N)),
+        (
+            "resolution.build_decomposition",
+            "N",
+            1,
+            None,
+            lambda N: resolution.build_decomposition(structured.edges, N),
+        ),
+        ("resolution.s_sums", "N", 1, None, lambda N: resolution.s_sums(structured, structured.edges, N, 10, 0)),
+        (
+            "resolution.resolution_check",
+            "N",
+            1,
+            None,
+            lambda N: resolution.resolution_check(structured, structured.edges, N, params()),
+        ),
+    ]
+    above_slots = [
+        ("anatomy.rankin_sum", "gamma", 0, False, lambda g: anatomy.rankin_sum(100, 10, g)),
+        ("anatomy.mertens_product", "gamma", 1, True, lambda g: anatomy.mertens_product(10, g)),
+        ("anatomy.ratio_to_log_power", "gamma", 1, True, lambda g: anatomy.ratio_to_log_power(10, g)),
+        ("anatomy.count_chain_report", "gamma", 1, True, lambda g: anatomy.count_chain_report(100, 10, 1, g)),
+        ("anatomy.divisor_anatomy_bound", "gamma", 1, False, lambda g: anatomy.divisor_anatomy_bound(12, 10, 1, g)),
+        (
+            "anatomy.divisor_chain_report",
+            "gamma",
+            1,
+            False,
+            lambda g: anatomy.divisor_chain_report(12, 10, 1, g, TOTIENT),
+        ),
+        ("resolution.s_majorant", "gamma", 1, False, lambda g: resolution.s_majorant(10, 4, g)),
+        ("quality.Params", "C", 0, False, lambda C: params(C=C)),
+        ("harness.corollary_bound_check", "C", 0, False, lambda C: harness.corollary_bound_check(one, F(1, 2), C, 1, 0)),
+        ("harness.rescale_kmy", "y", 0, False, lambda y: harness.rescale_kmy(halves, y, 10)),
+        ("arith.interval_eval", "base", 0, True, lambda q: interval_eval(q, [(exp_of(1), 1)], 64)),
+        ("arith.compare_power", "base", 0, False, lambda q: compare_power(q, F(1, 2), 2)),
+        ("arith.compare_power", "rhs", 0, False, lambda q: compare_power(2, F(1, 2), q)),
+        ("quality.certify_le", "base", 0, True, lambda q: quality.certify_le(1, q, [(exp_of(1), 1)], 64)),
+    ]
+    return (
+        [(name, "t", ("t",), call) for name, call in t_slots]
+        + [(name, "precision_bits", ("precision",), call) for name, call in precision_slots]
+        + [(name, param, ("int", least, most), call) for name, param, least, most, call in int_slots]
+        + [(name, param, ("above", bound, or_equal), call) for name, param, bound, or_equal, call in above_slots]
+    )
 
 
-_T_SLOTS = _t_slots()
+_SLOTS = _slot_registry()
+
+_REPORT = "a report or result type: its fields are outputs, not inputs"
+_BY_IS_PRIME = "read by is_prime, whose n keeps its own message"
+_BY_FACTORIZE = "read by factorize, whose n keeps its own message"
+_ANY_GAMMA = "any rational, read by _rational: the divisor-sum identity holds for every gamma"
+_EDGE_TEST = "an edge test, run once per pair of support elements: no reader in that loop"
+
+# public numeric parameters with no row in _SLOTS, each with its reason; a
+# key names one parameter, or a callable and every parameter of it and its
+# methods
+_SLOT_EXEMPT = {
+    "anatomy.AnatomyReport": _REPORT,
+    "anatomy.small_prime_divisor_count.n": _BY_FACTORIZE,
+    "anatomy.rankin_divisor_sum.gamma": _ANY_GAMMA,
+    "anatomy.rankin_divisor_product.gamma": _ANY_GAMMA,
+    "arith.is_prime.n": _BY_IS_PRIME,
+    "arith.prime_divisors.n": _BY_FACTORIZE,
+    "arith.divisors.n": _BY_FACTORIZE,
+    "arith.valuation.p": _BY_IS_PRIME,
+    "arith.coprime_fraction": "a kernel for coprime ints its callers build, unchecked by design",
+    "arith.int_str": "a formatter of numbers the package built",
+    "arith.dyadic_str": "a formatter of numbers the package built",
+    "arith.Dyadic": "a value type: the ends of an Interval",
+    "arith.Interval": "a working precision: the package runs Interval past the cap (_power_enclosure at w + mag)",
+    "arith.BoundExpr.enclosure": "a working precision, as for Interval's methods",
+    "compress.Slice": "a result of slice_system, which reads p, i and j",
+    "compress.IdentityCheck": _REPORT,
+    "compress.SliceIdentityReport": _REPORT,
+    "compress.slice_system.p": _BY_IS_PRIME,
+    "diagonal.CellCheck": _REPORT,
+    "diagonal.CenterResult": _REPORT,
+    "diagonal.ConcentrateResult": _REPORT,
+    "diagonal.DecayReport": _REPORT,
+    "diagonal.PeelStep": _REPORT,
+    "diagonal.DiagonalMeasure": "a measure that diagonal_measure builds, its p read by is_prime there",
+    "diagonal.diagonal_measure.p": _BY_IS_PRIME,
+    "harness.CampaignReport": _REPORT,
+    "harness.InstanceOutcome": _REPORT,
+    "model.SideMasses": "a view that vertex_masses builds",
+    "model.WeightFunction.value.v": "a lookup: every v off the support has weight 0",
+    "model.mu_point.v": "a lookup, as WeightFunction.value: f(v) is asked only on the support",
+    "quality.BoundReport": "a report field: the precision at which a verdict settled, not an input",
+    "quality.d_value": _EDGE_TEST,
+    "quality.omega_t.v": _EDGE_TEST,
+    "quality.omega_t.w": _EDGE_TEST,
+    "resolution.Decomposition": "a result of build_decomposition, which reads N",
+    "resolution.SSums": _REPORT,
+    "resolution.s_majorant_bridged.C": "any rational, read by _rational: gamma = e^(40 C)",
+}
+
+# rationals with a domain; every int-annotated parameter is a slot too
+_BOUNDED_NAMES = {"t", "precision_bits", "gamma", "C", "y", "base", "rhs"}
 
 
-@pytest.mark.parametrize("call", [slot[1] for slot in _T_SLOTS], ids=[slot[0] for slot in _T_SLOTS])
-def test_every_prime_bound_is_read_by_one_reader(call):
+def _slot_params(reader):
+    """parametrize's arguments for the rows of _SLOTS read by reader, as
+    (parameter, domain, call); a t or precision row's id is its callable
+    alone, any other row's callable.parameter."""
+    rows = [row for row in _SLOTS if row[2][0] == reader]
+    return {
+        "argnames": "param, domain, call",
+        "argvalues": [row[1:] for row in rows],
+        "ids": [name if reader in ("t", "precision") else f"{name}.{param}" for name, param, _, _ in rows],
+    }
+
+
+@pytest.mark.parametrize(**_slot_params("t"))
+def test_every_prime_bound_is_read_by_one_reader(param, domain, call):
     """Each public t goes through arith._t_floor: t >= 1 is taken, t < 1
     raises its one message, and a float or a bool is no exact rational."""
     call(1)
@@ -1884,30 +2098,119 @@ def test_every_prime_bound_is_read_by_one_reader(call):
             call(t)
 
 
-def test_t_slots_name_every_public_parameter_t():
-    """Every public function or class of the package that takes a t has a
-    row in _T_SLOTS, and every row names one."""
+@pytest.mark.parametrize(**_slot_params("precision"))
+def test_every_precision_is_read_by_one_reader(param, domain, call):
+    """Each public precision goes through arith._precision: an int in [16,
+    2^14] is taken; any other int, a bool or a float raises its message."""
+    call(16)
+    call(1 << 14)
+    for bits in (0, 15, (1 << 14) + 1):
+        with pytest.raises(InvalidParameter, match=rf"outside \[16, 2\^14\]: {bits}$"):
+            call(bits)
+    for bits in (True, 256.0):
+        with pytest.raises(InvalidParameter, match=r"must be an integer, got|invalid int value"):
+            call(bits)
+
+
+@pytest.mark.parametrize(**_slot_params("int"))
+def test_every_int_slot_is_read_by_one_reader(param, domain, call):
+    """Each public int slot goes through arith._integer: an int at either
+    end of its range is taken; one step past an end, a bool, a float or a
+    numeral string raises its message, led by the parameter's name."""
+    _, least, most = domain
+    call(0 if least is None else least)
+    if most is not None:
+        call(most)
+        with pytest.raises(InvalidParameter, match=f"^{param} must be <= {most}, got {most + 1}$"):
+            call(most + 1)
+    if least is not None:
+        with pytest.raises(InvalidParameter, match=f"^{param} must be >= {least}, got {least - 1}$"):
+            call(least - 1)
+    for value in (True, 2.0, "2"):
+        with pytest.raises(InvalidParameter, match=re.escape(f"{param} must be an integer, got {value!r}")):
+            call(value)
+
+
+@pytest.mark.parametrize(**_slot_params("above"))
+def test_every_lower_bounded_rational_is_read_by_one_reader(param, domain, call):
+    """Each public gamma, C and y goes through arith._rational_above: a
+    rational past its bound is taken, the bound itself only where it is
+    allowed; one at or below it raises its message, and a float or a bool
+    is no exact rational."""
+    _, bound, or_equal = domain
+    call(bound + F(1, 2))
+    refused = [bound - F(1, 2)]
+    if or_equal:
+        call(bound)
+    else:
+        refused.append(bound)
+    relation = ">=" if or_equal else ">"
+    for q in refused:
+        with pytest.raises(InvalidParameter, match=f"^{param} must be {relation} {bound}, got {fraction_str(q)}$"):
+            call(q)
+    for value in (1.5, True):
+        with pytest.raises(InvalidParameter, match="not an exact rational"):
+            call(value)
+
+
+def _public_numeric_parameters(package):
+    """{(module.callable, parameter): inspect.Parameter} for every parameter
+    of a public function, class or method of package that is annotated int
+    or is named in _BOUNDED_NAMES."""
     import importlib
     import inspect
     import pkgutil
 
-    import paircert
-
-    def takes_t(obj) -> bool:
-        try:
-            return "t" in inspect.signature(obj).parameters
-        except ValueError:  # a builtin base, such as an exception's
-            return False
-
-    found = set()
-    for info in pkgutil.iter_modules(paircert.__path__):
-        module = importlib.import_module(f"paircert.{info.name}")
+    found = {}
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"{package.__name__}.{info.name}")
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
-            if (inspect.isfunction(obj) or inspect.isclass(obj)) and takes_t(obj):
-                found.add(f"{info.name}.{name}")
-    assert found == {slot[0] for slot in _T_SLOTS}
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            callables = {f"{info.name}.{name}": obj}
+            if inspect.isclass(obj):
+                callables.update(
+                    (f"{info.name}.{name}.{attr}", getattr(obj, attr))
+                    for attr, member in vars(obj).items()
+                    if not attr.startswith("_")
+                    and (inspect.isfunction(member) or isinstance(member, (staticmethod, classmethod)))
+                )
+            for key, member in callables.items():
+                try:
+                    parameters = inspect.signature(member).parameters
+                except ValueError:  # a builtin base, such as an exception's
+                    continue
+                for parameter in parameters.values():
+                    if parameter.annotation in ("int", "Optional[int]") or parameter.name in _BOUNDED_NAMES:
+                        found[(key, parameter.name)] = parameter
+    return found
+
+
+def test_slot_registry_names_every_public_numeric_parameter():
+    """Every public numeric parameter of the package has a row in _SLOTS or
+    a reason in _SLOT_EXEMPT, every row and every reason names one, and a
+    default precision is DEFAULT_PRECISION."""
+    import inspect
+
+    import paircert
+
+    found = _public_numeric_parameters(paircert)
+
+    def exemption(key, name):
+        parts = f"{key}.{name}".split(".")
+        return next((k for k in (".".join(parts[:n]) for n in range(2, len(parts) + 1)) if k in _SLOT_EXEMPT), None)
+
+    used = {exemption(*slot) for slot in found} - {None}
+    slots = {slot for slot in found if exemption(*slot) is None}
+    registered = {(name, param) for name, param, _, _ in _SLOTS if not name.startswith("cli.")}
+    assert sorted(slots - registered) == [], "public numeric parameters with no row or reason"
+    assert sorted(registered - slots) == [], "rows that name no public numeric parameter"
+    assert sorted(set(_SLOT_EXEMPT) - used) == [], "reasons that name no public numeric parameter"
+    for (key, name), parameter in found.items():
+        if name == "precision_bits" and (key, name) in slots:
+            assert parameter.default in (inspect.Parameter.empty, arith.DEFAULT_PRECISION), key
 
 
 # ---------------------------------------------------------------------------
@@ -1919,7 +2222,7 @@ def _domain_raises():
     """(name, call, exception type, message regex) per input-domain raise."""
     from paircert.anatomy import (
         ENUMERATION_CAP, count_chain_report, count_many_small_primes, divisor_anatomy_bound,
-        divisor_chain_report, rankin_sum,
+        divisor_chain_report, rankin_sum, small_prime_divisor_count,
     )
     from paircert.compress import slice_system
     from paircert.diagonal import DiagonalMeasure, diagonal_measure
@@ -1938,14 +2241,14 @@ def _domain_raises():
     power_cap = arith._POWER_BITS_CAP
     power_n = power_cap // 3 + 1
     return [
-        ("rankin_sum.gamma", lambda: rankin_sum(100, 10, 0), InvalidParameter, "gamma must be positive, got 0"),
+        ("rankin_sum.gamma", lambda: rankin_sum(100, 10, 0), InvalidParameter, "gamma must be > 0, got 0"),
         (
             "divisor_anatomy_bound.gamma",
             lambda: divisor_anatomy_bound(12, 10, 1, 1),
             InvalidParameter,
-            "gamma must exceed 1, got 1",
+            "gamma must be > 1, got 1",
         ),
-        ("s_majorant.gamma", lambda: s_majorant(10, 4, 1), InvalidParameter, "gamma must exceed 1, got 1"),
+        ("s_majorant.gamma", lambda: s_majorant(10, 4, 1), InvalidParameter, "gamma must be > 1, got 1"),
         (
             "count_chain_report.K",
             lambda: count_chain_report(100, 10, F(1, 2), 2),
@@ -1974,19 +2277,19 @@ def _domain_raises():
             "compare_power.base",
             lambda: compare_power(0, 1, 1),
             InvalidParameter,
-            "compare_power requires positive base and rhs",
+            "^base must be > 0, got 0$",
         ),
         (
             "compare_power.rhs",
             lambda: compare_power(2, 1, -1),
             InvalidParameter,
-            "compare_power requires positive base and rhs",
+            "^rhs must be > 0, got -1$",
         ),
         (
             "slice_system.exponents",
             lambda: slice_system(system, 2, 0, -1),
             InvalidParameter,
-            "slice exponents must be nonnegative",
+            "^j must be >= 0, got -1$",
         ),
     ] + [
         # one exponent step past _POWER_BITS_CAP: 2 has 2 + 1 bits
@@ -2028,7 +2331,7 @@ def _domain_raises():
             "GeneratorConfig.support_min",
             lambda: GeneratorConfig(support_min=-1),
             InvalidParameter,
-            "bad support size bounds",
+            "^support_min must be >= 0, got -1$",
         ),
         (
             "MultiplicativeFunction.exponent",
@@ -2042,8 +2345,8 @@ def _domain_raises():
             InvalidParameter,
             "p0 must be >= 1, got 0",
         ),
-        ("decompose", lambda: decompose(0, 1), InvalidParameter, "decompose needs positive integers"),
-        # is_prime and factorize take only an int, so no float or bool reaches them as a TypeError
+        ("decompose", lambda: decompose(0, 1), InvalidParameter, "^v must be >= 1, got 0$"),
+        # is_prime and factorize take only an int, and N is an int slot: no float or bool gives a TypeError
         (
             "slice_system.p",
             lambda: slice_system(system, 2.0, 0, 0),
@@ -2058,16 +2361,22 @@ def _domain_raises():
         ),
         ("valuation.p", lambda: valuation(2.0, 4), InvalidParameter, "is_prime requires an int, got 2.0"),
         (
+            "small_prime_divisor_count.n",
+            lambda: small_prime_divisor_count(6.0, 10),
+            InvalidParameter,
+            "factorize requires an int, got 6.0",
+        ),
+        (
             "resolution_check.N_float",
             lambda: resolution_check(system, system.edges, 2.0, params),
             InvalidParameter,
-            "factorize requires an int, got 2.0",
+            "^N must be an integer, got 2.0$",
         ),
         (
             "resolution_check.N_bool",
             lambda: resolution_check(system, system.edges, True, params),
             InvalidParameter,
-            "factorize requires an int, got True",
+            "^N must be an integer, got True$",
         ),
     ] + _past_the_digit_limit()
 
@@ -2104,21 +2413,21 @@ def _past_the_digit_limit():
             rf"negative value at 2\^1: -{B}$",
         ),
         ("Params.epsilon", lambda: params(epsilon=F(big)), rf"epsilon {B} outside \(0, 2/5\]$"),
-        ("Params.C", lambda: params(C=-F(big)), f"C must be positive, got -{B}$"),
+        ("Params.C", lambda: params(C=-F(big)), f"C must be > 0, got -{B}$"),
         ("Params.p0", lambda: params(p0=-big), f"p0 must be >= 1, got -{B}$"),
         ("_t_floor.t", lambda: small_prime_divisor_count(6, -big), f"t must be >= 1, got -{B}$"),
         ("factorize.n", lambda: factorize(-big), f"factorize requires n >= 1, got -{B}$"),
         ("_check_M.M", lambda: divisor_anatomy_sum(-big, 10, 1, TOTIENT), f"M must be >= 1, got -{B}$"),
         ("_enumeration_bound.x", lambda: count_many_small_primes(-big, 10, 1), f"x must be >= 1, got -{B}$"),
-        ("rankin_sum.gamma", lambda: rankin_sum(10, 10, -big), f"gamma must be positive, got -{B}$"),
+        ("rankin_sum.gamma", lambda: rankin_sum(10, 10, -big), f"gamma must be > 0, got -{B}$"),
         (
             "divisor_anatomy_bound.gamma",
             lambda: divisor_anatomy_bound(12, 10, 1, -big),
-            f"gamma must exceed 1, got -{B}$",
+            f"gamma must be > 1, got -{B}$",
         ),
         ("_mertens_args.gamma", lambda: mertens_product(10, -big), f"gamma must be >= 1, got -{B}$"),
-        ("rescale_kmy.y", lambda: rescale_kmy(psi, -big, 10), f"rescale factor must be positive, got -{B}$"),
-        ("s_majorant.gamma", lambda: s_majorant(10, 4, -big), f"gamma must exceed 1, got -{B}$"),
+        ("rescale_kmy.y", lambda: rescale_kmy(psi, -big, 10), f"y must be > 0, got -{B}$"),
+        ("s_majorant.gamma", lambda: s_majorant(10, 4, -big), f"gamma must be > 1, got -{B}$"),
         (
             "_precision.bits",
             lambda: interval_eval(1, [(exp_of(1), 1)], big),
@@ -2140,7 +2449,7 @@ def _past_the_digit_limit():
         (
             "GeneratorConfig.element_bound",
             lambda: GeneratorConfig(element_bound=-big),
-            f"element_bound -{B} is below 1$",
+            f"element_bound must be >= 1, got -{B}$",
         ),
         (
             "corollary_bound_check.epsilon",
@@ -2189,121 +2498,8 @@ def test_input_domain_raise(call, exc, message):
 
 
 # ---------------------------------------------------------------------------
-# One reader for the declared precision
+# Caps on a precision, a dyadic exponent and a numeral
 # ---------------------------------------------------------------------------
-
-
-def _cli_precision(bits) -> None:
-    """paircert --precision bits anatomy mertens, with its exit 4 raised as
-    the InvalidParameter that its one stderr line reports (an argparse
-    usage error for a value that is not an int)."""
-    import contextlib
-    import io
-
-    from paircert.cli import main
-
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(["--precision", str(bits), "anatomy", "mertens", "--t", "10"])
-        except SystemExit as exc:
-            code = exc.code
-    if code == 4:
-        raise InvalidParameter(err.getvalue().strip())
-    assert code == 0
-
-
-def _precision_slots():
-    """(name, call): call(bits) hands bits to the declared precision of the
-    public entry point module.name, every other argument valid."""
-    from paircert import anatomy, harness, quality, resolution
-    from paircert.model import WeightFunction
-
-    one = WeightFunction({3: F(1, 3)})
-    return [
-        ("arith.interval_eval", lambda bits: interval_eval(1, [(exp_of(1), 1)], bits)),
-        ("quality.certify_le", lambda bits: quality.certify_le(2, 1, [(exp_of(1), 1)], bits)),
-        (
-            "quality.Params",
-            lambda bits: quality.Params(epsilon=F(1, 4), C=F(1), t=F(10), K=F(0), precision_bits=bits),
-        ),
-        ("resolution.s_majorant", lambda bits: resolution.s_majorant(10, 1, 2, bits)),
-        ("resolution.s_majorant_bridged", lambda bits: resolution.s_majorant_bridged(10, 1, 1, bits)),
-        ("anatomy.divisor_anatomy_bound", lambda bits: anatomy.divisor_anatomy_bound(12, 10, F(1, 2), 2, bits)),
-        ("anatomy.ratio_to_log_power", lambda bits: anatomy.ratio_to_log_power(10, 2, bits)),
-        (
-            "harness.corollary_bound_check",
-            lambda bits: harness.corollary_bound_check(one, F(1, 2), 1, 1, 0, precision_bits=bits),
-        ),
-        ("cli.--precision", _cli_precision),
-    ]
-
-
-_PRECISION_SLOTS = _precision_slots()
-
-# public precision_bits parameters with no row, each with its reason
-_PRECISION_EXEMPT = {
-    "arith.Interval": "a working precision: the package runs Interval past the cap (_power_enclosure at w + mag)",
-    "arith.BoundExpr.enclosure": "a working precision, as for Interval's methods",
-    "quality.BoundReport": "a report field: the precision at which a verdict settled, not an input",
-}
-
-
-@pytest.mark.parametrize("call", [slot[1] for slot in _PRECISION_SLOTS], ids=[slot[0] for slot in _PRECISION_SLOTS])
-def test_every_precision_is_read_by_one_reader(call):
-    """Each public precision goes through arith._precision: an int in [16,
-    2^14] is taken; any other int, a bool or a float raises its message."""
-    call(16)
-    call(1 << 14)
-    for bits in (0, 15, (1 << 14) + 1):
-        with pytest.raises(InvalidParameter, match=rf"outside \[16, 2\^14\]: {bits}$"):
-            call(bits)
-    for bits in (True, 256.0):
-        with pytest.raises(InvalidParameter, match=r"must be an integer, got|invalid int value"):
-            call(bits)
-
-
-def test_precision_slots_name_every_public_precision_bits():
-    """Every public function, class or method of the package that takes a
-    precision_bits has a row in _PRECISION_SLOTS or a reason in
-    _PRECISION_EXEMPT, and a default precision is DEFAULT_PRECISION."""
-    import importlib
-    import inspect
-    import pkgutil
-
-    import paircert
-
-    def precision_of(obj):
-        try:
-            return inspect.signature(obj).parameters.get("precision_bits")
-        except ValueError:  # a builtin base, such as an exception's
-            return None
-
-    found = {}
-    for info in pkgutil.iter_modules(paircert.__path__):
-        module = importlib.import_module(f"paircert.{info.name}")
-        for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
-                continue
-            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
-                continue
-            callables = {f"{info.name}.{name}": obj}
-            if inspect.isclass(obj):
-                callables.update(
-                    (f"{info.name}.{name}.{attr}", getattr(obj, attr))
-                    for attr, member in vars(obj).items()
-                    if not attr.startswith("_")
-                    and (inspect.isfunction(member) or isinstance(member, (staticmethod, classmethod)))
-                )
-            for key, member in callables.items():
-                parameter = precision_of(member)
-                if parameter is not None:
-                    found[key] = parameter
-    exempt = {key for key in found if key in _PRECISION_EXEMPT or key.rsplit(".", 1)[0] in _PRECISION_EXEMPT}
-    assert set(_PRECISION_EXEMPT) <= exempt
-    assert set(found) - exempt == {slot[0] for slot in _PRECISION_SLOTS} - {"cli.--precision"}
-    for key in set(found) - exempt:
-        assert found[key].default in (inspect.Parameter.empty, arith.DEFAULT_PRECISION), key
 
 
 def test_a_precision_past_the_cap_is_refused_before_any_work():

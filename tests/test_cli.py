@@ -71,6 +71,14 @@ def test_gen_out_is_the_canonical_instance_document(tmp_path, config_file):
         ).encode()
 
 
+def test_gen_refuses_an_index_that_would_alias(tmp_path, config_file, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--config", str(config_file), "--out", str(out), "--index", "-1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "paircert: InvalidParameter: index must be >= 0, got -1\n"
+
+
 def test_certify_campaign_rejects_precision(tmp_path, config_file, capsys):
     argv = ["certify", "--campaign", str(config_file), "--count", "1"]
     assert main(["--precision", "512", *argv, "--out-dir", str(tmp_path / "wit")]) == 4

@@ -93,14 +93,14 @@ class TestGenerator:
 
     @pytest.mark.parametrize("name", ["max_exponent", "value_numerator_bound", "element_bound"])
     def test_bound_below_one_rejected(self, name):
-        with pytest.raises(InvalidParameter, match=f"{name} 0 is below 1"):
+        with pytest.raises(InvalidParameter, match=f"^{name} must be >= 1, got 0$"):
             GeneratorConfig(**{name: 0})
 
     @pytest.mark.parametrize("value", [0, 1, -5])
     def test_prime_pool_bound_below_two_rejected(self, value):
         """A pool bound below 2 holds no prime; it is refused when the
         config is built, not later in generate_instance."""
-        with pytest.raises(InvalidParameter, match=rf"^prime_pool_bound {value} is below 2$"):
+        with pytest.raises(InvalidParameter, match=rf"^prime_pool_bound must be >= 2, got {value}$"):
             GeneratorConfig(prime_pool_bound=value)
 
     def test_round_trip_with_params(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paircert import arith
 from paircert.arith import factorize
 from paircert.errors import IncompleteDefinition, InvalidParameter, ResourceLimit
 from paircert.model import (
@@ -98,8 +99,24 @@ class TestMultiplicative:
         assert not res.accepted
         assert res.failures[0][:2] == (2, 1) and res.failures[0][2] == 3
 
+    @pytest.mark.parametrize(
+        "load, doc",
+        [
+            (MultiplicativeFunction.from_json, {"2": "1"}),
+            (MultiplicativeFunction.from_json, {"2^1": "1/x"}),
+            (MultiplicativeFunction.from_json, [1]),
+            (WeightFunction.from_json, [1]),
+            (WeightFunction.from_json, {"2": "1/0"}),
+        ],
+        ids=["f-key-without-exponent", "f-bad-rational", "f-list", "weight-list", "weight-zero-denominator"],
+    )
+    def test_from_json_reports_a_malformed_document(self, load, doc):
+        with pytest.raises(InvalidParameter, match="^malformed "):
+            load(doc)
+
     def test_totient_prime_powers(self):
         assert TOTIENT.prime_power(2, 3) == 4
+        assert [TOTIENT.one_star_prime_power(3, a) for a in range(5)] == [1, 3, 9, 27, 81]
         assert TOTIENT(1) == 1
         assert TOTIENT(12) == 4
 
@@ -182,7 +199,7 @@ class TestMultiplicative:
 
     def test_base_past_the_sieve_cap_is_a_resource_limit(self, monkeypatch):
         # no cached prime reaches sqrt(2^127 - 1), a prime
-        monkeypatch.setenv("PAIRCERT_SIEVE_CAP", "100")
+        monkeypatch.setattr(arith, "_SIEVE_CAP", 100)
         with pytest.raises(ResourceLimit):
             MultiplicativeFunction({(2**127 - 1, 1): 1})
 

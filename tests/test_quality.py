@@ -99,6 +99,20 @@ class TestParams:
         with pytest.raises(InvalidParameter, match="is not an exact rational"):
             Params.from_json(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"epsilon": "1/x", "C": "1", "t": "10", "K": "0"},
+            {"epsilon": "1/4"},
+            {"epsilon": "1/4", "C": "1", "t": "10", "K": "0", "k": "1"},
+            [1],
+        ],
+        ids=["bad-rational", "missing-keys", "unknown-key", "not-an-object"],
+    )
+    def test_from_json_reports_a_malformed_document(self, doc):
+        with pytest.raises(InvalidParameter, match="^malformed params: "):
+            Params.from_json(doc)
+
 
 class TestDValue:
     def test_zero_weights(self):
