@@ -2188,29 +2188,56 @@ def _public_numeric_parameters(package):
     return found
 
 
+def _exemption(key, name):
+    """The _SLOT_EXEMPT key that covers parameter name of callable key, or None."""
+    parts = f"{key}.{name}".split(".")
+    return next((k for k in (".".join(parts[:n]) for n in range(2, len(parts) + 1)) if k in _SLOT_EXEMPT), None)
+
+
+def _registered(reader):
+    """{(callable, parameter)} of the rows of _SLOTS read by reader, past the CLI's."""
+    return {(name, param) for name, param, domain, _ in _SLOTS if domain[0] == reader and not name.startswith("cli.")}
+
+
 def test_slot_registry_names_every_public_numeric_parameter():
     """Every public numeric parameter of the package has a row in _SLOTS or
-    a reason in _SLOT_EXEMPT, every row and every reason names one, and a
-    default precision is DEFAULT_PRECISION."""
-    import inspect
-
+    a reason in _SLOT_EXEMPT, and every row and every reason names one."""
     import paircert
 
     found = _public_numeric_parameters(paircert)
-
-    def exemption(key, name):
-        parts = f"{key}.{name}".split(".")
-        return next((k for k in (".".join(parts[:n]) for n in range(2, len(parts) + 1)) if k in _SLOT_EXEMPT), None)
-
-    used = {exemption(*slot) for slot in found} - {None}
-    slots = {slot for slot in found if exemption(*slot) is None}
+    used = {_exemption(*slot) for slot in found} - {None}
+    slots = {slot for slot in found if _exemption(*slot) is None}
     registered = {(name, param) for name, param, _, _ in _SLOTS if not name.startswith("cli.")}
     assert sorted(slots - registered) == [], "public numeric parameters with no row or reason"
     assert sorted(registered - slots) == [], "rows that name no public numeric parameter"
     assert sorted(set(_SLOT_EXEMPT) - used) == [], "reasons that name no public numeric parameter"
-    for (key, name), parameter in found.items():
-        if name == "precision_bits" and (key, name) in slots:
-            assert parameter.default in (inspect.Parameter.empty, arith.DEFAULT_PRECISION), key
+
+
+def test_t_slots_name_every_public_parameter_t():
+    """Every public callable of the package that takes a t has a t row in
+    _SLOTS or a reason in _SLOT_EXEMPT, and every t row names one."""
+    import paircert
+
+    found = {slot for slot in _public_numeric_parameters(paircert) if slot[1] == "t" and _exemption(*slot) is None}
+    assert found == _registered("t")
+
+
+def test_precision_slots_name_every_public_precision_bits():
+    """Every public callable of the package that takes a precision_bits has
+    a precision row in _SLOTS or a reason in _SLOT_EXEMPT, every precision
+    row names one, and a default precision is DEFAULT_PRECISION."""
+    import inspect
+
+    import paircert
+
+    found = {
+        slot: parameter
+        for slot, parameter in _public_numeric_parameters(paircert).items()
+        if slot[1] == "precision_bits" and _exemption(*slot) is None
+    }
+    assert set(found) == _registered("precision")
+    for (key, _), parameter in found.items():
+        assert parameter.default in (inspect.Parameter.empty, arith.DEFAULT_PRECISION), key
 
 
 # ---------------------------------------------------------------------------
