@@ -10,7 +10,6 @@ e^C itself happens only in interval arithmetic.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -318,6 +317,7 @@ def divisor_anatomy_bound(
 
 _GMP_CUT = 1 << 13  # bits of an operand from which _power_prod multiplies in GMP
 _gmp = None  # (libgmp, its mpz_t) once loaded; False where it does not load
+_SMALL_PROD_BASES = 1024  # bases, with multiplicity, below which _power_prod adds up the bits
 
 
 def _load_gmp():
@@ -351,50 +351,72 @@ def _load_gmp():
     return _gmp
 
 
-def _gmp_mul(x: int, y: int) -> int:
-    """x * y for ints x, y >= 0, multiplied in GMP (_gmp loaded).
+def _gmp_prod(values: list[int]) -> int:
+    """The product of ints values >= 0, at least two, multiplied in GMP
+    (_gmp loaded) as _tree_prod pairs them: each operand is imported once,
+    each level of pairs is multiplied in place with mpz_mul, and the root
+    is exported once. An operand at an odd index that is the same int
+    object as the one before it shares that one's mpz, so that mpz_mul
+    squares: [x, x, y] is x^2 y.
 
     Each int crosses as little-endian bytes in words of 8, least
     significant word first (mpz_import), and comes back through a buffer of
     sizeinbase(z, 2) bits (mpz_export); on a little-endian machine with
-    64-bit limbs both are copies. A square is imported once, so that mpz_mul
-    squares.
+    64-bit limbs both are copies. Every mpz is cleared on the way out,
+    whether the product returns or raises.
     """
     import ctypes
 
     lib, Mpz = _gmp
-    zs = [Mpz(), Mpz()]
-    for z in zs:
-        lib.__gmpz_init(z)
+    zs, level = [], []  # every mpz made; the operands of the current level
     try:
-        for z, v in zip(zs, (x,) if x is y else (x, y)):
+        for i, v in enumerate(values):
+            if i % 2 and v is values[i - 1]:
+                level.append(level[-1])
+                continue
+            z = Mpz()
+            lib.__gmpz_init(z)
+            zs.append(z)
             words = (v.bit_length() + 63) // 64
             lib.__gmpz_import(z, words, -1, 8, -1, 0, v.to_bytes(8 * words, "little"))
-        acc, other = zs[0], zs[x is not y]
-        lib.__gmpz_mul(acc, acc, other)
-        out = bytearray((lib.__gmpz_sizeinbase(acc, 2) + 63) // 64 * 8)
-        lib.__gmpz_export((ctypes.c_char * len(out)).from_buffer(out), None, -1, 8, -1, 0, acc)
+            level.append(z)
+        while len(level) > 1:
+            for i in range(0, len(level) - 1, 2):
+                lib.__gmpz_mul(level[i], level[i], level[i + 1])
+            level = level[::2]
+        root = level[0]
+        out = bytearray((lib.__gmpz_sizeinbase(root, 2) + 63) // 64 * 8)
+        lib.__gmpz_export((ctypes.c_char * len(out)).from_buffer(out), None, -1, 8, -1, 0, root)
         return int.from_bytes(out, "little")
     finally:
         for z in zs:
             lib.__gmpz_clear(z)
 
 
-def _mul_at(bits: int):
-    """The multiplication for operands of about bits bits: _gmp_mul from
-    _GMP_CUT on where libgmp loads, else int's."""
-    return _gmp_mul if bits >= _GMP_CUT and _load_gmp() else operator.mul
+def _in_gmp(bits: int) -> bool:
+    """Whether operands of about bits bits are multiplied in GMP: from
+    _GMP_CUT on, where libgmp loads."""
+    return bits >= _GMP_CUT and bool(_load_gmp())
 
 
 def _tree_prod(values: list[int]) -> int:
     """The product of values as a balanced tree: math.prod over runs of 16,
     then pairs, so the large multiplications have operands of like size.
-    A level of pairs is multiplied as _mul_at picks for its first entry."""
+
+    The levels of pairs run in int up to the first whose first entry
+    _in_gmp sends to GMP; that level and every one above it run inside GMP,
+    in one _gmp_prod, so each operand crosses into GMP once and only the
+    root comes back. The 65,372 primes that the denominator keeps at t =
+    10^6, gamma = 2 (1.23 Mbit) multiplied in 22.8 ms so, against 28.4 ms
+    with an import and an export per multiplication (Python 3.11.7, GMP
+    6.2.1, 2 vCPUs, medians of 21 interleaved runs).
+    """
     values = [math.prod(values[i : i + 16]) for i in range(0, len(values), 16)] or [1]
     while len(values) > 1:
-        mul = _mul_at(values[0].bit_length())
+        if _in_gmp(values[0].bit_length()):
+            return _gmp_prod(values)
         values = [
-            mul(values[i], values[i + 1]) if i + 1 < len(values) else values[i]
+            values[i] * values[i + 1] if i + 1 < len(values) else values[i]
             for i in range(0, len(values), 2)
         ]
     return values[0]
@@ -403,38 +425,60 @@ def _tree_prod(values: list[int]) -> int:
 def _power_prod(powers: dict[int, list[int]]) -> int:
     """prod over e of (prod powers[e])^e, for exponents e >= 0 and bases >= 0.
 
-    Horner over the bits of the exponents: from the top bit down, acc =
-    acc^2 * (the product of the bases whose exponent has that bit set). A
-    base enters once per set bit of its exponent, and squaring does the
-    rest, as in computing n! from its prime factorization (Borwein, "On the
-    complexity of calculating factorials", J. Algorithms 6, 1985).
+    A product whose exponents are all <= 1 is one _tree_prod. One of fewer
+    than _GMP_CUT bits in all, sum e bitlen(q), is one math.prod of the
+    powers of the products of each exponent's bases; its bits are added up
+    only when it has fewer than _SMALL_PROD_BASES bases with multiplicity,
+    since the pass costs about 20 ns a base and every product from t = 10^4
+    on is larger. Per build this took 52 and 101 us at t = 300 and 10^3,
+    gamma = 3/2, against 64 and 120 us through Horner, and 228 against 247
+    us at t = 3000, gamma = 5/2; the build at t = 10^4 came level (medians
+    of 21 interleaved runs).
+
+    Any other product runs Horner over the bits of the exponents: from the
+    top bit down, acc = acc^2 * (the product of the bases whose exponent has
+    that bit set). A base enters once per set bit of its exponent, and
+    squaring does the rest, as in computing n! from its prime factorization
+    (Borwein, "On the complexity of calculating factorials", J. Algorithms
+    6, 1985).
 
     Where the multiplications run: the runs of 16 at the leaves of
-    _tree_prod always in int; a level of pairs of the tree, and a Horner
-    step (the square and the product by the level's tree), in GMP when its
-    first operand has at least _GMP_CUT bits and libgmp.so.10 loads
-    (_load_gmp, through ctypes), in int otherwise. CPython's int multiplies
-    by Karatsuba, GMP by Toom and FFT: one multiplication of two 2^20-bit
-    ints took 165 ms in int and 6.8 ms in GMP, round trip included, and the
-    56,454 primes in (10^6/4, 10^6] (1.08 Mbit) multiplied in 110 ms in int
-    and 22 ms in GMP (Python 3.11, GMP 6.2.1, 2 vCPUs, medians of 7). A
-    round trip costs about 15 us, and int wins below about 5 kbit (2^12
-    bits: 22 us in int, 18 us in GMP). Over the benchmark's 21-point
-    anatomy grid, one exact product per point took 359 ms in int, and with
-    the cut at 2^13, 2^14, 2^15 and 2^16 bits 131, 136, 150 and 158 ms
-    (medians of 7 interleaved rounds; 2^12 and 1.5 2^13 came level with
-    2^13). With no cut, every small product paid the round trip: the build
-    at t = 10^4 took 1.5 ms against 0.56 ms in int. Up to t = 10^4 no
-    operand reaches 2^13 bits (6,143 at most), so small grid points and the
-    campaign never load the library.
+    _tree_prod always in int; the levels of pairs of the tree in int below
+    _GMP_CUT, and from the first level whose first operand reaches it all
+    inside GMP (_gmp_prod); a Horner step, the square and the product by
+    the level's tree, in one _gmp_prod when acc has at least _GMP_CUT bits
+    and libgmp.so.10 loads (_load_gmp, through ctypes), in int otherwise.
+    CPython's int multiplies by Karatsuba, GMP by Toom and FFT: one
+    multiplication of two 2^20-bit ints took 165 ms in int and 6.8 ms in
+    GMP, round trip included, and the 56,454 primes in (10^6/4, 10^6] (1.08
+    Mbit) multiplied in 110 ms in int and 22 ms in GMP (Python 3.11, GMP
+    6.2.1, 2 vCPUs, medians of 7). A round trip costs about 15 us, and int
+    wins below about 5 kbit (2^12 bits: 22 us in int, 18 us in GMP). Over
+    the benchmark's 21-point anatomy grid, one exact product per point took
+    359 ms in int, and with the cut at 2^13, 2^14, 2^15 and 2^16 bits 131,
+    136, 150 and 158 ms (medians of 7 interleaved rounds; 2^12 and 1.5 2^13
+    came level with 2^13). With no cut, every small product paid the round
+    trip: the build at t = 10^4 took 1.5 ms against 0.56 ms in int. Up to
+    t = 10^4 no operand reaches 2^13 bits (6,143 at most), so small grid
+    points and the campaign never load the library. Keeping acc in GMP from
+    one Horner step to the next, so that only each level's tree crosses,
+    took the grid's 21 builds from 126.7 to 124.3 ms, faster in 14 of 21
+    interleaved rounds; so each step makes its own round trip.
 
     Nothing is vendored and nothing is a dependency: where libgmp does not
     load, every product is the same integer, multiplied in int.
     """
+    if max(powers, default=0) <= 1:
+        return _tree_prod(powers.get(1, []))
+    if (  # bits added up only over few bases, where the pass costs less than it saves
+        sum(e * len(qs) for e, qs in powers.items()) < _SMALL_PROD_BASES
+        and sum(e * sum(map(int.bit_length, qs)) for e, qs in powers.items()) < _GMP_CUT
+    ):
+        return math.prod(math.prod(qs) ** e for e, qs in powers.items())
     acc = 1
-    for j in reversed(range(max(powers, default=0).bit_length())):
-        mul = _mul_at(acc.bit_length())
-        acc = mul(mul(acc, acc), _tree_prod([q for e, qs in powers.items() if e >> j & 1 for q in qs]))
+    for j in reversed(range(max(powers).bit_length())):
+        level = _tree_prod([q for e, qs in powers.items() if e >> j & 1 for q in qs])
+        acc = _gmp_prod([acc, acc, level]) if _in_gmp(acc.bit_length()) else acc * acc * level
     return acc
 
 
@@ -500,19 +544,31 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     so is p b only for p = 2, whose index 2 b = m q - c needs q < q0; and
     an even q >= q0 > 2 is no prime. A prime without a flag is exactly one
     whose scan finds no mark (i < 0 below), and it is kept unscanned; the
-    primes below q0 and the flagged ones are scanned as above. A q <= c lies
-    below the band, so every slice starts at m (c + 1) - c >= 1. A q | b
-    can lie in the band only for T small; it has no flag, since the marked
-    p b are = 0 and -c is not (mod q), as q does not divide a, so it is
-    kept either way. kept then comes out in another order, which does not
-    change its product. For b > _VALUE_SIEVE_MAX_B every prime is scanned.
+    primes below q0 are scanned as above. A q <= c lies below the band, so
+    every slice starts at m (c + 1) - c >= 1. A q | b can lie in the band
+    only for T small; it has no flag, since the marked p b are = 0 and -c
+    is not (mod q), as q does not divide a, so it is kept either way, and
+    the tally below never meets one. kept then comes out in another order, which does not change its
+    product. For b > _VALUE_SIEVE_MAX_B every prime is scanned.
+
+    When q0^2 > T, no q^2 <= T lies in the band, so a flagged q needs one
+    count: n, the marks of is_v[q - c : T - c + 1 : q], its values p b + c
+    <= T. One comprehension takes n for every flagged prime. n >= 2 puts q
+    at exponent n - 1; n = 1 leaves nothing; n = 0, a first mark past
+    T - c, sends q to the scan, which divides the smallest value above T.
+    When q0^2 <= T (T below about 289/b^2) the flagged primes are scanned
+    too. At t = 10^6 the tally decides all 7,635 flagged primes for gamma
+    = 2, and 5,963 of 11,162 for gamma = 3/2 (5,199 go on to the scan); a
+    build at gamma = 2 took 54.1 ms against 58.5 ms with every flagged
+    prime scanned (Python 3.11.7, 2 vCPUs, medians of 21 interleaved runs).
 
     Both products are _power_prod calls, which multiply their large
     operands in GMP where libgmp loads: the numerator with the values above
-    T as bases of exponent 1, the denominator as kept at exponent 1 and b
-    at exponent pi(t) (one list when pi(t) = 1). Past t = 10^5 these
-    multiplications were most of a build in int: t = 10^6 at gamma = 2
-    took 211 ms in int and 60 ms with GMP (medians of 7).
+    T as bases of exponent 1, the denominator as kept at exponent 1 and,
+    when b > 1, b at exponent pi(t) (one list when pi(t) = 1). The
+    denominator for b = 1 is so one product tree, with no Horner step.
+    Past t = 10^5 these multiplications were most of a build in int: t =
+    10^6 at gamma = 2 took 211 ms in int and 60 ms with GMP (medians of 7).
     """
     T, gamma = _t_floor(t), _rational_above(gamma, "gamma", 1, or_equal=True)
     ps = primes_upto(T)
@@ -522,6 +578,7 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     large = [p * b + c for p in ps[cut:]]
     by_value = b <= _VALUE_SIEVE_MAX_B
     kept = []
+    powers: dict[int, list[int]] = {}
     decide = ps  # the primes whose progression is scanned one by one
     if by_value:  # index p b; a small value has p b <= T - c
         scan = bytearray(b * T + 1)
@@ -536,10 +593,18 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
             marks = marks.to_bytes(T + 1 - q0, "little").translate(None, b"\0\1")
             lo = bisect_left(ps, q0)
             kept += compress(ps[lo:], marks.translate(_BAND_MISS))
-            decide = [*ps[:lo], *compress(ps[lo:], marks.translate(_BAND_HIT))]
+            hits = list(compress(ps[lo:], marks.translate(_BAND_HIT)))
+            decide = ps[:lo]
+            if q0 * q0 > T:  # no q^2 <= T in the band: one count per hit
+                for q, n in zip(hits, [scan[q - c : top + 1 : q].count(1) for q in hits]):
+                    if n > 1:
+                        powers.setdefault(n - 1, []).append(q)
+                    elif n == 0:  # the first mark lies past top
+                        decide.append(q)
+            else:
+                decide += hits
     else:  # index p; a small value has p <= (T - c) / b
         scan, stride, top = prime_flags(T), 1, (T - c) // b
-    powers: dict[int, list[int]] = {}
     for q in decide:
         if b % q == 0:
             kept.append(q)
@@ -563,7 +628,8 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     del scan
     powers.setdefault(1, []).extend(large)
     den = {1: kept}
-    den.setdefault(len(ps), []).append(b)  # pi(t) = 1 puts b beside kept
+    if b > 1:
+        den.setdefault(len(ps), []).append(b)  # pi(t) = 1 puts b beside kept
     return coprime_fraction(_power_prod(powers), _power_prod(den))
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .arith import Rational, _int_valuation, _integer, _power, _t_floor, fraction_str, is_prime
 from .errors import InvalidParameter
 from .model import PairSystem, WeightFunction, edge_mass, mu_pairs
-from .quality import FAILED, HOLDS, VACUOUS, _d_ratio, omega_t
+from .quality import FAILED, HOLDS, VACUOUS, _d_ratio, _omega_t
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def verify_slice_identities(
     drop = slice_k_shift(s, t_floor)
 
     def e_mismatch(v, w):
-        lhs, rhs = omega_t(v, w, t_floor), omega_t(pi * v, pj * w, t_floor) - drop
+        lhs, rhs = _omega_t(v, w, t_floor), _omega_t(pi * v, pj * w, t_floor) - drop
         return None if lhs == rhs else (lhs, rhs)
 
     report.checks.append(_edgewise("e:omega-shift", s.tilde.edges, e_mismatch))

@@ -426,8 +426,12 @@ def certify_campaign(
 ) -> CampaignReport:
     """Generate `count` instances and certify each; any non-clean outcome
     dumps a replayable witness instance file into out_dir, or is counted in
-    witnesses_refused when save_instance refuses it."""
-    _integer(count, "count", 1)
+    witnesses_refused when save_instance refuses it.
+
+    count is at most 2^24: instance index's slice rng is seeded with
+    (seed << 32) + (index << 8) + 1, which from index 2^24 on repeats the
+    next seed's."""
+    _integer(count, "count", 1, 1 << 24)
     t0 = time.monotonic()
     report = CampaignReport(count)
     out_path = Path(out_dir) if out_dir is not None else None

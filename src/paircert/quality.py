@@ -25,6 +25,7 @@ from .arith import (
     DEFAULT_PRECISION_CAP,
     Interval,
     Rational,
+    _integer,
     _precision,
     _rational_above,
     _t_floor,
@@ -129,18 +130,25 @@ def _d_ratio(v: int, w: int, psi: WeightFunction, theta: WeightFunction) -> tupl
 
 
 def d_value(v: int, w: int, psi: WeightFunction, theta: WeightFunction) -> Fraction:
-    """Quality D(v,w) = max(w psi(v), v theta(w)) / gcd(v,w), exactly."""
-    return Fraction(*_d_ratio(v, w, psi, theta))
+    """Quality D(v,w) = max(w psi(v), v theta(w)) / gcd(v,w), exactly, for
+    ints v, w >= 1 (_integer)."""
+    return Fraction(*_d_ratio(_integer(v, "v", 1), _integer(w, "w", 1), psi, theta))
 
 
 def omega_t(v: int, w: int, t: Rational, literal_lcm: bool = False) -> int:
-    """Number of primes p <= t at which v and w have different valuations.
+    """Number of primes p <= t at which v and w have different valuations,
+    for ints v, w >= 1 (_integer).
 
     Equivalently p | vw/gcd(v,w)^2.  With literal_lcm=True counts the
     displayed-definition variant p | vw/gcd(v,w) (= p | lcm(v,w)) instead;
     the two differ exactly at primes dividing both v and w to equal order.
     """
-    bound = _t_floor(t)
+    return _omega_t(_integer(v, "v", 1), _integer(w, "w", 1), _t_floor(t), literal_lcm)
+
+
+def _omega_t(v: int, w: int, bound: int, literal_lcm: bool = False) -> int:
+    """omega_t(v, w) with t floored to bound, v and w unread: the kernel of
+    the edge tests, which run once per pair."""
     g = gcd(v, w)
     count = small_prime_divisor_count
     if literal_lcm:
@@ -199,7 +207,7 @@ def _quality_pairs(rows, t: Rational, K: Rational, literal_lcm: bool = False):
             g = gcd(v, w)
             if w * an > g * ad or v * bn > g * bd:
                 continue
-            if k_min > 0 and omega_t(v, w, t_floor, literal_lcm) < k_min:
+            if k_min > 0 and _omega_t(v, w, t_floor, literal_lcm) < k_min:
                 continue
             out.append((v, w))
     return out

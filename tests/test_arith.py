@@ -11,6 +11,7 @@ import random
 import re
 from math import isqrt
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import pytest
@@ -1865,6 +1866,16 @@ def _slot_registry():
     def params(**fields):
         return quality.Params(**{"epsilon": F(1, 4), "C": F(1), "t": F(10), "K": F(0), **fields})
 
+    class FirstInstance(Exception):
+        pass
+
+    def campaign_count(n):
+        """certify_campaign(config, n) stopped at its first instance, after
+        count is read: a count of 2^24 is not run."""
+        with mock.patch.object(harness, "generate_instance", side_effect=FirstInstance):
+            with pytest.raises(FirstInstance):
+                harness.certify_campaign(config, n)
+
     t_slots = [
         ("arith.primes_upto", primes_upto),
         ("arith.prime_flags", arith.prime_flags),
@@ -1942,7 +1953,7 @@ def _slot_registry():
             None,
             lambda n: harness.certify_instance(system, params(), slice_spots=n),
         ),
-        ("harness.certify_campaign", "count", 1, None, lambda n: harness.certify_campaign(config, n)),
+        ("harness.certify_campaign", "count", 1, 1 << 24, campaign_count),
         ("harness.rescale_kmy", "Q", None, None, lambda n: harness.rescale_kmy(halves, 2, n)),
         (
             "harness.corollary_bound_check",
@@ -1968,6 +1979,10 @@ def _slot_registry():
             None,
             lambda a: TOTIENT.one_star_prime_power(3, a),
         ),
+        ("quality.omega_t", "v", 1, None, lambda v: quality.omega_t(v, 3, 10)),
+        ("quality.omega_t", "w", 1, None, lambda w: quality.omega_t(2, w, 10)),
+        ("quality.d_value", "v", 1, None, lambda v: quality.d_value(v, 3, halves, ninths)),
+        ("quality.d_value", "w", 1, None, lambda w: quality.d_value(2, w, halves, ninths)),
         ("resolution.decompose", "v", 1, None, lambda v: resolution.decompose(v, 1)),
         ("resolution.decompose", "N", 1, None, lambda N: resolution.decompose(1, N)),
         ("resolution.check_structured", "N", 1, None, lambda N: resolution.check_structured(structured.edges, N)),
@@ -2023,7 +2038,6 @@ _REPORT = "a report or result type: its fields are outputs, not inputs"
 _BY_IS_PRIME = "read by is_prime, whose n keeps its own message"
 _BY_FACTORIZE = "read by factorize, whose n keeps its own message"
 _ANY_GAMMA = "any rational, read by _rational: the divisor-sum identity holds for every gamma"
-_EDGE_TEST = "an edge test, run once per pair of support elements: no reader in that loop"
 
 # public numeric parameters with no row in _SLOTS, each with its reason; a
 # key names one parameter, or a callable and every parameter of it and its
@@ -2060,9 +2074,6 @@ _SLOT_EXEMPT = {
     "model.WeightFunction.value.v": "a lookup: every v off the support has weight 0",
     "model.mu_point.v": "a lookup, as WeightFunction.value: f(v) is asked only on the support",
     "quality.BoundReport": "a report field: the precision at which a verdict settled, not an input",
-    "quality.d_value": _EDGE_TEST,
-    "quality.omega_t.v": _EDGE_TEST,
-    "quality.omega_t.w": _EDGE_TEST,
     "resolution.Decomposition": "a result of build_decomposition, which reads N",
     "resolution.SSums": _REPORT,
     "resolution.s_majorant_bridged.C": "any rational, read by _rational: gamma = e^(40 C)",

@@ -79,6 +79,20 @@ def test_gen_refuses_an_index_that_would_alias(tmp_path, config_file, capsys):
     assert captured.err == "paircert: InvalidParameter: index must be >= 0, got -1\n"
 
 
+def test_certify_campaign_refuses_a_count_that_would_alias(monkeypatch, tmp_path, config_file, capsys):
+    from paircert import harness
+
+    def no_instance(*args, **kwargs):
+        raise AssertionError("the campaign ran before its count was read")
+
+    monkeypatch.setattr(harness, "generate_instance", no_instance)
+    argv = ["certify", "--campaign", str(config_file), "--count", str(2**24 + 1)]
+    assert main([*argv, "--out-dir", str(tmp_path / "wit")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "wit").exists()
+    assert captured.err == "paircert: InvalidParameter: count must be <= 16777216, got 16777217\n"
+
+
 def test_certify_campaign_rejects_precision(tmp_path, config_file, capsys):
     argv = ["certify", "--campaign", str(config_file), "--count", "1"]
     assert main(["--precision", "512", *argv, "--out-dir", str(tmp_path / "wit")]) == 4
