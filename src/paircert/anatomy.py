@@ -318,6 +318,8 @@ def divisor_anatomy_bound(
 _GMP_CUT = 1 << 13  # bits of an operand from which _power_prod multiplies in GMP
 _gmp = None  # (libgmp, its mpz_t) once loaded; False where it does not load
 _SMALL_PROD_BASES = 1024  # bases, with multiplicity, below which _power_prod adds up the bits
+_GMP_TREE = 1 << 11  # operands from which _tree_prod multiplies the whole tree in GMP
+_GMP_LEAF = 96  # operands per math.prod leaf of such a tree
 
 
 def _load_gmp():
@@ -400,17 +402,32 @@ def _in_gmp(bits: int) -> bool:
 
 
 def _tree_prod(values: list[int]) -> int:
-    """The product of values as a balanced tree: math.prod over runs of 16,
-    then pairs, so the large multiplications have operands of like size.
+    """The product of values as a balanced tree, so the large
+    multiplications have operands of like size.
 
-    The levels of pairs run in int up to the first whose first entry
-    _in_gmp sends to GMP; that level and every one above it run inside GMP,
-    in one _gmp_prod, so each operand crosses into GMP once and only the
-    root comes back. The 65,372 primes that the denominator keeps at t =
-    10^6, gamma = 2 (1.23 Mbit) multiplied in 22.8 ms so, against 28.4 ms
-    with an import and an export per multiplication (Python 3.11.7, GMP
-    6.2.1, 2 vCPUs, medians of 21 interleaved runs).
+    A tree of at least _GMP_TREE operands, where libgmp loads, runs whole
+    in one _gmp_prod, from leaves of math.prod over runs of _GMP_LEAF: each
+    leaf crosses into GMP once and only the root comes back. Any other tree
+    takes math.prod over runs of 16, then levels of pairs in int up to the
+    first whose first entry _in_gmp sends to GMP; that level and every one
+    above it run in one _gmp_prod.
+
+    The switch is on the count, not on the first operand's bits, so that a
+    large tree takes its lower levels in GMP too: the 65,372 primes that
+    the denominator keeps at t = 10^6, gamma = 2 (1.26 Mbit) multiplied in
+    16.9 ms from leaves of 96, against 18.2 ms through the int levels;
+    21,311 primes at t = 3 10^5 in 3.7 against 5.2 ms, 7,709 at t = 10^5 in
+    1.05 against 1.42 ms. The first 512 primes multiplied in 48 us as one
+    GMP tree against 40 us the other way, the first 1024 in 98 against 107
+    us and the first 2048 in 216 against 269 us (Python 3.11.7, GMP 6.2.1,
+    2 vCPUs, medians of 21 interleaved runs). The grid's 21 builds
+    came level with the switch at 2^9 to 2^13 operands and with leaves of
+    64 to 192. 2^11 lies past the crossover and above pi(10^4) = 1,229, the
+    most primes a denominator at t = 10^4 keeps, so the grid's points up to
+    t = 10^4 never load the library.
     """
+    if len(values) >= _GMP_TREE and _load_gmp():
+        return _gmp_prod([math.prod(values[i : i + _GMP_LEAF]) for i in range(0, len(values), _GMP_LEAF)])
     values = [math.prod(values[i : i + 16]) for i in range(0, len(values), 16)] or [1]
     while len(values) > 1:
         if _in_gmp(values[0].bit_length()):
@@ -442,12 +459,14 @@ def _power_prod(powers: dict[int, list[int]]) -> int:
     (Borwein, "On the complexity of calculating factorials", J. Algorithms
     6, 1985).
 
-    Where the multiplications run: the runs of 16 at the leaves of
-    _tree_prod always in int; the levels of pairs of the tree in int below
-    _GMP_CUT, and from the first level whose first operand reaches it all
-    inside GMP (_gmp_prod); a Horner step, the square and the product by
-    the level's tree, in one _gmp_prod when acc has at least _GMP_CUT bits
-    and libgmp.so.10 loads (_load_gmp, through ctypes), in int otherwise.
+    Where the multiplications run, where libgmp.so.10 loads (_load_gmp,
+    through ctypes): a tree of at least _GMP_TREE = 2^11 operands in GMP
+    (_gmp_prod) above its leaves, math.prod over runs of _GMP_LEAF = 96 in
+    int; a smaller tree's runs of 16 in int, its levels of pairs in int
+    below _GMP_CUT and from the first level whose first operand reaches it
+    all inside GMP; a Horner step, the square and the product by the
+    level's tree, in one _gmp_prod when acc has at least _GMP_CUT bits.
+    Where libgmp does not load, all of it runs in int.
     CPython's int multiplies by Karatsuba, GMP by Toom and FFT: one
     multiplication of two 2^20-bit ints took 165 ms in int and 6.8 ms in
     GMP, round trip included, and the 56,454 primes in (10^6/4, 10^6] (1.08
@@ -459,11 +478,13 @@ def _power_prod(powers: dict[int, list[int]]) -> int:
     136, 150 and 158 ms (medians of 7 interleaved rounds; 2^12 and 1.5 2^13
     came level with 2^13). With no cut, every small product paid the round
     trip: the build at t = 10^4 took 1.5 ms against 0.56 ms in int. Up to
-    t = 10^4 no operand reaches 2^13 bits (6,143 at most), so small grid
-    points and the campaign never load the library. Keeping acc in GMP from
-    one Horner step to the next, so that only each level's tree crosses,
-    took the grid's 21 builds from 126.7 to 124.3 ms, faster in 14 of 21
-    interleaved rounds; so each step makes its own round trip.
+    t = 10^4 no operand reaches 2^13 bits (6,143 at most) and no tree 2^11
+    operands, so small grid points and the campaign never load the library.
+    _tree_prod's docstring gives the measurements behind _GMP_TREE and
+    _GMP_LEAF. Keeping acc in GMP from one Horner step to the next, so that
+    only each level's tree crosses, took the grid's 21 builds from 126.7 to
+    124.3 ms, faster in 14 of 21 interleaved rounds; so each step makes its
+    own round trip.
 
     Nothing is vendored and nothing is a dependency: where libgmp does not
     load, every product is the same integer, multiplied in int.
@@ -530,37 +551,43 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     per prime, so the scan runs over the sieve itself, from
     p = -c b^-1 (mod q^k).
 
-    On is_v the primes of a band [q0, T] are decided in bulk first. is_v has
-    b T + 1 indices, and for q > c the progression of q holds the indices
-    m q - c with m >= 1 (and, when c = 0, index 0, which marks no prime).
-    With K = _BAND_K and q0 = max(2, c + 1, ceil((b T + 1 + c)/(K + 1))), a
-    q >= q0 has (K + 1) q - c >= b T + 1, past the end, so at most K such
-    indices. The slice is_v[m q0 - c : m (T + 1) - c : m] holds index m q - c
-    at position q - q0, so the OR of the slices for m = 1..K flags each q of
-    the band with a marked index. Only an m prime to b can mark one, since
+    On is_v the odd primes of a band [q0, T] are decided in bulk first.
+    is_v has b T + 1 indices, and for q > c the progression of q holds the
+    indices m q - c with m >= 1 (and, when c = 0, index 0, which marks no
+    prime). With K = _BAND_K and q0 the least odd number >= max(3, c + 1,
+    isqrt(T) + 1, ceil((b T + 1 + c)/(K + 1))), a q >= q0 has q^2 > T and
+    (K + 1) q - c >= b T + 1, past the end, so at most K such indices. Only
+    odd q can be band primes, so the band reads them alone: is_v[b q0 :: 2 b]
+    flags the odd primes of [q0, T], and the slice
+    is_v[m q0 - c : m (T + 1) - c : 2 m] holds index m q - c at position
+    (q - q0)/2, so the OR of the slices for m = 1..K flags each odd q of the
+    band with a marked index. Only an m prime to b can mark one, since
     m q - c = p b needs gcd(m, b) | c, and gcd(b, c) = gcd(b, a) = 1; the
     other slices are skipped. So is the slice of an odd m when b and c are
-    odd, q0 > 2 and 2 b + c < m q0: at every odd q, m q - c is even, and
-    so is p b only for p = 2, whose index 2 b = m q - c needs q < q0; and
-    an even q >= q0 > 2 is no prime. A prime without a flag is exactly one
-    whose scan finds no mark (i < 0 below), and it is kept unscanned; the
-    primes below q0 are scanned as above. A q <= c lies below the band, so
-    every slice starts at m (c + 1) - c >= 1. A q | b can lie in the band
-    only for T small; it has no flag, since the marked p b are = 0 and -c
-    is not (mod q), as q does not divide a, so it is kept either way, and
-    the tally below never meets one. kept then comes out in another order, which does not change its
-    product. For b > _VALUE_SIEVE_MAX_B every prime is scanned.
+    odd and 2 b + c < m q0: at every odd q, m q - c is even, and so is p b
+    only for p = 2, whose index 2 b = m q - c needs q < q0. A prime without
+    a flag is exactly one whose scan finds no mark (i < 0 below), and it is
+    kept unscanned; the primes below q0, 2 always among them, are scanned as
+    above. A q <= c lies below the band, so every slice starts at
+    m (c + 1) - c >= 1. A q | b can lie in the band only for T small; it
+    has no flag, since the marked p b are = 0 and -c is not (mod q), as q
+    does not divide a, so it is kept either way, and the tally below never
+    meets one. kept then comes out in another order, which does not change
+    its product. For b > _VALUE_SIEVE_MAX_B every prime is scanned.
 
-    When q0^2 > T, no q^2 <= T lies in the band, so a flagged q needs one
+    As q0^2 > T, no q^2 <= T lies in the band, so a flagged q needs one
     count: n, the marks of is_v[q - c : T - c + 1 : q], its values p b + c
     <= T. One comprehension takes n for every flagged prime. n >= 2 puts q
     at exponent n - 1; n = 1 leaves nothing; n = 0, a first mark past
     T - c, sends q to the scan, which divides the smallest value above T.
-    When q0^2 <= T (T below about 289/b^2) the flagged primes are scanned
-    too. At t = 10^6 the tally decides all 7,635 flagged primes for gamma
-    = 2, and 5,963 of 11,162 for gamma = 3/2 (5,199 go on to the scan); a
-    build at gamma = 2 took 54.1 ms against 58.5 ms with every flagged
-    prime scanned (Python 3.11.7, 2 vCPUs, medians of 21 interleaved runs).
+    At the grid's points q0 lies far above sqrt(T); the bound isqrt(T) + 1
+    sets q0 only for T below about 289/b^2. At t = 10^6 the tally decides
+    all 7,635 flagged primes for gamma = 2, and 5,963 of 11,162 for gamma =
+    3/2 (5,199 go on to the scan); a build at gamma = 2 took 54.1 ms against
+    58.5 ms with every flagged prime scanned (Python 3.11.7, 2 vCPUs,
+    medians of 21 interleaved runs). Reading the odd q alone took the grid's
+    21 builds from 114.3 to 107.4 ms (medians of 15 interleaved rounds,
+    faster in 13).
 
     Both products are _power_prod calls, which multiply their large
     operands in GMP where libgmp loads: the numerator with the values above
@@ -584,25 +611,22 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
         scan = bytearray(b * T + 1)
         scan[::b] = prime_flags(T)
         stride, top = b, T - c
-        q0 = max(2, c + 1, -(-(len(scan) + c) // (_BAND_K + 1)))
-        if q0 <= T:  # per q in [q0, T]: 2 if q is prime, | 1 if some m q - c is marked
-            marks = int.from_bytes(scan[b * q0 :: b], "little") << 1
+        q0 = max(3, c + 1, math.isqrt(T) + 1, -(-(len(scan) + c) // (_BAND_K + 1))) | 1
+        if q0 <= T:  # per odd q in [q0, T]: 2 if q is prime, | 1 if some m q - c is marked
+            marks = int.from_bytes(scan[b * q0 :: 2 * b], "little") << 1
             for m in range(1, _BAND_K + 1):
-                if math.gcd(m, b) == 1 and not (b & c & m & 1 and q0 > 2 and 2 * b + c < m * q0):
-                    marks |= int.from_bytes(scan[m * q0 - c : m * (T + 1) - c : m], "little")
-            marks = marks.to_bytes(T + 1 - q0, "little").translate(None, b"\0\1")
+                if math.gcd(m, b) == 1 and not (b & c & m & 1 and 2 * b + c < m * q0):
+                    marks |= int.from_bytes(scan[m * q0 - c : m * (T + 1) - c : 2 * m], "little")
+            marks = marks.to_bytes((T - q0) // 2 + 1, "little").translate(None, b"\0\1")
             lo = bisect_left(ps, q0)
             kept += compress(ps[lo:], marks.translate(_BAND_MISS))
             hits = list(compress(ps[lo:], marks.translate(_BAND_HIT)))
             decide = ps[:lo]
-            if q0 * q0 > T:  # no q^2 <= T in the band: one count per hit
-                for q, n in zip(hits, [scan[q - c : top + 1 : q].count(1) for q in hits]):
-                    if n > 1:
-                        powers.setdefault(n - 1, []).append(q)
-                    elif n == 0:  # the first mark lies past top
-                        decide.append(q)
-            else:
-                decide += hits
+            for q, n in zip(hits, [scan[q - c : top + 1 : q].count(1) for q in hits]):
+                if n > 1:
+                    powers.setdefault(n - 1, []).append(q)
+                elif n == 0:  # the first mark lies past top
+                    decide.append(q)
     else:  # index p; a small value has p <= (T - c) / b
         scan, stride, top = prime_flags(T), 1, (T - c) // b
     for q in decide:

@@ -54,10 +54,11 @@ _NUMERAL_CAP 10^5      characters of a numeral (_read_numeral; from bit
                        0.03 s to read, 0.13 s to write, 0.015 s to check
 _SIEVE_CAP 10^7        primes sieved (_ensure_sieve): 0.19 s. It also bounds
                        the largest product handed to GMP: mertens_product at
-                       t = 10^7, 12.5 Mbit from 12.1 Mbit operands, 1.0-1.7 s
-                       and a 166 MB peak; GMP aborts the process only if
-                       malloc fails
-ENUMERATION_CAP 2e6    anatomy's bound x (_enumeration_bound): 0.33 s,
+                       t = 10^7, numerators of 12.1-13.9 Mbit, 0.8-1.8 s
+                       with the sieve (gamma = 2 to 33/16) and a 143 MB peak
+                       RSS (gamma = 5/4 and 7/4); GMP aborts the process
+                       only if malloc fails
+ENUMERATION_CAP 2e6    anatomy's bound x (_enumeration_bound): 0.22-0.34 s,
                        count_chain_report at x = t = 2*10^6, gamma = 3/2,
                        with libgmp (0.8-0.9 s in int alone), nearly all in
                        Mertens products; its histogram 0.02 s

@@ -715,11 +715,16 @@ class _ProductKernel:
         assert kths == {2, 4, F(4, 3), F(8, 3)}
 
     def test_mertens_product_on_both_sides_of_the_tally_guard(self):
-        """The band's flagged primes take one count each when q0^2 > T, so
-        that no q^2 <= T lies in the band, and are scanned one by one
-        otherwise: every T at which q0^2 > T flips, and either side of it,
-        for b = 1..4 (T near 289/b^2) and for gamma = 1 (c = 0), and T = q0^2
-        with q0 a prime of the band that divides some p b + c <= T twice."""
+        """The band starts at the least odd q0 >= max(3, c + 1, isqrt(T) + 1,
+        ceil((b T + 1 + c)/(K + 1))), so q0^2 > T and every flagged prime
+        takes one count. Cases, for b = 1..4 and for gamma = 1 (c = 0): T
+        either side of each T at which q0^2 > T flipped under the earlier
+        start max(2, c + 1, ceil((b T + 1 + c)/(K + 1))), with its band
+        scanned one by one when q0^2 <= T (T near 289/b^2); T = q^2 - 1, q^2
+        and q^2 + 1 where isqrt(T) + 1 sets the start; T where the count term
+        sets it and is even, before it is made odd; every T < 9, where 3 or
+        c + 1 sets it; and T = q0^2 with q0 a prime of that earlier band that
+        divides some p b + c <= T twice."""
         K = anatomy._BAND_K
         is_p = arith.prime_flags(2000)
         gammas = [1, 2, 3, F(3, 2), F(7, 2), F(4, 3), F(5, 3), F(7, 3), F(5, 4), F(7, 4)]
@@ -732,9 +737,17 @@ class _ProductKernel:
             def tallied(T):
                 return max(2, c + 1, -(-(b * T + 1 + c) // (K + 1))) ** 2 > T
 
+            def start(T):  # (3, c + 1, isqrt(T) + 1, the count term): q0 is their max | 1
+                return 3, c + 1, math.isqrt(T) + 1, -(-(b * T + 1 + c) // (K + 1))
+
             flips = [T for T in range(2, 2000) if tallied(T) != tallied(T - 1)]
             assert flips, g
             cases = {T + d for T in flips for d in (-2, -1, 0, 1) if T + d >= 1}
+            near_squares = [T for q in range(2, 45) for T in (q * q - 1, q * q, q * q + 1)]
+            by_root = [T for T in near_squares if start(T)[2] == max(start(T))]
+            even = [T for T in range(1, 2000) if start(T)[3] == max(start(T)) and start(T)[3] % 2 == 0]
+            assert by_root and even, g
+            cases.update(by_root + even[:3] + even[-3:] + list(range(1, 9)))
             for T in range(1, 2000):
                 q0 = max(2, c + 1, -(-(b * T + 1 + c) // (K + 1)))
                 if q0 * q0 == T and is_p[q0] and any(
@@ -780,6 +793,10 @@ class _ProductKernel:
     def test_tree_prod(self):
         rng = random.Random(20251020)
         lengths = [0, 1, 2, 3, 15, 16, 17, 31, 32, 33, 100, 257, 1000]
+        # either side of the switch to one GMP tree, and a multiple of its leaves past it
+        tree, leaf = anatomy._GMP_TREE, anatomy._GMP_LEAF
+        many = (tree // leaf + 2) * leaf
+        lengths += [tree - 1, tree, tree + 1, many - 1, many, many + 1]
         for n in lengths:
             values = [rng.getrandbits(rng.randint(1, 80)) + 1 for _ in range(n)]
             assert anatomy._tree_prod(list(values)) == _ref_tree_prod(values), n
@@ -1039,6 +1056,184 @@ def test_mertens_product_fingerprints(in_gmp, monkeypatch):
         den, num = _mertens_fingerprint(t, gamma)
         for q in _FINGERPRINT_PRIMES:
             assert got.numerator % q * den % q == got.denominator % q * num % q, (t, gamma, q)
+
+
+class _RemainderTree:
+    """A product tree over ints, and the remainders of an int down it: n mod
+    each leaf from n mod the root, each node's remainder reduced by its
+    children (Bernstein, "Fast multiplication and its applications",
+    Algorithmic Number Theory, MSRI Publ. 44, 2008). The nodes are held in
+    libgmp through a ctypes handle of this module's own, so no megabit
+    division runs in CPython's quadratic int division; where libgmp does not
+    load they are ints. Use as a context manager: every mpz is cleared on
+    the way out."""
+
+    _lib = None  # ({name: mpz function}, mpz_t) once loaded; False where it does not load
+
+    def __init__(self, leaves: list[int]):
+        self.zs = []  # every mpz made
+        self.loads()
+        self.leaves = leaves
+        level = [self._in(v) for v in leaves]
+        self.levels = [level]
+        while len(level) > 1:
+            level = [
+                self._mul(level[i], level[i + 1]) if i + 1 < len(level) else level[i]
+                for i in range(0, len(level), 2)
+            ]
+            self.levels.append(level)
+
+    @staticmethod
+    def _load():
+        import ctypes
+
+        class Mpz(ctypes.Structure):  # __mpz_struct of gmp.h
+            _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("d", ctypes.c_void_p)]
+
+        mpz, size, c_int = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int
+        signatures = {
+            "__gmpz_init": [mpz],
+            "__gmpz_clear": [mpz],
+            "__gmpz_mul": [mpz, mpz, mpz],
+            "__gmpz_tdiv_r": [mpz, mpz, mpz],
+            "__gmpz_tdiv_qr": [mpz, mpz, mpz, mpz],
+            "__gmpz_import": [mpz, size, c_int, size, c_int, size, ctypes.c_char_p],
+            "__gmpz_export": [ctypes.c_void_p, ctypes.c_void_p, c_int, size, c_int, size, mpz],
+            "__gmpz_sizeinbase": [mpz, c_int],
+        }
+        try:
+            lib = ctypes.CDLL("libgmp.so.10")
+            fns = {name[len("__gmpz_") :]: getattr(lib, name) for name in signatures}
+        except (OSError, AttributeError):
+            return False
+        for name, args in signatures.items():
+            fns[name[len("__gmpz_") :]].argtypes = args
+        fns["sizeinbase"].restype = size
+        return fns, Mpz
+
+    def _new(self):
+        fns, Mpz = self._lib
+        z = Mpz()
+        fns["init"](z)
+        self.zs.append(z)
+        return z
+
+    def _in(self, v: int):
+        if not self._lib:
+            return v
+        z, words = self._new(), (v.bit_length() + 63) // 64
+        self._lib[0]["import"](z, words, -1, 8, -1, 0, v.to_bytes(8 * words, "little"))
+        return z
+
+    def _out(self, z) -> int:
+        if not self._lib:
+            return z
+        import ctypes
+
+        out = bytearray((self._lib[0]["sizeinbase"](z, 2) + 63) // 64 * 8)
+        self._lib[0]["export"]((ctypes.c_char * len(out)).from_buffer(out), None, -1, 8, -1, 0, z)
+        return int.from_bytes(out, "little")
+
+    def _mul(self, x, y):
+        if not self._lib:
+            return x * y
+        z = self._new()
+        self._lib[0]["mul"](z, x, y)
+        return z
+
+    def _mod(self, x, y):
+        if not self._lib:
+            return x % y
+        z = self._new()
+        self._lib[0]["tdiv_r"](z, x, y)
+        return z
+
+    @classmethod
+    def loads(cls) -> bool:
+        """Whether the nodes are held in libgmp."""
+        if cls._lib is None:
+            cls._lib = cls._load()
+        return bool(cls._lib)
+
+    def product(self) -> int:
+        return self._out(self.levels[-1][0])
+
+    def divmod(self, n: int, d: int) -> tuple[int, int]:
+        """divmod(n, d) for n >= 0 and d > 0."""
+        if not self._lib:
+            return divmod(n, d)
+        q, r = self._new(), self._new()
+        self._lib[0]["tdiv_qr"](q, r, self._in(n), self._in(d))
+        return self._out(q), self._out(r)
+
+    def residues(self, n: int) -> list[int]:
+        """n mod each leaf, for n >= 0."""
+        rs = [self._mod(self._in(n), self.levels[-1][0])]
+        for level in reversed(self.levels[:-1]):
+            rs = [self._mod(rs[i // 2], m) for i, m in enumerate(level)]
+        return [self._out(r) for r in rs]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for z in self.zs:
+            self._lib[0]["clear"](z)
+        self.zs.clear()
+
+
+def _assert_reduced(points: list[tuple[int, F]]) -> int:
+    """Asserts that mertens_product(t, gamma) = N/D is in lowest terms at
+    each (t, gamma) of points, and returns how many it checked: all of them
+    where libgmp loads, those with t <= 10^5 elsewhere.
+
+    With gamma = a/b and P the product of the primes up to t: D = b^pi(t) E
+    with E dividing P, so E is squarefree and D has no prime but E's and
+    b's; b's do not divide N; and N mod q != 0 for each q | E. A remainder
+    tree over the products of runs of 64 primes up to t gives N and P/E mod
+    each run's product m. The run's primes that divide E are those that do
+    not divide P/E, whose product is k = m / gcd(P/E mod m, m), and N mod q
+    != 0 for each of them exactly when gcd(N mod k, k) = 1 (gcds of about
+    1,300 bits). P/E is the smaller to reduce (0.2 against 1.3 Mbit at t =
+    10^6, gamma = 2). In int, whose division is quadratic, one descent at
+    t = 10^6 took 3 s; so without libgmp the points past t = 10^5 are left
+    out."""
+    checked = 0
+    for t in sorted({t for t, _ in points}):
+        if t > 10**5 and not _RemainderTree.loads():
+            continue
+        ps = primes_upto(t)
+        with _RemainderTree([math.prod(ps[i : i + 64]) for i in range(0, len(ps), 64)]) as tree:
+            primorial = tree.product()
+            for gamma in [g for s, g in points if s == t]:
+                got = mertens_product(t, gamma)
+                kept, rest = tree.divmod(got.denominator, gamma.denominator ** len(ps))
+                assert rest == 0 and kept > 1, (t, gamma)
+                dropped, rest = tree.divmod(primorial, kept)
+                assert rest == 0, (t, gamma)  # E = kept divides P
+                for m, rd, rn in zip(tree.leaves, tree.residues(dropped), tree.residues(got.numerator)):
+                    k = m // math.gcd(rd, m)
+                    assert math.gcd(rn % k, k) == 1, (t, gamma, k)
+                for q, _ in factorize(gamma.denominator):
+                    assert got.numerator % q, (t, gamma, q)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("in_gmp", [False, True], ids=["int", "gmp"])
+def test_mertens_product_is_reduced(in_gmp, monkeypatch):
+    """mertens_product(t, gamma) = N/D is in lowest terms at every grid
+    point below t = 10^6, with GMP off and with every product in GMP: N mod
+    q != 0 for every prime q of D, each kept q <= t and each q | b (see
+    _assert_reduced). The point t = 10^6 would add about 0.6 s over the two
+    modes, so tier-1 leaves it out; _assert_reduced([(10**6, F(2))]) checks
+    it by hand."""
+    monkeypatch.setattr(anatomy, "_gmp", anatomy._gmp if in_gmp else False)  # restored after the test
+    if in_gmp:
+        if not anatomy._load_gmp():
+            pytest.skip("libgmp.so.10 does not load")
+        monkeypatch.setattr(anatomy, "_GMP_CUT", 0)
+    assert _assert_reduced([(t, g) for t, g in _GRID if t < 10**6]) >= 18
 
 
 @pytest.mark.parametrize("gamma", [F(3, 2), F(5, 2), F(17, 4), F(1), F(2)])
