@@ -315,11 +315,9 @@ def divisor_anatomy_bound(
     return interval_eval(Fraction(num, den), [(const(gamma), -K)], precision_bits)
 
 
-_GMP_CUT = 1 << 13  # bits of an operand from which _power_prod multiplies in GMP
+_GMP_CUT = 1 << 14  # bits of a product's values from which _prod multiplies it in GMP
+_GMP_LEAF = 96  # values per math.prod leaf of _tree_prod
 _gmp = None  # (libgmp, its mpz_t) once loaded; False where it does not load
-_SMALL_PROD_BASES = 1024  # bases, with multiplicity, below which _power_prod adds up the bits
-_GMP_TREE = 1 << 11  # operands from which _tree_prod multiplies the whole tree in GMP
-_GMP_LEAF = 96  # operands per math.prod leaf of such a tree
 
 
 def _load_gmp():
@@ -355,11 +353,11 @@ def _load_gmp():
 
 def _gmp_prod(values: list[int]) -> int:
     """The product of ints values >= 0, at least two, multiplied in GMP
-    (_gmp loaded) as _tree_prod pairs them: each operand is imported once,
-    each level of pairs is multiplied in place with mpz_mul, and the root
-    is exported once. An operand at an odd index that is the same int
-    object as the one before it shares that one's mpz, so that mpz_mul
-    squares: [x, x, y] is x^2 y.
+    (_gmp loaded) as a balanced tree of pairs, the one that _prod's int
+    path multiplies: each value is imported once, each level of pairs is
+    multiplied in place with mpz_mul, and the root is exported once. A
+    value at an odd index that is the same int object as the one before it
+    shares that one's mpz, so that mpz_mul squares: [x, x, y] is x^2 y.
 
     Each int crosses as little-endian bytes in words of 8, least
     significant word first (mpz_import), and comes back through a buffer of
@@ -395,111 +393,68 @@ def _gmp_prod(values: list[int]) -> int:
             lib.__gmpz_clear(z)
 
 
-def _in_gmp(bits: int) -> bool:
-    """Whether operands of about bits bits are multiplied in GMP: from
-    _GMP_CUT on, where libgmp loads."""
-    return bits >= _GMP_CUT and bool(_load_gmp())
+def _prod(values: list[int]) -> int:
+    """The product of values, by one size rule: when there are at least two
+    and their bits add up to at least _GMP_CUT, a balanced tree of pairs,
+    in GMP (_gmp_prod) where libgmp loads and in int where it does not;
+    otherwise one math.prod.
+
+    CPython's int multiplies by Karatsuba, GMP by Toom and FFT. One Horner
+    step [acc, acc, level] of X bits in all took 5.7 us in int and 11.3 us
+    in GMP, round trip included, at X = 2^12, 18.5 and 13.9 us at 2^13, 61
+    and 21 us at 2^14, and 45 and 3.0 ms at 2^20 (Python 3.11.7, GMP 6.2.1,
+    2 vCPUs, best of 7). Over the anatomy benchmark's 21 grid builds the
+    cut came level from 2^12 to 2^14 bits (110.6-111.6 ms, medians of 15
+    interleaved rounds) and lost at 2^15 and 2^16 (116.1 and 118.9 ms); at
+    2^10, and with no cut, every small product paid the round trip (106.3
+    and 108.1 ms against 104.2 ms, 9 rounds). 2^14 lies above the largest
+    product that any report at a grid point up to t = 10^4 makes (11,573
+    bits, at t = 10^4), so those points and the campaign never load the
+    library. Where it does not load, one math.prod over the leaves of a
+    large tree, in place of the pairs, took the build at t = 10^6, gamma =
+    2 from 217 to 734 ms (medians of 5 interleaved runs).
+
+    Nothing is vendored and nothing is a dependency: where libgmp does not
+    load, every product is the same integer, multiplied in int.
+    """
+    if len(values) > 1 and sum(map(int.bit_length, values)) >= _GMP_CUT:
+        if _load_gmp():
+            return _gmp_prod(values)
+        while len(values) > 1:  # the same pairs in int
+            values = [math.prod(values[i : i + 2]) for i in range(0, len(values), 2)]
+    return math.prod(values)
 
 
 def _tree_prod(values: list[int]) -> int:
-    """The product of values as a balanced tree, so the large
-    multiplications have operands of like size.
-
-    A tree of at least _GMP_TREE operands, where libgmp loads, runs whole
-    in one _gmp_prod, from leaves of math.prod over runs of _GMP_LEAF: each
-    leaf crosses into GMP once and only the root comes back. Any other tree
-    takes math.prod over runs of 16, then levels of pairs in int up to the
-    first whose first entry _in_gmp sends to GMP; that level and every one
-    above it run in one _gmp_prod.
-
-    The switch is on the count, not on the first operand's bits, so that a
-    large tree takes its lower levels in GMP too: the 65,372 primes that
-    the denominator keeps at t = 10^6, gamma = 2 (1.26 Mbit) multiplied in
-    16.9 ms from leaves of 96, against 18.2 ms through the int levels;
-    21,311 primes at t = 3 10^5 in 3.7 against 5.2 ms, 7,709 at t = 10^5 in
-    1.05 against 1.42 ms. The first 512 primes multiplied in 48 us as one
-    GMP tree against 40 us the other way, the first 1024 in 98 against 107
-    us and the first 2048 in 216 against 269 us (Python 3.11.7, GMP 6.2.1,
-    2 vCPUs, medians of 21 interleaved runs). The grid's 21 builds
-    came level with the switch at 2^9 to 2^13 operands and with leaves of
-    64 to 192. 2^11 lies past the crossover and above pi(10^4) = 1,229, the
-    most primes a denominator at t = 10^4 keeps, so the grid's points up to
-    t = 10^4 never load the library.
-    """
-    if len(values) >= _GMP_TREE and _load_gmp():
-        return _gmp_prod([math.prod(values[i : i + _GMP_LEAF]) for i in range(0, len(values), _GMP_LEAF)])
-    values = [math.prod(values[i : i + 16]) for i in range(0, len(values), 16)] or [1]
-    while len(values) > 1:
-        if _in_gmp(values[0].bit_length()):
-            return _gmp_prod(values)
-        values = [
-            values[i] * values[i + 1] if i + 1 < len(values) else values[i]
-            for i in range(0, len(values), 2)
-        ]
-    return values[0]
+    """The product of values as a balanced tree (Bernstein, "Fast
+    multiplication and its applications", MSRI Publ. 44, 2008): math.prod
+    over runs of _GMP_LEAF, then one _prod over these leaves, so that a
+    large tree crosses into GMP once, from its leaves, and only its root
+    comes back. Over the grid's 21 builds, leaves of 64 to 192 came level
+    (104.7 ms at 96, 105.7-108.3 ms), and 16, 32 and 384 lost (129.9, 117.0
+    and 114.2 ms; medians of 11 interleaved rounds)."""
+    return _prod([math.prod(values[i : i + _GMP_LEAF]) for i in range(0, len(values), _GMP_LEAF)])
 
 
 def _power_prod(powers: dict[int, list[int]]) -> int:
     """prod over e of (prod powers[e])^e, for exponents e >= 0 and bases >= 0.
 
-    A product whose exponents are all <= 1 is one _tree_prod. One of fewer
-    than _GMP_CUT bits in all, sum e bitlen(q), is one math.prod of the
-    powers of the products of each exponent's bases; its bits are added up
-    only when it has fewer than _SMALL_PROD_BASES bases with multiplicity,
-    since the pass costs about 20 ns a base and every product from t = 10^4
-    on is larger. Per build this took 52 and 101 us at t = 300 and 10^3,
-    gamma = 3/2, against 64 and 120 us through Horner, and 228 against 247
-    us at t = 3000, gamma = 5/2; the build at t = 10^4 came level (medians
-    of 21 interleaved runs).
-
-    Any other product runs Horner over the bits of the exponents: from the
-    top bit down, acc = acc^2 * (the product of the bases whose exponent has
-    that bit set). A base enters once per set bit of its exponent, and
+    Horner over the bits of the exponents: from the top bit down, acc =
+    acc^2 * (the _tree_prod of the bases whose exponent has that bit set),
+    one _prod a step. A base enters once per set bit of its exponent, and
     squaring does the rest, as in computing n! from its prime factorization
     (Borwein, "On the complexity of calculating factorials", J. Algorithms
-    6, 1985).
-
-    Where the multiplications run, where libgmp.so.10 loads (_load_gmp,
-    through ctypes): a tree of at least _GMP_TREE = 2^11 operands in GMP
-    (_gmp_prod) above its leaves, math.prod over runs of _GMP_LEAF = 96 in
-    int; a smaller tree's runs of 16 in int, its levels of pairs in int
-    below _GMP_CUT and from the first level whose first operand reaches it
-    all inside GMP; a Horner step, the square and the product by the
-    level's tree, in one _gmp_prod when acc has at least _GMP_CUT bits.
-    Where libgmp does not load, all of it runs in int.
-    CPython's int multiplies by Karatsuba, GMP by Toom and FFT: one
-    multiplication of two 2^20-bit ints took 165 ms in int and 6.8 ms in
-    GMP, round trip included, and the 56,454 primes in (10^6/4, 10^6] (1.08
-    Mbit) multiplied in 110 ms in int and 22 ms in GMP (Python 3.11, GMP
-    6.2.1, 2 vCPUs, medians of 7). A round trip costs about 15 us, and int
-    wins below about 5 kbit (2^12 bits: 22 us in int, 18 us in GMP). Over
-    the benchmark's 21-point anatomy grid, one exact product per point took
-    359 ms in int, and with the cut at 2^13, 2^14, 2^15 and 2^16 bits 131,
-    136, 150 and 158 ms (medians of 7 interleaved rounds; 2^12 and 1.5 2^13
-    came level with 2^13). With no cut, every small product paid the round
-    trip: the build at t = 10^4 took 1.5 ms against 0.56 ms in int. Up to
-    t = 10^4 no operand reaches 2^13 bits (6,143 at most) and no tree 2^11
-    operands, so small grid points and the campaign never load the library.
-    _tree_prod's docstring gives the measurements behind _GMP_TREE and
-    _GMP_LEAF. Keeping acc in GMP from one Horner step to the next, so that
-    only each level's tree crosses, took the grid's 21 builds from 126.7 to
-    124.3 ms, faster in 14 of 21 interleaved rounds; so each step makes its
-    own round trip.
-
-    Nothing is vendored and nothing is a dependency: where libgmp does not
-    load, every product is the same integer, multiplied in int.
+    6, 1985). While acc is 1, the level's tree becomes acc with no step:
+    sending [1, 1, tree] through _prod would take the largest tree into GMP
+    and back once more (1.2 Mbit at t = 10^6). So a product whose exponents
+    are all <= 1 is one _tree_prod. Each step makes its own round trip;
+    keeping acc inside GMP from one step to the next took the grid's 21
+    builds from 126.7 to 124.3 ms only.
     """
-    if max(powers, default=0) <= 1:
-        return _tree_prod(powers.get(1, []))
-    if (  # bits added up only over few bases, where the pass costs less than it saves
-        sum(e * len(qs) for e, qs in powers.items()) < _SMALL_PROD_BASES
-        and sum(e * sum(map(int.bit_length, qs)) for e, qs in powers.items()) < _GMP_CUT
-    ):
-        return math.prod(math.prod(qs) ** e for e, qs in powers.items())
     acc = 1
-    for j in reversed(range(max(powers).bit_length())):
+    for j in reversed(range(max(powers, default=0).bit_length())):
         level = _tree_prod([q for e, qs in powers.items() if e >> j & 1 for q in qs])
-        acc = _gmp_prod([acc, acc, level]) if _in_gmp(acc.bit_length()) else acc * acc * level
+        acc = _prod([acc, acc, level]) if acc != 1 else level
     return acc
 
 
@@ -589,13 +544,14 @@ def mertens_product(t: Rational, gamma: Rational) -> Fraction:
     21 builds from 114.3 to 107.4 ms (medians of 15 interleaved rounds,
     faster in 13).
 
-    Both products are _power_prod calls, which multiply their large
-    operands in GMP where libgmp loads: the numerator with the values above
-    T as bases of exponent 1, the denominator as kept at exponent 1 and,
-    when b > 1, b at exponent pi(t) (one list when pi(t) = 1). The
-    denominator for b = 1 is so one product tree, with no Horner step.
-    Past t = 10^5 these multiplications were most of a build in int: t =
-    10^6 at gamma = 2 took 211 ms in int and 60 ms with GMP (medians of 7).
+    Both products are _power_prod calls, whose large multiplications run
+    in GMP where libgmp loads: the numerator with the values above T as
+    bases of exponent 1, the denominator as kept at exponent 1 and, when
+    b > 1, b at exponent pi(t) (one list when pi(t) = 1). For b = 1 every
+    exponent of the denominator is 1, so its one Horner level is the whole
+    product: one _tree_prod. Past t = 10^5 these multiplications are most
+    of a build in int: t = 10^6 at gamma = 2 took 229 ms in int and 52 ms
+    with GMP (medians of 5 interleaved runs).
     """
     T, gamma = _t_floor(t), _rational_above(gamma, "gamma", 1, or_equal=True)
     ps = primes_upto(T)

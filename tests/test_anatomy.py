@@ -228,6 +228,27 @@ class TestDivisorSums:
                         want = sum((f(M // m) for m in ms), F(0))
                         assert divisor_anatomy_sum(M, t, K, f) == want, (M, t, K)
 
+    def test_sum_at_k_at_most_zero_is_one_star_f(self):
+        """At K <= 0 every divisor counts, so the sum is the divisor sum
+        (1 * f)(M) = prod over p^e || M of (1 * f)(p^e): M for the totient.
+        For each M and t of the anatomy benchmark's grid, the totient and a
+        random table f."""
+        rng = random.Random(20261022)
+        table = {
+            (p, a): F(rng.randint(0, 9), rng.randint(1, 6))
+            for p in (2, 3, 5, 7, 11, 13, 17, 19)
+            for a in range(1, 7)
+        }
+        ts = (300, 10**3, 3 * 10**3, 10**4, 3 * 10**4, 10**5, 3 * 10**5, 10**6)
+        for f in (TOTIENT, MultiplicativeFunction(table)):
+            for M in (720720, 8648640, 9699690):
+                want = math.prod((f.one_star_prime_power(p, e) for p, e in factorize(M)), start=F(1))
+                if f is TOTIENT:
+                    assert want == M
+                for t in ts:
+                    for K in (0, -1, F(-5, 2)):
+                        assert divisor_anatomy_sum(M, t, K, f) == want, (M, t, K)
+
     def test_sum_asks_f_only_where_needed(self):
         # f is undefined at 3; only m = 2, with omega_t(m) = 1, needs f(3)
         f = MultiplicativeFunction({(2, 1): F(1, 2)})
@@ -582,6 +603,32 @@ def _divisor_sum_outcome(fn, M, t, K, f):
     return out, log.asked
 
 
+_DEFAULT_GMP_CUT = anatomy._GMP_CUT  # read before any test sets it to 0
+
+
+def _band_start(T: int, b: int, c: int) -> tuple[int, int, int, int]:
+    """The terms of mertens_product's band start, whose max made odd (| 1)
+    is q0: 3, c + 1, isqrt(T) + 1 and the count term ceil((b T + 1 + c)/(K
+    + 1)), K = _BAND_K. The earlier start was max(2, c + 1, the count term)."""
+    return 3, c + 1, math.isqrt(T) + 1, -(-(b * T + 1 + c) // (anatomy._BAND_K + 1))
+
+
+def _earlier_band_start(T: int, b: int, c: int) -> int:
+    _, above_c, _, count = _band_start(T, b, c)
+    return max(2, above_c, count)
+
+
+def _at_leaf_bits(n: int, bits: int, rng: random.Random) -> list[int]:
+    """n values, the last a power of two, whose leaves under _tree_prod
+    (math.prod over runs of _GMP_LEAF) have bits bits in all: a leaf L times
+    2^m has the bits of L plus m."""
+    values = [rng.getrandbits(rng.randint(1, 40)) + 1 for _ in range(n - 1)]
+    leaf = anatomy._GMP_LEAF
+    have = sum(math.prod(values[i : i + leaf]).bit_length() for i in range(0, n, leaf))
+    assert have <= bits, (n, bits)
+    return values + [1 << (bits - have)]
+
+
 class _ProductKernel:
     """mertens_product and _tree_prod against the references above, and
     _power_prod against math.prod, integer for integer, on the product path
@@ -645,11 +692,14 @@ class _ProductKernel:
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (t, g)
 
     def test_mertens_product_at_the_band_edges(self):
-        """The band [q0, T] whose primes the value sieve decides in bulk, with
-        q0 = max(2, c + 1, ceil((b T + 1 + c)/(K + 1))), for b = 1..4: a prime
-        at q0 - 1, q0 and q0 + 1; q0 clamped to c + 1 or to 2; q0 > T; a prime
-        just below q0 whose one marked index m q - c is its (K + 1)-th, and a
-        prime in the band whose one marked index is its K-th.
+        """The band [q0, T] whose odd primes the value sieve decides in bulk,
+        q0 the least odd number >= max(3, c + 1, isqrt(T) + 1, ceil((b T + 1
+        + c)/(K + 1))), for b = 1..4: an odd prime at q0 - 2, q0 and q0 + 2;
+        q0 clamped to 3 or to c + 1; q0 > T. Beside these, the cases of the
+        earlier start max(2, c + 1, ceil((b T + 1 + c)/(K + 1))): a prime at
+        that start - 1, + 0 and + 1; that start clamped to c + 1 or to 2 and
+        past T; a prime just below it whose one marked index m q - c is its
+        (K + 1)-th, and a prime past it whose one marked index is its K-th.
 
         m q - c = p b with p odd needs m q - c = b (mod 2): for K = 16 and q
         odd, the (K + 1)-th index has no such prime when b and c are both
@@ -666,28 +716,38 @@ class _ProductKernel:
             c = a - b
 
             def q0(T):
-                return max(2, c + 1, -(-(b * T + 1 + c) // (K + 1)))
+                return _earlier_band_start(T, b, c)
 
             def marks(q, T):  # the m whose index m q - c marks a prime p <= T
                 return [m for m in range(1, K + 2) if 0 <= m * q - c <= b * T
                         and (m * q - c) % b == 0 and is_p[(m * q - c) // b]]
 
-            near = {d: [] for d in (-1, 0, 1)}
-            clamped, empty = [], []
-            for T in range(1, 3000):
-                q = q0(T)
-                if q > T:
-                    empty.append(T)
-                    continue
-                if q == max(2, c + 1):
-                    clamped.append(T)
-                for d in near:
-                    if 2 <= q + d <= T and is_p[q + d]:
-                        near[d].append(T)
-            cases = clamped[:3] + clamped[-2:] + empty[:1] + empty[-1:]
-            for Ts in near.values():
-                cases += Ts[:2] + Ts[-2:]
-            assert clamped and empty and all(near.values()), g
+            def edge_cases(start_of, is_clamped, offsets, least):
+                """T with a prime at the start + d, the start clamped, or past T."""
+                near = {d: [] for d in offsets}
+                clamped, empty = [], []
+                for T in range(1, 3000):
+                    q = start_of(T)
+                    if q > T:
+                        empty.append(T)
+                        continue
+                    if is_clamped(T):
+                        clamped.append(T)
+                    for d in near:
+                        if least <= q + d <= T and is_p[q + d]:
+                            near[d].append(T)
+                assert clamped and empty and all(near.values()), g
+                cases = clamped[:3] + clamped[-2:] + empty[:1] + empty[-1:]
+                for Ts in near.values():
+                    cases += Ts[:2] + Ts[-2:]
+                return cases
+
+            def clamped_start(T):  # 3 or c + 1 sets the start
+                start = _band_start(T, b, c)
+                return max(start[:2]) > max(start[2:])
+
+            cases = edge_cases(q0, lambda T: q0(T) == max(2, c + 1), (-1, 0, 1), 2)
+            cases += edge_cases(lambda T: max(_band_start(T, b, c)) | 1, clamped_start, (-2, 0, 2), 3)
             last = kth = None
             for q in range(3, 5000):
                 if None not in (last, kth):
@@ -715,17 +775,15 @@ class _ProductKernel:
         assert kths == {2, 4, F(4, 3), F(8, 3)}
 
     def test_mertens_product_on_both_sides_of_the_tally_guard(self):
-        """The band starts at the least odd q0 >= max(3, c + 1, isqrt(T) + 1,
-        ceil((b T + 1 + c)/(K + 1))), so q0^2 > T and every flagged prime
-        takes one count. Cases, for b = 1..4 and for gamma = 1 (c = 0): T
-        either side of each T at which q0^2 > T flipped under the earlier
-        start max(2, c + 1, ceil((b T + 1 + c)/(K + 1))), with its band
+        """The band starts at q0, the max of _band_start's terms made odd, so
+        q0^2 > T and every flagged prime takes one count. Cases, for b = 1..4
+        and for gamma = 1 (c = 0): T either side of each T at which q0^2 > T
+        flipped under the earlier start (_earlier_band_start), with its band
         scanned one by one when q0^2 <= T (T near 289/b^2); T = q^2 - 1, q^2
         and q^2 + 1 where isqrt(T) + 1 sets the start; T where the count term
         sets it and is even, before it is made odd; every T < 9, where 3 or
         c + 1 sets it; and T = q0^2 with q0 a prime of that earlier band that
         divides some p b + c <= T twice."""
-        K = anatomy._BAND_K
         is_p = arith.prime_flags(2000)
         gammas = [1, 2, 3, F(3, 2), F(7, 2), F(4, 3), F(5, 3), F(7, 3), F(5, 4), F(7, 4)]
         assert sorted({F(g).denominator for g in gammas}) == [1, 2, 3, 4]
@@ -735,10 +793,10 @@ class _ProductKernel:
             c = a - b
 
             def tallied(T):
-                return max(2, c + 1, -(-(b * T + 1 + c) // (K + 1))) ** 2 > T
+                return _earlier_band_start(T, b, c) ** 2 > T
 
-            def start(T):  # (3, c + 1, isqrt(T) + 1, the count term): q0 is their max | 1
-                return 3, c + 1, math.isqrt(T) + 1, -(-(b * T + 1 + c) // (K + 1))
+            def start(T):
+                return _band_start(T, b, c)
 
             flips = [T for T in range(2, 2000) if tallied(T) != tallied(T - 1)]
             assert flips, g
@@ -749,7 +807,7 @@ class _ProductKernel:
             assert by_root and even, g
             cases.update(by_root + even[:3] + even[-3:] + list(range(1, 9)))
             for T in range(1, 2000):
-                q0 = max(2, c + 1, -(-(b * T + 1 + c) // (K + 1)))
+                q0 = _earlier_band_start(T, b, c)
                 if q0 * q0 == T and is_p[q0] and any(
                     is_p[p] and (p * b + c) % T == 0 for p in range(2, (T - c) // b + 1)
                 ):
@@ -793,17 +851,21 @@ class _ProductKernel:
     def test_tree_prod(self):
         rng = random.Random(20251020)
         lengths = [0, 1, 2, 3, 15, 16, 17, 31, 32, 33, 100, 257, 1000]
-        # either side of the switch to one GMP tree, and a multiple of its leaves past it
-        tree, leaf = anatomy._GMP_TREE, anatomy._GMP_LEAF
-        many = (tree // leaf + 2) * leaf
-        lengths += [tree - 1, tree, tree + 1, many - 1, many, many + 1]
+        lengths += [2047, 2048, 2049, 2207, 2208, 2209]
         for n in lengths:
             values = [rng.getrandbits(rng.randint(1, 80)) + 1 for _ in range(n)]
             assert anatomy._tree_prod(list(values)) == _ref_tree_prod(values), n
+        # leaves whose bits add up to one under, at and one over the default cut
+        leaf = anatomy._GMP_LEAF
+        for n in (leaf + 1, 2 * leaf, 2 * leaf + 1, 5 * leaf + 7):
+            for d in (-1, 0, 1):
+                values = _at_leaf_bits(n, _DEFAULT_GMP_CUT + d, rng)
+                assert anatomy._tree_prod(list(values)) == _ref_tree_prod(values), (n, d)
 
     def test_power_prod(self):
         rng = random.Random(20251022)
         cases = [{}, {0: [2, 3]}, {1: [5]}, {0: [7], 1: [11, 13]}, {1: [], 3: [2]}, {2: [1]}]
+        cases += [{2: [0], 1: [5]}, {1: [0, 3]}]  # a zero base: Horner's acc reaches 0
         for _ in range(30):
             powers: dict = {}
             for _ in range(rng.randint(1, 8)):
@@ -892,6 +954,40 @@ class TestGmpLoading:
             count_chain_report(int(10**5 * gamma), t, 3, gamma)
             divisor_chain_report(720720, t, 2, gamma, TOTIENT)
         assert anatomy._gmp is None
+
+    def test_the_cut_decides_whether_libgmp_loads(self, monkeypatch):
+        """With libgmp not yet tried, a _tree_prod whose leaves have one bit
+        under _GMP_CUT in all is multiplied in int and leaves it untried;
+        one whose leaves reach the cut tries it."""
+        rng = random.Random(20261021)
+        monkeypatch.setattr(anatomy, "_gmp", None)
+        n = 2 * anatomy._GMP_LEAF + 5
+        under = _at_leaf_bits(n, anatomy._GMP_CUT - 1, rng)
+        assert anatomy._tree_prod(list(under)) == math.prod(under)
+        assert anatomy._gmp is None
+        at = _at_leaf_bits(n, anatomy._GMP_CUT, rng)
+        assert anatomy._tree_prod(list(at)) == math.prod(at)
+        assert anatomy._gmp is not None
+
+    def test_one_round_trip_per_level(self, monkeypatch):
+        """Horner's first level becomes acc as it is, with no step: a product
+        whose exponents are all <= 1 crosses into GMP once, as one tree. A
+        later level crosses for its tree, when it has two leaves or more, and
+        for its step, [acc, acc, tree]."""
+        monkeypatch.setattr(anatomy, "_gmp", anatomy._gmp)
+        if not anatomy._load_gmp():
+            pytest.skip("libgmp.so.10 does not load")
+        monkeypatch.setattr(anatomy, "_GMP_CUT", 0)
+        calls = []
+        gmp_prod = anatomy._gmp_prod
+        monkeypatch.setattr(anatomy, "_gmp_prod", lambda values: calls.append(len(values)) or gmp_prod(values))
+        leaf = anatomy._GMP_LEAF
+        bases = list(range(2, 5 * leaf))
+        assert anatomy._power_prod({1: bases}) == math.prod(bases)
+        assert calls == [5]
+        calls.clear()
+        assert anatomy._power_prod({1: bases, 6: [7]}) == math.prod(bases) * 7**6
+        assert calls == [3, 5, 3]  # 6 = 110 in binary: the bits 2 and 1 take the one leaf [7]
 
     @pytest.mark.parametrize("fail_at", [None, 1, 4])
     def test_every_mpz_is_cleared(self, monkeypatch, fail_at):
