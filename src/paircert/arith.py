@@ -51,13 +51,14 @@ DEFAULT_PRECISION_CAP  2^14 bits of a declared precision (_precision,
                        certify_le): 1.0 s, a campaign main bound at 2^14
 _NUMERAL_CAP 10^5      characters of a numeral (_read_numeral; from bit
                        lengths, _check_numeral in harness.instance_document):
-                       0.03 s to read, 0.13 s to write, 0.015 s to check
+                       0.04 s to read, 0.025 s to write, 0.01 s to check
 _SIEVE_CAP 10^7        primes sieved (_ensure_sieve): 0.19 s. It also bounds
                        the largest product handed to GMP: mertens_product at
                        t = 10^7, numerators of 12.1-13.9 Mbit, 0.8-1.8 s
                        with the sieve (gamma = 2 to 33/16) and a 143 MB peak
                        RSS (gamma = 5/4 and 7/4); GMP aborts the process
-                       only if malloc fails
+                       only if malloc fails. The CLI's anatomy mertens at
+                       t = 10^7, gamma = 2 takes 4.3 s, its 7.5 MB in decimal
 ENUMERATION_CAP 2e6    anatomy's bound x (_enumeration_bound): 0.22-0.34 s,
                        count_chain_report at x = t = 2*10^6, gamma = 3/2,
                        with libgmp (0.8-0.9 s in int alone), nearly all in
@@ -69,6 +70,7 @@ SUPPORT_CAP 1000       a generated support (GeneratorConfig): about 4 s
 from __future__ import annotations
 
 import re
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -942,14 +944,9 @@ def _me_cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 def dyadic_str(d: Dyadic, digits: int = 12) -> str:
     """Human-readable decimal (approximate for huge exponents)."""
-    if d.man == 0:
-        return "0"
-    if abs(d.exp) <= 4096:
-        x = d.as_fraction()
-        return _fraction_decimal(x, digits)
-    l2 = d.log2_estimate()
-    sign = "-" if d.man < 0 else ""
-    return f"{sign}2^{l2:.6g}"
+    if abs(d.exp) <= 4096:  # zero included: its exp is 0
+        return _fraction_decimal(d.as_fraction(), digits)
+    return f"{'-' if d.man < 0 else ''}2^{d.log2_estimate():.6g}"
 
 
 def interval_json(iv: Interval) -> list[str]:
@@ -958,40 +955,37 @@ def interval_json(iv: Interval) -> list[str]:
 
 
 def _fraction_decimal(x: Fraction, digits: int) -> str:
+    """x to digits significant digits, rounded toward zero, as d.ddde+E."""
     if x == 0:
         return "0"
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    # decimal exponent
-    e = 0
-    while x >= 10:
-        x /= 10
-        e += 1
-    while x < 1:
-        x *= 10
-        e -= 1
-    scaled = int(x * 10 ** (digits - 1))
-    mant = str(scaled)
-    mant = mant[0] + "." + mant[1:]
-    return f"{sign}{mant}e{e:+d}"
+    context = Context(prec=digits, rounding=ROUND_DOWN, Emin=MIN_EMIN, Emax=MAX_EMAX)
+    return f"{context.divide(x.numerator, x.denominator):.{digits - 1}e}"
 
 
 # Python refuses str() of ints past sys.get_int_max_str_digits() digits
-# (4300 by default, 640 at the least), so longer ones are split by a power
-# of ten into pieces below that.
+# (4300 by default, 640 at the least), so longer ones are written through
+# decimal and read in pieces of at most _STR_DIGITS digits.
 _STR_DIGITS = 600
 _STR_BOUND = 10**_STR_DIGITS
+_EXACT = Context(prec=MAX_PREC, Emin=MIN_EMIN, Emax=MAX_EMAX, traps=[Inexact])
 
 
 def int_str(n: int) -> str:
-    """str(n), exact at any size."""
+    """str(n), exact at any size. Past _STR_BOUND, n is split at half its
+    bits and rejoined in decimal as hi 2^h + lo, each 2^h computed once
+    (CPython 3.12's _pylong): subquadratic, where int -> str is quadratic."""
     if -_STR_BOUND < n < _STR_BOUND:
         return str(n)
-    if n < 0:
-        return "-" + int_str(-n)
-    k = n.bit_length() * 3 // 20  # about half the decimal digits
-    hi, lo = divmod(n, 10**k)
-    return int_str(hi) + int_str(lo).zfill(k)
+    power = lru_cache(None)(_EXACT.power)
+
+    def rejoin(n: int, w: int) -> Decimal:  # 0 <= n < 2^w
+        if n < _STR_BOUND:
+            return Decimal(n)
+        h = w >> 1
+        hi = n >> h
+        return _EXACT.fma(rejoin(hi, w - h), power(2, h), rejoin(n - (hi << h), h))
+
+    return ("-" if n < 0 else "") + str(rejoin(abs(n), n.bit_length()))
 
 
 def fraction_str(x: Rational) -> str:

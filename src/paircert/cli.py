@@ -7,7 +7,8 @@ inconclusive verdict remained at the precision cap
 (a malformed instance or generator config, a parameter outside its domain
 such as --precision outside [16, 2^14], --precision given to certify
 --campaign, a cap exceeded, any PaircertError; an unwritable output path,
-any OSError), reported as one line on stderr. A rational option (--t,
+any OSError; a MemoryError, as when a build outgrows an address-space
+limit), reported as one line on stderr. A rational option (--t,
 --K, --x, --gamma) that does not parse as a fraction with a nonzero
 denominator, an empty one included, is such an input error. A usage error
 (an unknown option, an integer option that is not an integer, a missing
@@ -383,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PaircertError, OSError) as exc:
         message = " ".join(str(exc).split())
         sys.stderr.write(f"paircert: {type(exc).__name__}: {message}\n")
+        return 4
+    except MemoryError:
+        sys.stderr.write("paircert: MemoryError: out of memory\n")
         return 4
 
 

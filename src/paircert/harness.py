@@ -246,12 +246,12 @@ def instance_document(
     system: PairSystem, params: Params, auto_edges: bool = False
 ) -> dict:
     """The instance as a JSON document. ResourceLimit, before a digit is
-    written, when one of its rationals would be a numeral past _NUMERAL_CAP
-    characters, which document_to_instance refuses: every document made
-    here loads again."""
+    written, when one of its rationals or table keys would be a numeral
+    past _NUMERAL_CAP characters, which document_to_instance refuses: every
+    document made here loads again."""
     values = [params.epsilon, params.C, params.t, params.K]
-    values += [v for w in (system.psi, system.theta) for _, v in w.items()]
-    values += [v for f in (system.f, system.g) if not f.is_totient() for v in f._table.values()]
+    values += [x for w in (system.psi, system.theta) for k, v in w.items() for x in (k, v)]
+    values += [x for f in (system.f, system.g) if not f.is_totient() for key, v in f._table.items() for x in (*key, v)]
     for v in values:
         _check_numeral(v)
     return {

@@ -14,20 +14,20 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
-from .arith import Rational, _check_power, _integer, _power, _rational, factorize, fraction_str, is_prime, prime_divisors
+from .arith import Rational, _check_power, _integer, _power, _rational, _read_numeral, factorize, fraction_str
+from .arith import int_str, is_prime, prime_divisors
 from .errors import IncompleteDefinition, InvalidParameter, PaircertError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 def _numeral(text: str) -> int:
-    """The int that text spells as str(n); InvalidParameter for any other
-    spelling, such as "1_0", " 3 ", "+4" or "03"."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = None
-    if n is None or str(n) != text:
+    """The int that text spells as str(n), read as a value's numeral is
+    (arith._read_numeral: past Python's str -> int limit, ResourceLimit
+    past _NUMERAL_CAP characters); InvalidParameter for any other spelling,
+    such as "1_0", " 3 ", "+4" or "03"."""
+    n = _read_numeral(text).numerator if text.removeprefix("-").isdecimal() else None
+    if n is None or int_str(n) != text:
         raise InvalidParameter(f"{text!r} is not an integer numeral")
     return n
 
@@ -97,7 +97,7 @@ class WeightFunction:
         return f"WeightFunction({{{entries}{more}}})"
 
     def to_json(self) -> dict[str, str]:
-        return {str(k): fraction_str(v) for k, v in self.items()}
+        return {int_str(k): fraction_str(v) for k, v in self.items()}
 
     @classmethod
     def from_json(cls, doc: Mapping[str, str]) -> "WeightFunction":
@@ -206,7 +206,7 @@ class MultiplicativeFunction:
     def to_json(self):
         if self.is_totient():
             return "totient"
-        return {f"{p}^{a}": fraction_str(v) for (p, a), v in sorted(self._table.items())}
+        return {f"{int_str(p)}^{int_str(a)}": fraction_str(v) for (p, a), v in sorted(self._table.items())}
 
     @classmethod
     def from_json(cls, doc) -> "MultiplicativeFunction":

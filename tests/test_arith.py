@@ -648,6 +648,76 @@ class TestFractionStr:
         assert len(want) > 2 * old
         assert fraction_str(x) == want
 
+    def test_int_str_around_the_splits(self):
+        """int_str(n) == str(n), under the default digit limit, at 0, +-1,
+        10^k +- 1 and 2^k +- 1 around _STR_BOUND and the sizes where the
+        split recursion gains a level (each about twice the last), on both
+        signs; str() is taken with the limit off, restored after."""
+        import sys
+
+        b0 = arith._STR_BOUND.bit_length()
+        d0 = len(str(arith._STR_BOUND)) - 1
+        ns = [0, 1, arith._STR_BOUND]
+        for level in range(5):
+            ns += [2 ** (b + (b0 << level)) + j for b in (-1, 0, 1) for j in (-1, 0, 1)]
+            ns += [10 ** (d + (d0 << level)) + j for d in (-1, 0, 1) for j in (-1, 0, 1)]
+        ns += [-n for n in ns]
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = [str(n) for n in ns]
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert max(map(len, want)) > 2 * old
+        assert [int_str(n) for n in ns] == want
+
+
+# The decimal writer as it stood before it went through the decimal module:
+# the decimal exponent found by one Fraction step of 10 per power, then the
+# mantissa truncated.  Kept verbatim as the reference that
+# arith._fraction_decimal must match character for character.
+
+
+def _ref_fraction_decimal(x: F, digits: int) -> str:
+    if x == 0:
+        return "0"
+    sign = "-" if x < 0 else ""
+    x = abs(x)
+    # decimal exponent
+    e = 0
+    while x >= 10:
+        x /= 10
+        e += 1
+    while x < 1:
+        x *= 10
+        e -= 1
+    scaled = int(x * 10 ** (digits - 1))
+    mant = str(scaled)
+    mant = mant[0] + "." + mant[1:]
+    return f"{sign}{mant}e{e:+d}"
+
+
+class TestFractionDecimalReference:
+    """arith._fraction_decimal, which dyadic_str and so every report's
+    interval ends go through, against the reference above."""
+
+    def test_matches_the_reference(self):
+        rng = random.Random(3604)
+        xs = [F(0)]
+        for k in range(-40, 41):  # exact powers of ten, and one unit off
+            xs += [F(10) ** k, F(10) ** k * (1 + F(1, 10**25)), F(10) ** k * (1 - F(1, 10**25))]
+        for _ in range(200):
+            man = rng.getrandbits(rng.randint(1, 300)) | 1
+            xs.append(arith.Dyadic(man, rng.randint(-4096, 4096)).as_fraction())
+        xs += [-x for x in xs]
+        for digits in (12, 20):
+            assert [arith._fraction_decimal(x, digits) for x in xs] == [_ref_fraction_decimal(x, digits) for x in xs]
+
+    def test_zero(self):
+        assert arith._fraction_decimal(F(0), 12) == "0"
+        assert arith.dyadic_str(arith.Dyadic(0, 5)) == "0"
+        assert arith.interval_json(Interval(arith.Dyadic(0, 0), arith.Dyadic(1, 0), 16)) == ["0", "1.0000000000000000000e+0"]
+
 
 # The exp kernel as it stood on Fractions: the argument reduced by Fraction
 # bounds of ln 2 and rounded through a Fraction grid, the series dividing by

@@ -612,6 +612,21 @@ def test_unwritable_output_exits_4_with_one_line(
     assert lines[0].startswith(("paircert: FileNotFoundError: ", "paircert: FileExistsError: "))
 
 
+def test_memory_error_exits_4_with_one_line(monkeypatch, capsys):
+    """A build that runs out of memory is reported like a cap, not as a
+    traceback."""
+    from paircert import cli
+
+    def out_of_memory(t, gamma):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "mertens_product", out_of_memory)
+    assert main(["anatomy", "mertens", "--t", "1000", "--gamma", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "paircert: MemoryError: out of memory\n"
+
+
 def test_check_writes_exact_json_past_the_int_str_limit(tmp_path, capsys):
     """mu(E) over the 300 largest primes below 20000 has a denominator of
     about 5,100 digits, past Python's default int -> str limit."""

@@ -301,11 +301,12 @@ class TestPersistence:
         assert system2.edges == system.edges
 
     def test_round_trip_past_the_int_str_digit_limit(self, tmp_path):
-        """A t of 5,001 digits and a weight and an f value of 4,401 digits
-        (Python's str <-> int limit is 4,300) save and load back equal."""
+        """A t of 5,001 digits and a weight, a support key, an f value and an
+        f exponent of 4,401 digits (Python's str <-> int limit is 4,300) save
+        and load back equal."""
         huge = F(10**4400 + 1, 3)
-        psi = WeightFunction({3: huge, 5: F(1, 5)})
-        f = MultiplicativeFunction({(3, 1): huge, (5, 1): 4})
+        psi = WeightFunction({3: huge, 5: F(1, 5), huge.numerator: 1})
+        f = MultiplicativeFunction({(3, 1): huge, (5, 1): 4, (3, huge.numerator): 1})
         system = PairSystem(psi, psi, f, TOTIENT, {(3, 5)})
         params = Params(epsilon=F(1, 4), C=F(1), t=F(10**5000 + 7), K=F(-(10**4400)))
         path = tmp_path / "huge.json"
@@ -339,23 +340,27 @@ class TestPersistence:
             with pytest.raises(ResourceLimit, match=f"a numeral of {length} characters exceeds the cap"):
                 load_instance(path)
 
-    @pytest.mark.parametrize("slot", ["t", "K", "psi", "f"])
+    @pytest.mark.parametrize("slot", ["t", "K", "psi", "f", "psi key", "theta key", "f exponent"])
     @pytest.mark.parametrize("extra", [0, 1], ids=["at-cap", "past-cap"])
     def test_numeral_cap_on_save(self, tmp_path, slot, extra):
         """A rational whose numeral has _NUMERAL_CAP characters (an int for t,
-        -n/d for K, n/d for a weight and an f value) round-trips; at one
-        more, save_instance raises ResourceLimit and writes nothing."""
+        a support key and an f exponent, -n/d for K, n/d for a weight and an
+        f value) round-trips; at one more, save_instance raises ResourceLimit
+        and writes nothing."""
         length = arith._NUMERAL_CAP + extra
-        if slot == "t":
+        if slot in ("t", "psi key", "theta key", "f exponent"):
             value = F(10**length - 1)
         else:  # [-]n/d, n of half the digits and d of the rest
             sign = -1 if slot == "K" else 1
             digits = (length - 1 - (sign < 0)) // 2
             value = sign * F(10**digits - 1, 10 ** (length - 2 - (sign < 0) - digits))
         assert len(arith.fraction_str(value)) == length
-        psi = WeightFunction({3: value if slot == "psi" else F(1, 3)})
-        f = MultiplicativeFunction({(3, 1): value}) if slot == "f" else TOTIENT
-        system = PairSystem(psi, psi, f, TOTIENT, {(3, 3)})
+        weights = {3: value if slot == "psi" else F(1, 3)}
+        psi = WeightFunction({**weights, value.numerator: 1} if slot == "psi key" else weights)
+        theta = WeightFunction({**weights, value.numerator: 1} if slot == "theta key" else weights)
+        table = {(3, 1): value} if slot == "f" else {(3, value.numerator): 1} if slot == "f exponent" else None
+        f = MultiplicativeFunction(table) if table else TOTIENT
+        system = PairSystem(psi, theta, f, TOTIENT, {(3, 3)})
         params = Params(
             epsilon=F(1, 4), C=F(1), t=value if slot == "t" else F(10), K=value if slot == "K" else F(0)
         )
@@ -363,7 +368,7 @@ class TestPersistence:
         if extra == 0:
             save_instance(path, system, params)
             system2, params2 = load_instance(path)
-            assert (params2, system2.psi, system2.f) == (params, psi, f)
+            assert (params2, system2.psi, system2.theta, system2.f) == (params, psi, theta, f)
         else:
             with pytest.raises(ResourceLimit, match="a numeral of more than"):
                 save_instance(path, system, params)

@@ -83,6 +83,27 @@ class TestWeightFunction:
         with pytest.raises(InvalidParameter, match="is not an integer numeral"):
             WeightFunction.from_json({key: "1/2"})
 
+    def test_a_key_reads_where_a_value_of_its_length_reads(self):
+        """A support key is written by int_str and read by _read_numeral, as
+        a value is: past Python's 4,300-digit str <-> int limit, with the
+        canonical form kept, and refused with ResourceLimit past
+        _NUMERAL_CAP characters."""
+        big = 10**4400 + 1
+        w = WeightFunction({big: F(1, 3), 2: F(1, 2)})
+        doc = w.to_json()
+        assert list(doc) == ["2", arith.int_str(big)]
+        assert WeightFunction.from_json(doc) == w
+        long_negative = "-" + "1" * 1000  # read in pieces, sign kept
+        with pytest.raises(InvalidParameter, match="weight support element -1111"):
+            WeightFunction.from_json({long_negative: "1"})
+        for key in ("0" + "1" * 4400, "1" * 2200 + "_" + "1" * 2200, "1" * 2200 + "-" + "1" * 2200):
+            with pytest.raises(InvalidParameter, match="is not an integer numeral"):
+                WeightFunction.from_json({key: "1"})
+        at_cap = "1" * arith._NUMERAL_CAP
+        assert WeightFunction.from_json({at_cap: "1"}).support() == ((10**arith._NUMERAL_CAP - 1) // 9,)
+        with pytest.raises(ResourceLimit, match=f"a numeral of {arith._NUMERAL_CAP + 1} characters"):
+            WeightFunction.from_json({at_cap + "1": "1"})
+
 
 class TestMultiplicative:
     def test_totient_accepts(self):
